@@ -1,0 +1,113 @@
+"""Reference grid oracles: the full (n+1)^3 min-plus cube for the 3-periodic
+search and a plain loop over the start index for the 6-periodic chain DP.
+
+tripatrol.search must return exactly the same SearchResult as these on every
+triangle; they are slow and kept only for the tests to compare against.
+"""
+
+import math
+
+import numpy as np
+
+from tripatrol.geom import EdgeId, Triangle, edge_endpoints
+from tripatrol.search import GAP2_PATTERN, SearchResult
+
+
+def _edge_grid(t: Triangle, e: EdgeId, us: np.ndarray) -> np.ndarray:
+    s, f = edge_endpoints(t, e)
+    return np.stack([s.x + us * (f.x - s.x), s.y + us * (f.y - s.y)], axis=-1)
+
+
+def _dist_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    d = p[:, None, :] - q[None, :, :]
+    return np.hypot(d[..., 0], d[..., 1])
+
+
+def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
+    us = np.arange(grid_n + 1) / grid_n
+    pa = _edge_grid(t, EdgeId.A, us)
+    pb = _edge_grid(t, EdgeId.B, us)
+    pc = _edge_grid(t, EdgeId.C, us)
+    d_ab = _dist_matrix(pa, pb)
+    d_bc = _dist_matrix(pb, pc)
+    d_ca = _dist_matrix(pc, pa)
+
+    best = math.inf
+    bi = bk = 0
+    n1 = grid_n + 1
+    chunk = max(1, min(n1, (1 << 17) // (n1 * n1) + 1))
+    for lo in range(0, n1, chunk):
+        hi = min(n1, lo + chunk)
+        # cube[i, j, k] = |PA_i PB_j| + |PB_j PC_k| over the u1-chunk
+        cube = d_ab[lo:hi, :, None] + d_bc[None, :, :]
+        totals = cube.min(axis=1) + d_ca.T[lo:hi]
+        flat = int(np.argmin(totals))
+        i_loc, k_loc = np.unravel_index(flat, totals.shape)
+        val = float(totals[i_loc, k_loc])
+        if val < best:
+            best = val
+            bi, bk = lo + int(i_loc), int(k_loc)
+    bj = int(np.argmin(d_ab[bi, :] + d_bc[:, bk]))
+    return SearchResult(
+        best_value=best,
+        best_params=[float(us[i]) for i in (bi, bj, bk)],
+        grid_n=grid_n,
+        objective="gap1",
+        certified_tolerance=6.0 * t.diameter / grid_n,
+    )
+
+
+def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
+    n1 = d_fwd[0].shape[0]
+    best = math.inf
+    best_idx: list[int] = [0] * 6
+    for i0 in range(n1):
+        v = d_fwd[0][i0, :].copy()
+        bps = []
+        for step in range(1, 5):
+            tot = v[:, None] + d_fwd[step]
+            bps.append(np.argmin(tot, axis=0))
+            v = np.min(tot, axis=0)
+        tot_last = v + d_fwd[5][:, i0]
+        i5 = int(np.argmin(tot_last))
+        val = float(tot_last[i5])
+        if val < best:
+            best = val
+            idx = [i0, 0, 0, 0, 0, i5]
+            for step in range(4, 0, -1):
+                idx[step] = int(bps[step - 1][idx[step + 1]])
+            best_idx = idx
+    return best, best_idx
+
+
+def grid_search_6periodic_gap2(
+    t: Triangle, grid_n: int, refine_rounds: int = 8
+) -> SearchResult:
+    if grid_n < 2:
+        raise ValueError("grid_n must be >= 2")
+    lo = np.zeros(6)
+    hi = np.ones(6)
+    best_val = math.inf
+    best_us = [0.0] * 6
+    for _ in range(refine_rounds + 1):
+        axes = [np.linspace(lo[i], hi[i], grid_n + 1) for i in range(6)]
+        grids = [_edge_grid(t, e, ax) for e, ax in zip(GAP2_PATTERN, axes)]
+        d_fwd = [_dist_matrix(grids[i], grids[(i + 1) % 6]) for i in range(6)]
+        val, idx = _min_cycle_6(d_fwd)
+        if val < best_val:
+            best_val = val
+            best_us = [float(axes[i][idx[i]]) for i in range(6)]
+        width = (hi - lo) / grid_n
+        lo = np.clip([best_us[i] - width[i] for i in range(6)], 0.0, 1.0)
+        hi = np.clip([best_us[i] + width[i] for i in range(6)], 0.0, 1.0)
+        if max(width) < 1e-9:
+            break
+    return SearchResult(
+        best_value=best_val,
+        best_params=best_us,
+        grid_n=grid_n,
+        objective="gap2",
+        certified_tolerance=12.0 * t.diameter / grid_n,
+    )

@@ -1,7 +1,10 @@
 import math
 import random
+import tracemalloc
 
 import pytest
+
+import reference_search
 
 from tripatrol.geom import EdgeId, Point, Triangle, edge_param, edge_point
 from tripatrol.orthic import orthic_perimeter, orthic_schedule, orthic_triangle, sub_orthic_schedule
@@ -15,6 +18,27 @@ from tripatrol.search import (
     verify_1gap_optimality,
 )
 from conftest import random_acute_triangle
+
+# The two golden-file triangles, an obtuse one and a thin one.
+SPECIAL_TRIANGLES = (
+    Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 0.8660254037844386)),
+    Triangle(Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 0.0)),
+    Triangle(Point(0.0, 0.0), Point(3.0, 0.0), Point(0.4, 0.5)),
+    Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.3, 0.01)),
+)
+
+
+def moved(t: Triangle, offset: float) -> Triangle:
+    return Triangle(*[Point(v.x + offset, v.y + offset) for v in t.vertices])
+
+
+def peak_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def orthic_feet_params(t: Triangle) -> list[float]:
@@ -63,6 +87,36 @@ def test_grid3_deterministic(equilateral):
     r1 = grid_search_3periodic(equilateral, 50)
     r2 = grid_search_3periodic(equilateral, 50)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+def test_grid_oracles_match_reference(rng, offset):
+    # Pruning and batching must not change a single bit of the result:
+    # value, parameters and tie-breaking, also where large coordinates
+    # leave only rounding-level gaps between the bound and the totals.
+    triangles = [random_acute_triangle(rng) for _ in range(6)] + list(SPECIAL_TRIANGLES)
+    for t in triangles:
+        t = moved(t, offset)
+        for n in (2, 3, 7, 50):
+            assert grid_search_3periodic(t, n) == reference_search.grid_search_3periodic(t, n)
+            assert grid_search_6periodic_gap2(t, n) == reference_search.grid_search_6periodic_gap2(t, n)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e9])
+def test_grid3_memory_within_reference(equilateral, offset):
+    # At offset 1e9 the pruning margin keeps every (u1, u3) pair.
+    t = moved(equilateral, offset)
+    new = peak_bytes(grid_search_3periodic, t, 400)
+    assert new <= peak_bytes(reference_search.grid_search_3periodic, t, 400)
+
+
+@pytest.mark.parametrize("grid_n", [12, 200])
+def test_grid6_memory_within_one_chunk_of_reference(equilateral, grid_n):
+    # Batching start indices may add one temporary of at most 2**17
+    # float64s, the chunk size of the reference cube search.
+    new = peak_bytes(grid_search_6periodic_gap2, equilateral, grid_n, 0)
+    old = peak_bytes(reference_search.grid_search_6periodic_gap2, equilateral, grid_n, 0)
+    assert new <= old + 8 * (1 << 17)
 
 
 def test_grid_n_validation(equilateral):
