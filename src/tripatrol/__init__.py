@@ -28,6 +28,8 @@ from .orthic import (
     OrthicData,
     OutsideChannel,
     ReflectionChain,
+    limited_2k_optimum,
+    lower_bound_profile,
     orthic_channel,
     orthic_line,
     orthic_perimeter,
@@ -35,6 +37,7 @@ from .orthic import (
     orthic_triangle,
     reflection_chain,
     sub_orthic_schedule,
+    verify_1gap_optimality,
 )
 from .greedy import (
     GreedyTrace,
@@ -44,16 +47,21 @@ from .greedy import (
     greedy_ratio_extremes,
     greedy_run,
 )
-from .search import (
-    SearchResult,
-    grid_search_3periodic,
-    grid_search_6periodic_gap2,
-    limited_2k_optimum,
-    lower_bound_profile,
-    verify_1gap_optimality,
-)
 
 __version__ = "0.1.0"
+
+# The grid oracles import numpy at module level; load them on first access
+# (PEP 562) so that importing the package does not import numpy.
+_SEARCH_NAMES = ("SearchResult", "grid_search_3periodic", "grid_search_6periodic_gap2")
+
+
+def __getattr__(name: str):
+    if name in _SEARCH_NAMES:
+        from . import search
+
+        return getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DegenerateTriangle",

@@ -22,6 +22,7 @@ from .geom import EdgeId, Point, Triangle, angles, edge_param, edge_point
 from .greedy import greedy_run
 from .orthic import (
     _channel_from_chain,
+    lower_bound_profile,
     orthic_perimeter,
     orthic_triangle,
     reflection_chain,
@@ -34,7 +35,6 @@ from .schedule import (
     schedule_from_dict,
     schedule_to_dict,
 )
-from .search import grid_search_3periodic, grid_search_6periodic_gap2, lower_bound_profile
 from .svgout import channel_svg
 
 
@@ -191,11 +191,8 @@ def cmd_gap(args) -> dict:
     return _report("gap", inp, results)
 
 
-def _render_to_file(tri: Triangle, lam: float, path: str) -> None:
-    chain = reflection_chain(tri)
-    channel = _channel_from_chain(chain)
-    sched = sub_orthic_schedule(tri, lam)
-    folded = [edge_point(tri, p.edge, p.u) for p in sched.generator]
+def _render_to_file(chain, channel, sched, path: str) -> None:
+    folded = [edge_point(sched.triangle, p.edge, p.u) for p in sched.generator]
     svg = channel_svg(chain, channel, folded, (chain.k, chain.k2))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -222,11 +219,14 @@ def cmd_channel(args) -> dict:
         "rendered": args.render,
     }
     if args.render:
-        _render_to_file(tri, args.lam, args.render)
+        _render_to_file(chain, channel, sched, args.render)
     return _report("channel", inp, results)
 
 
 def cmd_search(args) -> dict:
+    # The only subcommand that needs numpy; the other six never load it.
+    from .search import grid_search_3periodic, grid_search_6periodic_gap2
+
     tri, inp = _triangle_from_args(args)
     grid = args.grid if args.grid is not None else (200 if args.period == 3 else 12)
     if args.period == 3:
@@ -264,7 +264,9 @@ def cmd_unfold(args) -> dict:
 
 def cmd_render(args) -> dict:
     tri, inp = _triangle_from_args(args)
-    _render_to_file(tri, args.lam, args.out)
+    chain = reflection_chain(tri)
+    channel = _channel_from_chain(chain)
+    _render_to_file(chain, channel, sub_orthic_schedule(tri, args.lam), args.out)
     return _report("render", inp, {"lambda": args.lam, "svg": args.out})
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geom import (
     EdgeId,
     Triangle,
@@ -148,6 +146,8 @@ def greedy_limit_gap(t: Triangle) -> float:
 
 def _ratio_formula(a_ang, b_ang, c_ang):
     """(sinA + sinB + sinC) / (2 (1 + cosA cosB cosC)); no domain checks."""
+    import numpy as np  # here, so that importing the package stays numpy-free
+
     num = np.sin(a_ang) + np.sin(b_ang) + np.sin(c_ang)
     den = 2.0 * (1.0 + np.cos(a_ang) * np.cos(b_ang) * np.cos(c_ang))
     return num / den
@@ -171,6 +171,8 @@ def greedy_ratio_extremes(
     Returns (max, min, argmax angles, argmin angles); ties go to the
     lexicographically smallest (A, B) grid pair.
     """
+    import numpy as np
+
     if grid_n < 100:
         raise ValueError("grid_n must be >= 100 to resolve the landscape")
     h = (math.pi / 2) / grid_n

@@ -1,5 +1,6 @@
-"""Orthic triangle, the five-reflection unfolding, the orthic channel, and
-the 6-periodic schedules obtained by folding channel lines back in.
+"""Orthic triangle, the five-reflection unfolding, the orthic channel, the
+6-periodic schedules obtained by folding channel lines back in, and the
+unfolding lower-bound sequence v_k that certifies their optimality.
 
 The unfolding works on a relabeled copy of the input whose side lengths
 satisfy alpha >= beta >= gamma; results are mapped back to the caller's
@@ -26,9 +27,10 @@ from .geom import (
     project_onto_line,
     reflect_point,
     require_acute,
+    segment_distance,
     signed_offset,
 )
-from .schedule import Schedule, SchedulePoint
+from .schedule import Schedule, SchedulePoint, gap_report
 
 
 class OutsideChannel(ValueError):
@@ -316,3 +318,55 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
             u = 1.0
         pts.append(SchedulePoint(edge, u))
     return Schedule(t, tuple(pts))
+
+
+def _channel_cross_section(t: Triangle):
+    """(R, T, v) of the unfolding: channel boundary hits on BC and the
+    per-gadget translation v = K2 - K (|v| = 2 * orthic perimeter)."""
+    chain = reflection_chain(t)
+    channel = _channel_from_chain(chain)
+    b, c = chain.base.b, chain.base.c
+    bc: tuple[Point, Point] = (b, c)
+    t_pt = line_intersection(channel.boundary_high, bc)
+    r_pt = line_intersection(channel.boundary_low, bc)
+    v = chain.k2 - chain.k
+    return r_pt, t_pt, v
+
+
+def limited_2k_optimum(t: Triangle, k: int) -> float:
+    """v_k: length of the shortest trajectory from the channel cross-section
+    RT on BC to its k-th unfolded image (the short diagonal of RTT_kR_k)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    r_pt, t_pt, v = _channel_cross_section(t)
+    shift = v * float(k)
+    return segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
+
+
+def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
+    """Rows (k, v_k / k, bound_k) where bound_k >= 2*P - v_k/k is the
+    parallelogram bound  |v . (T - R)| / (P k)  from the skew diagonal."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    r_pt, t_pt, v = _channel_cross_section(t)
+    per2 = v.norm()  # 2 * orthic perimeter
+    c = abs(v.dot(t_pt - r_pt))
+    rows = []
+    for k in range(1, k_max + 1):
+        shift = v * float(k)
+        vk = segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
+        rows.append((k, vk / k, 2.0 * c / (per2 * k)))
+    return rows
+
+
+def verify_1gap_optimality(t: Triangle, grid_n: int = 100) -> bool:
+    """Certify 1-gap optimality of the orthic schedule by sandwiching:
+    v_k / (2k)  <=  orthic 1-gap  <=  v_k / (2k) + bound_k / 2,
+    with k = grid_n unfolding repetitions."""
+    k = max(1, grid_n)
+    rows = lower_bound_profile(t, k)
+    _, vk_over_k, bound = rows[-1]
+    lower = vk_over_k / 2.0
+    upper = gap_report(orthic_schedule(t), 1).overall
+    slack = 1e-9 * upper
+    return lower <= upper + slack and upper - lower <= bound / 2.0 + slack

@@ -1,5 +1,7 @@
 """Brute-force certification oracles: certified grid searches over 3- and
-6-periodic cyclic schedules, and the unfolding lower-bound sequence v_k.
+6-periodic cyclic schedules.  It imports numpy at module level; the package
+imports this module only on first access to its names, so the constructive
+geometry never loads numpy.
 
 The grid searches evaluate exact objective values on a regular grid, so the
 reported best value can only overestimate the true minimum, and by at most
@@ -16,18 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (
-    EdgeId,
-    Point,
-    Triangle,
-    edge_endpoints,
-    edge_point,
-    line_intersection,
-    reflect_point,
-    segment_distance,
-)
-from .orthic import _channel_from_chain, orthic_schedule, reflection_chain
-from .schedule import gap_report
+from .geom import EdgeId, Point, Triangle, edge_endpoints, edge_point, reflect_point
 
 # The 6-periodic chain DP batches start indices so that one batch's min-plus
 # temporary holds at most this many float64s (~1 MB).
@@ -200,55 +191,3 @@ def grid_search_6periodic_gap2(
         objective="gap2",
         certified_tolerance=12.0 * t.diameter / grid_n,
     )
-
-
-def _channel_cross_section(t: Triangle):
-    """(R, T, v) of the unfolding: channel boundary hits on BC and the
-    per-gadget translation v = K2 - K (|v| = 2 * orthic perimeter)."""
-    chain = reflection_chain(t)
-    channel = _channel_from_chain(chain)
-    b, c = chain.base.b, chain.base.c
-    bc: tuple[Point, Point] = (b, c)
-    t_pt = line_intersection(channel.boundary_high, bc)
-    r_pt = line_intersection(channel.boundary_low, bc)
-    v = chain.k2 - chain.k
-    return r_pt, t_pt, v
-
-
-def limited_2k_optimum(t: Triangle, k: int) -> float:
-    """v_k: length of the shortest trajectory from the channel cross-section
-    RT on BC to its k-th unfolded image (the short diagonal of RTT_kR_k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    r_pt, t_pt, v = _channel_cross_section(t)
-    shift = v * float(k)
-    return segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
-
-
-def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
-    """Rows (k, v_k / k, bound_k) where bound_k >= 2*P - v_k/k is the
-    parallelogram bound  |v . (T - R)| / (P k)  from the skew diagonal."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    r_pt, t_pt, v = _channel_cross_section(t)
-    per2 = v.norm()  # 2 * orthic perimeter
-    c = abs(v.dot(t_pt - r_pt))
-    rows = []
-    for k in range(1, k_max + 1):
-        shift = v * float(k)
-        vk = segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
-        rows.append((k, vk / k, 2.0 * c / (per2 * k)))
-    return rows
-
-
-def verify_1gap_optimality(t: Triangle, grid_n: int = 100) -> bool:
-    """Certify 1-gap optimality of the orthic schedule by sandwiching:
-    v_k / (2k)  <=  orthic 1-gap  <=  v_k / (2k) + bound_k / 2,
-    with k = grid_n unfolding repetitions."""
-    k = max(1, grid_n)
-    rows = lower_bound_profile(t, k)
-    _, vk_over_k, bound = rows[-1]
-    lower = vk_over_k / 2.0
-    upper = gap_report(orthic_schedule(t), 1).overall
-    slack = 1e-9 * upper
-    return lower <= upper + slack and upper - lower <= bound / 2.0 + slack

@@ -26,17 +26,14 @@ import pytest
 from tripatrol.geom import EdgeId, Triangle, angles, edge_param
 from tripatrol.greedy import greedy_limit_gap, greedy_ratio, greedy_ratio_extremes, greedy_run
 from tripatrol.orthic import (
+    lower_bound_profile,
     orthic_perimeter,
     orthic_triangle,
     reflection_chain,
     sub_orthic_schedule,
 )
 from tripatrol.schedule import cyclic_reduction, gap_report, is_cyclic, pairwise_gap
-from tripatrol.search import (
-    grid_search_3periodic,
-    grid_search_6periodic_gap2,
-    lower_bound_profile,
-)
+from tripatrol.search import grid_search_3periodic, grid_search_6periodic_gap2
 from conftest import random_acute_triangle
 from make_goldens import invocations, run_case, EQ_SCHEDULE, RI_SCHEDULE
 from test_schedule import plant_window

@@ -1,14 +1,29 @@
 import json
 import math
+import os
 import pathlib
+import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import tripatrol
 from tripatrol.cli import dumps, main
 from make_goldens import EQ, EQ_SCHEDULE, RI_SCHEDULE, invocations
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+SRC = pathlib.Path(tripatrol.__file__).resolve().parents[1]
+
+
+def run_fresh(argv, cwd):
+    """Run `python <argv>` in a new interpreter that imports tripatrol from SRC."""
+    env = {k: v for k, v in os.environ.items() if k != "TRIPATROL_REL_TOL"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def run_cli(args, capsys, monkeypatch, tmp_path):
@@ -42,6 +57,33 @@ def test_golden_outputs(name, capsys, monkeypatch, tmp_path, sched_files):
     if svg_golden.exists():
         produced = (tmp_path / "out.svg").read_bytes()
         assert produced == svg_golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(invocations("EQ", "RI")))
+def test_golden_outputs_fresh_process(name, tmp_path, sched_files):
+    """The real entry point, `python -m tripatrol.cli`, reproduces each golden;
+    -X importtime lists every module it imports, and only `search` may
+    import numpy."""
+    args = invocations(*sched_files)[name]
+    proc = run_fresh(["-X", "importtime", "-m", "tripatrol.cli", *args], tmp_path)
+    assert proc.returncode == int((GOLDEN / f"{name}.exit").read_text())
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
+    svg_golden = GOLDEN / f"{name}.svg"
+    if svg_golden.exists():
+        assert (tmp_path / "out.svg").read_bytes() == svg_golden.read_bytes()
+    imported_numpy = re.search(r"\|\s+numpy$", proc.stderr, re.MULTILINE) is not None
+    assert imported_numpy == (args[0] == "search")
+
+
+def test_package_exports_are_lazy(tmp_path):
+    proc = run_fresh(["-c", "import sys, tripatrol; print('numpy' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert tripatrol.grid_search_3periodic is tripatrol.search.grid_search_3periodic
+    assert tripatrol.SearchResult is tripatrol.search.SearchResult
+    for name in tripatrol.__all__:
+        getattr(tripatrol, name)
+    with pytest.raises(AttributeError):
+        tripatrol.no_such_name
 
 
 def test_svg_is_valid_xml_with_expected_elements(capsys, monkeypatch, tmp_path):

@@ -7,16 +7,17 @@ import pytest
 import reference_search
 
 from tripatrol.geom import EdgeId, Point, Triangle, edge_param, edge_point
-from tripatrol.orthic import orthic_perimeter, orthic_schedule, orthic_triangle, sub_orthic_schedule
-from tripatrol.schedule import Schedule, SchedulePoint, gap_report
-from tripatrol.search import (
-    evaluate_gap2_cycle,
-    grid_search_3periodic,
-    grid_search_6periodic_gap2,
+from tripatrol.orthic import (
     limited_2k_optimum,
     lower_bound_profile,
+    orthic_perimeter,
+    orthic_schedule,
+    orthic_triangle,
+    sub_orthic_schedule,
     verify_1gap_optimality,
 )
+from tripatrol.schedule import Schedule, SchedulePoint, gap_report
+from tripatrol.search import evaluate_gap2_cycle, grid_search_3periodic, grid_search_6periodic_gap2
 from conftest import random_acute_triangle
 
 # The two golden-file triangles, an obtuse one and a thin one.
