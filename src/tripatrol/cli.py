@@ -21,8 +21,8 @@ from . import __version__, geom
 from .geom import EdgeId, Point, Triangle, angles, edge_param, edge_point
 from .greedy import greedy_run
 from .orthic import (
-    _channel_from_chain,
     lower_bound_profile,
+    orthic_channel,
     orthic_perimeter,
     orthic_triangle,
     reflection_chain,
@@ -201,7 +201,7 @@ def _render_to_file(chain, channel, sched, path: str) -> None:
 def cmd_channel(args) -> dict:
     tri, inp = _triangle_from_args(args)
     chain = reflection_chain(tri)
-    channel = _channel_from_chain(chain)
+    channel = orthic_channel(tri)
     sched = sub_orthic_schedule(tri, args.lam)
     g1 = gap_report(sched, 1).overall
     g2 = gap_report(sched, 2).overall
@@ -265,7 +265,7 @@ def cmd_unfold(args) -> dict:
 def cmd_render(args) -> dict:
     tri, inp = _triangle_from_args(args)
     chain = reflection_chain(tri)
-    channel = _channel_from_chain(chain)
+    channel = orthic_channel(tri)
     _render_to_file(chain, channel, sub_orthic_schedule(tri, args.lam), args.out)
     return _report("render", inp, {"lambda": args.lam, "svg": args.out})
 

@@ -5,13 +5,19 @@ unfolding lower-bound sequence v_k that certifies their optimality.
 The unfolding works on a relabeled copy of the input whose side lengths
 satisfy alpha >= beta >= gamma; results are mapped back to the caller's
 vertex labels before they are returned.
+
+The unfolding (reflection chain and channel) is memoised for the last
+Triangle object it was built for, one entry: a sweep over lambda, the v_k
+bounds and the CLI on one triangle build it, and run its checks, once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import geom
 from .geom import (
     EdgeId,
     Line,
@@ -141,6 +147,10 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
 
 
 def reflection_chain(t: Triangle) -> ReflectionChain:
+    return _unfolding(t).chain
+
+
+def _build_chain(t: Triangle) -> ReflectionChain:
     require_acute(t)
     base, edge_map = _relabel(t)
     a, b, c = base.vertices
@@ -234,8 +244,7 @@ def orthic_channel(t: Triangle) -> ChannelData:
     """Maximal strip of lines parallel to the orthic line that still cross at
     least two edges of every reflected copy; bounded by the parallels
     through A and through A1."""
-    chain = reflection_chain(t)
-    return _channel_from_chain(chain)
+    return _unfolding(t).channel
 
 
 def _channel_from_chain(chain: ReflectionChain) -> ChannelData:
@@ -263,6 +272,40 @@ def _channel_from_chain(chain: ReflectionChain) -> ChannelData:
     )
 
 
+class _Unfolding(NamedTuple):
+    chain: ReflectionChain
+    channel: ChannelData
+    normal: Point  # unit normal toward the A side (positive signed offset)
+    snap: float  # edge parameters this close to 0 or 1 snap to the vertex
+
+
+# (triangle, geom.DEFAULT_REL_TOL, its unfolding) of the last build.  Keyed
+# on the Triangle's identity, not on ==: Point(0.0, y) == Point(-0.0, y),
+# and chain.source/base must be the caller's own vertices.  The reflected
+# copies' Triangle constructor reads DEFAULT_REL_TOL, so it is keyed too.
+# Holding the triangle keeps its id from being reused.
+_last_unfolding: tuple[Triangle, float, _Unfolding] | None = None
+
+
+def _unfolding(t: Triangle) -> _Unfolding:
+    """The reflection chain and channel of t, built and checked once per
+    triangle; a build that raises is not remembered."""
+    global _last_unfolding
+    rel_tol = geom.DEFAULT_REL_TOL
+    last = _last_unfolding
+    if last is not None and last[0] is t and last[1] == rel_tol:
+        return last[2]
+    chain = _build_chain(t)
+    channel = _channel_from_chain(chain)
+    dir_u = channel.direction
+    normal = Point(-dir_u.y, dir_u.x)
+    if signed_offset(chain.base.a, chain.k, dir_u) < 0.0:
+        normal = normal * -1.0
+    built = _Unfolding(chain, channel, normal, t.tol(1e-8) / max(t.side_lengths))
+    _last_unfolding = (t, rel_tol, built)
+    return built
+
+
 # Unfolded crossing sequence: (line supplier, fold depth, relabeled edge).
 def _crossing_lines(chain: ReflectionChain) -> list[tuple[Line, int, EdgeId]]:
     base = chain.base
@@ -285,16 +328,10 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
-    chain = reflection_chain(t)
-    channel = _channel_from_chain(chain)
-    dir_u = channel.direction
-    # Unit normal pointing toward the A side (positive signed offset).
-    normal = Point(-dir_u.y, dir_u.x)
-    if signed_offset(chain.base.a, chain.k, dir_u) < 0.0:
-        normal = normal * -1.0
+    chain, channel, normal, snap = _unfolding(t)
     off = lam * (channel.half_width_high if lam >= 0.0 else channel.half_width_low)
     anchor = chain.k + normal * off
-    line: Line = (anchor, anchor + dir_u)
+    line: Line = (anchor, anchor + channel.direction)
 
     crossings = _crossing_lines(chain)
     folded: list[Point] = [
@@ -311,7 +348,6 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     for p, (_, _, rel_edge) in zip(folded, crossings):
         edge = chain.edge_map[rel_edge]
         u = edge_param(t, edge, p, rel_tol=1e-8)
-        snap = t.tol(1e-8) / max(t.side_lengths)
         if abs(u) <= snap:
             u = 0.0
         elif abs(u - 1.0) <= snap:
@@ -323,8 +359,7 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
 def _channel_cross_section(t: Triangle):
     """(R, T, v) of the unfolding: channel boundary hits on BC and the
     per-gadget translation v = K2 - K (|v| = 2 * orthic perimeter)."""
-    chain = reflection_chain(t)
-    channel = _channel_from_chain(chain)
+    chain, channel, _, _ = _unfolding(t)
     b, c = chain.base.b, chain.base.c
     bc: tuple[Point, Point] = (b, c)
     t_pt = line_intersection(channel.boundary_high, bc)
@@ -333,14 +368,18 @@ def _channel_cross_section(t: Triangle):
     return r_pt, t_pt, v
 
 
+def _v_k(r_pt: Point, t_pt: Point, v: Point, k: int) -> float:
+    """Distance from segment RT to its translate by k * v."""
+    shift = v * float(k)
+    return segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
+
+
 def limited_2k_optimum(t: Triangle, k: int) -> float:
     """v_k: length of the shortest trajectory from the channel cross-section
     RT on BC to its k-th unfolded image (the short diagonal of RTT_kR_k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    r_pt, t_pt, v = _channel_cross_section(t)
-    shift = v * float(k)
-    return segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
+    return _v_k(*_channel_cross_section(t), k)
 
 
 def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
@@ -353,8 +392,7 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     c = abs(v.dot(t_pt - r_pt))
     rows = []
     for k in range(1, k_max + 1):
-        shift = v * float(k)
-        vk = segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
+        vk = _v_k(r_pt, t_pt, v, k)
         rows.append((k, vk / k, 2.0 * c / (per2 * k)))
     return rows
 

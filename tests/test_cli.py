@@ -128,6 +128,30 @@ def test_exit_code_2_on_domain_errors(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+def test_exit_code_2_on_bad_vertices(capsys, monkeypatch, tmp_path):
+    code, out = run_cli(
+        ["orthic", "--vertices", "nan,0", "1,0", "0,1"], capsys, monkeypatch, tmp_path
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": "non-finite coordinates (nan, 0.0)"}
+    code, out = run_cli(
+        ["channel", "--vertices", "0,0", "1,0", "2,0"], capsys, monkeypatch, tmp_path
+    )
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "DegenerateTriangle",
+        "message": "collinear vertices Point(x=0.0, y=0.0), Point(x=1.0, y=0.0), Point(x=2.0, y=0.0)",
+    }
+
+
+@pytest.mark.parametrize("side", ["1e-12", "1e-14", "1e-100"])
+@pytest.mark.parametrize("command", ["orthic", "channel", "unfold", "greedy"])
+def test_tiny_triangles_succeed(command, side, capsys, monkeypatch, tmp_path):
+    args = [command, "--angles-deg", "60", "60", "--side", side]
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+
+
 def test_exit_code_3_on_infeasible_schedule(capsys, monkeypatch, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

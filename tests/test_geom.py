@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -66,6 +68,34 @@ def test_angles_rigid_motion_invariant(rng):
         )
         for g, w in zip(angles(t), angles(moved)):
             assert g == pytest.approx(w, abs=1e-12)
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_point_rejects_non_finite(x, y):
+    with pytest.raises(ValueError, match="non-finite coordinates"):
+        Point(x, y)
+
+
+def test_point_is_immutable():
+    p = Point(1.0, 2.0)
+    for name in ("x", "y", "z"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 3.0)
+    with pytest.raises(AttributeError):
+        del p.x
+    assert (p.x, p.y) == (1.0, 2.0)
+
+
+def test_point_equality_hash_and_repr():
+    p = Point(0.1, -2.5)
+    assert repr(p) == "Point(x=0.1, y=-2.5)"
+    assert repr(Point(-0.0, 1e-300)) == "Point(x=-0.0, y=1e-300)"
+    assert p == Point(0.1, -2.5) and p != Point(0.1, 2.5)
+    assert Point(0.0, 1.0) == Point(-0.0, 1.0)
+    assert hash(p) == hash((0.1, -2.5))
+    assert p != (0.1, -2.5)
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.deepcopy(p) == p
 
 
 def test_degenerate_triangle_rejected():

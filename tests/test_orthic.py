@@ -14,8 +14,11 @@ from tripatrol.geom import (
     line_intersection,
     signed_offset,
 )
+from tripatrol import geom, orthic
 from tripatrol.orthic import (
     OutsideChannel,
+    limited_2k_optimum,
+    lower_bound_profile,
     orthic_channel,
     orthic_line,
     orthic_perimeter,
@@ -28,6 +31,13 @@ from tripatrol.schedule import gap_report, is_cyclic, is_k_periodic, pairwise_ga
 from conftest import random_acute_triangle
 
 RIGHT_ISO = Triangle(Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 0.0))
+ACUTE = ((0.0, 0.0), (1.0, 0.0), (0.4, 0.9))
+
+
+def acute_triangle(dx: float = 0.0, scale: float = 1.0) -> Triangle:
+    """A fresh Triangle object: the acute triangle ACUTE, scaled, then moved
+    by dx in x and y."""
+    return Triangle(*[Point(scale * x + dx, scale * y + dx) for x, y in ACUTE])
 
 
 def test_orthic_equilateral(equilateral):
@@ -287,3 +297,95 @@ def test_sub_orthic_lambda_out_of_range(equilateral):
         sub_orthic_schedule(equilateral, 1.5)
     with pytest.raises(OutsideChannel):
         sub_orthic_schedule(equilateral, -1.0000001)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of reflection-chain builds (each relabels the triangle once)
+    and channel builds."""
+    counts = {"chain": 0, "channel": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(orthic, "_relabel", counted("chain", orthic._relabel))
+    monkeypatch.setattr(orthic, "_channel_from_chain", counted("channel", orthic._channel_from_chain))
+    return counts
+
+
+def test_unfolding_built_once_per_triangle(builds):
+    t = acute_triangle()
+    for i in range(21):
+        sub_orthic_schedule(t, -1.0 + i / 10.0)
+    lower_bound_profile(t, 20)
+    limited_2k_optimum(t, 3)
+    orthic_channel(t)
+    reflection_chain(t)
+    assert builds == {"chain": 1, "channel": 1}
+
+
+def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
+    t1, t2 = random_acute_triangle(rng), random_acute_triangle(rng)
+
+    def results(t):
+        return (
+            reflection_chain(t),
+            orthic_channel(t),
+            [sub_orthic_schedule(t, lam).generator for lam in (-1.0, -0.3, 0.0, 0.6, 1.0)],
+            lower_bound_profile(t, 10),
+        )
+
+    got = [results(t) for t in (t1, t2, t1)]
+    fresh = [results(Triangle(*t.vertices)) for t in (t1, t2, t1)]
+    assert got == fresh
+    assert all(r[0].source is t for r, t in zip(got, (t1, t2, t1)))
+
+
+def test_unfolding_equal_but_distinct_triangle_gets_its_own_chain():
+    # The two triangles compare equal (0.0 == -0.0) but are different inputs.
+    pos = acute_triangle()
+    neg = Triangle(Point(-0.0, 0.0), *pos.vertices[1:])
+    assert pos == neg
+    assert reflection_chain(pos).source is pos
+    chain = reflection_chain(neg)
+    assert chain.source is neg
+    assert any(math.copysign(1.0, v.x) < 0.0 for v in chain.base.vertices)
+
+
+def test_unfolding_failed_build_raises_on_every_call():
+    far = acute_triangle(dx=1e7)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="B2C2"):
+            reflection_chain(far)
+        with pytest.raises(AssertionError, match="B2C2"):
+            sub_orthic_schedule(far, 0.5)
+        with pytest.raises(AssertionError, match="B2C2"):
+            lower_bound_profile(far, 5)
+
+
+def test_unfolding_rebuilt_when_tolerance_changes(builds, monkeypatch):
+    t = acute_triangle()
+    reflection_chain(t)
+    monkeypatch.setattr(geom, "DEFAULT_REL_TOL", 1e-7)
+    reflection_chain(t)
+    sub_orthic_schedule(t, 0.2)
+    assert builds == {"chain": 2, "channel": 2}
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-100])
+def test_reports_scale_linearly_with_tiny_sides(scale):
+    unit, tiny = acute_triangle(), acute_triangle(scale=scale)
+    assert orthic_triangle(tiny).perimeter / scale == pytest.approx(
+        orthic_triangle(unit).perimeter, rel=1e-12
+    )
+    for lam in (-1.0, 0.0, 0.5):
+        assert gap_report(sub_orthic_schedule(tiny, lam), 2).overall / scale == pytest.approx(
+            gap_report(sub_orthic_schedule(unit, lam), 2).overall, rel=1e-12
+        )
+    rows = zip(lower_bound_profile(tiny, 30), lower_bound_profile(unit, 30))
+    for (_, tiny_vk_over_k, _), (_, unit_vk_over_k, _) in rows:
+        assert tiny_vk_over_k / scale == pytest.approx(unit_vk_over_k, rel=1e-12)
