@@ -9,24 +9,23 @@ to more billiard-type schedules.  Writes out/unfolding.svg.
 
 import os
 
-from tripatrol import Point, Triangle, orthic_channel, orthic_line, orthic_perimeter
-from tripatrol import reflection_chain, sub_orthic_schedule
+from tripatrol import Point, Triangle, orthic_perimeter, reflection_chain, sub_orthic_schedule
 from tripatrol.geom import edge_point
 from tripatrol.svgout import channel_svg
 
 t = Triangle(Point(0.0, 0.0), Point(2.2, 0.2), Point(0.9, 1.6))
-chain = reflection_chain(t)
+unf = reflection_chain(t)  # the Unfolding: reflected copies, orthic line, channel
 
 print("reflected vertices:")
 for name in ("c1", "b1", "a1", "c2", "b2"):
-    print(f"  {name.upper()} = {getattr(chain, name)}")
+    print(f"  {name.upper()} = {getattr(unf, name)}")
 
-k, k2 = orthic_line(chain)
+k, k2 = unf.k, unf.k2
 per = orthic_perimeter(t)
 print("\n|K K2| =", k.dist(k2), " = 2 x orthic perimeter =", 2 * per)
 
-pts = {"K": chain.k, "M": chain.m, "L1": chain.l1, "K1": chain.k1,
-       "M1": chain.m1, "L2": chain.l2, "K2": chain.k2}
+pts = {"K": unf.k, "M": unf.m, "L1": unf.l1, "K1": unf.k1,
+       "M1": unf.m1, "L2": unf.l2, "K2": unf.k2}
 print("\ncollinearity of the altitude-foot images (residual area per triple):")
 worst = 0.0
 names = list(pts)
@@ -37,14 +36,13 @@ for i in range(len(names)):
             worst = max(worst, abs((q - p).cross(r - p)))
 print("  worst |det| over all triples:", worst)
 
-chan = orthic_channel(t)
-print("\nchannel half widths: toward A:", chan.half_width_high,
-      " toward A1:", chan.half_width_low)
+print("\nchannel half widths: toward A:", unf.half_width_high,
+      " toward A1:", unf.half_width_low)
 
 sched = sub_orthic_schedule(t, 0.6)
 folded = [edge_point(t, p.edge, p.u) for p in sched.generator]
 os.makedirs("out", exist_ok=True)
 with open("out/unfolding.svg", "w", encoding="utf-8") as fh:
-    fh.write(channel_svg(chain, chan, folded, (k, k2)))
+    fh.write(channel_svg(unf, folded))
 print("\nwrote out/unfolding.svg (copies gray, orthic line green, channel red,")
 print("folded 6-point trajectory blue)")

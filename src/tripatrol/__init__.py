@@ -24,14 +24,10 @@ from .schedule import (
     travel_time,
 )
 from .orthic import (
-    ChannelData,
     OrthicData,
     OutsideChannel,
-    ReflectionChain,
-    limited_2k_optimum,
+    Unfolding,
     lower_bound_profile,
-    orthic_channel,
-    orthic_line,
     orthic_perimeter,
     orthic_schedule,
     orthic_triangle,
@@ -83,12 +79,9 @@ __all__ = [
     "is_k_periodic",
     "pairwise_gap",
     "travel_time",
-    "ChannelData",
     "OrthicData",
     "OutsideChannel",
-    "ReflectionChain",
-    "orthic_channel",
-    "orthic_line",
+    "Unfolding",
     "orthic_perimeter",
     "orthic_schedule",
     "orthic_triangle",
@@ -103,7 +96,6 @@ __all__ = [
     "SearchResult",
     "grid_search_3periodic",
     "grid_search_6periodic_gap2",
-    "limited_2k_optimum",
     "lower_bound_profile",
     "verify_1gap_optimality",
     "__version__",

@@ -22,7 +22,6 @@ from .geom import EdgeId, Point, Triangle, angles, edge_param, edge_point
 from .greedy import greedy_run
 from .orthic import (
     lower_bound_profile,
-    orthic_channel,
     orthic_perimeter,
     orthic_triangle,
     reflection_chain,
@@ -191,27 +190,25 @@ def cmd_gap(args) -> dict:
     return _report("gap", inp, results)
 
 
-def _render_to_file(chain, channel, sched, path: str) -> None:
+def _render_to_file(unfolding, sched, path: str) -> None:
     folded = [edge_point(sched.triangle, p.edge, p.u) for p in sched.generator]
-    svg = channel_svg(chain, channel, folded, (chain.k, chain.k2))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+        fh.write(channel_svg(unfolding, folded))
 
 
 def cmd_channel(args) -> dict:
     tri, inp = _triangle_from_args(args)
-    chain = reflection_chain(tri)
-    channel = orthic_channel(tri)
+    unf = reflection_chain(tri)
     sched = sub_orthic_schedule(tri, args.lam)
     g1 = gap_report(sched, 1).overall
     g2 = gap_report(sched, 2).overall
     results = {
         "lambda": args.lam,
-        "direction": _point(channel.direction),
-        "boundary_high": [_point(channel.boundary_high[0]), _point(channel.boundary_high[1])],
-        "boundary_low": [_point(channel.boundary_low[0]), _point(channel.boundary_low[1])],
-        "half_width_high": channel.half_width_high,
-        "half_width_low": channel.half_width_low,
+        "direction": _point(unf.direction),
+        "boundary_high": [_point(unf.boundary_high[0]), _point(unf.boundary_high[1])],
+        "boundary_low": [_point(unf.boundary_low[0]), _point(unf.boundary_low[1])],
+        "half_width_high": unf.half_width_high,
+        "half_width_low": unf.half_width_low,
         "generator": _schedule_dict_out(sched),
         "gap1": g1,
         "gap2": g2,
@@ -219,7 +216,7 @@ def cmd_channel(args) -> dict:
         "rendered": args.render,
     }
     if args.render:
-        _render_to_file(chain, channel, sched, args.render)
+        _render_to_file(unf, sched, args.render)
     return _report("channel", inp, results)
 
 
@@ -264,9 +261,7 @@ def cmd_unfold(args) -> dict:
 
 def cmd_render(args) -> dict:
     tri, inp = _triangle_from_args(args)
-    chain = reflection_chain(tri)
-    channel = orthic_channel(tri)
-    _render_to_file(chain, channel, sub_orthic_schedule(tri, args.lam), args.out)
+    _render_to_file(reflection_chain(tri), sub_orthic_schedule(tri, args.lam), args.out)
     return _report("render", inp, {"lambda": args.lam, "svg": args.out})
 
 

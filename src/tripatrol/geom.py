@@ -9,7 +9,7 @@ point is the only noise source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 DEFAULT_REL_TOL = 1e-9
@@ -131,9 +131,16 @@ class Triangle:
     a: Point
     b: Point
     c: Point
+    # (alpha, beta, gamma) = lengths of BC, AC, AB, and the longest of them;
+    # computed once, as every tolerance reads the diameter.
+    side_lengths: tuple[float, float, float] = field(init=False, repr=False, compare=False)
+    diameter: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.diameter
+        sides = (self.b.dist(self.c), self.a.dist(self.c), self.a.dist(self.b))
+        d = max(sides)
+        object.__setattr__(self, "side_lengths", sides)
+        object.__setattr__(self, "diameter", d)
         if d == 0.0 or abs((self.b - self.a).cross(self.c - self.a)) <= DEFAULT_REL_TOL * d * d:
             raise DegenerateTriangle(f"collinear vertices {self.a}, {self.b}, {self.c}")
 
@@ -142,17 +149,8 @@ class Triangle:
         return (self.a, self.b, self.c)
 
     @property
-    def side_lengths(self) -> tuple[float, float, float]:
-        """(alpha, beta, gamma) = lengths of BC, AC, AB."""
-        return (self.b.dist(self.c), self.a.dist(self.c), self.a.dist(self.b))
-
-    @property
     def perimeter(self) -> float:
         return sum(self.side_lengths)
-
-    @property
-    def diameter(self) -> float:
-        return max(self.b.dist(self.c), self.a.dist(self.c), self.a.dist(self.b))
 
     def tol(self, rel_tol: float | None = None) -> float:
         """Absolute length tolerance for this triangle's scale."""

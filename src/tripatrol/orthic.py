@@ -1,33 +1,32 @@
-"""Orthic triangle, the five-reflection unfolding, the orthic channel, the
-6-periodic schedules obtained by folding channel lines back in, and the
+"""Orthic triangle, the five-reflection unfolding with its orthic channel,
+the 6-periodic schedules obtained by folding channel lines back in, and the
 unfolding lower-bound sequence v_k that certifies their optimality.
 
-The unfolding works on a relabeled copy of the input whose side lengths
-satisfy alpha >= beta >= gamma; results are mapped back to the caller's
-vertex labels before they are returned.
+`Unfolding` is the one object for the unfolding: the reflected copies, the
+altitude-foot images on the orthic line and the channel between the
+parallels through A and A1.  It works on a relabeled copy of the input
+whose side lengths satisfy alpha >= beta >= gamma; results are mapped back
+to the caller's vertex labels before they are returned.
 
-The unfolding (reflection chain and channel) is memoised for the last
-Triangle object it was built for, one entry: a sweep over lambda, the v_k
-bounds and the CLI on one triangle build it, and run its checks, once.
+`reflection_chain(t)` builds it and keeps the last one built, one entry
+keyed on the Triangle object: a sweep over lambda, the v_k bounds and the
+CLI on one triangle build it, and run its checks, once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import geom
 from .geom import (
     EdgeId,
     Line,
-    NotAcute,
     Point,
     Triangle,
     angles,
     edge_endpoints,
     edge_param,
-    edge_point,
     line_intersection,
     project_onto_edge,
     project_onto_line,
@@ -97,17 +96,23 @@ def orthic_schedule(t: Triangle) -> Schedule:
 
 
 @dataclass(frozen=True)
-class ReflectionChain:
-    """Five successive reflections of a triangle with alpha >= beta >= gamma.
+class Unfolding:
+    """Five successive reflections of a triangle with alpha >= beta >= gamma
+    and the orthic channel they straighten out.
 
     C1 is C reflected about AB, B1 is B about A-C1, A1 is A about B1-C1,
     C2 is C1 about A1-B1, B2 is B1 about A1-C2.  The altitude feet of the
     successive copies (k, m, l1, k1, m1, l2, k2) all lie on one line, the
-    orthic line, and the segment k -> k2 is two orbit periods long.
+    orthic line, and the segment k -> k2 is two orbit periods long.  The
+    channel is the maximal strip of lines parallel to the orthic line that
+    still cross at least two edges of every reflected copy; it is bounded
+    by the parallels through A and through A1.
     """
 
     source: Triangle  # caller's triangle, original labels
     base: Triangle  # relabeled copy (alpha >= beta >= gamma)
+    # relabeled EdgeId -> caller EdgeId
+    edge_map: dict[EdgeId, EdgeId]
     triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle]
     mirrors: tuple[Line, Line, Line, Line, Line]
     a1: Point
@@ -122,8 +127,13 @@ class ReflectionChain:
     m1: Point
     l2: Point
     k2: Point
-    # relabeled EdgeId -> caller EdgeId
-    edge_map: dict[EdgeId, EdgeId]
+    direction: Point  # unit vector along the orthic line
+    boundary_low: Line  # through A1, parallel to the orthic line
+    boundary_high: Line  # through A, parallel to the orthic line
+    half_width_low: float
+    half_width_high: float
+    normal: Point  # unit normal toward the A side (positive signed offset)
+    snap: float  # edge parameters this close to 0 or 1 snap to the vertex
 
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:
@@ -146,11 +156,28 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     return relabeled, edge_map
 
 
-def reflection_chain(t: Triangle) -> ReflectionChain:
-    return _unfolding(t).chain
+def _count_edge_hits(line: Line, tri: Triangle, tol: float) -> int:
+    """Edges of tri whose closed segment (with tolerance slack) meets the line."""
+    anchor, other = line
+    d = other - anchor
+    hits = 0
+    for e in EdgeId:
+        s, f = edge_endpoints(tri, e)
+        seg = f - s
+        den = d.cross(seg)
+        if abs(den) <= 1e-14 * d.norm() * seg.norm():
+            # Parallel: counts only if collinear with the edge line.
+            if abs(d.cross(s - anchor)) <= tol * d.norm():
+                hits += 1
+            continue
+        v = (s - anchor).cross(d) / den  # parameter along the edge
+        pad = tol / seg.norm()
+        if -pad <= v <= 1.0 + pad:
+            hits += 1
+    return hits
 
 
-def _build_chain(t: Triangle) -> ReflectionChain:
+def _build(t: Triangle) -> Unfolding:
     require_acute(t)
     base, edge_map = _relabel(t)
     a, b, c = base.vertices
@@ -184,9 +211,27 @@ def _build_chain(t: Triangle) -> ReflectionChain:
     if sin_angle > 1e-10:
         raise AssertionError("B2C2 failed to come out parallel to BC")
 
-    return ReflectionChain(
+    w = k2 - k
+    direction = w * (1.0 / w.norm())
+    off_high = signed_offset(a, k, direction)
+    off_low = signed_offset(a1, k, direction)
+    if not off_high * off_low < 0.0:
+        raise AssertionError("A and A1 should straddle the orthic line")
+    low_line: Line = (a1, a1 + direction)
+    high_line: Line = (a, a + direction)
+    tol = base.tol(1e-9)
+    for boundary in (low_line, high_line):
+        for tri in (base,) + tris:
+            if _count_edge_hits(boundary, tri, tol) < 2:
+                raise AssertionError("channel boundary misses a reflected triangle")
+
+    normal = Point(-direction.y, direction.x)
+    if off_high < 0.0:
+        normal = normal * -1.0
+    return Unfolding(
         source=t,
         base=base,
+        edge_map=edge_map,
         triangles=tris,
         mirrors=mirrors,
         a1=a1,
@@ -201,121 +246,47 @@ def _build_chain(t: Triangle) -> ReflectionChain:
         m1=m1,
         l2=l2,
         k2=k2,
-        edge_map=edge_map,
-    )
-
-
-def orthic_line(chain: ReflectionChain) -> tuple[Point, Point]:
-    """The straight unfolded image (K, K2) of two orthic orbit periods."""
-    return (chain.k, chain.k2)
-
-
-@dataclass(frozen=True)
-class ChannelData:
-    direction: Point  # unit vector along the orthic line
-    boundary_low: Line  # through A1, parallel to the orthic line
-    boundary_high: Line  # through A, parallel to the orthic line
-    half_width_low: float
-    half_width_high: float
-
-
-def _count_edge_hits(line: Line, tri: Triangle, tol: float) -> int:
-    """Edges of tri whose closed segment (with tolerance slack) meets the line."""
-    anchor, other = line
-    d = other - anchor
-    hits = 0
-    for e in EdgeId:
-        s, f = edge_endpoints(tri, e)
-        seg = f - s
-        den = d.cross(seg)
-        if abs(den) <= 1e-14 * d.norm() * seg.norm():
-            # Parallel: counts only if collinear with the edge line.
-            if abs(d.cross(s - anchor)) <= tol * d.norm():
-                hits += 1
-            continue
-        v = (s - anchor).cross(d) / den  # parameter along the edge
-        pad = tol / seg.norm()
-        if -pad <= v <= 1.0 + pad:
-            hits += 1
-    return hits
-
-
-def orthic_channel(t: Triangle) -> ChannelData:
-    """Maximal strip of lines parallel to the orthic line that still cross at
-    least two edges of every reflected copy; bounded by the parallels
-    through A and through A1."""
-    return _unfolding(t).channel
-
-
-def _channel_from_chain(chain: ReflectionChain) -> ChannelData:
-    k, k2 = chain.k, chain.k2
-    w = k2 - k
-    direction = w * (1.0 / w.norm())
-    a = chain.base.a
-    off_high = signed_offset(a, k, direction)
-    off_low = signed_offset(chain.a1, k, direction)
-    if not off_high * off_low < 0.0:
-        raise AssertionError("A and A1 should straddle the orthic line")
-    low_line: Line = (chain.a1, chain.a1 + direction)
-    high_line: Line = (a, a + direction)
-    tol = chain.base.tol(1e-9)
-    for boundary in (low_line, high_line):
-        for tri in chain.all_triangles:
-            if _count_edge_hits(boundary, tri, tol) < 2:
-                raise AssertionError("channel boundary misses a reflected triangle")
-    return ChannelData(
         direction=direction,
         boundary_low=low_line,
         boundary_high=high_line,
         half_width_low=abs(off_low),
         half_width_high=abs(off_high),
+        normal=normal,
+        snap=t.tol(1e-8) / max(t.side_lengths),
     )
 
 
-class _Unfolding(NamedTuple):
-    chain: ReflectionChain
-    channel: ChannelData
-    normal: Point  # unit normal toward the A side (positive signed offset)
-    snap: float  # edge parameters this close to 0 or 1 snap to the vertex
+# (geom.DEFAULT_REL_TOL, unfolding) of the last build.  Keyed on the
+# identity of the unfolding's source Triangle, not on ==: Point(0.0, y) ==
+# Point(-0.0, y), and source/base must be the caller's own vertices.  The
+# reflected copies' Triangle constructor reads DEFAULT_REL_TOL, so it is
+# keyed too.  Holding the triangle keeps its id from being reused.
+_last_unfolding: tuple[float, Unfolding] | None = None
 
 
-# (triangle, geom.DEFAULT_REL_TOL, its unfolding) of the last build.  Keyed
-# on the Triangle's identity, not on ==: Point(0.0, y) == Point(-0.0, y),
-# and chain.source/base must be the caller's own vertices.  The reflected
-# copies' Triangle constructor reads DEFAULT_REL_TOL, so it is keyed too.
-# Holding the triangle keeps its id from being reused.
-_last_unfolding: tuple[Triangle, float, _Unfolding] | None = None
-
-
-def _unfolding(t: Triangle) -> _Unfolding:
-    """The reflection chain and channel of t, built and checked once per
-    triangle; a build that raises is not remembered."""
+def reflection_chain(t: Triangle) -> Unfolding:
+    """The unfolding of t, built and checked once per triangle; a build that
+    raises is not remembered."""
     global _last_unfolding
     rel_tol = geom.DEFAULT_REL_TOL
     last = _last_unfolding
-    if last is not None and last[0] is t and last[1] == rel_tol:
-        return last[2]
-    chain = _build_chain(t)
-    channel = _channel_from_chain(chain)
-    dir_u = channel.direction
-    normal = Point(-dir_u.y, dir_u.x)
-    if signed_offset(chain.base.a, chain.k, dir_u) < 0.0:
-        normal = normal * -1.0
-    built = _Unfolding(chain, channel, normal, t.tol(1e-8) / max(t.side_lengths))
-    _last_unfolding = (t, rel_tol, built)
+    if last is not None and last[1].source is t and last[0] == rel_tol:
+        return last[1]
+    built = _build(t)
+    _last_unfolding = (rel_tol, built)
     return built
 
 
 # Unfolded crossing sequence: (line supplier, fold depth, relabeled edge).
-def _crossing_lines(chain: ReflectionChain) -> list[tuple[Line, int, EdgeId]]:
-    base = chain.base
+def _crossing_lines(unf: Unfolding) -> list[tuple[Line, int, EdgeId]]:
+    base = unf.base
     return [
         ((base.b, base.c), 0, EdgeId.A),
-        (chain.mirrors[0], 0, EdgeId.C),
-        (chain.mirrors[1], 1, EdgeId.B),
-        (chain.mirrors[2], 2, EdgeId.A),
-        (chain.mirrors[3], 3, EdgeId.C),
-        (chain.mirrors[4], 4, EdgeId.B),
+        (unf.mirrors[0], 0, EdgeId.C),
+        (unf.mirrors[1], 1, EdgeId.B),
+        (unf.mirrors[2], 2, EdgeId.A),
+        (unf.mirrors[3], 3, EdgeId.C),
+        (unf.mirrors[4], 4, EdgeId.B),
     ]
 
 
@@ -328,71 +299,51 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
-    chain, channel, normal, snap = _unfolding(t)
-    off = lam * (channel.half_width_high if lam >= 0.0 else channel.half_width_low)
-    anchor = chain.k + normal * off
-    line: Line = (anchor, anchor + channel.direction)
+    unf = reflection_chain(t)
+    off = lam * (unf.half_width_high if lam >= 0.0 else unf.half_width_low)
+    anchor = unf.k + unf.normal * off
+    line: Line = (anchor, anchor + unf.direction)
 
-    crossings = _crossing_lines(chain)
+    crossings = _crossing_lines(unf)
     folded: list[Point] = [
-        chain.fold(line_intersection(line, cl), depth) for cl, depth, _ in crossings
+        unf.fold(line_intersection(line, cl), depth) for cl, depth, _ in crossings
     ]
     # The line's exit through the final copy's base must fold back onto the start.
-    closing = chain.fold(
-        line_intersection(line, (chain.b2, chain.c2)), len(chain.mirrors)
-    )
+    closing = unf.fold(line_intersection(line, (unf.b2, unf.c2)), len(unf.mirrors))
     if closing.dist(folded[0]) > 1e-8 * t.diameter:
         raise AssertionError("folded trajectory failed to close up")
 
     pts = []
     for p, (_, _, rel_edge) in zip(folded, crossings):
-        edge = chain.edge_map[rel_edge]
+        edge = unf.edge_map[rel_edge]
         u = edge_param(t, edge, p, rel_tol=1e-8)
-        if abs(u) <= snap:
+        if abs(u) <= unf.snap:
             u = 0.0
-        elif abs(u - 1.0) <= snap:
+        elif abs(u - 1.0) <= unf.snap:
             u = 1.0
         pts.append(SchedulePoint(edge, u))
     return Schedule(t, tuple(pts))
 
 
-def _channel_cross_section(t: Triangle):
-    """(R, T, v) of the unfolding: channel boundary hits on BC and the
-    per-gadget translation v = K2 - K (|v| = 2 * orthic perimeter)."""
-    chain, channel, _, _ = _unfolding(t)
-    b, c = chain.base.b, chain.base.c
-    bc: tuple[Point, Point] = (b, c)
-    t_pt = line_intersection(channel.boundary_high, bc)
-    r_pt = line_intersection(channel.boundary_low, bc)
-    v = chain.k2 - chain.k
-    return r_pt, t_pt, v
-
-
-def _v_k(r_pt: Point, t_pt: Point, v: Point, k: int) -> float:
-    """Distance from segment RT to its translate by k * v."""
-    shift = v * float(k)
-    return segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
-
-
-def limited_2k_optimum(t: Triangle, k: int) -> float:
-    """v_k: length of the shortest trajectory from the channel cross-section
-    RT on BC to its k-th unfolded image (the short diagonal of RTT_kR_k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _v_k(*_channel_cross_section(t), k)
-
-
 def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
-    """Rows (k, v_k / k, bound_k) where bound_k >= 2*P - v_k/k is the
-    parallelogram bound  |v . (T - R)| / (P k)  from the skew diagonal."""
+    """Rows (k, v_k / k, bound_k).  v_k is the length of the shortest
+    trajectory from the channel cross-section RT on BC to its k-th unfolded
+    image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
+    diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
+    |v . (T - R)| / (P k) from the skew diagonal."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    r_pt, t_pt, v = _channel_cross_section(t)
+    unf = reflection_chain(t)
+    bc: Line = (unf.base.b, unf.base.c)
+    t_pt = line_intersection(unf.boundary_high, bc)
+    r_pt = line_intersection(unf.boundary_low, bc)
+    v = unf.k2 - unf.k
     per2 = v.norm()  # 2 * orthic perimeter
     c = abs(v.dot(t_pt - r_pt))
     rows = []
     for k in range(1, k_max + 1):
-        vk = _v_k(r_pt, t_pt, v, k)
+        shift = v * float(k)
+        vk = segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
         rows.append((k, vk / k, 2.0 * c / (per2 * k)))
     return rows
 

@@ -243,6 +243,15 @@ def schedule_to_dict(s: Schedule) -> dict:
     }
 
 
+def _number(x, what: str) -> float:
+    """float(x), with a ValueError for JSON null, lists, objects and ints too
+    large for a float."""
+    try:
+        return float(x)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {x!r}") from None
+
+
 def schedule_from_dict(d: dict) -> Schedule:
     """Inverse of schedule_to_dict; raises ValueError on malformed input."""
     if not isinstance(d, dict):
@@ -257,7 +266,7 @@ def schedule_from_dict(d: dict) -> Schedule:
         raise ValueError('"triangle" must be three [x, y] pairs')
     if not isinstance(gen, list) or len(gen) < 3:
         raise ValueError('"generator" must be a list of at least 3 points')
-    triangle = Triangle(*(Point(float(v[0]), float(v[1])) for v in tri))
+    triangle = Triangle(*(Point(*(_number(x, "vertex coordinate") for x in v)) for v in tri))
     points = []
     for item in gen:
         if not isinstance(item, dict) or "edge" not in item or "u" not in item:
@@ -265,5 +274,5 @@ def schedule_from_dict(d: dict) -> Schedule:
         name = item["edge"]
         if name not in ("A", "B", "C"):
             raise ValueError(f'unknown edge name "{name}"')
-        points.append(SchedulePoint(EdgeId[name], float(item["u"])))
+        points.append(SchedulePoint(EdgeId[name], _number(item["u"], '"u"')))
     return Schedule(triangle, tuple(points))

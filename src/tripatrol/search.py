@@ -112,6 +112,9 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
 # so the 2-gap of such a schedule equals the full cycle length.
 GAP2_PATTERN = (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A, EdgeId.C, EdgeId.B)
 
+# Local refinement rounds of the 6-periodic search after its coarse grid.
+REFINE_ROUNDS = 8
+
 
 def evaluate_gap2_cycle(t: Triangle, params: list[float]) -> float:
     """Exact cycle length (= 2-gap) of the pattern (A,C,B,A,C,B) generator."""
@@ -155,9 +158,7 @@ def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
     return best, best_idx
 
 
-def grid_search_6periodic_gap2(
-    t: Triangle, grid_n: int, refine_rounds: int = 8
-) -> SearchResult:
+def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     """Minimize the 2-gap over cyclic 6-periodic generators with edge pattern
     (A,C,B,A,C,B); coarse certified grid plus local refinement around the
     best cell.  certified_tolerance reflects the coarse grid only."""
@@ -167,7 +168,7 @@ def grid_search_6periodic_gap2(
     hi = np.ones(6)
     best_val = math.inf
     best_us = [0.0] * 6
-    for _ in range(refine_rounds + 1):
+    for _ in range(REFINE_ROUNDS + 1):
         axes = [np.linspace(lo[i], hi[i], grid_n + 1) for i in range(6)]
         grids = [
             _edge_grid(t, e, ax) for e, ax in zip(GAP2_PATTERN, axes)

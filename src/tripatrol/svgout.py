@@ -9,7 +9,7 @@ y-up; the viewBox is declared accordingly.
 from __future__ import annotations
 
 from .geom import Point
-from .orthic import ChannelData, ReflectionChain
+from .orthic import Unfolding
 
 
 def _n(x: float) -> str:
@@ -20,31 +20,21 @@ def _pts(points: list[Point]) -> str:
     return " ".join(f"{_n(p.x)},{_n(p.y)}" for p in points)
 
 
-def _line_span(channel: ChannelData, anchor: Point, smin: float, smax: float) -> tuple[Point, Point]:
-    d = channel.direction
-    return (anchor + d * smin, anchor + d * smax)
-
-
-def channel_svg(
-    chain: ReflectionChain,
-    channel: ChannelData,
-    folded: list[Point],
-    orthic_ends: tuple[Point, Point],
-) -> str:
-    tris = chain.all_triangles
+def channel_svg(unfolding: Unfolding, folded: list[Point]) -> str:
+    tris = unfolding.all_triangles
     verts = [v for t in tris for v in t.vertices]
-    d = channel.direction
-    k = orthic_ends[0]
+    d = unfolding.direction
+    k = unfolding.k
     # Span of the strip along the orthic-line direction, padded 5%.
     ss = [(v - k).dot(d) for v in verts]
     smin, smax = min(ss), max(ss)
     pad = 0.05 * (smax - smin)
     smin, smax = smin - pad, smax + pad
 
+    # The orthic line, then the channel boundaries through A and A1.
     lines = [
-        _line_span(channel, k, smin, smax),
-        _line_span(channel, channel.boundary_high[0], smin, smax),
-        _line_span(channel, channel.boundary_low[0], smin, smax),
+        (p + d * smin, p + d * smax)
+        for p in (k, unfolding.boundary_high[0], unfolding.boundary_low[0])
     ]
     styles = [
         'stroke="#2e8b57" stroke-dasharray="{w2} {w2}"',

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from tripatrol import orthic
 from tripatrol.geom import Point, Triangle
 
 
@@ -35,3 +36,21 @@ def rng() -> random.Random:
 @pytest.fixture
 def equilateral() -> Triangle:
     return Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, math.sqrt(3.0) / 2.0))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of unfolding builds (each relabels the triangle once) and of
+    the channel boundary checks they run (12 per build)."""
+    counts = {"builds": 0, "edge_hit_counts": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(orthic, "_relabel", counted("builds", orthic._relabel))
+    monkeypatch.setattr(orthic, "_count_edge_hits", counted("edge_hit_counts", orthic._count_edge_hits))
+    return counts

@@ -181,6 +181,43 @@ def test_exit_code_2_on_schema_violation(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("generator", 0, "u"), None),
+        (("generator", 1, "u"), [0.5]),
+        (("generator", 2, "u"), {"u": 0.5}),
+        (("triangle", 1, 0), None),
+        (("triangle", 2, 1), 10**400),
+    ],
+    ids=["u-null", "u-list", "u-object", "vertex-null", "vertex-int-beyond-float"],
+)
+def test_exit_code_2_on_non_numeric_schedule_value(path, value, capsys, monkeypatch, tmp_path):
+    doc = json.loads(json.dumps(EQ_SCHEDULE))
+    *outer, last = path
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(["gap", "--schedule", str(bad)], capsys, monkeypatch, tmp_path)
+    assert code == 2, out
+    err = json.loads(out)
+    assert err["error"] == "ValueError" and "must be a number" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["channel", *EQ, "--lambda", "0.7", "--render", "out.svg"], ["render", *EQ, "--out", "out.svg"]],
+    ids=["channel-render", "render"],
+)
+def test_rendering_builds_the_unfolding_once(args, builds, capsys, monkeypatch, tmp_path):
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    assert builds == {"builds": 1, "edge_hit_counts": 12}
+
+
 def test_env_var_overrides_tolerance(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("TRIPATROL_REL_TOL", "1e-7")
     code, out = run_cli(["orthic", *EQ], capsys, monkeypatch, tmp_path)

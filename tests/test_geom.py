@@ -98,6 +98,18 @@ def test_point_equality_hash_and_repr():
     assert copy.deepcopy(p) == p
 
 
+def test_triangle_lengths_are_fixed_at_construction():
+    a, b, c = Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 4.0)
+    t = Triangle(a, b, c)
+    assert t.side_lengths == (5.0, 4.0, 3.0)
+    assert (t.diameter, t.perimeter) == (5.0, 12.0)
+    assert repr(t) == "Triangle(a=Point(x=0.0, y=0.0), b=Point(x=3.0, y=0.0), c=Point(x=0.0, y=4.0))"
+    assert t == Triangle(a, b, c) and hash(t) == hash((a, b, c))
+    with pytest.raises(AttributeError):
+        t.diameter = 1.0
+    assert pickle.loads(pickle.dumps(t)) == t
+
+
 def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateTriangle):
         Triangle(Point(0, 0), Point(1, 0), Point(2, 0))

@@ -17,10 +17,7 @@ from tripatrol.geom import (
 from tripatrol import geom, orthic
 from tripatrol.orthic import (
     OutsideChannel,
-    limited_2k_optimum,
     lower_bound_profile,
-    orthic_channel,
-    orthic_line,
     orthic_perimeter,
     orthic_schedule,
     orthic_triangle,
@@ -146,12 +143,12 @@ def test_chain_strip_offset_equilateral(equilateral):
 
 def test_orthic_line_length_and_midpoint(rng, equilateral):
     ch = reflection_chain(equilateral)
-    k, k2 = orthic_line(ch)
+    k, k2 = ch.k, ch.k2
     assert k.dist(k2) == pytest.approx(3.0, rel=1e-12)
     for _ in range(100):
         t = random_acute_triangle(rng)
         ch = reflection_chain(t)
-        k, k2 = orthic_line(ch)
+        k, k2 = ch.k, ch.k2
         per = orthic_perimeter(t)
         assert k.dist(k2) == pytest.approx(2 * per, rel=1e-10)
         # K1 bisects the unfolded double period.
@@ -162,7 +159,7 @@ def test_orthic_line_length_and_midpoint(rng, equilateral):
 
 
 def test_channel_equilateral_symmetric(equilateral):
-    chan = orthic_channel(equilateral)
+    chan = reflection_chain(equilateral)
     assert chan.half_width_low == pytest.approx(chan.half_width_high, rel=1e-12)
     assert chan.half_width_low > 0
 
@@ -170,7 +167,7 @@ def test_channel_equilateral_symmetric(equilateral):
 def test_channel_orthic_line_strictly_inside(rng):
     for _ in range(100):
         t = random_acute_triangle(rng)
-        chan = orthic_channel(t)
+        chan = reflection_chain(t)
         assert chan.half_width_low > 1e-9 * t.diameter
         assert chan.half_width_high > 1e-9 * t.diameter
         # Boundaries are parallel to the orthic line by construction; check
@@ -184,9 +181,8 @@ def test_channel_boundary_hits_bc_inside_with_bk_at_least_half_bt(rng):
     for _ in range(100):
         t = random_acute_triangle(rng)
         ch = reflection_chain(t)
-        chan = orthic_channel(t)
         base = ch.base
-        t_pt = line_intersection(chan.boundary_high, (base.b, base.c))
+        t_pt = line_intersection(ch.boundary_high, (base.b, base.c))
         u_t = edge_param(base, EdgeId.A, t_pt)
         u_k = edge_param(base, EdgeId.A, ch.k)
         assert u_k >= u_t / 2 - 1e-12
@@ -194,7 +190,7 @@ def test_channel_boundary_hits_bc_inside_with_bk_at_least_half_bt(rng):
 
 def test_channel_rejects_non_acute():
     with pytest.raises(NotAcute):
-        orthic_channel(RIGHT_ISO)
+        reflection_chain(RIGHT_ISO)
 
 
 def test_sub_orthic_lambda_zero_is_doubled_orthic(rng, equilateral):
@@ -299,33 +295,13 @@ def test_sub_orthic_lambda_out_of_range(equilateral):
         sub_orthic_schedule(equilateral, -1.0000001)
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Counts of reflection-chain builds (each relabels the triangle once)
-    and channel builds."""
-    counts = {"chain": 0, "channel": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(orthic, "_relabel", counted("chain", orthic._relabel))
-    monkeypatch.setattr(orthic, "_channel_from_chain", counted("channel", orthic._channel_from_chain))
-    return counts
-
-
 def test_unfolding_built_once_per_triangle(builds):
     t = acute_triangle()
     for i in range(21):
         sub_orthic_schedule(t, -1.0 + i / 10.0)
     lower_bound_profile(t, 20)
-    limited_2k_optimum(t, 3)
-    orthic_channel(t)
     reflection_chain(t)
-    assert builds == {"chain": 1, "channel": 1}
+    assert builds == {"builds": 1, "edge_hit_counts": 12}
 
 
 def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
@@ -334,7 +310,6 @@ def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
     def results(t):
         return (
             reflection_chain(t),
-            orthic_channel(t),
             [sub_orthic_schedule(t, lam).generator for lam in (-1.0, -0.3, 0.0, 0.6, 1.0)],
             lower_bound_profile(t, 10),
         )
@@ -367,13 +342,26 @@ def test_unfolding_failed_build_raises_on_every_call():
             lower_bound_profile(far, 5)
 
 
+@pytest.mark.parametrize(
+    "name, fake, message",
+    [
+        ("signed_offset", lambda p, anchor, d: 1.0, "A and A1 should straddle"),
+        ("_count_edge_hits", lambda line, tri, tol: 1, "channel boundary misses"),
+    ],
+)
+def test_unfolding_build_runs_its_channel_checks(name, fake, message, monkeypatch):
+    monkeypatch.setattr(orthic, name, fake)
+    with pytest.raises(AssertionError, match=message):
+        reflection_chain(acute_triangle())
+
+
 def test_unfolding_rebuilt_when_tolerance_changes(builds, monkeypatch):
     t = acute_triangle()
     reflection_chain(t)
     monkeypatch.setattr(geom, "DEFAULT_REL_TOL", 1e-7)
     reflection_chain(t)
     sub_orthic_schedule(t, 0.2)
-    assert builds == {"chain": 2, "channel": 2}
+    assert builds == {"builds": 2, "edge_hit_counts": 24}
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-100])

@@ -8,7 +8,6 @@ import reference_search
 
 from tripatrol.geom import EdgeId, Point, Triangle, edge_param, edge_point
 from tripatrol.orthic import (
-    limited_2k_optimum,
     lower_bound_profile,
     orthic_perimeter,
     orthic_schedule,
@@ -17,6 +16,7 @@ from tripatrol.orthic import (
     verify_1gap_optimality,
 )
 from tripatrol.schedule import Schedule, SchedulePoint, gap_report
+from tripatrol import search
 from tripatrol.search import evaluate_gap2_cycle, grid_search_3periodic, grid_search_6periodic_gap2
 from conftest import random_acute_triangle
 
@@ -112,10 +112,12 @@ def test_grid3_memory_within_reference(equilateral, offset):
 
 
 @pytest.mark.parametrize("grid_n", [12, 200])
-def test_grid6_memory_within_one_chunk_of_reference(equilateral, grid_n):
+def test_grid6_memory_within_one_chunk_of_reference(equilateral, grid_n, monkeypatch):
     # Batching start indices may add one temporary of at most 2**17
-    # float64s, the chunk size of the reference cube search.
-    new = peak_bytes(grid_search_6periodic_gap2, equilateral, grid_n, 0)
+    # float64s, the chunk size of the reference cube search.  Both run the
+    # coarse grid only, without refine rounds.
+    monkeypatch.setattr(search, "REFINE_ROUNDS", 0)
+    new = peak_bytes(grid_search_6periodic_gap2, equilateral, grid_n)
     old = peak_bytes(reference_search.grid_search_6periodic_gap2, equilateral, grid_n, 0)
     assert new <= old + 8 * (1 << 17)
 
@@ -178,7 +180,7 @@ def test_grid6_never_below_channel_value(rng):
 def test_limited_2k_feasibility_bound(rng):
     for _ in range(50):
         t = random_acute_triangle(rng)
-        assert limited_2k_optimum(t, 1) <= 2 * orthic_perimeter(t) + 1e-12
+        assert lower_bound_profile(t, 1)[-1][1] <= 2 * orthic_perimeter(t) + 1e-12
 
 
 def test_limited_2k_equilateral_values(equilateral):
@@ -186,7 +188,7 @@ def test_limited_2k_equilateral_values(equilateral):
     # diagonal with |v| = 3, side 1, v.w = -1.5).
     for k in (1, 2, 5, 50):
         want = math.sqrt(9 * k * k - 3 * k + 1)
-        assert limited_2k_optimum(equilateral, k) == pytest.approx(want, rel=1e-12)
+        assert lower_bound_profile(equilateral, k)[-1][1] * k == pytest.approx(want, rel=1e-12)
 
 
 def test_vk_over_k_approaches_twice_perimeter(rng, equilateral):
