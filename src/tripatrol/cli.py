@@ -5,8 +5,8 @@ output.  Floats are emitted with 17 significant digits (round-trip exact).
 Exit codes: 0 success, 2 input/domain error, 3 infeasible schedule,
 1 internal error.
 
-The TRIPATROL_REL_TOL environment variable overrides the default
-scale-relative tolerance; its effective value is recorded in every report.
+The scale-relative tolerance is fixed at geom.DEFAULT_REL_TOL (1e-9 times
+the triangle's diameter); every report records it.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
-from . import __version__, geom
-from .geom import EdgeId, Point, Triangle, angles, edge_param, edge_point
+from . import __version__
+from .geom import DEFAULT_REL_TOL, EdgeId, Point, Triangle, edge_param, edge_point
 from .greedy import greedy_run
 from .orthic import (
     lower_bound_profile,
@@ -111,7 +110,7 @@ def _report(command: str, input_obj, results) -> dict:
         "input": input_obj,
         "results": results,
         "tool_version": __version__,
-        "tolerances": {"rel_tol": geom.DEFAULT_REL_TOL},
+        "tolerances": {"rel_tol": DEFAULT_REL_TOL},
     }
 
 
@@ -124,7 +123,6 @@ def _schedule_dict_out(s) -> dict:
 def cmd_orthic(args) -> dict:
     tri, inp = _triangle_from_args(args)
     od = orthic_triangle(tri)
-    coord_per = od.k_foot.dist(od.l_foot) + od.l_foot.dist(od.m_foot) + od.m_foot.dist(od.k_foot)
     results = {
         "feet": {"K": _point(od.k_foot), "L": _point(od.l_foot), "M": _point(od.m_foot)},
         "feet_params": {
@@ -132,7 +130,7 @@ def cmd_orthic(args) -> dict:
             "B": edge_param(tri, EdgeId.B, od.l_foot),
             "C": edge_param(tri, EdgeId.C, od.m_foot),
         },
-        "perimeter_coordinates": coord_per,
+        "perimeter_coordinates": od.perimeter,
         "perimeter_formula": orthic_perimeter(tri),
         "x0": od.x0,
     }
@@ -320,31 +318,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    saved_tol = geom.DEFAULT_REL_TOL
+    args = build_parser().parse_args(argv)
     try:
-        env_tol = os.environ.get("TRIPATROL_REL_TOL")
-        if env_tol is not None:
-            try:
-                geom.DEFAULT_REL_TOL = float(env_tol)
-            except ValueError:
-                print(dumps({"error": "BadTolerance", "message": f"TRIPATROL_REL_TOL={env_tol!r}"}))
-                return 2
-        args = build_parser().parse_args(argv)
-        try:
-            report = args.fn(args)
-        except InfeasibleSchedule as exc:
-            print(dumps({"error": "InfeasibleSchedule", "message": str(exc)}))
-            return 3
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(dumps({"error": type(exc).__name__, "message": str(exc)}))
-            return 2
-        except Exception as exc:  # pragma: no cover - internal errors
-            print(dumps({"error": type(exc).__name__, "message": str(exc)}))
-            return 1
-        print(dumps(report))
-        return 0
-    finally:
-        geom.DEFAULT_REL_TOL = saved_tol
+        # Rendered here too: a non-finite number in the report is a domain error.
+        out = dumps(args.fn(args))
+    except InfeasibleSchedule as exc:
+        print(dumps({"error": "InfeasibleSchedule", "message": str(exc)}))
+        return 3
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
+        print(dumps({"error": type(exc).__name__, "message": str(exc)}))
+        return 2
+    except Exception as exc:  # pragma: no cover - internal errors
+        print(dumps({"error": type(exc).__name__, "message": str(exc)}))
+        return 1
+    print(out)
+    return 0
 
 
 if __name__ == "__main__":

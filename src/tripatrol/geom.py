@@ -1,9 +1,9 @@
 """Planar primitives: points, triangle edges, projections, reflections, angles.
 
-All tolerances are scale-relative: a length comparison uses
-``rel_tol * diameter`` where ``diameter`` is the longest side of the
-triangle involved.  The geometric formulas themselves are exact; floating
-point is the only noise source.
+All tolerances are scale-relative: a length comparison uses ``rel_tol *
+diameter``, where ``diameter`` is the longest side of the triangle involved
+and ``rel_tol`` defaults to the constant DEFAULT_REL_TOL.  The geometric
+formulas themselves are exact; floating point is the only noise source.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ class Triangle:
     def perimeter(self) -> float:
         return sum(self.side_lengths)
 
-    def tol(self, rel_tol: float | None = None) -> float:
+    def tol(self, rel_tol: float = DEFAULT_REL_TOL) -> float:
         """Absolute length tolerance for this triangle's scale."""
-        return (DEFAULT_REL_TOL if rel_tol is None else rel_tol) * self.diameter
+        return rel_tol * self.diameter
 
 
 def angles(t: Triangle) -> tuple[float, float, float]:
@@ -198,7 +198,7 @@ def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
     return Point(s.x + u * (f.x - s.x), s.y + u * (f.y - s.y))
 
 
-def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float | None = None) -> float:
+def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Normalized parameter of p along edge e; raises PointOffEdge if p is off the line."""
     s, f = edge_endpoints(t, e)
     d = f - s

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import geom
 from .geom import (
     EdgeId,
     Line,
@@ -256,25 +255,22 @@ def _build(t: Triangle) -> Unfolding:
     )
 
 
-# (geom.DEFAULT_REL_TOL, unfolding) of the last build.  Keyed on the
-# identity of the unfolding's source Triangle, not on ==: Point(0.0, y) ==
-# Point(-0.0, y), and source/base must be the caller's own vertices.  The
-# reflected copies' Triangle constructor reads DEFAULT_REL_TOL, so it is
-# keyed too.  Holding the triangle keeps its id from being reused.
-_last_unfolding: tuple[float, Unfolding] | None = None
+# The unfolding of the last build.  Keyed on the identity of its source
+# Triangle, not on ==: Point(0.0, y) == Point(-0.0, y), and source/base must
+# be the caller's own vertices.  Holding the triangle keeps its id from
+# being reused.
+_last_unfolding: Unfolding | None = None
 
 
 def reflection_chain(t: Triangle) -> Unfolding:
     """The unfolding of t, built and checked once per triangle; a build that
     raises is not remembered."""
     global _last_unfolding
-    rel_tol = geom.DEFAULT_REL_TOL
     last = _last_unfolding
-    if last is not None and last[1].source is t and last[0] == rel_tol:
-        return last[1]
-    built = _build(t)
-    _last_unfolding = (rel_tol, built)
-    return built
+    if last is not None and last.source is t:
+        return last
+    _last_unfolding = _build(t)
+    return _last_unfolding
 
 
 # Unfolded crossing sequence: (line supplier, fold depth, relabeled edge).

@@ -244,12 +244,14 @@ def schedule_to_dict(s: Schedule) -> dict:
 
 
 def _number(x, what: str) -> float:
-    """float(x), with a ValueError for JSON null, lists, objects and ints too
-    large for a float."""
-    try:
-        return float(x)
-    except (TypeError, OverflowError):
-        raise ValueError(f"{what} must be a number, got {x!r}") from None
+    """float(x) of a JSON number; a ValueError for null, true/false, strings,
+    lists, objects and ints too large for a float."""
+    if not isinstance(x, (bool, str)):
+        try:
+            return float(x)
+        except (TypeError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a number, got {x!r}")
 
 
 def schedule_from_dict(d: dict) -> Schedule:

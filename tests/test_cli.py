@@ -19,8 +19,7 @@ SRC = pathlib.Path(tripatrol.__file__).resolve().parents[1]
 
 def run_fresh(argv, cwd):
     """Run `python <argv>` in a new interpreter that imports tripatrol from SRC."""
-    env = {k: v for k, v in os.environ.items() if k != "TRIPATROL_REL_TOL"}
-    env["PYTHONPATH"] = str(SRC)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.run(
         [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
@@ -128,6 +127,19 @@ def test_exit_code_2_on_domain_errors(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+def test_exit_code_2_on_non_finite_report(capsys, monkeypatch, tmp_path):
+    # At this side length a cross product in angles() overflows to nan, and so
+    # does the orthic reference perimeter.
+    code, out = run_cli(
+        ["search", "--angles-deg", "60", "60", "--side", "1e155", "--grid", "4"],
+        capsys,
+        monkeypatch,
+        tmp_path,
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": "non-finite number in report"}
+
+
 def test_exit_code_2_on_bad_vertices(capsys, monkeypatch, tmp_path):
     code, out = run_cli(
         ["orthic", "--vertices", "nan,0", "1,0", "0,1"], capsys, monkeypatch, tmp_path
@@ -187,10 +199,12 @@ def test_exit_code_2_on_schema_violation(capsys, monkeypatch, tmp_path):
         (("generator", 0, "u"), None),
         (("generator", 1, "u"), [0.5]),
         (("generator", 2, "u"), {"u": 0.5}),
+        (("generator", 0, "u"), True),
+        (("generator", 1, "u"), "0.5"),
         (("triangle", 1, 0), None),
         (("triangle", 2, 1), 10**400),
     ],
-    ids=["u-null", "u-list", "u-object", "vertex-null", "vertex-int-beyond-float"],
+    ids=["u-null", "u-list", "u-object", "u-bool", "u-string", "vertex-null", "vertex-int-beyond-float"],
 )
 def test_exit_code_2_on_non_numeric_schedule_value(path, value, capsys, monkeypatch, tmp_path):
     doc = json.loads(json.dumps(EQ_SCHEDULE))
@@ -218,14 +232,15 @@ def test_rendering_builds_the_unfolding_once(args, builds, capsys, monkeypatch, 
     assert builds == {"builds": 1, "edge_hit_counts": 12}
 
 
-def test_env_var_overrides_tolerance(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("TRIPATROL_REL_TOL", "1e-7")
-    code, out = run_cli(["orthic", *EQ], capsys, monkeypatch, tmp_path)
-    assert code == 0
-    assert json.loads(out)["tolerances"]["rel_tol"] == 1e-7
-    monkeypatch.setenv("TRIPATROL_REL_TOL", "banana")
-    code, out = run_cli(["orthic", *EQ], capsys, monkeypatch, tmp_path)
-    assert code == 2
+@pytest.mark.parametrize("value", ["1e-7", "nan"])
+def test_tolerance_is_fixed(value, capsys, monkeypatch, tmp_path, sched_files):
+    """The tolerance is a constant: no environment variable changes a report."""
+    monkeypatch.setenv("TRIPATROL_REL_TOL", value)
+    args = invocations(*sched_files)["orthic_equilateral"]
+    golden = (GOLDEN / "orthic_equilateral.out").read_text()
+    assert run_cli(args, capsys, monkeypatch, tmp_path) == (0, golden)
+    proc = run_fresh(["-m", "tripatrol.cli", *args], tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, golden)
 
 
 def test_gap_cross_checks_triangle_spec(capsys, monkeypatch, tmp_path, sched_files):

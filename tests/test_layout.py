@@ -16,12 +16,11 @@ def _package_module(node: ast.ImportFrom) -> bool:
     return node.level > 0 or (node.module or "").split(".")[0] == "tripatrol"
 
 
-def private_imports(source: str) -> list[str]:
-    """Private names one module takes from another tripatrol module, either
-    imported by name or read as an attribute of an imported module."""
+def _imports(tree: ast.AST) -> tuple[list[str], set[str]]:
+    """Private names imported from tripatrol modules, and the local names
+    bound to tripatrol modules."""
     found = []
-    modules = set()  # local names bound to tripatrol modules
-    tree = ast.parse(source)
+    modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and _package_module(node):
             for alias in node.names:
@@ -35,6 +34,14 @@ def private_imports(source: str) -> list[str]:
                     if any(_private(part) for part in alias.name.split(".")):
                         found.append(f"line {node.lineno}: {alias.name}")
                     modules.add(alias.asname or alias.name.split(".")[0])
+    return found, modules
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names one module takes from another tripatrol module, either
+    imported by name or read as an attribute of an imported module."""
+    tree = ast.parse(source)
+    found, modules = _imports(tree)
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -43,6 +50,35 @@ def private_imports(source: str) -> list[str]:
             and _private(node.attr)
         ):
             found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def _root_name(node: ast.AST) -> str | None:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def foreign_assignments(source: str) -> list[str]:
+    """Attributes of an imported tripatrol module that a module assigns,
+    augments, deletes or setattr()s: module state that another module changes."""
+    tree = ast.parse(source)
+    _, modules = _imports(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            target = node
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("setattr", "delattr")
+            and node.args
+        ):
+            target = node.args[0]
+        else:
+            continue
+        if _root_name(target) in modules:
+            found.append(f"line {node.lineno}: {ast.unparse(target)}")
     return found
 
 
@@ -67,3 +103,32 @@ def test_private_import_check_catches_each_form():
     ]
     # Dunders and the module's own private names are allowed.
     assert private_imports("from . import __version__, geom\n_x = 1\ngeom.__name__") == []
+
+
+def test_no_module_assigns_to_another_modules_attribute():
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := foreign_assignments(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_foreign_assignment_check_catches_each_form():
+    assert foreign_assignments("from . import geom\ngeom.DEFAULT_REL_TOL = 1e-7") == [
+        "line 2: geom.DEFAULT_REL_TOL"
+    ]
+    assert foreign_assignments("import tripatrol.geom\ntripatrol.geom.X += 1") == [
+        "line 2: tripatrol.geom.X"
+    ]
+    assert foreign_assignments("from tripatrol import geom as g\ndel g.X") == ["line 2: g.X"]
+    assert foreign_assignments("from . import geom\ngeom.X, y = 1, 2") == ["line 2: geom.X"]
+    assert foreign_assignments("from . import geom\nsetattr(geom, 'X', 1)") == ["line 2: geom"]
+    assert foreign_assignments("def f():\n    from . import orthic\n    orthic._last = None") == [
+        "line 3: orthic._last"
+    ]
+    # Reading a module's attribute, or setting one on a local object, is allowed.
+    assert foreign_assignments(
+        "from . import geom\nfrom .geom import DEFAULT_REL_TOL\nx = geom.DEFAULT_REL_TOL\n"
+        "DEFAULT_REL_TOL = 2\nself.y = 1\nobject.__setattr__(self, 'z', 1)"
+    ) == []

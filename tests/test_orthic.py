@@ -14,7 +14,7 @@ from tripatrol.geom import (
     line_intersection,
     signed_offset,
 )
-from tripatrol import geom, orthic
+from tripatrol import orthic
 from tripatrol.orthic import (
     OutsideChannel,
     lower_bound_profile,
@@ -353,15 +353,6 @@ def test_unfolding_build_runs_its_channel_checks(name, fake, message, monkeypatc
     monkeypatch.setattr(orthic, name, fake)
     with pytest.raises(AssertionError, match=message):
         reflection_chain(acute_triangle())
-
-
-def test_unfolding_rebuilt_when_tolerance_changes(builds, monkeypatch):
-    t = acute_triangle()
-    reflection_chain(t)
-    monkeypatch.setattr(geom, "DEFAULT_REL_TOL", 1e-7)
-    reflection_chain(t)
-    sub_orthic_schedule(t, 0.2)
-    assert builds == {"builds": 2, "edge_hit_counts": 24}
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-100])
