@@ -10,7 +10,6 @@ to more billiard-type schedules.  Writes out/unfolding.svg.
 import os
 
 from tripatrol import Point, Triangle, orthic_perimeter, reflection_chain, sub_orthic_schedule
-from tripatrol.geom import edge_point
 from tripatrol.svgout import channel_svg
 
 t = Triangle(Point(0.0, 0.0), Point(2.2, 0.2), Point(0.9, 1.6))
@@ -40,9 +39,8 @@ print("\nchannel half widths: toward A:", unf.half_width_high,
       " toward A1:", unf.half_width_low)
 
 sched = sub_orthic_schedule(t, 0.6)
-folded = [edge_point(t, p.edge, p.u) for p in sched.generator]
 os.makedirs("out", exist_ok=True)
 with open("out/unfolding.svg", "w", encoding="utf-8") as fh:
-    fh.write(channel_svg(unf, folded))
+    fh.write(channel_svg(unf, list(sched.positions)))
 print("\nwrote out/unfolding.svg (copies gray, orthic line green, channel red,")
 print("folded 6-point trajectory blue)")

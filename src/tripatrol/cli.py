@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .geom import DEFAULT_REL_TOL, EdgeId, Point, Triangle, edge_param, edge_point
+from .geom import DEFAULT_REL_TOL, EdgeId, Point, Triangle, edge_param
 from .greedy import greedy_run
 from .orthic import (
     lower_bound_profile,
@@ -64,10 +64,6 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _point(p: Point) -> list[float]:
-    return [p.x, p.y]
-
-
 def _parse_vertex(s: str) -> Point:
     parts = s.split(",")
     if len(parts) != 2:
@@ -101,7 +97,7 @@ def _triangle_from_args(args) -> tuple[Triangle, dict]:
         q = math.sin(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
         tri = Triangle(Point(side * p, side * q), Point(0.0, 0.0), Point(side, 0.0))
         spec = {"kind": "angles", "unit": unit, "angles_rad": [a_ang, b_ang, c_ang], "side_a": side}
-    return tri, {"vertices": [_point(v) for v in tri.vertices], "spec": spec}
+    return tri, {"vertices": [v.as_tuple() for v in tri.vertices], "spec": spec}
 
 
 def _report(command: str, input_obj, results) -> dict:
@@ -124,7 +120,7 @@ def cmd_orthic(args) -> dict:
     tri, inp = _triangle_from_args(args)
     od = orthic_triangle(tri)
     results = {
-        "feet": {"K": _point(od.k_foot), "L": _point(od.l_foot), "M": _point(od.m_foot)},
+        "feet": {"K": od.k_foot.as_tuple(), "L": od.l_foot.as_tuple(), "M": od.m_foot.as_tuple()},
         "feet_params": {
             "A": edge_param(tri, EdgeId.A, od.k_foot),
             "B": edge_param(tri, EdgeId.B, od.l_foot),
@@ -174,7 +170,7 @@ def cmd_gap(args) -> dict:
             raise ValueError("triangle spec disagrees with the schedule file")
     rep = gap_report(sched, args.t, args.horizon)
     inp = {
-        "vertices": [_point(v) for v in sched.triangle.vertices],
+        "vertices": [v.as_tuple() for v in sched.triangle.vertices],
         "spec": {"kind": "schedule-file"},
     }
     results = {
@@ -189,9 +185,8 @@ def cmd_gap(args) -> dict:
 
 
 def _render_to_file(unfolding, sched, path: str) -> None:
-    folded = [edge_point(sched.triangle, p.edge, p.u) for p in sched.generator]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(channel_svg(unfolding, folded))
+        fh.write(channel_svg(unfolding, list(sched.positions)))
 
 
 def cmd_channel(args) -> dict:
@@ -202,9 +197,9 @@ def cmd_channel(args) -> dict:
     g2 = gap_report(sched, 2).overall
     results = {
         "lambda": args.lam,
-        "direction": _point(unf.direction),
-        "boundary_high": [_point(unf.boundary_high[0]), _point(unf.boundary_high[1])],
-        "boundary_low": [_point(unf.boundary_low[0]), _point(unf.boundary_low[1])],
+        "direction": unf.direction.as_tuple(),
+        "boundary_high": [p.as_tuple() for p in unf.boundary_high],
+        "boundary_low": [p.as_tuple() for p in unf.boundary_low],
         "half_width_high": unf.half_width_high,
         "half_width_low": unf.half_width_low,
         "generator": _schedule_dict_out(sched),

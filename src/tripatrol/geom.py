@@ -187,11 +187,6 @@ def edge_endpoints(t: Triangle, e: EdgeId) -> tuple[Point, Point]:
     return (v[i], v[j])
 
 
-def edge_length(t: Triangle, e: EdgeId) -> float:
-    s, f = edge_endpoints(t, e)
-    return s.dist(f)
-
-
 def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
     """Point at normalized parameter u along edge e (u in [0,1] on the segment)."""
     s, f = edge_endpoints(t, e)
@@ -273,23 +268,3 @@ def point_segment_distance(p: Point, seg: tuple[Point, Point]) -> float:
         return p.dist(a)
     u = min(1.0, max(0.0, (p - a).dot(d) / dd))
     return p.dist(a + d * u)
-
-
-def segment_distance(s1: tuple[Point, Point], s2: tuple[Point, Point]) -> float:
-    """Minimum distance between two closed segments."""
-    a, b = s1
-    c, d = s2
-    # Proper crossing means distance zero.
-    d1, d2 = b - a, d - c
-    den = d1.cross(d2)
-    if den != 0.0:
-        u = (c - a).cross(d2) / den
-        v = (c - a).cross(d1) / den
-        if 0.0 <= u <= 1.0 and 0.0 <= v <= 1.0:
-            return 0.0
-    return min(
-        point_segment_distance(a, s2),
-        point_segment_distance(b, s2),
-        point_segment_distance(c, s1),
-        point_segment_distance(d, s1),
-    )

@@ -27,11 +27,11 @@ from .geom import (
     edge_endpoints,
     edge_param,
     line_intersection,
+    point_segment_distance,
     project_onto_edge,
     project_onto_line,
     reflect_point,
     require_acute,
-    segment_distance,
     signed_offset,
 )
 from .schedule import Schedule, SchedulePoint, gap_report
@@ -216,8 +216,9 @@ def _build(t: Triangle) -> Unfolding:
     off_low = signed_offset(a1, k, direction)
     if not off_high * off_low < 0.0:
         raise AssertionError("A and A1 should straddle the orthic line")
-    low_line: Line = (a1, a1 + direction)
-    high_line: Line = (a, a + direction)
+    step = direction * base.diameter  # a unit step would round away at large sides
+    low_line: Line = (a1, a1 + step)
+    high_line: Line = (a, a + step)
     tol = base.tol(1e-9)
     for boundary in (low_line, high_line):
         for tri in (base,) + tris:
@@ -298,7 +299,7 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     unf = reflection_chain(t)
     off = lam * (unf.half_width_high if lam >= 0.0 else unf.half_width_low)
     anchor = unf.k + unf.normal * off
-    line: Line = (anchor, anchor + unf.direction)
+    line: Line = (anchor, anchor + unf.direction * t.diameter)
 
     crossings = _crossing_lines(unf)
     folded: list[Point] = [
@@ -336,10 +337,14 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     v = unf.k2 - unf.k
     per2 = v.norm()  # 2 * orthic perimeter
     c = abs(v.dot(t_pt - r_pt))
+    rt = (r_pt, t_pt)
     rows = []
     for k in range(1, k_max + 1):
         shift = v * float(k)
-        vk = segment_distance((r_pt, t_pt), (r_pt + shift, t_pt + shift))
+        moved = (r_pt + shift, t_pt + shift)
+        # RT and its translate never cross (v is not parallel to BC), so an endpoint is nearest.
+        ends = [point_segment_distance(p, moved) for p in rt]
+        vk = min(ends + [point_segment_distance(p, rt) for p in moved])
         rows.append((k, vk / k, 2.0 * c / (per2 * k)))
     return rows
 

@@ -9,7 +9,7 @@ both incident edges at the same instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .geom import EdgeId, Point, Triangle, edge_point, vertex_edges
@@ -41,6 +41,9 @@ class SchedulePoint:
 class Schedule:
     triangle: Triangle
     generator: tuple[SchedulePoint, ...]
+    # Where each generator point sits in the plane; computed once, as every
+    # gap, travel time and rendering reads them.
+    positions: tuple[Point, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gen = tuple(self.generator)
@@ -51,16 +54,14 @@ class Schedule:
         if visited != set(EdgeId):
             missing = ",".join(e.name for e in set(EdgeId) - visited)
             raise InfeasibleSchedule(f"edge(s) {missing} never visited")
+        positions = tuple(edge_point(self.triangle, p.edge, p.u) for p in gen)
+        object.__setattr__(self, "positions", positions)
 
     def __len__(self) -> int:
         return len(self.generator)
 
-    def point(self, i: int) -> SchedulePoint:
-        return self.generator[i % len(self.generator)]
-
     def position(self, i: int) -> Point:
-        p = self.point(i)
-        return edge_point(self.triangle, p.edge, p.u)
+        return self.positions[i % len(self.positions)]
 
     def period_length(self) -> float:
         """Distance traveled over one full generator period."""
@@ -176,8 +177,8 @@ def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport
         horizon = attained
     if horizon < m + 1:
         raise ValueError(f"horizon {horizon} shorter than one period plus a revisit")
-    pts = [s.point(i) for i in range(horizon)]
-    pos = [s.position(i) for i in range(horizon)]
+    pts = [s.generator[i % m] for i in range(horizon)]
+    pos = [s.positions[i % m] for i in range(horizon)]
     times = _visit_times(pos, pts, s.triangle.tol())
     mode = "periodic" if horizon >= attained else "observed"
     return _gaps_from_times(times, t, horizon, mode)

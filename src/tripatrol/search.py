@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EdgeId, Point, Triangle, edge_endpoints, edge_point, reflect_point
+from .geom import EdgeId, Point, Triangle, edge_endpoints, reflect_point
 
 # The 6-periodic chain DP batches start indices so that one batch's min-plus
 # temporary holds at most this many float64s (~1 MB).
@@ -114,14 +114,6 @@ GAP2_PATTERN = (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A, EdgeId.C, EdgeId.B)
 
 # Local refinement rounds of the 6-periodic search after its coarse grid.
 REFINE_ROUNDS = 8
-
-
-def evaluate_gap2_cycle(t: Triangle, params: list[float]) -> float:
-    """Exact cycle length (= 2-gap) of the pattern (A,C,B,A,C,B) generator."""
-    if len(params) != 6:
-        raise ValueError("need 6 edge parameters")
-    pts = [edge_point(t, e, u) for e, u in zip(GAP2_PATTERN, params)]
-    return sum(pts[i].dist(pts[(i + 1) % 6]) for i in range(6))
 
 
 def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:

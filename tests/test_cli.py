@@ -164,6 +164,23 @@ def test_tiny_triangles_succeed(command, side, capsys, monkeypatch, tmp_path):
     assert code == 0, out
 
 
+@pytest.mark.parametrize(
+    "command,spec",
+    [
+        (command, ["--angles-deg", "60", "60", "--side", side])
+        for side in ("3e8", "1e13", "1e153")
+        for command in ("channel", "unfold", "render")
+    ]
+    + [("channel", ["--vertices", "0,0", "2e8,0", "9e7,1.6e8"])],
+    ids=lambda v: v if isinstance(v, str) else v[-1],
+)
+def test_large_triangles_succeed(command, spec, capsys, monkeypatch, tmp_path):
+    # The channel lines step one diameter, not one unit, along the orthic line.
+    extra = ["--out", "out.svg"] if command == "render" else []
+    code, out = run_cli([command, *spec, *extra], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+
+
 def test_exit_code_3_on_infeasible_schedule(capsys, monkeypatch, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(

@@ -12,14 +12,13 @@ from tripatrol.geom import (
     PointOffEdge,
     Triangle,
     angles,
-    edge_length,
     edge_param,
     edge_point,
     is_acute,
     line_intersection,
+    point_segment_distance,
     project_onto_edge,
     reflect_point,
-    segment_distance,
 )
 from conftest import random_acute_triangle
 
@@ -220,10 +219,11 @@ def test_line_intersection():
         line_intersection((Point(0, 0), Point(1, 0)), (Point(0, 1), Point(1, 1)))
 
 
-def test_segment_distance():
+def test_point_segment_distance():
     s1 = (Point(0, 0), Point(1, 0))
-    assert segment_distance(s1, (Point(0, 1), Point(1, 1))) == pytest.approx(1.0)
-    assert segment_distance(s1, (Point(2, 0), Point(3, 0))) == pytest.approx(1.0)
-    assert segment_distance(s1, (Point(0.5, -1), Point(0.5, 1))) == 0.0
-    # Parallel but offset along the direction: nearest endpoints decide.
-    assert segment_distance(s1, (Point(3, 4), Point(5, 4))) == pytest.approx(math.hypot(2, 4))
+    assert point_segment_distance(Point(0, 1), s1) == pytest.approx(1.0)
+    assert point_segment_distance(Point(0.5, -1), s1) == pytest.approx(1.0)
+    # Beyond an end, that endpoint is nearest.
+    assert point_segment_distance(Point(2, 0), s1) == pytest.approx(1.0)
+    assert point_segment_distance(Point(3, 4), s1) == pytest.approx(math.hypot(2, 4))
+    assert point_segment_distance(Point(3, 4), (Point(0, 0), Point(0, 0))) == 5.0

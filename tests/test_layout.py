@@ -6,6 +6,7 @@ import pathlib
 import tripatrol
 
 PACKAGE = pathlib.Path(tripatrol.__file__).resolve().parent
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _private(name: str) -> bool:
@@ -132,3 +133,54 @@ def test_foreign_assignment_check_catches_each_form():
         "from . import geom\nfrom .geom import DEFAULT_REL_TOL\nx = geom.DEFAULT_REL_TOL\n"
         "DEFAULT_REL_TOL = 2\nself.y = 1\nobject.__setattr__(self, 'z', 1)"
     ) == []
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name and attribute name a piece of code reads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unused_public_names(modules: dict[str, str], used_elsewhere: set[str]) -> list[str]:
+    """Public top-level functions and classes of `modules` (name -> source)
+    that no other module reads, that their own module reads only inside
+    their own definition, and that are not in `used_elsewhere`.  Matching
+    is by name alone, so a same-named attribute anywhere counts as a use."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    found = []
+    for name, tree in trees.items():
+        others = set().union(*(names_read(t) for n, t in trees.items() if n != name))
+        for node in tree.body:
+            # Dunders such as a module __getattr__ are the interpreter's to call.
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = set().union(*(names_read(other) for other in tree.body if other is not node))
+            if node.name not in others | own | used_elsewhere:
+                found.append(f"{name}.{node.name}")
+    return found
+
+
+def test_every_public_name_has_a_user():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    scripts = [path for folder in ("demos", "perfbench") for path in (REPO / folder).glob("*.py")]
+    used = set(tripatrol.__all__).union(
+        *(names_read(ast.parse(path.read_text(encoding="utf-8"))) for path in scripts)
+    )
+    assert unused_public_names(modules, used) == []
+
+
+def test_unused_public_name_check_catches_each_form():
+    modules = {
+        "geom": "def used(): pass\ndef unused(): pass\nclass Lonely: pass\n"
+        "def _private(): pass\ndef __getattr__(name): pass",
+        "orthic": "from .geom import unused\nfrom . import geom\ngeom.used()",
+    }
+    # An import that nothing reads is not a use.
+    assert unused_public_names(modules, set()) == ["geom.unused", "geom.Lonely"]
+    assert unused_public_names(modules, {"unused", "Lonely"}) == []
+    # A use inside the module counts, but not one inside the name's own body.
+    assert unused_public_names({"m": "def f(): return g()\ndef g(): return g()"}, set()) == ["m.f"]
+    assert unused_public_names({"m": "def f(): pass\nif __name__ == '__main__': f()"}, set()) == []

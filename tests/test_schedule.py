@@ -31,6 +31,22 @@ def medial(t: Triangle) -> Schedule:
     return Schedule(t, (SP(EdgeId.A, 0.5), SP(EdgeId.C, 0.5), SP(EdgeId.B, 0.5)))
 
 
+def test_positions_are_the_generator_points(rng):
+    for _ in range(20):
+        t = random_acute_triangle(rng)
+        gen = tuple(SP(e, rng.uniform(0.0, 1.0)) for e in (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A))
+        s = Schedule(t, gen)
+        assert s.positions == tuple(edge_point(t, p.edge, p.u) for p in gen)
+        assert [s.position(i) for i in range(-4, 8)] == [s.positions[i % 4] for i in range(-4, 8)]
+
+
+def test_positions_stay_out_of_eq_hash_and_repr(equilateral):
+    s, twin = medial(equilateral), medial(equilateral)
+    object.__setattr__(twin, "positions", ())
+    assert s == twin and hash(s) == hash(twin)
+    assert "positions" not in repr(s)
+
+
 def test_is_cyclic_examples(equilateral):
     assert is_cyclic(Schedule(equilateral, (SP(EdgeId.A, 0.2), SP(EdgeId.C, 0.3), SP(EdgeId.B, 0.4))))
     assert not is_cyclic(

@@ -17,7 +17,7 @@ from tripatrol.orthic import (
 )
 from tripatrol.schedule import Schedule, SchedulePoint, gap_report
 from tripatrol import search
-from tripatrol.search import evaluate_gap2_cycle, grid_search_3periodic, grid_search_6periodic_gap2
+from tripatrol.search import GAP2_PATTERN, grid_search_3periodic, grid_search_6periodic_gap2
 from conftest import random_acute_triangle
 
 # The two golden-file triangles, an obtuse one and a thin one.
@@ -49,6 +49,10 @@ def orthic_feet_params(t: Triangle) -> list[float]:
         edge_param(t, EdgeId.B, od.l_foot),
         edge_param(t, EdgeId.C, od.m_foot),
     ]
+
+
+def evaluate_gap2_cycle(t: Triangle, params: list[float]) -> float:
+    return Schedule(t, tuple(map(SchedulePoint, GAP2_PATTERN, params))).period_length()
 
 
 def test_grid3_equilateral(equilateral):
