@@ -20,7 +20,7 @@ ACUTE_ANGLE_TOL = 1e-9
 
 
 class DegenerateTriangle(ValueError):
-    """Vertices are (numerically) collinear or not finite."""
+    """Vertices are (numerically) collinear, or too far apart for the float range."""
 
 
 class PointOffEdge(ValueError):
@@ -102,6 +102,8 @@ class Point:
 _set_x = Point.x.__set__
 _set_y = Point.y.__set__
 
+XY = tuple[float, float]  # a point as plain floats: each primitive computes on XY; its Point form wraps it
+
 
 class EdgeId(IntEnum):
     """Edge opposite the same-named vertex: A = BC, B = AC, C = AB."""
@@ -141,7 +143,10 @@ class Triangle:
         d = max(sides)
         object.__setattr__(self, "side_lengths", sides)
         object.__setattr__(self, "diameter", d)
-        if d == 0.0 or abs((self.b - self.a).cross(self.c - self.a)) <= DEFAULT_REL_TOL * d * d:
+        cross = (self.b - self.a).cross(self.c - self.a)
+        if not (math.isfinite(cross) and math.isfinite(d * d)):
+            raise DegenerateTriangle(f"vertices {self.a}, {self.b}, {self.c} too large for the float range")
+        if d == 0.0 or abs(cross) <= DEFAULT_REL_TOL * d * d:
             raise DegenerateTriangle(f"collinear vertices {self.a}, {self.b}, {self.c}")
 
     @property
@@ -195,13 +200,19 @@ def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
 
 def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Normalized parameter of p along edge e; raises PointOffEdge if p is off the line."""
+    return edge_param_xy(t, e, p.as_tuple(), rel_tol)
+
+
+def edge_param_xy(t: Triangle, e: EdgeId, p: XY, rel_tol: float = DEFAULT_REL_TOL) -> float:
+    """edge_param of the point p given as floats."""
     s, f = edge_endpoints(t, e)
-    d = f - s
-    dd = d.dot(d)
-    resid = abs(d.cross(p - s)) / math.sqrt(dd)
+    dx, dy = f.x - s.x, f.y - s.y
+    dd = dx * dx + dy * dy
+    wx, wy = p[0] - s.x, p[1] - s.y
+    resid = abs(dx * wy - dy * wx) / math.sqrt(dd)
     if resid > t.tol(rel_tol):
-        raise PointOffEdge(f"point {p} is {resid:g} off the line of edge {e.name}")
-    return (p - s).dot(d) / dd
+        raise PointOffEdge(f"point {Point(*p)} is {resid:g} off the line of edge {e.name}")
+    return (wx * dx + wy * dy) / dd
 
 
 def vertex_edges(e: EdgeId, u: float) -> tuple[EdgeId, ...]:
@@ -216,20 +227,32 @@ def vertex_edges(e: EdgeId, u: float) -> tuple[EdgeId, ...]:
 Line = tuple[Point, Point]
 
 
-def _line_dir(line: Line) -> Point:
+def line_dir(line: Line) -> XY:
+    """Unit vector from the line's first point toward its second."""
     p, q = line
-    d = q - p
-    n = d.norm()
+    dx, dy = q.x - p.x, q.y - p.y
+    n = math.hypot(dx, dy)
     if n <= 1e-12 * max(p.norm(), q.norm()):
         raise ValueError("line endpoints coincide")
-    return d * (1.0 / n)
+    s = 1.0 / n
+    return (dx * s, dy * s)
+
+
+def project_along(p: XY, a: Point, d: XY) -> XY:
+    """Foot of the perpendicular from p onto the line through a with unit direction d."""
+    s = (p[0] - a.x) * d[0] + (p[1] - a.y) * d[1]
+    return (a.x + d[0] * s, a.y + d[1] * s)
+
+
+def reflect_along(p: XY, a: Point, d: XY) -> XY:
+    """Mirror image of p across the line through a with unit direction d."""
+    fx, fy = project_along(p, a, d)
+    return (2.0 * fx - p[0], 2.0 * fy - p[1])
 
 
 def project_onto_line(p: Point, line: Line) -> Point:
     """Foot of the perpendicular from p onto the (infinite) line."""
-    a, _ = line
-    d = _line_dir(line)
-    return a + d * (p - a).dot(d)
+    return Point(*project_along(p.as_tuple(), line[0], line_dir(line)))
 
 
 def project_onto_edge(p: Point, t: Triangle, e: EdgeId) -> Point:
@@ -239,20 +262,25 @@ def project_onto_edge(p: Point, t: Triangle, e: EdgeId) -> Point:
 
 def reflect_point(p: Point, line: Line) -> Point:
     """Mirror image of p across the line; an involution."""
-    f = project_onto_line(p, line)
-    return Point(2.0 * f.x - p.x, 2.0 * f.y - p.y)
+    return Point(*reflect_along(p.as_tuple(), line[0], line_dir(line)))
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:
     """Intersection of two non-parallel lines."""
-    p, q = l1
-    r, s = l2
-    d1, d2 = q - p, s - r
-    den = d1.cross(d2)
-    if abs(den) <= 1e-14 * d1.norm() * d2.norm():
+    return Point(*line_intersection_xy(l1, l2))
+
+
+def line_intersection_xy(l1: Line, l2: Line) -> XY:
+    """line_intersection as floats; where the products overflow, the Point it builds raises."""
+    (p, q), (r, s) = l1, l2
+    d1x, d1y = q.x - p.x, q.y - p.y
+    d2x, d2y = s.x - r.x, s.y - r.y
+    den = d1x * d2y - d1y * d2x
+    if abs(den) <= 1e-14 * math.hypot(d1x, d1y) * math.hypot(d2x, d2y):
         raise ValueError("lines are parallel")
-    u = (r - p).cross(d2) / den
-    return p + d1 * u
+    u = ((r.x - p.x) * d2y - (r.y - p.y) * d2x) / den
+    x, y = p.x + d1x * u, p.y + d1y * u
+    return (x, y) if math.isfinite(x) and math.isfinite(y) else Point(x, y).as_tuple()
 
 
 def signed_offset(p: Point, anchor: Point, unit_dir: Point) -> float:
@@ -260,11 +288,11 @@ def signed_offset(p: Point, anchor: Point, unit_dir: Point) -> float:
     return unit_dir.cross(p - anchor)
 
 
-def point_segment_distance(p: Point, seg: tuple[Point, Point]) -> float:
-    a, b = seg
-    d = b - a
-    dd = d.dot(d)
+def segment_distance_xy(p: XY, a: XY, b: XY) -> float:
+    """Distance from p to the closed segment ab."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
     if dd == 0.0:
-        return p.dist(a)
-    u = min(1.0, max(0.0, (p - a).dot(d) / dd))
-    return p.dist(a + d * u)
+        return math.dist(p, a)
+    u = min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / dd))
+    return math.hypot(p[0] - (a[0] + dx * u), p[1] - (a[1] + dy * u))

@@ -17,8 +17,12 @@ from .geom import (
     EdgeId,
     Triangle,
     angles,
+    edge_endpoints,
     edge_param,
+    edge_param_xy,
     edge_point,
+    line_dir,
+    project_along,
     project_onto_edge,
     require_acute,
 )
@@ -77,14 +81,17 @@ def greedy_run(
         raise ValueError("direction must be 'cw' or 'ccw'")
 
     visited = [SchedulePoint(EdgeId.A, start_u)]
-    cur = edge_point(t, EdgeId.A, start_u)
+    cur = edge_point(t, EdgeId.A, start_u).as_tuple()
+    frames = {}  # edge -> (start, unit direction); built at first use, so checks fail in step order
     iterates = [start_u]
     converged = False
     its = num_cycles
     for i in range(num_cycles):
         for e in cycle:
-            cur = project_onto_edge(cur, t, e)
-            u = edge_param(t, e, cur)
+            if e not in frames:
+                frames[e] = (edge_endpoints(t, e)[0], line_dir(edge_endpoints(t, e)))
+            cur = project_along(cur, *frames[e])
+            u = edge_param_xy(t, e, cur)
             if not -1e-9 <= u <= 1.0 + 1e-9:
                 raise ProjectionEscapesEdge(
                     f"projection onto edge {e.name} landed at u={u}"

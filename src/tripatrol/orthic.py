@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .geom import (
+    XY,
     EdgeId,
     Line,
     Point,
@@ -26,12 +27,16 @@ from .geom import (
     angles,
     edge_endpoints,
     edge_param,
+    edge_param_xy,
+    line_dir,
     line_intersection,
-    point_segment_distance,
+    line_intersection_xy,
     project_onto_edge,
     project_onto_line,
+    reflect_along,
     reflect_point,
     require_acute,
+    segment_distance_xy,
     signed_offset,
 )
 from .schedule import Schedule, SchedulePoint, gap_report
@@ -133,15 +138,16 @@ class Unfolding:
     half_width_high: float
     normal: Point  # unit normal toward the A side (positive signed offset)
     snap: float  # edge parameters this close to 0 or 1 snap to the vertex
+    mirror_dirs: tuple[XY, XY, XY, XY, XY]  # unit direction of each mirror, for fold
 
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:
         return (self.base,) + self.triangles
 
-    def fold(self, p: Point, depth: int) -> Point:
+    def fold(self, p: XY, depth: int) -> XY:
         """Map a point of the depth-th reflected copy back onto the base."""
         for i in range(depth - 1, -1, -1):
-            p = reflect_point(p, self.mirrors[i])
+            p = reflect_along(p, self.mirrors[i][0], self.mirror_dirs[i])
         return p
 
 
@@ -253,6 +259,7 @@ def _build(t: Triangle) -> Unfolding:
         half_width_high=abs(off_high),
         normal=normal,
         snap=t.tol(1e-8) / max(t.side_lengths),
+        mirror_dirs=tuple(line_dir(m) for m in mirrors),
     )
 
 
@@ -274,17 +281,9 @@ def reflection_chain(t: Triangle) -> Unfolding:
     return _last_unfolding
 
 
-# Unfolded crossing sequence: (line supplier, fold depth, relabeled edge).
-def _crossing_lines(unf: Unfolding) -> list[tuple[Line, int, EdgeId]]:
-    base = unf.base
-    return [
-        ((base.b, base.c), 0, EdgeId.A),
-        (unf.mirrors[0], 0, EdgeId.C),
-        (unf.mirrors[1], 1, EdgeId.B),
-        (unf.mirrors[2], 2, EdgeId.A),
-        (unf.mirrors[3], 3, EdgeId.C),
-        (unf.mirrors[4], 4, EdgeId.B),
-    ]
+# The channel line crosses BC, then each mirror: each crossing's relabeled edge and fold depth.
+_CROSSED_EDGES = (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A, EdgeId.C, EdgeId.B)
+_FOLD_DEPTHS = (0, 0, 1, 2, 3, 4)
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
@@ -301,19 +300,17 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     anchor = unf.k + unf.normal * off
     line: Line = (anchor, anchor + unf.direction * t.diameter)
 
-    crossings = _crossing_lines(unf)
-    folded: list[Point] = [
-        unf.fold(line_intersection(line, cl), depth) for cl, depth, _ in crossings
-    ]
+    crossed = ((unf.base.b, unf.base.c),) + unf.mirrors
+    folded = [unf.fold(line_intersection_xy(line, cl), n) for cl, n in zip(crossed, _FOLD_DEPTHS)]
     # The line's exit through the final copy's base must fold back onto the start.
-    closing = unf.fold(line_intersection(line, (unf.b2, unf.c2)), len(unf.mirrors))
-    if closing.dist(folded[0]) > 1e-8 * t.diameter:
+    closing = unf.fold(line_intersection_xy(line, (unf.b2, unf.c2)), len(unf.mirrors))
+    if math.dist(closing, folded[0]) > 1e-8 * t.diameter:
         raise AssertionError("folded trajectory failed to close up")
 
     pts = []
-    for p, (_, _, rel_edge) in zip(folded, crossings):
+    for p, rel_edge in zip(folded, _CROSSED_EDGES):
         edge = unf.edge_map[rel_edge]
-        u = edge_param(t, edge, p, rel_tol=1e-8)
+        u = edge_param_xy(t, edge, p, rel_tol=1e-8)
         if abs(u) <= unf.snap:
             u = 0.0
         elif abs(u - 1.0) <= unf.snap:
@@ -337,14 +334,13 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     v = unf.k2 - unf.k
     per2 = v.norm()  # 2 * orthic perimeter
     c = abs(v.dot(t_pt - r_pt))
-    rt = (r_pt, t_pt)
+    r0, t0 = r_pt.as_tuple(), t_pt.as_tuple()
     rows = []
     for k in range(1, k_max + 1):
-        shift = v * float(k)
-        moved = (r_pt + shift, t_pt + shift)
+        r_k, t_k = (r0[0] + v.x * k, r0[1] + v.y * k), (t0[0] + v.x * k, t0[1] + v.y * k)
         # RT and its translate never cross (v is not parallel to BC), so an endpoint is nearest.
-        ends = [point_segment_distance(p, moved) for p in rt]
-        vk = min(ends + [point_segment_distance(p, rt) for p in moved])
+        vk = min(segment_distance_xy(r0, r_k, t_k), segment_distance_xy(t0, r_k, t_k),
+                 segment_distance_xy(r_k, r0, t0), segment_distance_xy(t_k, r0, t0))
         rows.append((k, vk / k, 2.0 * c / (per2 * k)))
     return rows
 

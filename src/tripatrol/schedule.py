@@ -115,19 +115,20 @@ class GapReport:
 
 
 def _visit_times(
-    positions: Sequence[Point], points: Sequence[SchedulePoint], tol: float
+    positions: Sequence[Point], points: Sequence[SchedulePoint], horizon: int, tol: float
 ) -> dict[EdgeId, list[float]]:
-    """Visit instants per edge; same-instant repeats collapse to one visit."""
+    """Visit instants per edge over `horizon` points of the walk repeating `points`, one per instant."""
+    m = len(points)
+    legs = [positions[i - 1].dist(positions[i]) for i in range(m)]  # legs[i] ends at point i
+    edges = [p.visited_edges for p in points]
     times: dict[EdgeId, list[float]] = {e: [] for e in EdgeId}
     now = 0.0
-    prev = positions[0]
-    for pos, pt in zip(positions, points):
-        now += prev.dist(pos)
-        prev = pos
-        for e in pt.visited_edges:
+    for i in range(horizon):
+        for e in edges[i % m]:
             seen = times[e]
             if not seen or now - seen[-1] > tol:
                 seen.append(now)
+        now += legs[(i + 1) % m]
     return times
 
 
@@ -177,9 +178,7 @@ def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport
         horizon = attained
     if horizon < m + 1:
         raise ValueError(f"horizon {horizon} shorter than one period plus a revisit")
-    pts = [s.generator[i % m] for i in range(horizon)]
-    pos = [s.positions[i % m] for i in range(horizon)]
-    times = _visit_times(pos, pts, s.triangle.tol())
+    times = _visit_times(s.positions, s.generator, horizon, s.triangle.tol())
     mode = "periodic" if horizon >= attained else "observed"
     return _gaps_from_times(times, t, horizon, mode)
 
@@ -191,7 +190,7 @@ def prefix_gap_report(
     if t < 1:
         raise ValueError("gap order t must be >= 1")
     pos = [edge_point(triangle, p.edge, p.u) for p in points]
-    times = _visit_times(pos, points, triangle.tol())
+    times = _visit_times(pos, points, len(points), triangle.tol())
     return _gaps_from_times(times, t, len(points), "observed", allow_missing=True)
 
 

@@ -1,0 +1,71 @@
+"""Reference primitives: the Point-based projection, reflection, edge
+parameter, line intersection and point-segment distance, and the fold loop
+of the unfolding, with a Point built at every step.
+
+tripatrol.geom computes each of them on float pairs; it must return exactly
+the same floats, and raise the same exceptions with the same messages, as
+these.  They are slow and kept only for the tests to compare against.
+"""
+
+import math
+
+from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, PointOffEdge, Triangle, edge_endpoints
+
+Line = tuple[Point, Point]
+
+
+def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
+    s, f = edge_endpoints(t, e)
+    d = f - s
+    dd = d.dot(d)
+    resid = abs(d.cross(p - s)) / math.sqrt(dd)
+    if resid > t.tol(rel_tol):
+        raise PointOffEdge(f"point {p} is {resid:g} off the line of edge {e.name}")
+    return (p - s).dot(d) / dd
+
+
+def line_dir(line: Line) -> Point:
+    p, q = line
+    d = q - p
+    n = d.norm()
+    if n <= 1e-12 * max(p.norm(), q.norm()):
+        raise ValueError("line endpoints coincide")
+    return d * (1.0 / n)
+
+
+def project_onto_line(p: Point, line: Line) -> Point:
+    a, _ = line
+    d = line_dir(line)
+    return a + d * (p - a).dot(d)
+
+
+def reflect_point(p: Point, line: Line) -> Point:
+    f = project_onto_line(p, line)
+    return Point(2.0 * f.x - p.x, 2.0 * f.y - p.y)
+
+
+def line_intersection(l1: Line, l2: Line) -> Point:
+    p, q = l1
+    r, s = l2
+    d1, d2 = q - p, s - r
+    den = d1.cross(d2)
+    if abs(den) <= 1e-14 * d1.norm() * d2.norm():
+        raise ValueError("lines are parallel")
+    u = (r - p).cross(d2) / den
+    return p + d1 * u
+
+
+def point_segment_distance(p: Point, seg: Line) -> float:
+    a, b = seg
+    d = b - a
+    dd = d.dot(d)
+    if dd == 0.0:
+        return p.dist(a)
+    u = min(1.0, max(0.0, (p - a).dot(d) / dd))
+    return p.dist(a + d * u)
+
+
+def fold(mirrors: tuple[Line, ...], p: Point, depth: int) -> Point:
+    for i in range(depth - 1, -1, -1):
+        p = reflect_point(p, mirrors[i])
+    return p

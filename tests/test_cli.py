@@ -128,16 +128,28 @@ def test_exit_code_2_on_domain_errors(capsys, monkeypatch, tmp_path):
 
 
 def test_exit_code_2_on_non_finite_report(capsys, monkeypatch, tmp_path):
-    # At this side length a cross product in angles() overflows to nan, and so
-    # does the orthic reference perimeter.
+    # At this side length the v_k parallelogram bound's |v . (T - R)|
+    # overflows to inf.
     code, out = run_cli(
-        ["search", "--angles-deg", "60", "60", "--side", "1e155", "--grid", "4"],
+        ["unfold", "--angles-deg", "60", "60", "--side", "1e154"],
         capsys,
         monkeypatch,
         tmp_path,
     )
     assert code == 2
     assert json.loads(out) == {"error": "ValueError", "message": "non-finite number in report"}
+
+
+@pytest.mark.parametrize("side", ["1e155", "1e160"])
+@pytest.mark.parametrize("command", ["orthic", "search"])
+def test_exit_code_2_on_triangles_too_large_for_floats(command, side, capsys, monkeypatch, tmp_path):
+    # The cross product and the squared diameter overflow; such a triangle
+    # is not collinear, and says so.
+    code, out = run_cli([command, "--angles-deg", "60", "60", "--side", side], capsys, monkeypatch, tmp_path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "DegenerateTriangle"
+    assert doc["message"].endswith(" too large for the float range")
 
 
 def test_exit_code_2_on_bad_vertices(capsys, monkeypatch, tmp_path):

@@ -16,7 +16,6 @@ from tripatrol.geom import (
     edge_point,
     is_acute,
     line_intersection,
-    point_segment_distance,
     project_onto_edge,
     reflect_point,
 )
@@ -218,12 +217,3 @@ def test_line_intersection():
     with pytest.raises(ValueError):
         line_intersection((Point(0, 0), Point(1, 0)), (Point(0, 1), Point(1, 1)))
 
-
-def test_point_segment_distance():
-    s1 = (Point(0, 0), Point(1, 0))
-    assert point_segment_distance(Point(0, 1), s1) == pytest.approx(1.0)
-    assert point_segment_distance(Point(0.5, -1), s1) == pytest.approx(1.0)
-    # Beyond an end, that endpoint is nearest.
-    assert point_segment_distance(Point(2, 0), s1) == pytest.approx(1.0)
-    assert point_segment_distance(Point(3, 4), s1) == pytest.approx(math.hypot(2, 4))
-    assert point_segment_distance(Point(3, 4), (Point(0, 0), Point(0, 0))) == 5.0

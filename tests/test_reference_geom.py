@@ -1,0 +1,140 @@
+"""The float-pair primitives of tripatrol.geom against the Point-based
+reference: the same floats bit for bit, and the same exception type and
+message, on random input at large offsets and extreme scales and on the
+degenerate cases each primitive checks."""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_geom as ref
+from tripatrol.geom import (
+    EdgeId,
+    Point,
+    Triangle,
+    edge_endpoints,
+    edge_param,
+    line_intersection,
+    line_intersection_xy,
+    project_onto_line,
+    reflect_point,
+    segment_distance_xy,
+)
+from tripatrol.orthic import reflection_chain
+from conftest import random_acute_triangle
+
+SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def outcome(fn, *args):
+    """repr of the value (exact for floats), or the exception's type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the exception is the outcome being compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def frames(draw):
+    """(offset, scale): a scale of 2^-300 to 2^300, and an offset of up to
+    1e12 times the scale in each coordinate."""
+    scale = math.ldexp(1.0, draw(st.integers(-300, 300)))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e6, 1e12])) * draw(st.floats(-1.0, 1.0)) * scale
+    return offset, scale
+
+
+def points(n: int):
+    """n random points around one random offset at one random scale; a
+    point may repeat an earlier one, giving coincident or parallel lines."""
+
+    @st.composite
+    def build(draw):
+        offset, scale = draw(frames())
+        pts = []
+        for _ in range(n):
+            if pts and draw(st.integers(0, 5)) == 0:
+                pts.append(draw(st.sampled_from(pts)))
+                continue
+            x, y = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+            pts.append(Point(offset + x * scale, offset + y * scale))
+        return pts
+
+    return build()
+
+
+@SETTINGS
+@given(pts=points(3))
+def test_projection_and_reflection_match_reference(pts):
+    p, a, b = pts
+    assert outcome(project_onto_line, p, (a, b)) == outcome(ref.project_onto_line, p, (a, b))
+    assert outcome(reflect_point, p, (a, b)) == outcome(ref.reflect_point, p, (a, b))
+
+
+@SETTINGS
+@given(pts=points(4), shift=st.sampled_from([None, 0.0, 1e-300, 1.0]))
+def test_line_intersection_matches_reference(pts, shift):
+    p, q, r, s = pts
+    if shift is not None:
+        # r-s parallel to p-q, moved by shift along y.
+        r = Point(r.x, r.y + shift)
+        s = Point(r.x + (q.x - p.x), r.y + (q.y - p.y))
+    assert outcome(line_intersection, (p, q), (r, s)) == outcome(ref.line_intersection, (p, q), (r, s))
+
+
+@SETTINGS
+@given(xs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), k=st.integers(505, 512))
+def test_line_intersection_xy_raises_like_reference_where_products_overflow(xs, k):
+    """At 2^505 to 2^512 the cross products can overflow while every
+    coordinate is finite; the float pair must not carry inf or nan on."""
+    p, q, r, s = (Point(math.ldexp(xs[i], k), math.ldexp(xs[i + 1], k)) for i in range(0, 8, 2))
+    want = outcome(lambda: ref.line_intersection((p, q), (r, s)).as_tuple())
+    assert outcome(line_intersection_xy, (p, q), (r, s)) == want
+
+
+@SETTINGS
+@given(pts=points(3))
+def test_segment_distance_matches_reference(pts):
+    p, a, b = pts
+    got = outcome(segment_distance_xy, p.as_tuple(), a.as_tuple(), b.as_tuple())
+    assert got == outcome(ref.point_segment_distance, p, (a, b))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    frame=frames(),
+    e=st.sampled_from(list(EdgeId)),
+    u=st.floats(-0.5, 1.5),
+    off=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+)
+def test_edge_param_matches_reference(seed, frame, e, u, off):
+    """Points on, near and off an edge of a moved and scaled triangle."""
+    offset, scale = frame
+    t = random_acute_triangle(random.Random(seed))
+    t = Triangle(*(Point(offset + v.x * scale, offset + v.y * scale) for v in t.vertices))
+    s, f = edge_endpoints(t, e)
+    n = t.diameter * off
+    p = Point(s.x + u * (f.x - s.x) - n * (f.y - s.y), s.y + u * (f.y - s.y) + n * (f.x - s.x))
+    assert outcome(edge_param, t, e, p) == outcome(ref.edge_param, t, e, p)
+    assert outcome(edge_param, t, e, p, 1e-8) == outcome(ref.edge_param, t, e, p, 1e-8)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0))
+def test_fold_matches_reference(seed, x, y):
+    unf = reflection_chain(random_acute_triangle(random.Random(seed)))
+    p = Point(x, y)
+    for depth in range(len(unf.mirrors) + 1):
+        assert repr(Point(*unf.fold(p.as_tuple(), depth))) == repr(ref.fold(unf.mirrors, p, depth))
+
+
+def test_point_segment_distance():
+    s1 = ((0.0, 0.0), (1.0, 0.0))
+    assert segment_distance_xy((0.0, 1.0), *s1) == pytest.approx(1.0)
+    assert segment_distance_xy((0.5, -1.0), *s1) == pytest.approx(1.0)
+    # Beyond an end, that endpoint is nearest.
+    assert segment_distance_xy((2.0, 0.0), *s1) == pytest.approx(1.0)
+    assert segment_distance_xy((3.0, 4.0), *s1) == pytest.approx(math.hypot(2, 4))
+    assert segment_distance_xy((3.0, 4.0), (0.0, 0.0), (0.0, 0.0)) == 5.0
