@@ -11,6 +11,7 @@ import pytest
 
 import tripatrol
 from tripatrol.cli import dumps, main
+from tripatrol.search import MAX_GRID_FLOATS
 from make_goldens import EQ, EQ_SCHEDULE, RI_SCHEDULE, invocations
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -150,6 +151,19 @@ def test_exit_code_2_on_triangles_too_large_for_floats(command, side, capsys, mo
     doc = json.loads(out)
     assert doc["error"] == "DegenerateTriangle"
     assert doc["message"].endswith(" too large for the float range")
+
+
+@pytest.mark.parametrize("period, slabs", [("3", 3), ("6", 6)])
+def test_exit_code_2_on_oversized_grid(period, slabs, capsys, monkeypatch, tmp_path):
+    # The smallest refused grid: rejected before any array is allocated,
+    # where a larger one used to exhaust memory.
+    n = math.isqrt(MAX_GRID_FLOATS // slabs)
+    args = ["search", "--period", period, "--grid", str(n), "--angles-deg", "60", "60"]
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError"
+    assert doc["message"].startswith(f"grid_n {n} needs ")
 
 
 def test_exit_code_2_on_bad_vertices(capsys, monkeypatch, tmp_path):

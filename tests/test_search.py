@@ -2,7 +2,9 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_search
 
@@ -29,8 +31,8 @@ SPECIAL_TRIANGLES = (
 )
 
 
-def moved(t: Triangle, offset: float) -> Triangle:
-    return Triangle(*[Point(v.x + offset, v.y + offset) for v in t.vertices])
+def moved(t: Triangle, offset: float, scale: float = 1.0) -> Triangle:
+    return Triangle(*[Point((v.x + offset) * scale, (v.y + offset) * scale) for v in t.vertices])
 
 
 def peak_bytes(fn, *args) -> int:
@@ -96,15 +98,62 @@ def test_grid3_deterministic(equilateral):
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
 def test_grid_oracles_match_reference(rng, offset):
-    # Pruning and batching must not change a single bit of the result:
-    # value, parameters and tie-breaking, also where large coordinates
-    # leave only rounding-level gaps between the bound and the totals.
+    # Pruning, stacking and batching must not change a single bit of the
+    # result: value, parameters and tie-breaking, also where large
+    # coordinates leave only rounding-level gaps between the bounds and the
+    # totals.  The pruning margin is tiny in absolute terms at scales 2^-300
+    # and 1e-100, and keeps every row at offset 1e9.
     triangles = [random_acute_triangle(rng) for _ in range(6)] + list(SPECIAL_TRIANGLES)
-    for t in triangles:
-        t = moved(t, offset)
-        for n in (2, 3, 7, 50):
-            assert grid_search_3periodic(t, n) == reference_search.grid_search_3periodic(t, n)
-            assert grid_search_6periodic_gap2(t, n) == reference_search.grid_search_6periodic_gap2(t, n)
+    for scale in (1.0, 2.0**-300, 2.0**300, 1e-100):
+        some = triangles if scale == 1.0 else triangles[:2] + triangles[-4:]
+        for t in some:
+            t = moved(t, offset, scale)
+            for n in (2, 3, 7, 50):
+                assert grid_search_3periodic(t, n) == reference_search.grid_search_3periodic(t, n)
+            for n in (2, 3, 7, 50) if scale == 1.0 else (2, 7):
+                assert grid_search_6periodic_gap2(t, n) == reference_search.grid_search_6periodic_gap2(t, n)
+        # The size the benchmark and the CLI default run, where the row bound
+        # skips the most: a random, the equilateral and the thin triangle.
+        for t in (triangles[0], triangles[6], triangles[9]):
+            t = moved(t, offset, scale)
+            assert grid_search_3periodic(t, 200) == reference_search.grid_search_3periodic(t, 200)
+
+
+@st.composite
+def acute_triangles(draw):
+    """(triangle, u_K, P): B at the origin and C on the x axis before an
+    offset of up to 1e6, angles at least 0.08 from 0 and pi/2, a
+    power-of-two scale; u_K is the parameter of the foot of the altitude
+    from A on BC, and P the orthic perimeter, taken before the offset."""
+    b_ang = draw(st.floats(0.17, math.pi / 2 - 0.08))
+    c_ang = draw(st.floats(math.pi / 2 - b_ang + 0.08, math.pi / 2 - 0.08))
+    p = math.cos(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
+    q = math.sin(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
+    scale = math.ldexp(1.0, draw(st.integers(-300, 300)))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e6])) * draw(st.floats(-1.0, 1.0))
+    base = Triangle(Point(p, q), Point(0.0, 0.0), Point(1.0, 0.0))
+    return moved(base, offset, scale), p, orthic_perimeter(moved(base, 0.0, scale))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=acute_triangles(), grid_n=st.integers(2, 8))
+def test_fagnano_row_bound(case, grid_n):
+    # rho_i bounds every cycle through PA_i from below (here the grid
+    # cycles, found by brute force over the full cube), and equals the
+    # orthic perimeter at the foot of the altitude from A (Fagnano).
+    t, u_k, per = case
+    size = t.diameter + max(abs(x) for v in t.vertices for x in v.as_tuple())
+    us = np.arange(grid_n + 1) / grid_n
+    pa, pb, pc = (search._edge_grid(t, e, us) for e in EdgeId)
+    cube = (
+        search._dist_matrix(pa, pb)[:, :, None]
+        + search._dist_matrix(pb, pc)[None, :, :]
+        + search._dist_matrix(pc, pa).T[:, None, :]
+    )
+    _, rho = search._fagnano_rows(t, us)
+    assert np.all(rho <= cube.min(axis=(1, 2)) + 1e-12 * size)
+    _, rho_k = search._fagnano_rows(t, np.array([u_k]))
+    assert abs(rho_k[0] - per) <= 1e-12 * size
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e9])
@@ -131,6 +180,24 @@ def test_grid_n_validation(equilateral):
         grid_search_3periodic(equilateral, 1)
     with pytest.raises(ValueError):
         grid_search_6periodic_gap2(equilateral, 1)
+
+
+@pytest.mark.parametrize(
+    "fn, slabs", [(grid_search_3periodic, 3), (grid_search_6periodic_gap2, 6)]
+)
+def test_oversized_grid_raises_before_allocating(equilateral, fn, slabs):
+    # The smallest grid_n whose largest array exceeds the cap; grid_n - 1
+    # is within it.  Only the refused size is run.
+    n = math.isqrt(search.MAX_GRID_FLOATS // slabs)
+    assert slabs * n**2 <= search.MAX_GRID_FLOATS < slabs * (n + 1) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"grid_n {n} needs .* above the limit"):
+            fn(equilateral, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_grid6_equilateral(equilateral):
