@@ -8,6 +8,13 @@ parallels through A and A1.  It works on a relabeled copy of the input
 whose side lengths satisfy alpha >= beta >= gamma; results are mapped back
 to the caller's vertex labels before they are returned.
 
+One rule builds it: each of the five steps reflects one vertex of the
+current copy across the line through the other two (`_REFLECTED`), and
+the foot of that reflection is the copy's altitude foot on the orthic
+line.  The channel check reads the signed offsets of each copy's vertices
+from the orthic line: a boundary parallel to it meets two edges of a copy
+unless all three vertices lie strictly on one side.
+
 `reflection_chain(t)` builds it and keeps the last one built, one entry
 keyed on the Triangle object: a sweep over lambda, the v_k bounds and the
 CLI on one triangle build it, and run its checks, once.
@@ -25,16 +32,14 @@ from .geom import (
     Point,
     Triangle,
     angles,
-    edge_endpoints,
     edge_param,
     edge_param_xy,
     line_dir,
     line_intersection,
     line_intersection_xy,
+    project_along,
     project_onto_edge,
-    project_onto_line,
     reflect_along,
-    reflect_point,
     require_acute,
     segment_distance_xy,
     signed_offset,
@@ -151,6 +156,11 @@ class Unfolding:
         return p
 
 
+# The unfolding's five steps: the index of the vertex reflected across the
+# line through the other two, C about AB, B about AC1, A about B1C1, and so on.
+_REFLECTED = (2, 1, 0, 2, 1)
+
+
 def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     """Vertices reordered so opposite side lengths are non-increasing."""
     sides = t.side_lengths
@@ -161,25 +171,11 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     return relabeled, edge_map
 
 
-def _count_edge_hits(line: Line, tri: Triangle, tol: float) -> int:
-    """Edges of tri whose closed segment (with tolerance slack) meets the line."""
-    anchor, other = line
-    d = other - anchor
-    hits = 0
-    for e in EdgeId:
-        s, f = edge_endpoints(tri, e)
-        seg = f - s
-        den = d.cross(seg)
-        if abs(den) <= 1e-14 * d.norm() * seg.norm():
-            # Parallel: counts only if collinear with the edge line.
-            if abs(d.cross(s - anchor)) <= tol * d.norm():
-                hits += 1
-            continue
-        v = (s - anchor).cross(d) / den  # parameter along the edge
-        pad = tol / seg.norm()
-        if -pad <= v <= 1.0 + pad:
-            hits += 1
-    return hits
+def _straddles(tri: Triangle, anchor: Point, unit_dir: Point, bottom: float, top: float, tol: float) -> bool:
+    """Each parallel to unit_dir at a signed offset from bottom to top meets
+    at least two edges of tri: its vertices are not all strictly on one side."""
+    offs = [signed_offset(v, anchor, unit_dir) for v in tri.vertices]
+    return max(offs) >= top - tol and min(offs) <= bottom + tol
 
 
 def _build(t: Triangle) -> Unfolding:
@@ -187,28 +183,26 @@ def _build(t: Triangle) -> Unfolding:
     base, edge_map = _relabel(t)
     a, b, c = base.vertices
 
-    c1 = reflect_point(c, (a, b))
-    b1 = reflect_point(b, (a, c1))
-    a1 = reflect_point(a, (b1, c1))
-    c2 = reflect_point(c1, (a1, b1))
-    b2 = reflect_point(b1, (a1, c2))
+    # Each step reflects one vertex across the line through the other two;
+    # the mirror's foot is that step's altitude foot (m, l1, k1, m1, l2).
+    verts = [a, b, c]
+    copies, mirrors, dirs, feet = [], [], [], []
+    for i in _REFLECTED:
+        p = verts[i]
+        mirror = tuple(v for j, v in enumerate(verts) if j != i)
+        d = line_dir(mirror)
+        fx, fy = project_along(p.as_tuple(), mirror[0], d)
+        verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
+        copies.append(tuple(verts))
+        mirrors.append(mirror)
+        dirs.append(d)
+        feet.append((fx, fy))
+    c1, b1, a1, c2, b2 = (copy[i] for copy, i in zip(copies, _REFLECTED))
+    tris = tuple(Triangle(*copy) for copy in copies)
 
-    mirrors: tuple[Line, ...] = ((a, b), (a, c1), (b1, c1), (a1, b1), (a1, c2))
-    tris = (
-        Triangle(a, b, c1),
-        Triangle(a, b1, c1),
-        Triangle(a1, b1, c1),
-        Triangle(a1, b1, c2),
-        Triangle(a1, b2, c2),
-    )
-
-    k = project_onto_line(a, (b, c))
-    m = project_onto_line(c, (a, b))
-    l1 = project_onto_line(b, (a, c1))
-    k1 = project_onto_line(a, (b1, c1))
-    m1 = project_onto_line(c1, (a1, b1))
-    l2 = project_onto_line(b1, (a1, c2))
-    k2 = project_onto_line(a1, (b2, c2))
+    k = Point(*project_along(a.as_tuple(), b, line_dir((b, c))))
+    m, l1, k1, m1, l2 = (Point(*f) for f in feet)
+    k2 = Point(*project_along(a1.as_tuple(), b2, line_dir((b2, c2))))
 
     # The final copy's base must come out parallel to BC (total turning 3*pi).
     d0, d5 = c - b, c2 - b2
@@ -226,10 +220,10 @@ def _build(t: Triangle) -> Unfolding:
     low_line: Line = (a1, a1 + step)
     high_line: Line = (a, a + step)
     tol = base.tol(1e-9)
-    for boundary in (low_line, high_line):
-        for tri in (base,) + tris:
-            if _count_edge_hits(boundary, tri, tol) < 2:
-                raise AssertionError("channel boundary misses a reflected triangle")
+    bottom, top = min(off_low, off_high), max(off_low, off_high)
+    for tri in (base,) + tris:
+        if not _straddles(tri, k, direction, bottom, top, tol):
+            raise AssertionError("channel boundary misses a reflected triangle")
 
     normal = Point(-direction.y, direction.x)
     if off_high < 0.0:
@@ -239,7 +233,7 @@ def _build(t: Triangle) -> Unfolding:
         base=base,
         edge_map=edge_map,
         triangles=tris,
-        mirrors=mirrors,
+        mirrors=tuple(mirrors),
         a1=a1,
         b1=b1,
         b2=b2,
@@ -259,7 +253,7 @@ def _build(t: Triangle) -> Unfolding:
         half_width_high=abs(off_high),
         normal=normal,
         snap=t.tol(1e-8) / max(t.side_lengths),
-        mirror_dirs=tuple(line_dir(m) for m in mirrors),
+        mirror_dirs=tuple(dirs),
     )
 
 
@@ -282,8 +276,8 @@ def reflection_chain(t: Triangle) -> Unfolding:
 
 
 # The channel line crosses BC, then each mirror: each crossing's relabeled edge and fold depth.
-_CROSSED_EDGES = (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A, EdgeId.C, EdgeId.B)
-_FOLD_DEPTHS = (0, 0, 1, 2, 3, 4)
+_CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
+_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED)))
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:

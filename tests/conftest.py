@@ -41,8 +41,8 @@ def equilateral() -> Triangle:
 @pytest.fixture
 def builds(monkeypatch):
     """Counts of unfolding builds (each relabels the triangle once) and of
-    the channel boundary checks they run (12 per build)."""
-    counts = {"builds": 0, "edge_hit_counts": 0}
+    the channel checks they run (one per copy, 6 per build)."""
+    counts = {"builds": 0, "channel_checks": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -52,5 +52,5 @@ def builds(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(orthic, "_relabel", counted("builds", orthic._relabel))
-    monkeypatch.setattr(orthic, "_count_edge_hits", counted("edge_hit_counts", orthic._count_edge_hits))
+    monkeypatch.setattr(orthic, "_straddles", counted("channel_checks", orthic._straddles))
     return counts

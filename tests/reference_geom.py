@@ -5,6 +5,10 @@ of the unfolding, with a Point built at every step.
 tripatrol.geom computes each of them on float pairs; it must return exactly
 the same floats, and raise the same exceptions with the same messages, as
 these.  They are slow and kept only for the tests to compare against.
+
+count_edge_hits is the unfolding's former channel check, a segment-line
+test per edge; orthic's vertex-offset test must agree with "at least two
+hits" wherever no vertex lies near the line.
 """
 
 import math
@@ -69,3 +73,24 @@ def fold(mirrors: tuple[Line, ...], p: Point, depth: int) -> Point:
     for i in range(depth - 1, -1, -1):
         p = reflect_point(p, mirrors[i])
     return p
+
+
+def count_edge_hits(line: Line, tri: Triangle, tol: float) -> int:
+    """Edges of tri whose closed segment (with tolerance slack) meets the line."""
+    anchor, other = line
+    d = other - anchor
+    hits = 0
+    for e in EdgeId:
+        s, f = edge_endpoints(tri, e)
+        seg = f - s
+        den = d.cross(seg)
+        if abs(den) <= 1e-14 * d.norm() * seg.norm():
+            # Parallel: counts only if collinear with the edge line.
+            if abs(d.cross(s - anchor)) <= tol * d.norm():
+                hits += 1
+            continue
+        v = (s - anchor).cross(d) / den  # parameter along the edge
+        pad = tol / seg.norm()
+        if -pad <= v <= 1.0 + pad:
+            hits += 1
+    return hits

@@ -141,6 +141,21 @@ def test_exit_code_2_on_non_finite_report(capsys, monkeypatch, tmp_path):
     assert json.loads(out) == {"error": "ValueError", "message": "non-finite number in report"}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["channel"], ["unfold"], ["render", "--out", "out.svg"]],
+    ids=["channel", "unfold", "render"],
+)
+def test_exit_code_2_on_channel_lines_too_large_for_floats(args, capsys, monkeypatch, tmp_path):
+    # The channel checks stay finite at this side length (they used to
+    # overflow and exit 1); a channel line's intersection point overflows.
+    code, out = run_cli([*args, "--angles-deg", "60", "60", "--side", "1.2e154"], capsys, monkeypatch, tmp_path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError"
+    assert doc["message"].startswith("non-finite coordinates")
+
+
 @pytest.mark.parametrize("side", ["1e155", "1e160"])
 @pytest.mark.parametrize("command", ["orthic", "search"])
 def test_exit_code_2_on_triangles_too_large_for_floats(command, side, capsys, monkeypatch, tmp_path):
@@ -272,7 +287,7 @@ def test_exit_code_2_on_non_numeric_schedule_value(path, value, capsys, monkeypa
 def test_rendering_builds_the_unfolding_once(args, builds, capsys, monkeypatch, tmp_path):
     code, out = run_cli(args, capsys, monkeypatch, tmp_path)
     assert code == 0, out
-    assert builds == {"builds": 1, "edge_hit_counts": 12}
+    assert builds == {"builds": 1, "channel_checks": 6}
 
 
 @pytest.mark.parametrize("value", ["1e-7", "nan"])

@@ -301,7 +301,7 @@ def test_unfolding_built_once_per_triangle(builds):
         sub_orthic_schedule(t, -1.0 + i / 10.0)
     lower_bound_profile(t, 20)
     reflection_chain(t)
-    assert builds == {"builds": 1, "edge_hit_counts": 12}
+    assert builds == {"builds": 1, "channel_checks": 6}
 
 
 def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
@@ -346,13 +346,32 @@ def test_unfolding_failed_build_raises_on_every_call():
     "name, fake, message",
     [
         ("signed_offset", lambda p, anchor, d: 1.0, "A and A1 should straddle"),
-        ("_count_edge_hits", lambda line, tri, tol: 1, "channel boundary misses"),
+        ("_straddles", lambda *args: False, "channel boundary misses"),
     ],
 )
 def test_unfolding_build_runs_its_channel_checks(name, fake, message, monkeypatch):
     monkeypatch.setattr(orthic, name, fake)
     with pytest.raises(AssertionError, match=message):
         reflection_chain(acute_triangle())
+
+
+@pytest.mark.parametrize("pushed", ["bottom", "top"])
+def test_channel_check_is_tight_at_each_boundary(pushed, rng, monkeypatch):
+    """The channel is the widest strip the copies allow: either boundary
+    moved outward by 3 tolerances misses a copy, and the build raises."""
+    check = orthic._straddles
+
+    def push(tri, anchor, unit_dir, bottom, top, tol):
+        if pushed == "bottom":
+            bottom -= 3.0 * tol
+        else:
+            top += 3.0 * tol
+        return check(tri, anchor, unit_dir, bottom, top, tol)
+
+    monkeypatch.setattr(orthic, "_straddles", push)
+    for t in (acute_triangle(), acute_triangle(scale=2.0**-300), random_acute_triangle(rng)):
+        with pytest.raises(AssertionError, match="channel boundary misses"):
+            reflection_chain(t)
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-100])

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_geom as ref
 from tripatrol.geom import (
@@ -21,7 +21,9 @@ from tripatrol.geom import (
     project_onto_line,
     reflect_point,
     segment_distance_xy,
+    signed_offset,
 )
+from tripatrol import orthic
 from tripatrol.orthic import reflection_chain
 from conftest import random_acute_triangle
 
@@ -128,6 +130,31 @@ def test_fold_matches_reference(seed, x, y):
     p = Point(x, y)
     for depth in range(len(unf.mirrors) + 1):
         assert repr(Point(*unf.fold(p.as_tuple(), depth))) == repr(ref.fold(unf.mirrors, p, depth))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.one_of(
+        st.integers(-300, 300).map(lambda k: math.ldexp(1.0, k)),
+        st.integers(-100, 100).map(lambda k: 10.0**k),
+    ),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    shift=st.floats(-1.5, 1.5),
+)
+def test_channel_check_matches_edge_hit_count(seed, scale, angle, shift):
+    """A line through a random acute triangle, or near it, at scales 2^+-300
+    and 1e+-100: the vertex-offset test says it meets two edges exactly
+    when the segment-line test counts at least two hits."""
+    t = random_acute_triangle(random.Random(seed))
+    t = Triangle(*(Point(v.x * scale, v.y * scale) for v in t.vertices))
+    d = Point(math.cos(angle), math.sin(angle))
+    centroid = Point(sum(v.x for v in t.vertices) / 3.0, sum(v.y for v in t.vertices) / 3.0)
+    anchor = centroid + Point(-d.y, d.x) * (shift * t.diameter)
+    assume(all(abs(signed_offset(v, anchor, d)) > 1e-6 * t.diameter for v in t.vertices))
+    tol = t.tol(1e-9)
+    old = ref.count_edge_hits((anchor, anchor + d * t.diameter), t, tol) >= 2
+    assert orthic._straddles(t, anchor, d, 0.0, 0.0, tol) == old
 
 
 def test_point_segment_distance():
