@@ -3,7 +3,10 @@
 Every report is deterministic: identical invocations produce byte-identical
 output.  Floats are emitted with 17 significant digits (round-trip exact).
 Exit codes: 0 success, 2 input/domain error, 3 infeasible schedule,
-1 internal error.
+1 internal error.  Every error is a JSON object on stdout; a command line
+that does not parse is {"error": "UsageError", ...} with exit 2.
+
+A vertex may start with a minus sign: `--vertices -1,0 1,0 0,1`.
 
 The scale-relative tolerance is fixed at geom.DEFAULT_REL_TOL (1e-9 times
 the triangle's diameter); every report records it.
@@ -64,7 +67,38 @@ def dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+class UsageError(ValueError):
+    """A command line that does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError instead of exiting."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+def _negative_pair(arg: str) -> bool:
+    """Whether arg is an "x,y" pair of numbers that starts with a minus sign."""
+    x, comma, y = arg.partition(",")
+    if not (comma and x.startswith("-")):
+        return False
+    try:
+        float(x), float(y)
+    except ValueError:
+        return False
+    return True
+
+
+def _shield_negative_pairs(argv: list[str]) -> list[str]:
+    """argparse reads an argument such as "-1,0" as an option; with a
+    leading space it reads it as a value."""
+    return [" " + a if _negative_pair(a) else a for a in argv]
+
+
 def _parse_vertex(s: str) -> Point:
+    s = s.strip()
     parts = s.split(",")
     if len(parts) != 2:
         raise ValueError(f'vertex "{s}" is not "x,y"')
@@ -266,7 +300,7 @@ def _add_triangle_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tripatrol", description=__doc__)
+    ap = _Parser(prog="tripatrol", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("orthic", help="altitude feet, orthic perimeter, optimizer")
@@ -313,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = _shield_negative_pairs(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = build_parser().parse_args(argv)
         # Rendered here too: a non-finite number in the report is a domain error.
         out = dumps(args.fn(args))
     except InfeasibleSchedule as exc:

@@ -4,12 +4,16 @@ All tolerances are scale-relative: a length comparison uses ``rel_tol *
 diameter``, where ``diameter`` is the longest side of the triangle involved
 and ``rel_tol`` defaults to the constant DEFAULT_REL_TOL.  The geometric
 formulas themselves are exact; floating point is the only noise source.
+
+`Record` is the base of the package's immutable value types (Point,
+Triangle, the schedules, reports and the unfolding): repr, ==, hash,
+pickling and the assignment guard of a frozen dataclass, read from the
+class's `__match_args__`, without importing `dataclasses`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import IntEnum
 
 DEFAULT_REL_TOL = 1e-9
@@ -31,15 +35,57 @@ class NotAcute(ValueError):
     """An operation that needs an acute triangle received a right/obtuse one."""
 
 
-class Point:
-    """An immutable point with finite coordinates.
+class Record:
+    """An immutable record: its fields are the names in `__match_args__`,
+    in declaration order.
 
-    Equality, hash and repr are those of a frozen dataclass with fields x
-    and y.  Points are built at every geometric step, and a slotted class
-    constructs faster than a frozen dataclass.
+    repr, ==, hash and pickling are those of a frozen dataclass with these
+    fields: == holds between records of one class with equal fields, hash
+    is the hash of the field tuple (a TypeError where a field is a dict or
+    a list), and unpickling calls the constructor.  Assigning or deleting
+    any attribute raises AttributeError.  A subclass declares `__slots__`
+    and an `__init__` that stores each slot through its `slot_setters`;
+    slots outside `__match_args__` hold values derived from the fields.
     """
 
-    __slots__ = ("x", "y")
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, o):
+        if o.__class__ is self.__class__:
+            return self._values() == o._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (self.__class__, self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def slot_setters(cls: type) -> tuple:
+    """The `__set__` of each slot cls declares, in `__slots__` order: they
+    store a Record's fields past its assignment guard."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+class Point(Record):
+    """An immutable point with finite coordinates x and y."""
+
+    __slots__ = __match_args__ = ("x", "y")
 
     def __init__(self, x: float, y: float):
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -50,26 +96,6 @@ class Point:
     # perfbench/run.py counts Point constructions as the calls made to the
     # code object of Point.__post_init__.
     __post_init__ = __init__
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"Point(x={self.x!r}, y={self.y!r})"
-
-    def __eq__(self, o):
-        if o.__class__ is self.__class__:
-            return (self.x, self.y) == (o.x, o.y)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __reduce__(self):
-        return (Point, (self.x, self.y))
 
     def __add__(self, o: "Point") -> "Point":
         return Point(self.x + o.x, self.y + o.y)
@@ -98,9 +124,7 @@ class Point:
         return (self.x, self.y)
 
 
-# Slot setters that bypass Point.__setattr__; only Point.__init__ uses them.
-_set_x = Point.x.__set__
-_set_y = Point.y.__set__
+_set_x, _set_y = slot_setters(Point)
 
 XY = tuple[float, float]  # a point as plain floats: each primitive computes on XY; its Point form wraps it
 
@@ -128,26 +152,28 @@ _VERTEX_EDGES = {
 }
 
 
-@dataclass(frozen=True)
-class Triangle:
-    a: Point
-    b: Point
-    c: Point
-    # (alpha, beta, gamma) = lengths of BC, AC, AB, and the longest of them;
-    # computed once, as every tolerance reads the diameter.
-    side_lengths: tuple[float, float, float] = field(init=False, repr=False, compare=False)
-    diameter: float = field(init=False, repr=False, compare=False)
+class Triangle(Record):
+    """A non-degenerate triangle with vertices a, b, c."""
 
-    def __post_init__(self):
-        sides = (self.b.dist(self.c), self.a.dist(self.c), self.a.dist(self.b))
+    # side_lengths: (alpha, beta, gamma) = lengths of BC, AC, AB, and
+    # diameter, the longest of them; computed once, as every tolerance
+    # reads the diameter.
+    __match_args__ = ("a", "b", "c")
+    __slots__ = __match_args__ + ("side_lengths", "diameter")
+
+    def __init__(self, a: Point, b: Point, c: Point):
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_c(self, c)
+        sides = (b.dist(c), a.dist(c), a.dist(b))
         d = max(sides)
-        object.__setattr__(self, "side_lengths", sides)
-        object.__setattr__(self, "diameter", d)
-        cross = (self.b - self.a).cross(self.c - self.a)
+        _set_side_lengths(self, sides)
+        _set_diameter(self, d)
+        cross = (b - a).cross(c - a)
         if not (math.isfinite(cross) and math.isfinite(d * d)):
-            raise DegenerateTriangle(f"vertices {self.a}, {self.b}, {self.c} too large for the float range")
+            raise DegenerateTriangle(f"vertices {a}, {b}, {c} too large for the float range")
         if d == 0.0 or abs(cross) <= DEFAULT_REL_TOL * d * d:
-            raise DegenerateTriangle(f"collinear vertices {self.a}, {self.b}, {self.c}")
+            raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
@@ -160,6 +186,9 @@ class Triangle:
     def tol(self, rel_tol: float = DEFAULT_REL_TOL) -> float:
         """Absolute length tolerance for this triangle's scale."""
         return rel_tol * self.diameter
+
+
+_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter = slot_setters(Triangle)
 
 
 def angles(t: Triangle) -> tuple[float, float, float]:

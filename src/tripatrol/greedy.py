@@ -11,10 +11,10 @@ similar to the triangle itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geom import (
     EdgeId,
+    Record,
     Triangle,
     angles,
     edge_endpoints,
@@ -25,6 +25,7 @@ from .geom import (
     project_along,
     project_onto_edge,
     require_acute,
+    slot_setters,
 )
 from .schedule import Schedule, SchedulePoint
 
@@ -33,19 +34,37 @@ class ProjectionEscapesEdge(RuntimeError):
     """A projection left its closed edge segment (impossible for acute input)."""
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
-    start_u: float
-    direction: str  # "cw" or "ccw"
-    iterates: list[float]  # distance from B on BC, in units of |BC|, per revisit
-    c: float  # recurrence constant, |BC| normalized to 1
-    x: float  # cosA cosB cosC
-    fixed_point: float
-    limit_schedule: Schedule
-    limit_gap: float
-    iterations_to_converge: int
-    converged: bool
-    visited: list[SchedulePoint]  # full simulated prefix, starting point included
+class GreedyTrace(Record):
+    """One greedy run from start_u on BC, and its analysis."""
+
+    __slots__ = __match_args__ = (
+        "start_u", "direction", "iterates", "c", "x", "fixed_point", "limit_schedule",
+        "limit_gap", "iterations_to_converge", "converged", "visited",
+    )
+
+    def __init__(
+        self,
+        start_u: float,
+        direction: str,  # "cw" or "ccw"
+        iterates: list[float],  # distance from B on BC, in units of |BC|, per revisit
+        c: float,  # recurrence constant, |BC| normalized to 1
+        x: float,  # cosA cosB cosC
+        fixed_point: float,
+        limit_schedule: Schedule,
+        limit_gap: float,
+        iterations_to_converge: int,
+        converged: bool,
+        visited: list[SchedulePoint],  # full simulated prefix, starting point included
+    ):
+        values = (
+            start_u, direction, iterates, c, x, fixed_point, limit_schedule,
+            limit_gap, iterations_to_converge, converged, visited,
+        )
+        for store, value in zip(_SET_GREEDY_TRACE, values):
+            store(self, value)
+
+
+_SET_GREEDY_TRACE = slot_setters(GreedyTrace)
 
 
 # Clockwise visiting order BC -> AB -> AC (edges A, C, B); ccw reverses.

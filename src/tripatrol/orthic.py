@@ -23,13 +23,13 @@ CLI on one triangle build it, and run its checks, once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geom import (
     XY,
     EdgeId,
     Line,
     Point,
+    Record,
     Triangle,
     angles,
     edge_param,
@@ -43,6 +43,7 @@ from .geom import (
     require_acute,
     segment_distance_xy,
     signed_offset,
+    slot_setters,
 )
 from .schedule import Schedule, SchedulePoint, gap_report
 
@@ -51,13 +52,19 @@ class OutsideChannel(ValueError):
     """Channel parameter lambda outside [-1, 1]."""
 
 
-@dataclass(frozen=True)
-class OrthicData:
-    k_foot: Point  # altitude foot from A on BC
-    l_foot: Point  # from B on AC
-    m_foot: Point  # from C on AB
-    perimeter: float
-    x0: float  # L = x0*C + (1-x0)*A, the convex-combination optimizer
+class OrthicData(Record):
+    """The altitude feet K (from A on BC), L (from B on AC) and M (from C
+    on AB), the orthic perimeter, and x0 with L = x0*C + (1-x0)*A, the
+    convex-combination optimizer."""
+
+    __slots__ = __match_args__ = ("k_foot", "l_foot", "m_foot", "perimeter", "x0")
+
+    def __init__(self, k_foot: Point, l_foot: Point, m_foot: Point, perimeter: float, x0: float):
+        for store, value in zip(_SET_ORTHIC_DATA, (k_foot, l_foot, m_foot, perimeter, x0)):
+            store(self, value)
+
+
+_SET_ORTHIC_DATA = slot_setters(OrthicData)
 
 
 def orthic_perimeter(t: Triangle) -> float:
@@ -104,8 +111,7 @@ def orthic_schedule(t: Triangle) -> Schedule:
     )
 
 
-@dataclass(frozen=True)
-class Unfolding:
+class Unfolding(Record):
     """Five successive reflections of a triangle with alpha >= beta >= gamma
     and the orthic channel they straighten out.
 
@@ -118,32 +124,48 @@ class Unfolding:
     by the parallels through A and through A1.
     """
 
-    source: Triangle  # caller's triangle, original labels
-    base: Triangle  # relabeled copy (alpha >= beta >= gamma)
-    # relabeled EdgeId -> caller EdgeId
-    edge_map: dict[EdgeId, EdgeId]
-    triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle]
-    mirrors: tuple[Line, Line, Line, Line, Line]
-    a1: Point
-    b1: Point
-    b2: Point
-    c1: Point
-    c2: Point
-    k: Point
-    m: Point
-    l1: Point
-    k1: Point
-    m1: Point
-    l2: Point
-    k2: Point
-    direction: Point  # unit vector along the orthic line
-    boundary_low: Line  # through A1, parallel to the orthic line
-    boundary_high: Line  # through A, parallel to the orthic line
-    half_width_low: float
-    half_width_high: float
-    normal: Point  # unit normal toward the A side (positive signed offset)
-    snap: float  # edge parameters this close to 0 or 1 snap to the vertex
-    mirror_dirs: tuple[XY, XY, XY, XY, XY]  # unit direction of each mirror, for fold
+    __slots__ = __match_args__ = (
+        "source", "base", "edge_map", "triangles", "mirrors",
+        "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
+        "direction", "boundary_low", "boundary_high", "half_width_low", "half_width_high",
+        "normal", "snap", "mirror_dirs",
+    )
+
+    def __init__(
+        self,
+        source: Triangle,  # caller's triangle, original labels
+        base: Triangle,  # relabeled copy (alpha >= beta >= gamma)
+        edge_map: dict[EdgeId, EdgeId],  # relabeled EdgeId -> caller EdgeId
+        triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle],
+        mirrors: tuple[Line, Line, Line, Line, Line],
+        a1: Point,
+        b1: Point,
+        b2: Point,
+        c1: Point,
+        c2: Point,
+        k: Point,
+        m: Point,
+        l1: Point,
+        k1: Point,
+        m1: Point,
+        l2: Point,
+        k2: Point,
+        direction: Point,  # unit vector along the orthic line
+        boundary_low: Line,  # through A1, parallel to the orthic line
+        boundary_high: Line,  # through A, parallel to the orthic line
+        half_width_low: float,
+        half_width_high: float,
+        normal: Point,  # unit normal toward the A side (positive signed offset)
+        snap: float,  # edge parameters this close to 0 or 1 snap to the vertex
+        mirror_dirs: tuple[XY, XY, XY, XY, XY],  # unit direction of each mirror, for fold
+    ):
+        values = (
+            source, base, edge_map, triangles, mirrors, a1, b1, b2, c1, c2, k, m, l1, k1, m1, l2, k2,
+            direction, boundary_low, boundary_high, half_width_low, half_width_high, normal, snap,
+            mirror_dirs,
+        )
+        for store, value in zip(_SET_UNFOLDING, values):
+            store(self, value)
 
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:
@@ -154,6 +176,9 @@ class Unfolding:
         for i in range(depth - 1, -1, -1):
             p = reflect_along(p, self.mirrors[i][0], self.mirror_dirs[i])
         return p
+
+
+_SET_UNFOLDING = slot_setters(Unfolding)
 
 
 # The unfolding's five steps: the index of the vertex reflected across the

@@ -9,10 +9,9 @@ both incident edges at the same instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
-from .geom import EdgeId, Point, Triangle, edge_point, vertex_edges
+from .geom import EdgeId, Point, Record, Triangle, edge_point, slot_setters, vertex_edges
 
 
 class InfeasibleSchedule(ValueError):
@@ -23,39 +22,44 @@ class NoReductionWindow(ValueError):
     """Prefix is neither edge-cyclic nor contains the reduction pattern."""
 
 
-@dataclass(frozen=True)
-class SchedulePoint:
-    edge: EdgeId
-    u: float
+class SchedulePoint(Record):
+    """The point at parameter u along edge `edge`."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.u <= 1.0:
-            raise ValueError(f"edge parameter {self.u} outside [0, 1]")
+    __slots__ = __match_args__ = ("edge", "u")
+
+    def __init__(self, edge: EdgeId, u: float):
+        if not 0.0 <= u <= 1.0:
+            raise ValueError(f"edge parameter {u} outside [0, 1]")
+        _set_edge(self, edge)
+        _set_u(self, u)
 
     @property
     def visited_edges(self) -> tuple[EdgeId, ...]:
         return vertex_edges(self.edge, self.u)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    triangle: Triangle
-    generator: tuple[SchedulePoint, ...]
-    # Where each generator point sits in the plane; computed once, as every
-    # gap, travel time and rendering reads them.
-    positions: tuple[Point, ...] = field(init=False, repr=False, compare=False)
+_set_edge, _set_u = slot_setters(SchedulePoint)
 
-    def __post_init__(self):
-        gen = tuple(self.generator)
-        object.__setattr__(self, "generator", gen)
+
+class Schedule(Record):
+    """The periodic schedule that repeats `generator` on `triangle`."""
+
+    # positions: where each generator point sits in the plane; computed
+    # once, as every gap, travel time and rendering reads them.
+    __match_args__ = ("triangle", "generator")
+    __slots__ = __match_args__ + ("positions",)
+
+    def __init__(self, triangle: Triangle, generator: Sequence[SchedulePoint]):
+        gen = tuple(generator)
+        _set_triangle(self, triangle)
+        _set_generator(self, gen)
         if len(gen) < 3:
             raise ValueError("generator needs at least 3 points")
         visited = {e for p in gen for e in p.visited_edges}
         if visited != set(EdgeId):
             missing = ",".join(e.name for e in set(EdgeId) - visited)
             raise InfeasibleSchedule(f"edge(s) {missing} never visited")
-        positions = tuple(edge_point(self.triangle, p.edge, p.u) for p in gen)
-        object.__setattr__(self, "positions", positions)
+        _set_positions(self, tuple(edge_point(triangle, p.edge, p.u) for p in gen))
 
     def __len__(self) -> int:
         return len(self.generator)
@@ -66,6 +70,9 @@ class Schedule:
     def period_length(self) -> float:
         """Distance traveled over one full generator period."""
         return travel_time(self, 0, len(self.generator))
+
+
+_set_triangle, _set_generator, _set_positions = slot_setters(Schedule)
 
 
 def is_cyclic(s: Schedule) -> bool:
@@ -102,16 +109,28 @@ def pairwise_gap(s: Schedule) -> float:
     return max(s.position(i).dist(s.position(i + 1)) for i in range(m))
 
 
-@dataclass(frozen=True)
-class GapReport:
-    t: int
-    per_edge_gaps: dict[EdgeId, list[float]]
-    per_edge_sup: dict[EdgeId, float]
-    overall: float
-    horizon: int
-    # "periodic" when the horizon is long enough that the periodic supremum
-    # is attained; "observed" for a plain finite-prefix measurement.
-    mode: str = "periodic"
+class GapReport(Record):
+    """t-gap sequences per edge, their suprema and the overall supremum,
+    over `horizon` sequence elements.  mode is "periodic" when the horizon
+    is long enough that the periodic supremum is attained, and "observed"
+    for a plain finite-prefix measurement."""
+
+    __slots__ = __match_args__ = ("t", "per_edge_gaps", "per_edge_sup", "overall", "horizon", "mode")
+
+    def __init__(
+        self,
+        t: int,
+        per_edge_gaps: dict[EdgeId, list[float]],
+        per_edge_sup: dict[EdgeId, float],
+        overall: float,
+        horizon: int,
+        mode: str = "periodic",
+    ):
+        for store, value in zip(_SET_GAP_REPORT, (t, per_edge_gaps, per_edge_sup, overall, horizon, mode)):
+            store(self, value)
+
+
+_SET_GAP_REPORT = slot_setters(GapReport)
 
 
 def _visit_times(

@@ -18,11 +18,10 @@ allocates anything, a grid whose largest array would exceed MAX_GRID_FLOATS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import EdgeId, Point, Triangle, edge_endpoints, reflect_point
+from .geom import EdgeId, Point, Record, Triangle, edge_endpoints, reflect_point, slot_setters
 
 # The 6-periodic chain DP batches start indices so that one batch's min-plus
 # temporary holds at most this many float64s (~1 MB).
@@ -34,13 +33,25 @@ _CHUNK = 1 << 17
 MAX_GRID_FLOATS = 1 << 26
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    best_value: float
-    best_params: list[float]
-    grid_n: int
-    objective: str  # "gap1" or "gap2"
-    certified_tolerance: float
+class SearchResult(Record):
+    """A grid oracle's best value and its parameters, certified to within
+    certified_tolerance of the true minimum of the objective."""
+
+    __slots__ = __match_args__ = ("best_value", "best_params", "grid_n", "objective", "certified_tolerance")
+
+    def __init__(
+        self,
+        best_value: float,
+        best_params: list[float],
+        grid_n: int,
+        objective: str,  # "gap1" or "gap2"
+        certified_tolerance: float,
+    ):
+        for store, value in zip(_SET_SEARCH_RESULT, (best_value, best_params, grid_n, objective, certified_tolerance)):
+            store(self, value)
+
+
+_SET_SEARCH_RESULT = slot_setters(SearchResult)
 
 
 def _check_grid(grid_n: int, slabs: int) -> None:

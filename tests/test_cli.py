@@ -62,8 +62,9 @@ def test_golden_outputs(name, capsys, monkeypatch, tmp_path, sched_files):
 @pytest.mark.parametrize("name", sorted(invocations("EQ", "RI")))
 def test_golden_outputs_fresh_process(name, tmp_path, sched_files):
     """The real entry point, `python -m tripatrol.cli`, reproduces each golden;
-    -X importtime lists every module it imports, and only `search` may
-    import numpy."""
+    -X importtime lists every module it imports.  Only `search` may import
+    numpy, and with it inspect, which numpy imports; none imports
+    dataclasses."""
     args = invocations(*sched_files)[name]
     proc = run_fresh(["-X", "importtime", "-m", "tripatrol.cli", *args], tmp_path)
     assert proc.returncode == int((GOLDEN / f"{name}.exit").read_text())
@@ -71,13 +72,19 @@ def test_golden_outputs_fresh_process(name, tmp_path, sched_files):
     svg_golden = GOLDEN / f"{name}.svg"
     if svg_golden.exists():
         assert (tmp_path / "out.svg").read_bytes() == svg_golden.read_bytes()
-    imported_numpy = re.search(r"\|\s+numpy$", proc.stderr, re.MULTILINE) is not None
-    assert imported_numpy == (args[0] == "search")
+    imported = set(re.findall(r"\|\s+([\w.]+)$", proc.stderr, re.MULTILINE))
+    assert ("numpy" in imported) == (args[0] == "search")
+    assert "dataclasses" not in imported
+    assert "inspect" not in imported or args[0] == "search"
 
 
 def test_package_exports_are_lazy(tmp_path):
-    proc = run_fresh(["-c", "import sys, tripatrol; print('numpy' in sys.modules)"], tmp_path)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    """Importing the package and the CLI loads neither numpy nor dataclasses,
+    inspect or typing.  -S leaves out site, whose .pth files may import
+    typing themselves."""
+    probe = "import sys, tripatrol, tripatrol.cli; print(sorted({'numpy', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    proc = run_fresh(["-S", "-c", probe], tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
     assert tripatrol.grid_search_3periodic is tripatrol.search.grid_search_3periodic
     assert tripatrol.SearchResult is tripatrol.search.SearchResult
     for name in tripatrol.__all__:
@@ -126,6 +133,40 @@ def test_exit_code_2_on_domain_errors(capsys, monkeypatch, tmp_path):
         ["orthic", "--vertices", "0,0", "1,0", "oops"], capsys, monkeypatch, tmp_path
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["orthic", "--vertices", "0,0", "1,0"], "argument --vertices: expected 3 arguments"),
+        (["search", *EQ, "--period", "5"], "argument --period: invalid choice: 5 (choose from 3, 6)"),
+    ],
+    ids=["no-subcommand", "unknown-subcommand", "vertices-arity", "period-5"],
+)
+def test_usage_errors_are_json(args, message, capsys, monkeypatch, tmp_path):
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "UsageError" and doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("vertices", [EQ[1:], ["0,0", "1,0", "0.45,0.8"]], ids=["golden-equilateral", "scalene"])
+def test_vertices_may_be_negative(vertices, capsys, monkeypatch, tmp_path):
+    """The mirror image x -> -x of a triangle has the same orthic perimeter."""
+    reports = []
+    for spec in (vertices, ["-" + v for v in vertices]):
+        code, out = run_cli(["orthic", "--vertices", *spec], capsys, monkeypatch, tmp_path)
+        assert code == 0, out
+        reports.append(json.loads(out))
+    plain, mirrored = reports
+    assert [x for x, _ in mirrored["input"]["vertices"]] == [-x for x, _ in plain["input"]["vertices"]]
+    for key in ("perimeter_coordinates", "perimeter_formula"):
+        assert mirrored["results"][key] == pytest.approx(plain["results"][key], rel=1e-12, abs=0)
+    code, out = run_cli(["orthic", "--vertices", "-.5,0", "0.5,0", "-1e-3,-2"], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    assert json.loads(out)["input"]["vertices"] == [[-0.5, 0.0], [0.5, 0.0], [-0.001, -2.0]]
 
 
 def test_exit_code_2_on_non_finite_report(capsys, monkeypatch, tmp_path):
