@@ -4,7 +4,10 @@ Every report is deterministic: identical invocations produce byte-identical
 output.  Floats are emitted with 17 significant digits (round-trip exact).
 Exit codes: 0 success, 2 input/domain error, 3 infeasible schedule,
 1 internal error.  Every error is a JSON object on stdout; a command line
-that does not parse is {"error": "UsageError", ...} with exit 2.
+that does not parse is {"error": "UsageError", ...} with exit 2.  Exit 2
+also refuses, before any computation, a report above MAX_ROWS rows (`unfold
+-k`, the horizon of `gap`), and ends a run whose reader closed stdout early
+(`| head`) without a traceback.
 
 A vertex may start with a minus sign: `--vertices -1,0 1,0 0,1`.
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -37,6 +41,9 @@ from .schedule import (
     schedule_to_dict,
 )
 from .svgout import channel_svg
+
+# The most rows a report may hold: unfold's v_k rows, or gap's horizon.
+MAX_ROWS = 10**5
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -134,6 +141,11 @@ def _triangle_from_args(args) -> tuple[Triangle, dict]:
     return tri, {"vertices": [v.as_tuple() for v in tri.vertices], "spec": spec}
 
 
+def _check_rows(option: str, value: int, rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise ValueError(f"{option} {value} gives {rows} rows, above the limit of {MAX_ROWS}")
+
+
 def _report(command: str, input_obj, results) -> dict:
     return {
         "command": command,
@@ -198,6 +210,10 @@ def cmd_gap(args) -> dict:
     with open(args.schedule, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     sched = schedule_from_dict(doc)
+    if args.horizon is not None:
+        _check_rows("--horizon", args.horizon, args.horizon)
+    else:  # gap_report's default horizon
+        _check_rows("--t", args.t, len(sched.generator) * (args.t + 1) + 1)
     if args.vertices or args.angles_deg or args.angles_rad:
         tri, _ = _triangle_from_args(args)
         if any(u.dist(v) > tri.tol() for u, v in zip(tri.vertices, sched.triangle.vertices)):
@@ -271,6 +287,7 @@ def cmd_search(args) -> dict:
 
 
 def cmd_unfold(args) -> dict:
+    _check_rows("-k", args.k, args.k)
     tri, inp = _triangle_from_args(args)
     rows = lower_bound_profile(tri, args.k)
     per2 = 2.0 * orthic_perimeter(tri)
@@ -351,18 +368,19 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         # Rendered here too: a non-finite number in the report is a domain error.
-        out = dumps(args.fn(args))
+        out, code = dumps(args.fn(args)), 0
     except InfeasibleSchedule as exc:
-        print(dumps({"error": "InfeasibleSchedule", "message": str(exc)}))
-        return 3
+        out, code = dumps({"error": "InfeasibleSchedule", "message": str(exc)}), 3
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-        print(dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        out, code = dumps({"error": type(exc).__name__, "message": str(exc)}), 2
     except Exception as exc:  # pragma: no cover - internal errors
-        print(dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    print(out)
-    return 0
+        out, code = dumps({"error": type(exc).__name__, "message": str(exc)}), 1
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:  # the reader closed stdout: point it at os.devnull for the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
 
 
 if __name__ == "__main__":

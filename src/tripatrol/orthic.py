@@ -277,7 +277,7 @@ def _build(t: Triangle) -> Unfolding:
         half_width_low=abs(off_low),
         half_width_high=abs(off_high),
         normal=normal,
-        snap=t.tol(1e-8) / max(t.side_lengths),
+        snap=t.tol(1e-8) / t.diameter,
         mirror_dirs=tuple(dirs),
     )
 

@@ -10,9 +10,10 @@ minimum itself is exact: the 3-periodic search skips only grid rows and
 cells that a proven lower bound places above an attained grid value, first
 Fagnano's bound per u1 row (reflect PA across AB and across AC), then
 Heron's bound per (u1, u3) pair, so pruning leaves best_value and
-certified_tolerance unchanged.  The 6-periodic search builds each round's
-six distance matrices in one slab.  Either search refuses, before it
-allocates anything, a grid whose largest array would exceed MAX_GRID_FLOATS.
+certified_tolerance unchanged.  The 6-periodic grid minimum is exact too: a
+chain DP over six distance matrices built in one slab, with no local
+refinement.  Either search refuses, before it allocates anything, a grid
+whose largest array would exceed MAX_GRID_FLOATS.
 """
 
 from __future__ import annotations
@@ -166,9 +167,6 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
 # so the 2-gap of such a schedule equals the full cycle length.
 GAP2_PATTERN = (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A, EdgeId.C, EdgeId.B)
 
-# Local refinement rounds of the 6-periodic search after its coarse grid.
-REFINE_ROUNDS = 8
-
 
 def _min_cycle_6(dist: np.ndarray) -> tuple[float, list[int]]:
     """Min over u1..u6 of the closed chain sum, with backpointer recovery.
@@ -206,40 +204,23 @@ def _min_cycle_6(dist: np.ndarray) -> tuple[float, list[int]]:
 
 def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     """Minimize the 2-gap over cyclic 6-periodic generators with edge pattern
-    (A,C,B,A,C,B); coarse certified grid plus local refinement around the
-    best cell.  certified_tolerance reflects the coarse grid only.
+    (A,C,B,A,C,B) on a (grid_n+1)^6 grid, one parameter per stop.
 
-    Each round builds its six axes, six edge grids and six distance matrices
-    as stacked arrays, with the float operations of one axis at a time."""
+    The grid minimum is exact (the chain DP of _min_cycle_6 over the six
+    distance matrices, built in one slab), with no local refinement: each
+    of best_params is a grid point, and certified_tolerance bounds how far
+    best_value lies above the true minimum."""
     _check_grid(grid_n, 6)
     n1 = grid_n + 1
-    ends = [edge_endpoints(t, e) for e in GAP2_PATTERN]
-    start = np.array([(s.x, s.y) for s, _ in ends], dtype=float)[:, None, :]
-    delta = np.array([(f.x - s.x, f.y - s.y) for s, f in ends], dtype=float)[:, None, :]
+    us = np.linspace(0.0, 1.0, n1)
+    grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN]
     dist = np.empty((6, n1, n1))
-    lo = np.zeros(6)
-    hi = np.ones(6)
-    best_val = math.inf
-    best_us = np.zeros(6)
-    for _ in range(REFINE_ROUNDS + 1):
-        # Equal to six separate linspace calls while no axis has a zero
-        # step; each box keeps a positive width, as it holds best_us +- width.
-        axes = np.linspace(lo, hi, n1, axis=1)
-        grids = start + axes[:, :, None] * delta
-        for i in range(6):
-            _dist_matrix(grids[i], grids[(i + 1) % 6], out=dist[i])
-        val, idx = _min_cycle_6(dist)
-        if val < best_val:
-            best_val = val
-            best_us = axes[range(6), idx]
-        width = (hi - lo) / grid_n  # current cell size per axis
-        lo = np.clip(best_us - width, 0.0, 1.0)
-        hi = np.clip(best_us + width, 0.0, 1.0)
-        if width.max() < 1e-9:
-            break
+    for i in range(6):
+        _dist_matrix(grids[i], grids[(i + 1) % 6], out=dist[i])
+    best_val, idx = _min_cycle_6(dist)
     return SearchResult(
         best_value=best_val,
-        best_params=best_us.tolist(),
+        best_params=[float(us[i]) for i in idx],
         grid_n=grid_n,
         objective="gap2",
         certified_tolerance=12.0 * t.diameter / grid_n,

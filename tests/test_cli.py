@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import tripatrol
-from tripatrol.cli import dumps, main
+from tripatrol.cli import MAX_ROWS, dumps, main
 from tripatrol.search import MAX_GRID_FLOATS
 from make_goldens import EQ, EQ_SCHEDULE, RI_SCHEDULE, invocations
 
@@ -220,6 +220,51 @@ def test_exit_code_2_on_oversized_grid(period, slabs, capsys, monkeypatch, tmp_p
     doc = json.loads(out)
     assert doc["error"] == "ValueError"
     assert doc["message"].startswith(f"grid_n {n} needs ")
+
+
+@pytest.mark.parametrize(
+    "args, option, value",
+    [
+        (["unfold", *EQ, "-k", str(MAX_ROWS + 1)], "-k", MAX_ROWS + 1),
+        (["gap", "--schedule", "SCHED", "--horizon", str(MAX_ROWS + 1)], "--horizon", MAX_ROWS + 1),
+        # The 3-point schedule's default horizon is 3 (t + 1) + 1 sequence elements.
+        (["gap", "--schedule", "SCHED", "--t", str((MAX_ROWS - 1) // 3)], "--t", (MAX_ROWS - 1) // 3),
+    ],
+    ids=["k", "horizon", "t"],
+)
+def test_exit_code_2_on_too_many_rows(args, option, value, capsys, monkeypatch, tmp_path, sched_files):
+    # The smallest refused sizes: rejected before any computation, where a
+    # huge one used to exhaust memory.
+    if option == "--t":  # one less gives at most MAX_ROWS
+        assert 3 * value + 1 <= MAX_ROWS
+    args = [sched_files[0] if a == "SCHED" else a for a in args]
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError"
+    assert doc["message"].startswith(f"{option} {value} gives ")
+    assert doc["message"].endswith(f" rows, above the limit of {MAX_ROWS}")
+
+
+def test_closed_stdout_exits_2_without_traceback(tmp_path):
+    # A reader that quits early (`tripatrol orthic ... | head -1`), here a
+    # pipe whose read end is closed before the report is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tripatrol.cli", "orthic", "--angles-deg", "60", "60"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_2_on_bad_vertices(capsys, monkeypatch, tmp_path):

@@ -111,7 +111,7 @@ def test_grid_oracles_match_reference(rng, offset):
             for n in (2, 3, 7, 50):
                 assert grid_search_3periodic(t, n) == reference_search.grid_search_3periodic(t, n)
             for n in (2, 3, 7, 50) if scale == 1.0 else (2, 7):
-                assert grid_search_6periodic_gap2(t, n) == reference_search.grid_search_6periodic_gap2(t, n)
+                assert grid_search_6periodic_gap2(t, n) == reference_search.grid_search_6periodic_gap2(t, n, 0)
         # The size the benchmark and the CLI default run, where the row bound
         # skips the most: a random, the equilateral and the thin triangle.
         for t in (triangles[0], triangles[6], triangles[9]):
@@ -165,11 +165,10 @@ def test_grid3_memory_within_reference(equilateral, offset):
 
 
 @pytest.mark.parametrize("grid_n", [12, 200])
-def test_grid6_memory_within_one_chunk_of_reference(equilateral, grid_n, monkeypatch):
+def test_grid6_memory_within_one_chunk_of_reference(equilateral, grid_n):
     # Batching start indices may add one temporary of at most 2**17
-    # float64s, the chunk size of the reference cube search.  Both run the
-    # coarse grid only, without refine rounds.
-    monkeypatch.setattr(search, "REFINE_ROUNDS", 0)
+    # float64s, the chunk size of the reference cube search.  The reference
+    # runs its coarse round only: the one grid the search runs.
     new = peak_bytes(grid_search_6periodic_gap2, equilateral, grid_n)
     old = peak_bytes(reference_search.grid_search_6periodic_gap2, equilateral, grid_n, 0)
     assert new <= old + 8 * (1 << 17)
@@ -205,6 +204,27 @@ def test_grid6_equilateral(equilateral):
     assert res.best_value == pytest.approx(3.0, abs=0.05)
     assert res.objective == "gap2"
     assert res.best_value >= 3.0 - res.certified_tolerance
+
+
+@pytest.mark.parametrize("grid_n", [3, 12])
+def test_grid6_reports_its_grid_minimum(rng, grid_n):
+    # The certificate covers what is reported: every best parameter is a
+    # grid point i / grid_n, and best_value is the six-leg cycle length at
+    # those parameters and the minimum over the whole grid (brute force).
+    us = np.arange(grid_n + 1) / grid_n
+    triangles = [random_acute_triangle(rng) for _ in range(8)]
+    for t in [Triangle(Point(0.0, 0.0), Point(2.0, 0.0), Point(0.7, 1.5)), *triangles]:
+        res = grid_search_6periodic_gap2(t, grid_n)
+        for p in res.best_params:
+            assert p == pytest.approx(us[round(p * grid_n)], abs=1e-15)
+        assert res.best_value == pytest.approx(evaluate_gap2_cycle(t, res.best_params), rel=1e-12)
+        if grid_n == 3:
+            grids = [search._edge_grid(t, e, us) for e in GAP2_PATTERN]
+            total = 0.0  # total[u1, ..., u6]; each leg broadcast over its two axes, i < j
+            for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)):
+                leg = search._dist_matrix(grids[i], grids[j])
+                total = total + leg.reshape([grid_n + 1 if k in (i, j) else 1 for k in range(6)])
+            assert res.best_value == pytest.approx(total.min(), rel=1e-12)
 
 
 def test_grid6_matches_gap_report(rng):
