@@ -137,10 +137,6 @@ class EdgeId(IntEnum):
     C = 2
 
 
-# Endpoint order convention, fixed globally so edge parameters are
-# comparable across operations: A: B->C, B: A->C, C: A->B.
-_EDGE_ENDS = {EdgeId.A: (1, 2), EdgeId.B: (0, 2), EdgeId.C: (0, 1)}
-
 # Edges incident to the vertex sitting at u=0 / u=1 of each edge.
 _VERTEX_EDGES = {
     (EdgeId.A, 0): (EdgeId.A, EdgeId.C),  # vertex B
@@ -157,14 +153,17 @@ class Triangle(Record):
 
     # side_lengths: (alpha, beta, gamma) = lengths of BC, AC, AB, and
     # diameter, the longest of them; computed once, as every tolerance
-    # reads the diameter.
+    # reads the diameter.  edges: the endpoints of each edge, indexed by
+    # EdgeId, in the order fixed globally so that edge parameters are
+    # comparable across operations: A: B->C, B: A->C, C: A->B.
     __match_args__ = ("a", "b", "c")
-    __slots__ = __match_args__ + ("side_lengths", "diameter")
+    __slots__ = __match_args__ + ("side_lengths", "diameter", "edges")
 
     def __init__(self, a: Point, b: Point, c: Point):
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
+        _set_edges(self, ((b, c), (a, c), (a, b)))
         sides = (b.dist(c), a.dist(c), a.dist(b))
         d = max(sides)
         _set_side_lengths(self, sides)
@@ -188,7 +187,7 @@ class Triangle(Record):
         return rel_tol * self.diameter
 
 
-_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter = slot_setters(Triangle)
+_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges = slot_setters(Triangle)
 
 
 def angles(t: Triangle) -> tuple[float, float, float]:
@@ -216,14 +215,12 @@ def require_acute(t: Triangle) -> None:
 
 
 def edge_endpoints(t: Triangle, e: EdgeId) -> tuple[Point, Point]:
-    i, j = _EDGE_ENDS[e]
-    v = t.vertices
-    return (v[i], v[j])
+    return t.edges[e]
 
 
 def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
     """Point at normalized parameter u along edge e (u in [0,1] on the segment)."""
-    s, f = edge_endpoints(t, e)
+    s, f = t.edges[e]
     return Point(s.x + u * (f.x - s.x), s.y + u * (f.y - s.y))
 
 
@@ -234,14 +231,26 @@ def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TO
 
 def edge_param_xy(t: Triangle, e: EdgeId, p: XY, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """edge_param of the point p given as floats."""
-    s, f = edge_endpoints(t, e)
+    sx, sy, dx, dy, dd, length = edge_frame(t, e)
+    wx, wy = p[0] - sx, p[1] - sy
+    resid = abs(dx * wy - dy * wx) / length
+    if resid > t.tol(rel_tol):
+        raise point_off_edge(p, resid, e)
+    return (wx * dx + wy * dy) / dd
+
+
+def edge_frame(t: Triangle, e: EdgeId) -> tuple[float, float, float, float, float, float]:
+    """What edge_param_xy reads of edge e: its start (sx, sy), difference
+    vector (dx, dy), squared length dd and length sqrt(dd)."""
+    s, f = t.edges[e]
     dx, dy = f.x - s.x, f.y - s.y
     dd = dx * dx + dy * dy
-    wx, wy = p[0] - s.x, p[1] - s.y
-    resid = abs(dx * wy - dy * wx) / math.sqrt(dd)
-    if resid > t.tol(rel_tol):
-        raise PointOffEdge(f"point {Point(*p)} is {resid:g} off the line of edge {e.name}")
-    return (wx * dx + wy * dy) / dd
+    return (s.x, s.y, dx, dy, dd, math.sqrt(dd))
+
+
+def point_off_edge(p: XY, resid: float, e: EdgeId) -> PointOffEdge:
+    """The error of edge_param for a point p found resid off the line of edge e."""
+    return PointOffEdge(f"point {Point(*p)} is {resid:g} off the line of edge {e.name}")
 
 
 def vertex_edges(e: EdgeId, u: float) -> tuple[EdgeId, ...]:
@@ -316,12 +325,3 @@ def signed_offset(p: Point, anchor: Point, unit_dir: Point) -> float:
     """Signed perpendicular distance of p from the line (anchor, direction)."""
     return unit_dir.cross(p - anchor)
 
-
-def segment_distance_xy(p: XY, a: XY, b: XY) -> float:
-    """Distance from p to the closed segment ab."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    dd = dx * dx + dy * dy
-    if dd == 0.0:
-        return math.dist(p, a)
-    u = min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / dd))
-    return math.hypot(p[0] - (a[0] + dx * u), p[1] - (a[1] + dy * u))

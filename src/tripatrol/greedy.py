@@ -17,12 +17,11 @@ from .geom import (
     Record,
     Triangle,
     angles,
-    edge_endpoints,
+    edge_frame,
     edge_param,
-    edge_param_xy,
     edge_point,
     line_dir,
-    project_along,
+    point_off_edge,
     project_onto_edge,
     require_acute,
     slot_setters,
@@ -100,22 +99,33 @@ def greedy_run(
         raise ValueError("direction must be 'cw' or 'ccw'")
 
     visited = [SchedulePoint(EdgeId.A, start_u)]
-    cur = edge_point(t, EdgeId.A, start_u).as_tuple()
-    frames = {}  # edge -> (start, unit direction); built at first use, so checks fail in step order
+    p = edge_point(t, EdgeId.A, start_u)
+    x, y = p.x, p.y
+    tol = t.tol()
+    # edge -> its edge_frame and unit direction; built at first use, so checks fail in step order
+    frames = {}
     iterates = [start_u]
     converged = False
     its = num_cycles
     for i in range(num_cycles):
         for e in cycle:
-            if e not in frames:
-                frames[e] = (edge_endpoints(t, e)[0], line_dir(edge_endpoints(t, e)))
-            cur = project_along(cur, *frames[e])
-            u = edge_param_xy(t, e, cur)
+            frame = frames.get(e)
+            if frame is None:
+                frame = frames[e] = edge_frame(t, e) + line_dir(t.edges[e])
+            sx, sy, dx, dy, dd, length, ux, uy = frame
+            # The projection onto the edge's line, then its edge parameter.
+            s = (x - sx) * ux + (y - sy) * uy
+            x, y = sx + ux * s, sy + uy * s
+            wx, wy = x - sx, y - sy
+            resid = abs(dx * wy - dy * wx) / length
+            if resid > tol:
+                raise point_off_edge((x, y), resid, e)
+            u = (wx * dx + wy * dy) / dd
             if not -1e-9 <= u <= 1.0 + 1e-9:
                 raise ProjectionEscapesEdge(
                     f"projection onto edge {e.name} landed at u={u}"
                 )
-            visited.append(SchedulePoint(e, min(1.0, max(0.0, u))))
+            visited.append(SchedulePoint(e, (u if u < 1.0 else 1.0) if u > 0.0 else 0.0))
         d = visited[-1].u
         iterates.append(d)
         if abs(d - iterates[-2]) <= 1e-12:

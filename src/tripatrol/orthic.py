@@ -15,9 +15,15 @@ line.  The channel check reads the signed offsets of each copy's vertices
 from the orthic line: a boundary parallel to it meets two edges of a copy
 unless all three vertices lie strictly on one side.
 
-`reflection_chain(t)` builds it and keeps the last one built, one entry
-keyed on the Triangle object: a sweep over lambda, the v_k bounds and the
-CLI on one triangle build it, and run its checks, once.
+`reflection_chain(t)` builds it and keeps the last one built, and the
+last build that failed, each one entry keyed on the Triangle object: a
+sweep over lambda, the v_k bounds and the CLI on one triangle build it, and
+run its checks, once.
+
+The unfolding also holds what the sweep over lambda reads (`sweep`): the
+seven lines a channel line crosses with their fold steps, and the edge
+frames of the caller's triangle, so that `sub_orthic_schedule` computes on
+plain floats.
 """
 
 from __future__ import annotations
@@ -32,16 +38,15 @@ from .geom import (
     Record,
     Triangle,
     angles,
+    edge_frame,
     edge_param,
-    edge_param_xy,
     line_dir,
     line_intersection,
-    line_intersection_xy,
+    point_off_edge,
     project_along,
     project_onto_edge,
     reflect_along,
     require_acute,
-    segment_distance_xy,
     signed_offset,
     slot_setters,
 )
@@ -124,12 +129,15 @@ class Unfolding(Record):
     by the parallels through A and through A1.
     """
 
-    __slots__ = __match_args__ = (
+    # sweep: the float data of sub_orthic_schedule, computed from the fields
+    # once (see _sweep_data).
+    __match_args__ = (
         "source", "base", "edge_map", "triangles", "mirrors",
         "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
         "direction", "boundary_low", "boundary_high", "half_width_low", "half_width_high",
         "normal", "snap", "mirror_dirs",
     )
+    __slots__ = __match_args__ + ("sweep",)
 
     def __init__(
         self,
@@ -166,6 +174,7 @@ class Unfolding(Record):
         )
         for store, value in zip(_SET_UNFOLDING, values):
             store(self, value)
+        _set_sweep(self, _sweep_data(self))
 
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:
@@ -178,12 +187,33 @@ class Unfolding(Record):
         return p
 
 
-_SET_UNFOLDING = slot_setters(Unfolding)
+*_SET_UNFOLDING, _set_sweep = slot_setters(Unfolding)
 
 
 # The unfolding's five steps: the index of the vertex reflected across the
 # line through the other two, C about AB, B about AC1, A about B1C1, and so on.
 _REFLECTED = (2, 1, 0, 2, 1)
+
+# The channel line crosses BC, then each mirror, then B2C2: the fold depth
+# of each crossing, and the relabeled edge of each but the last.
+_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED) + 1))
+_CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
+
+
+def _sweep_data(unf: Unfolding) -> tuple[tuple, tuple]:
+    """(lines, frames).  lines: for each line the channel line crosses, its
+    first point, difference vector and that vector's hypot, and the fold
+    steps (mirror point, unit direction) in the order fold applies them.
+    frames: for each crossing but the last, the caller's edge and its
+    edge_frame."""
+    crossed = ((unf.base.b, unf.base.c),) + unf.mirrors + ((unf.b2, unf.c2),)
+    steps = [(a.x, a.y, *d) for (a, _), d in zip(unf.mirrors, unf.mirror_dirs)]
+    lines = []
+    for (p, q), depth in zip(crossed, _FOLD_DEPTHS):
+        dx, dy = q.x - p.x, q.y - p.y
+        lines.append((p.x, p.y, dx, dy, math.hypot(dx, dy), tuple(reversed(steps[:depth]))))
+    edges = [unf.edge_map[e] for e in _CROSSED_EDGES]
+    return tuple(lines), tuple((e, *edge_frame(unf.source, e)) for e in edges)
 
 
 def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
@@ -282,27 +312,32 @@ def _build(t: Triangle) -> Unfolding:
     )
 
 
-# The unfolding of the last build.  Keyed on the identity of its source
+# The unfolding of the last build, and the last build that raised, as
+# (triangle, exception type, args).  Keyed on the identity of the source
 # Triangle, not on ==: Point(0.0, y) == Point(-0.0, y), and source/base must
 # be the caller's own vertices.  Holding the triangle keeps its id from
 # being reused.
 _last_unfolding: Unfolding | None = None
+_last_failure: tuple[Triangle, type, tuple] | None = None
 
 
 def reflection_chain(t: Triangle) -> Unfolding:
     """The unfolding of t, built and checked once per triangle; a build that
-    raises is not remembered."""
-    global _last_unfolding
+    raised raises again, a new exception of the same type and args, without
+    being built again."""
+    global _last_unfolding, _last_failure
     last = _last_unfolding
     if last is not None and last.source is t:
         return last
-    _last_unfolding = _build(t)
+    failed = _last_failure
+    if failed is not None and failed[0] is t:
+        raise failed[1](*failed[2])
+    try:
+        _last_unfolding = _build(t)
+    except Exception as exc:
+        _last_failure = (t, type(exc), exc.args)
+        raise
     return _last_unfolding
-
-
-# The channel line crosses BC, then each mirror: each crossing's relabeled edge and fold depth.
-_CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
-_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED)))
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
@@ -311,28 +346,51 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     lam = -1 is the boundary through A1, 0 the orthic line itself, +1 the
     boundary through A; in between the offset interpolates linearly in
     signed distance on each side.
+
+    The line runs from anchor = k + normal * offset to anchor + direction *
+    diameter.  Its crossing with each line of the sweep is folded back onto
+    the base; the crossing with B2C2 must fold back onto the one with BC.
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
     unf = reflection_chain(t)
     off = lam * (unf.half_width_high if lam >= 0.0 else unf.half_width_low)
-    anchor = unf.k + unf.normal * off
-    line: Line = (anchor, anchor + unf.direction * t.diameter)
-
-    crossed = ((unf.base.b, unf.base.c),) + unf.mirrors
-    folded = [unf.fold(line_intersection_xy(line, cl), n) for cl, n in zip(crossed, _FOLD_DEPTHS)]
-    # The line's exit through the final copy's base must fold back onto the start.
-    closing = unf.fold(line_intersection_xy(line, (unf.b2, unf.c2)), len(unf.mirrors))
-    if math.dist(closing, folded[0]) > 1e-8 * t.diameter:
+    k, n, d, diam = unf.k, unf.normal, unf.direction, t.diameter
+    ax, ay = k.x + n.x * off, k.y + n.y * off
+    qx, qy = ax + d.x * diam, ay + d.y * diam
+    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(qx) and math.isfinite(qy)):
+        Point(ax, ay), Point(qx, qy)  # raise as the line's Points would
+    d1x, d1y = qx - ax, qy - ay
+    parallel = 1e-14 * math.hypot(d1x, d1y)
+    lines, frames = unf.sweep
+    folded = []
+    for px, py, d2x, d2y, norm2, steps in lines:
+        den = d1x * d2y - d1y * d2x
+        if abs(den) <= parallel * norm2:
+            raise ValueError("lines are parallel")
+        s = ((px - ax) * d2y - (py - ay) * d2x) / den
+        x, y = ax + d1x * s, ay + d1y * s
+        if not (math.isfinite(x) and math.isfinite(y)):
+            Point(x, y)  # raise as line_intersection would
+        for mx, my, ux, uy in steps:
+            s = (x - mx) * ux + (y - my) * uy
+            x, y = 2.0 * (mx + ux * s) - x, 2.0 * (my + uy * s) - y
+        folded.append((x, y))
+    closing = folded.pop()
+    if math.dist(closing, folded[0]) > 1e-8 * diam:
         raise AssertionError("folded trajectory failed to close up")
 
+    tol, snap = 1e-8 * diam, unf.snap
     pts = []
-    for p, rel_edge in zip(folded, _CROSSED_EDGES):
-        edge = unf.edge_map[rel_edge]
-        u = edge_param_xy(t, edge, p, rel_tol=1e-8)
-        if abs(u) <= unf.snap:
+    for (x, y), (edge, sx, sy, dx, dy, dd, length) in zip(folded, frames):
+        wx, wy = x - sx, y - sy
+        resid = abs(dx * wy - dy * wx) / length
+        if resid > tol:
+            raise point_off_edge((x, y), resid, edge)
+        u = (wx * dx + wy * dy) / dd
+        if abs(u) <= snap:
             u = 0.0
-        elif abs(u - 1.0) <= unf.snap:
+        elif abs(u - 1.0) <= snap:
             u = 1.0
         pts.append(SchedulePoint(edge, u))
     return Schedule(t, tuple(pts))
@@ -353,14 +411,32 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     v = unf.k2 - unf.k
     per2 = v.norm()  # 2 * orthic perimeter
     c = abs(v.dot(t_pt - r_pt))
-    r0, t0 = r_pt.as_tuple(), t_pt.as_tuple()
+    vx, vy = v.x, v.y
+    rx, ry, tx, ty = r_pt.x, r_pt.y, t_pt.x, t_pt.y
+    ex, ey = tx - rx, ty - ry
+    ee = ex * ex + ey * ey
     rows = []
     for k in range(1, k_max + 1):
-        r_k, t_k = (r0[0] + v.x * k, r0[1] + v.y * k), (t0[0] + v.x * k, t0[1] + v.y * k)
-        # RT and its translate never cross (v is not parallel to BC), so an endpoint is nearest.
-        vk = min(segment_distance_xy(r0, r_k, t_k), segment_distance_xy(t0, r_k, t_k),
-                 segment_distance_xy(r_k, r0, t0), segment_distance_xy(t_k, r0, t0))
-        rows.append((k, vk / k, 2.0 * c / (per2 * k)))
+        rkx, rky, tkx, tky = rx + vx * k, ry + vy * k, tx + vx * k, ty + vy * k
+        fx, fy = tkx - rkx, tky - rky
+        ff = fx * fx + fy * fy
+        # RT and its translate never cross (v is not parallel to BC), so an
+        # endpoint is nearest: the distances of R and T from R_kT_k and of
+        # R_k and T_k from RT, each projection clamped to its segment (to its
+        # start if the segment has length 0).
+        w = ((rx - rkx) * fx + (ry - rky) * fy) / ff if ff else 0.0
+        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
+        d_r = math.hypot(rx - (rkx + fx * w), ry - (rky + fy * w))
+        w = ((tx - rkx) * fx + (ty - rky) * fy) / ff if ff else 0.0
+        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
+        d_t = math.hypot(tx - (rkx + fx * w), ty - (rky + fy * w))
+        w = ((rkx - rx) * ex + (rky - ry) * ey) / ee if ee else 0.0
+        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
+        d_rk = math.hypot(rkx - (rx + ex * w), rky - (ry + ey * w))
+        w = ((tkx - rx) * ex + (tky - ry) * ey) / ee if ee else 0.0
+        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
+        d_tk = math.hypot(tkx - (rx + ex * w), tky - (ry + ey * w))
+        rows.append((k, min(d_r, d_t, d_rk, d_tk) / k, 2.0 * c / (per2 * k)))
     return rows
 
 

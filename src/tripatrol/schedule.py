@@ -9,9 +9,15 @@ both incident edges at the same instant.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+from itertools import cycle, islice
 
 from .geom import EdgeId, Point, Record, Triangle, edge_point, slot_setters, vertex_edges
+
+
+_EDGES = tuple(EdgeId)
+_ALL_EDGES = frozenset(EdgeId)
 
 
 class InfeasibleSchedule(ValueError):
@@ -25,20 +31,20 @@ class NoReductionWindow(ValueError):
 class SchedulePoint(Record):
     """The point at parameter u along edge `edge`."""
 
-    __slots__ = __match_args__ = ("edge", "u")
+    # visited_edges: the edges a visit to the point visits (two at a
+    # vertex); computed once, as every gap and feasibility check reads them.
+    __match_args__ = ("edge", "u")
+    __slots__ = __match_args__ + ("visited_edges",)
 
     def __init__(self, edge: EdgeId, u: float):
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"edge parameter {u} outside [0, 1]")
         _set_edge(self, edge)
         _set_u(self, u)
-
-    @property
-    def visited_edges(self) -> tuple[EdgeId, ...]:
-        return vertex_edges(self.edge, self.u)
+        _set_visited_edges(self, vertex_edges(edge, u))
 
 
-_set_edge, _set_u = slot_setters(SchedulePoint)
+_set_edge, _set_u, _set_visited_edges = slot_setters(SchedulePoint)
 
 
 class Schedule(Record):
@@ -56,7 +62,7 @@ class Schedule(Record):
         if len(gen) < 3:
             raise ValueError("generator needs at least 3 points")
         visited = {e for p in gen for e in p.visited_edges}
-        if visited != set(EdgeId):
+        if visited != _ALL_EDGES:
             missing = ",".join(e.name for e in set(EdgeId) - visited)
             raise InfeasibleSchedule(f"edge(s) {missing} never visited")
         _set_positions(self, tuple(edge_point(triangle, p.edge, p.u) for p in gen))
@@ -135,24 +141,25 @@ _SET_GAP_REPORT = slot_setters(GapReport)
 
 def _visit_times(
     positions: Sequence[Point], points: Sequence[SchedulePoint], horizon: int, tol: float
-) -> dict[EdgeId, list[float]]:
-    """Visit instants per edge over `horizon` points of the walk repeating `points`, one per instant."""
-    m = len(points)
-    legs = [positions[i - 1].dist(positions[i]) for i in range(m)]  # legs[i] ends at point i
-    edges = [p.visited_edges for p in points]
-    times: dict[EdgeId, list[float]] = {e: [] for e in EdgeId}
+) -> tuple[list[float], list[float], list[float]]:
+    """Visit instants of edges A, B and C over `horizon` points of the walk
+    repeating `points`, one per instant."""
+    times: tuple[list[float], list[float], list[float]] = ([], [], [])
+    visits = [p.visited_edges for p in points]
+    # legs[i] walks from point i on to point i + 1.
+    legs = [math.hypot(p.x - q.x, p.y - q.y) for p, q in zip(positions, positions[1:] + positions[:1])]
     now = 0.0
-    for i in range(horizon):
-        for e in edges[i % m]:
+    for edges, leg in islice(cycle(zip(visits, legs)), horizon):
+        for e in edges:
             seen = times[e]
             if not seen or now - seen[-1] > tol:
                 seen.append(now)
-        now += legs[(i + 1) % m]
+        now += leg
     return times
 
 
 def _gaps_from_times(
-    times: dict[EdgeId, list[float]],
+    times: tuple[list[float], list[float], list[float]],
     t: int,
     horizon: int,
     mode: str,
@@ -160,8 +167,7 @@ def _gaps_from_times(
 ) -> GapReport:
     per_edge: dict[EdgeId, list[float]] = {}
     sups: dict[EdgeId, float] = {}
-    for e in EdgeId:
-        ts = times[e]
+    for e, ts in zip(_EDGES, times):
         if not ts:
             raise InfeasibleSchedule(f"edge {e.name} never visited")
         if len(ts) <= t:
@@ -171,7 +177,7 @@ def _gaps_from_times(
             raise ValueError(
                 f"horizon too short: edge {e.name} visited {len(ts)} time(s), need > {t}"
             )
-        gaps = [ts[i + t] - ts[i] for i in range(len(ts) - t)]
+        gaps = [later - ts_i for ts_i, later in zip(ts, ts[t:])]
         per_edge[e] = gaps
         sups[e] = max(gaps)
     if not sups:

@@ -213,10 +213,12 @@ def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     _check_grid(grid_n, 6)
     n1 = grid_n + 1
     us = np.linspace(0.0, 1.0, n1)
-    grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN]
+    # GAP2_PATTERN has period 3, so dist[3:6] is dist[0:3] bit for bit.
+    grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN[:3]]
     dist = np.empty((6, n1, n1))
-    for i in range(6):
-        _dist_matrix(grids[i], grids[(i + 1) % 6], out=dist[i])
+    for i in range(3):
+        _dist_matrix(grids[i], grids[(i + 1) % 3], out=dist[i])
+    dist[3:] = dist[:3]
     best_val, idx = _min_cycle_6(dist)
     return SearchResult(
         best_value=best_val,

@@ -1,0 +1,245 @@
+"""Reference channel kernels: sub_orthic_schedule, the gap timeline
+(_visit_times, _gaps_from_times, gap_report, prefix_gap_report),
+lower_bound_profile with segment_distance_xy, and greedy_run, as they were
+written on Points and per-call geom primitives before the sweep data on
+Unfolding, the edges on Triangle and the inline loops.
+
+tripatrol must return the same values, bit for bit, and raise the same
+exceptions with the same messages as these on every input; they are kept
+only for the tests to compare against.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Sequence
+
+from tripatrol.geom import (
+    XY,
+    EdgeId,
+    Line,
+    Point,
+    Triangle,
+    edge_endpoints,
+    edge_param_xy,
+    edge_point,
+    line_dir,
+    line_intersection,
+    line_intersection_xy,
+    project_along,
+    require_acute,
+)
+from tripatrol.greedy import _CYCLES, GreedyTrace, ProjectionEscapesEdge, _limit_schedule, recurrence_constants
+from tripatrol.orthic import _REFLECTED, OutsideChannel, reflection_chain
+from tripatrol.schedule import GapReport, InfeasibleSchedule, Schedule, SchedulePoint
+
+
+# The channel line crosses BC, then each mirror: each crossing's relabeled edge and fold depth.
+_CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
+_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED)))
+
+
+def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
+    """Cyclic 6-periodic schedule from the channel line at parameter lam.
+
+    lam = -1 is the boundary through A1, 0 the orthic line itself, +1 the
+    boundary through A; in between the offset interpolates linearly in
+    signed distance on each side.
+    """
+    if not -1.0 <= lam <= 1.0:
+        raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
+    unf = reflection_chain(t)
+    off = lam * (unf.half_width_high if lam >= 0.0 else unf.half_width_low)
+    anchor = unf.k + unf.normal * off
+    line: Line = (anchor, anchor + unf.direction * t.diameter)
+
+    crossed = ((unf.base.b, unf.base.c),) + unf.mirrors
+    folded = [unf.fold(line_intersection_xy(line, cl), n) for cl, n in zip(crossed, _FOLD_DEPTHS)]
+    # The line's exit through the final copy's base must fold back onto the start.
+    closing = unf.fold(line_intersection_xy(line, (unf.b2, unf.c2)), len(unf.mirrors))
+    if math.dist(closing, folded[0]) > 1e-8 * t.diameter:
+        raise AssertionError("folded trajectory failed to close up")
+
+    pts = []
+    for p, rel_edge in zip(folded, _CROSSED_EDGES):
+        edge = unf.edge_map[rel_edge]
+        u = edge_param_xy(t, edge, p, rel_tol=1e-8)
+        if abs(u) <= unf.snap:
+            u = 0.0
+        elif abs(u - 1.0) <= unf.snap:
+            u = 1.0
+        pts.append(SchedulePoint(edge, u))
+    return Schedule(t, tuple(pts))
+
+
+def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
+    """Rows (k, v_k / k, bound_k).  v_k is the length of the shortest
+    trajectory from the channel cross-section RT on BC to its k-th unfolded
+    image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
+    diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
+    |v . (T - R)| / (P k) from the skew diagonal."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    unf = reflection_chain(t)
+    bc: Line = (unf.base.b, unf.base.c)
+    t_pt = line_intersection(unf.boundary_high, bc)
+    r_pt = line_intersection(unf.boundary_low, bc)
+    v = unf.k2 - unf.k
+    per2 = v.norm()  # 2 * orthic perimeter
+    c = abs(v.dot(t_pt - r_pt))
+    r0, t0 = r_pt.as_tuple(), t_pt.as_tuple()
+    rows = []
+    for k in range(1, k_max + 1):
+        r_k, t_k = (r0[0] + v.x * k, r0[1] + v.y * k), (t0[0] + v.x * k, t0[1] + v.y * k)
+        # RT and its translate never cross (v is not parallel to BC), so an endpoint is nearest.
+        vk = min(segment_distance_xy(r0, r_k, t_k), segment_distance_xy(t0, r_k, t_k),
+                 segment_distance_xy(r_k, r0, t0), segment_distance_xy(t_k, r0, t0))
+        rows.append((k, vk / k, 2.0 * c / (per2 * k)))
+    return rows
+
+
+def segment_distance_xy(p: XY, a: XY, b: XY) -> float:
+    """Distance from p to the closed segment ab."""
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    dd = dx * dx + dy * dy
+    if dd == 0.0:
+        return math.dist(p, a)
+    u = min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / dd))
+    return math.hypot(p[0] - (a[0] + dx * u), p[1] - (a[1] + dy * u))
+
+
+def _visit_times(
+    positions: Sequence[Point], points: Sequence[SchedulePoint], horizon: int, tol: float
+) -> dict[EdgeId, list[float]]:
+    """Visit instants per edge over `horizon` points of the walk repeating `points`, one per instant."""
+    m = len(points)
+    legs = [positions[i - 1].dist(positions[i]) for i in range(m)]  # legs[i] ends at point i
+    edges = [p.visited_edges for p in points]
+    times: dict[EdgeId, list[float]] = {e: [] for e in EdgeId}
+    now = 0.0
+    for i in range(horizon):
+        for e in edges[i % m]:
+            seen = times[e]
+            if not seen or now - seen[-1] > tol:
+                seen.append(now)
+        now += legs[(i + 1) % m]
+    return times
+
+
+def _gaps_from_times(
+    times: dict[EdgeId, list[float]],
+    t: int,
+    horizon: int,
+    mode: str,
+    allow_missing: bool = False,
+) -> GapReport:
+    per_edge: dict[EdgeId, list[float]] = {}
+    sups: dict[EdgeId, float] = {}
+    for e in EdgeId:
+        ts = times[e]
+        if not ts:
+            raise InfeasibleSchedule(f"edge {e.name} never visited")
+        if len(ts) <= t:
+            # Not enough visits to observe a single t-gap for this edge.
+            if allow_missing:
+                continue
+            raise ValueError(
+                f"horizon too short: edge {e.name} visited {len(ts)} time(s), need > {t}"
+            )
+        gaps = [ts[i + t] - ts[i] for i in range(len(ts) - t)]
+        per_edge[e] = gaps
+        sups[e] = max(gaps)
+    if not sups:
+        raise ValueError("no t-gap observable within the prefix")
+    return GapReport(
+        t=t,
+        per_edge_gaps=per_edge,
+        per_edge_sup=sups,
+        overall=max(sups.values()),
+        horizon=horizon,
+        mode=mode,
+    )
+
+
+def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport:
+    """t-gap sequences and suprema of a schedule, examined over `horizon`
+    sequence elements (default: enough to attain the periodic supremum)."""
+    if t < 1:
+        raise ValueError("gap order t must be >= 1")
+    m = len(s.generator)
+    attained = m * (t + 1) + 1
+    if horizon is None:
+        horizon = attained
+    if horizon < m + 1:
+        raise ValueError(f"horizon {horizon} shorter than one period plus a revisit")
+    times = _visit_times(s.positions, s.generator, horizon, s.triangle.tol())
+    mode = "periodic" if horizon >= attained else "observed"
+    return _gaps_from_times(times, t, horizon, mode)
+
+
+def prefix_gap_report(
+    points: Sequence[SchedulePoint], triangle: Triangle, t: int = 1
+) -> GapReport:
+    """Gap report over a finite non-repeating prefix of schedule points."""
+    if t < 1:
+        raise ValueError("gap order t must be >= 1")
+    pos = [edge_point(triangle, p.edge, p.u) for p in points]
+    times = _visit_times(pos, points, len(points), triangle.tol())
+    return _gaps_from_times(times, t, len(points), "observed", allow_missing=True)
+
+
+def greedy_run(
+    t: Triangle, start_u: float, num_cycles: int = 200, direction: str = "cw"
+) -> GreedyTrace:
+    """Iterate the greedy projections for num_cycles BC revisits (or until the
+    revisit distance settles to 1e-12 of |BC|) and package the analysis."""
+    require_acute(t)
+    if not 0.0 <= start_u <= 1.0:
+        raise ValueError("start_u must lie in [0, 1]")
+    if num_cycles < 1:
+        raise ValueError("num_cycles must be >= 1")
+    cycle = _CYCLES.get(direction)
+    if cycle is None:
+        raise ValueError("direction must be 'cw' or 'ccw'")
+
+    visited = [SchedulePoint(EdgeId.A, start_u)]
+    cur = edge_point(t, EdgeId.A, start_u).as_tuple()
+    frames = {}  # edge -> (start, unit direction); built at first use, so checks fail in step order
+    iterates = [start_u]
+    converged = False
+    its = num_cycles
+    for i in range(num_cycles):
+        for e in cycle:
+            if e not in frames:
+                frames[e] = (edge_endpoints(t, e)[0], line_dir(edge_endpoints(t, e)))
+            cur = project_along(cur, *frames[e])
+            u = edge_param_xy(t, e, cur)
+            if not -1e-9 <= u <= 1.0 + 1e-9:
+                raise ProjectionEscapesEdge(
+                    f"projection onto edge {e.name} landed at u={u}"
+                )
+            visited.append(SchedulePoint(e, min(1.0, max(0.0, u))))
+        d = visited[-1].u
+        iterates.append(d)
+        if abs(d - iterates[-2]) <= 1e-12:
+            converged = True
+            its = i + 1
+            break
+
+    c, x = recurrence_constants(t, direction)
+    fixed = c / (1.0 + x)
+    limit = _limit_schedule(t, fixed, cycle)
+    limit_gap = limit.period_length()
+    return GreedyTrace(
+        start_u=start_u,
+        direction=direction,
+        iterates=iterates,
+        c=c,
+        x=x,
+        fixed_point=fixed,
+        limit_schedule=limit,
+        limit_gap=limit_gap,
+        iterations_to_converge=its,
+        converged=converged,
+        visited=visited,
+    )

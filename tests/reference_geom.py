@@ -1,6 +1,6 @@
 """Reference primitives: the Point-based projection, reflection, edge
-parameter, line intersection and point-segment distance, and the fold loop
-of the unfolding, with a Point built at every step.
+parameter and line intersection, and the fold loop of the unfolding, with a
+Point built at every step.
 
 tripatrol.geom computes each of them on float pairs; it must return exactly
 the same floats, and raise the same exceptions with the same messages, as
@@ -57,16 +57,6 @@ def line_intersection(l1: Line, l2: Line) -> Point:
         raise ValueError("lines are parallel")
     u = (r - p).cross(d2) / den
     return p + d1 * u
-
-
-def point_segment_distance(p: Point, seg: Line) -> float:
-    a, b = seg
-    d = b - a
-    dd = d.dot(d)
-    if dd == 0.0:
-        return p.dist(a)
-    u = min(1.0, max(0.0, (p - a).dot(d) / dd))
-    return p.dist(a + d * u)
 
 
 def fold(mirrors: tuple[Line, ...], p: Point, depth: int) -> Point:

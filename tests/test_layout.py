@@ -184,3 +184,40 @@ def test_unused_public_name_check_catches_each_form():
     # A use inside the module counts, but not one inside the name's own body.
     assert unused_public_names({"m": "def f(): return g()\ndef g(): return g()"}, set()) == ["m.f"]
     assert unused_public_names({"m": "def f(): pass\nif __name__ == '__main__': f()"}, set()) == []
+
+
+def global_users(source: str) -> list[str]:
+    """The functions, by qualified name, that declare a name `global`
+    ("<module>" for a module-level declaration)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                found.append(scope or "<module>")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_reflection_chain_keeps_module_state():
+    """Per-triangle data lives on Triangle or Unfolding: the unfolding memo
+    is the package's one module-level state that a function rebinds."""
+    users = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in global_users(path.read_text(encoding="utf-8"))
+    ]
+    assert users == ["orthic.reflection_chain"]
+
+
+def test_global_check_catches_each_form():
+    assert global_users("def f():\n    global x\n    x = 1") == ["f"]
+    assert global_users("class C:\n    def m(self):\n        def g():\n            global y") == ["C.m.g"]
+    assert global_users("if True:\n    global z") == ["<module>"]
+    # Reading, or mutating in place, a module-level name is allowed.
+    assert global_users("x = []\ndef f():\n    x.append(1)\n    return x") == []

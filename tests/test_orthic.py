@@ -342,6 +342,41 @@ def test_unfolding_failed_build_raises_on_every_call():
             lower_bound_profile(far, 5)
 
 
+def test_unfolding_failed_build_is_remembered(monkeypatch):
+    """A triangle whose build raised is not built again: each call raises a
+    new exception of the same type and message, while the last good
+    unfolding stays remembered beside it."""
+    built = []
+    build = orthic._build
+
+    def counted(t):
+        built.append(t)
+        return build(t)
+
+    monkeypatch.setattr(orthic, "_build", counted)
+    far, good, flat = acute_triangle(dx=1e7), acute_triangle(), RIGHT_ISO
+    calls = [(reflection_chain, ()), (sub_orthic_schedule, (0.5,)), (lower_bound_profile, (5,))]
+    # flat's failure replaces far's, and good stays remembered throughout.
+    for t, kind, message, builds in (
+        (far, AssertionError, "B2C2", [far, good]),
+        (flat, NotAcute, "not acutely below", [flat]),
+    ):
+        raised = []
+        for fn, args in calls * 2:
+            with pytest.raises(kind, match=message) as info:
+                fn(t, *args)
+            raised.append(info.value)
+            reflection_chain(good)
+        assert len(built) == len(builds) and all(a is b for a, b in zip(built, builds))
+        assert len({id(exc) for exc in raised}) == len(raised)
+        assert {(type(exc), exc.args) for exc in raised} == {(kind, raised[0].args)}
+        built.clear()
+    # A new triangle equal to the failed one is a new input, and is built.
+    with pytest.raises(AssertionError, match="B2C2"):
+        reflection_chain(acute_triangle(dx=1e7))
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize(
     "name, fake, message",
     [

@@ -138,6 +138,21 @@ def test_derived_fields_stay_out_of_eq_hash_and_repr(name, derived):
     assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
 
 
+@pytest.mark.parametrize("name, field", [("Triangle", "edges"), ("SchedulePoint", "visited_edges"), ("Unfolding", "sweep")])
+def test_precomputed_slots_stay_out_of_eq_hash_and_repr(name, field):
+    """Slots the dataclass twin did not store: derived from the fields at
+    construction, so copies and unpickled records recompute them."""
+    new_cls, _, draw = RECORDS[name]
+    args = draw(random.Random(2))
+    record, twin = new_cls(*args), new_cls(*args)
+    object.__setattr__(twin, field, ())
+    assert field not in repr(record) and repr(record) == repr(twin) and record == twin
+    if name != "Unfolding":  # its edge_map is a dict, so it has no hash
+        assert hash(record) == hash(twin)
+    for back in (pickle.loads(pickle.dumps(twin)), copy.copy(twin)):
+        assert getattr(back, field) == getattr(record, field) != ()
+
+
 def test_positional_and_keyword_construction():
     a, b, c = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 0.8)
     assert Triangle(a, b, c) == Triangle(a=a, b=b, c=c) == Triangle(a, c=c, b=b)

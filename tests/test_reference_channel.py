@@ -1,0 +1,87 @@
+"""The float-only channel kernels against tests/reference_channel.py: the
+same values bit for bit (equal reprs), and the same exception type and
+message, on random acute triangles as drawn, moved far from the origin and
+scaled to the ends of the float range.  The bit gate in test_bits.py says
+that something changed; these say which function changed it."""
+
+import random
+
+import pytest
+
+import reference_channel as ref
+from tripatrol.geom import Point, Triangle
+from tripatrol.greedy import greedy_run
+from tripatrol.orthic import lower_bound_profile, sub_orthic_schedule
+from tripatrol.schedule import gap_report, prefix_gap_report
+from conftest import random_acute_triangle
+
+SEED = 13
+COUNT = 5
+OFFSETS = (1e6, 1e12, 1e15)
+SCALES = (2.0**300, 2.0**-300, 1e-160, 1e153)
+LAMBDAS = (-1.0, -0.5, 0.0, 0.3, 1.0)
+
+
+def outcome(fn, *args):
+    """repr of the value (exact for floats), or the exception's type and message."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the exception is the outcome being compared
+        return type(exc), str(exc)
+
+
+def triangles() -> list[tuple[str, Triangle]]:
+    """(label, triangle): a fixed scalene triangle and COUNT random ones,
+    then each of them moved by every offset and scaled by every scale."""
+    rng = random.Random(SEED)
+    base = [Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.45, 0.8))]
+    base += [random_acute_triangle(rng) for _ in range(COUNT)]
+    out = [(f"base{i}", t) for i, t in enumerate(base)]
+    for o in OFFSETS:
+        out += [(f"base{i}+{o:g}", Triangle(*(Point(v.x + o, v.y + o) for v in t.vertices))) for i, t in enumerate(base)]
+    for s in SCALES:
+        out += [(f"base{i}*{s:g}", Triangle(*(Point(v.x * s, v.y * s) for v in t.vertices))) for i, t in enumerate(base)]
+    return out
+
+
+TRIANGLES = triangles()
+
+
+@pytest.mark.parametrize("label, t", TRIANGLES, ids=[label for label, _ in TRIANGLES])
+def test_sub_orthic_schedule_and_gaps_match_reference(label, t):
+    rng = random.Random(label)
+    lams = LAMBDAS + tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
+    for lam in lams:
+        want = outcome(ref.sub_orthic_schedule, t, lam)
+        assert outcome(sub_orthic_schedule, t, lam) == want, lam
+        if isinstance(want, tuple):
+            continue
+        s = sub_orthic_schedule(t, lam)
+        m = len(s.generator)
+        for order in (1, 2, 3):
+            attained = m * (order + 1) + 1
+            # The default horizon, explicit periodic ones, observed ones and one too short.
+            for horizon in (None, attained, 2 * attained, attained - 1, m + 1, m):
+                args = (s, order) if horizon is None else (s, order, horizon)
+                assert outcome(gap_report, *args) == outcome(ref.gap_report, *args), (lam, order, horizon)
+
+
+@pytest.mark.parametrize("label, t", TRIANGLES, ids=[label for label, _ in TRIANGLES])
+def test_lower_bound_profile_matches_reference(label, t):
+    for k_max in (1, 60):
+        assert outcome(lower_bound_profile, t, k_max) == outcome(ref.lower_bound_profile, t, k_max)
+
+
+@pytest.mark.parametrize("label, t", TRIANGLES, ids=[label for label, _ in TRIANGLES])
+def test_greedy_run_and_prefix_gaps_match_reference(label, t):
+    start_u = random.Random(label).uniform(0.05, 0.95)
+    for direction in ("cw", "ccw"):
+        want = outcome(ref.greedy_run, t, start_u, 40, direction)
+        assert outcome(greedy_run, t, start_u, 40, direction) == want
+        if isinstance(want, tuple):
+            continue
+        visited = greedy_run(t, start_u, 40, direction).visited
+        for n in (2, 3, 5, 8, len(visited)):
+            for order in (1, 2, 3):
+                args = (visited[:n], t, order)
+                assert outcome(prefix_gap_report, *args) == outcome(ref.prefix_gap_report, *args), (n, order)

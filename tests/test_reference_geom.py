@@ -6,7 +6,6 @@ degenerate cases each primitive checks."""
 import math
 import random
 
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_geom as ref
@@ -20,7 +19,6 @@ from tripatrol.geom import (
     line_intersection_xy,
     project_onto_line,
     reflect_point,
-    segment_distance_xy,
     signed_offset,
 )
 from tripatrol import orthic
@@ -96,14 +94,6 @@ def test_line_intersection_xy_raises_like_reference_where_products_overflow(xs, 
 
 
 @SETTINGS
-@given(pts=points(3))
-def test_segment_distance_matches_reference(pts):
-    p, a, b = pts
-    got = outcome(segment_distance_xy, p.as_tuple(), a.as_tuple(), b.as_tuple())
-    assert got == outcome(ref.point_segment_distance, p, (a, b))
-
-
-@SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     frame=frames(),
@@ -155,13 +145,3 @@ def test_channel_check_matches_edge_hit_count(seed, scale, angle, shift):
     tol = t.tol(1e-9)
     old = ref.count_edge_hits((anchor, anchor + d * t.diameter), t, tol) >= 2
     assert orthic._straddles(t, anchor, d, 0.0, 0.0, tol) == old
-
-
-def test_point_segment_distance():
-    s1 = ((0.0, 0.0), (1.0, 0.0))
-    assert segment_distance_xy((0.0, 1.0), *s1) == pytest.approx(1.0)
-    assert segment_distance_xy((0.5, -1.0), *s1) == pytest.approx(1.0)
-    # Beyond an end, that endpoint is nearest.
-    assert segment_distance_xy((2.0, 0.0), *s1) == pytest.approx(1.0)
-    assert segment_distance_xy((3.0, 4.0), *s1) == pytest.approx(math.hypot(2, 4))
-    assert segment_distance_xy((3.0, 4.0), (0.0, 0.0), (0.0, 0.0)) == 5.0
