@@ -6,8 +6,8 @@ Exit codes: 0 success, 2 input/domain error, 3 infeasible schedule,
 1 internal error.  Every error is a JSON object on stdout; a command line
 that does not parse is {"error": "UsageError", ...} with exit 2.  Exit 2
 also refuses, before any computation, a report above MAX_ROWS rows (`unfold
--k`, the horizon of `gap`), and ends a run whose reader closed stdout early
-(`| head`) without a traceback.
+-k`, `greedy --cycles`, the horizon of `gap`), and ends a run whose reader
+closed stdout early (`| head`) without a traceback.
 
 A vertex may start with a minus sign: `--vertices -1,0 1,0 0,1`.
 
@@ -42,7 +42,7 @@ from .schedule import (
 )
 from .svgout import channel_svg
 
-# The most rows a report may hold: unfold's v_k rows, or gap's horizon.
+# The most rows a report may hold: unfold's v_k rows, greedy's cycles, or gap's horizon.
 MAX_ROWS = 10**5
 
 
@@ -180,6 +180,7 @@ def cmd_orthic(args) -> dict:
 
 
 def cmd_greedy(args) -> dict:
+    _check_rows("--cycles", args.cycles, args.cycles)
     tri, inp = _triangle_from_args(args)
     trace = greedy_run(tri, args.start, args.cycles, args.direction)
     results = {
@@ -208,7 +209,10 @@ def cmd_greedy(args) -> dict:
 
 def cmd_gap(args) -> dict:
     with open(args.schedule, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("schedule file is nested too deeply") from None
     sched = schedule_from_dict(doc)
     if args.horizon is not None:
         _check_rows("--horizon", args.horizon, args.horizon)

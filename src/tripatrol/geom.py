@@ -126,7 +126,7 @@ class Point(Record):
 
 _set_x, _set_y = slot_setters(Point)
 
-XY = tuple[float, float]  # a point as plain floats: each primitive computes on XY; its Point form wraps it
+XY = tuple[float, float]  # a point as plain floats, as the hot loops compute on it
 
 
 class EdgeId(IntEnum):
@@ -214,10 +214,6 @@ def require_acute(t: Triangle) -> None:
         raise NotAcute(f"max angle {max(angles(t)):.12f} rad is not acutely below pi/2")
 
 
-def edge_endpoints(t: Triangle, e: EdgeId) -> tuple[Point, Point]:
-    return t.edges[e]
-
-
 def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
     """Point at normalized parameter u along edge e (u in [0,1] on the segment)."""
     s, f = t.edges[e]
@@ -226,21 +222,16 @@ def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
 
 def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
     """Normalized parameter of p along edge e; raises PointOffEdge if p is off the line."""
-    return edge_param_xy(t, e, p.as_tuple(), rel_tol)
-
-
-def edge_param_xy(t: Triangle, e: EdgeId, p: XY, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    """edge_param of the point p given as floats."""
     sx, sy, dx, dy, dd, length = edge_frame(t, e)
-    wx, wy = p[0] - sx, p[1] - sy
+    wx, wy = p.x - sx, p.y - sy
     resid = abs(dx * wy - dy * wx) / length
     if resid > t.tol(rel_tol):
-        raise point_off_edge(p, resid, e)
+        raise point_off_edge(p.as_tuple(), resid, e)
     return (wx * dx + wy * dy) / dd
 
 
 def edge_frame(t: Triangle, e: EdgeId) -> tuple[float, float, float, float, float, float]:
-    """What edge_param_xy reads of edge e: its start (sx, sy), difference
+    """What edge_param reads of edge e: its start (sx, sy), difference
     vector (dx, dy), squared length dd and length sqrt(dd)."""
     s, f = t.edges[e]
     dx, dy = f.x - s.x, f.y - s.y
@@ -282,12 +273,6 @@ def project_along(p: XY, a: Point, d: XY) -> XY:
     return (a.x + d[0] * s, a.y + d[1] * s)
 
 
-def reflect_along(p: XY, a: Point, d: XY) -> XY:
-    """Mirror image of p across the line through a with unit direction d."""
-    fx, fy = project_along(p, a, d)
-    return (2.0 * fx - p[0], 2.0 * fy - p[1])
-
-
 def project_onto_line(p: Point, line: Line) -> Point:
     """Foot of the perpendicular from p onto the (infinite) line."""
     return Point(*project_along(p.as_tuple(), line[0], line_dir(line)))
@@ -295,21 +280,17 @@ def project_onto_line(p: Point, line: Line) -> Point:
 
 def project_onto_edge(p: Point, t: Triangle, e: EdgeId) -> Point:
     """Foot of the perpendicular from p onto the line through edge e."""
-    return project_onto_line(p, edge_endpoints(t, e))
+    return project_onto_line(p, t.edges[e])
 
 
 def reflect_point(p: Point, line: Line) -> Point:
-    """Mirror image of p across the line; an involution."""
-    return Point(*reflect_along(p.as_tuple(), line[0], line_dir(line)))
+    """Mirror image of p across the line, 2 * foot - p; an involution."""
+    fx, fy = project_along(p.as_tuple(), line[0], line_dir(line))
+    return Point(2.0 * fx - p.x, 2.0 * fy - p.y)
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:
     """Intersection of two non-parallel lines."""
-    return Point(*line_intersection_xy(l1, l2))
-
-
-def line_intersection_xy(l1: Line, l2: Line) -> XY:
-    """line_intersection as floats; where the products overflow, the Point it builds raises."""
     (p, q), (r, s) = l1, l2
     d1x, d1y = q.x - p.x, q.y - p.y
     d2x, d2y = s.x - r.x, s.y - r.y
@@ -317,8 +298,7 @@ def line_intersection_xy(l1: Line, l2: Line) -> XY:
     if abs(den) <= 1e-14 * math.hypot(d1x, d1y) * math.hypot(d2x, d2y):
         raise ValueError("lines are parallel")
     u = ((r.x - p.x) * d2y - (r.y - p.y) * d2x) / den
-    x, y = p.x + d1x * u, p.y + d1y * u
-    return (x, y) if math.isfinite(x) and math.isfinite(y) else Point(x, y).as_tuple()
+    return Point(p.x + d1x * u, p.y + d1y * u)
 
 
 def signed_offset(p: Point, anchor: Point, unit_dir: Point) -> float:

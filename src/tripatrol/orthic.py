@@ -45,7 +45,6 @@ from .geom import (
     point_off_edge,
     project_along,
     project_onto_edge,
-    reflect_along,
     require_acute,
     signed_offset,
     slot_setters,
@@ -165,7 +164,7 @@ class Unfolding(Record):
         half_width_high: float,
         normal: Point,  # unit normal toward the A side (positive signed offset)
         snap: float,  # edge parameters this close to 0 or 1 snap to the vertex
-        mirror_dirs: tuple[XY, XY, XY, XY, XY],  # unit direction of each mirror, for fold
+        mirror_dirs: tuple[XY, XY, XY, XY, XY],  # unit direction of each mirror, for the sweep
     ):
         values = (
             source, base, edge_map, triangles, mirrors, a1, b1, b2, c1, c2, k, m, l1, k1, m1, l2, k2,
@@ -179,12 +178,6 @@ class Unfolding(Record):
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:
         return (self.base,) + self.triangles
-
-    def fold(self, p: XY, depth: int) -> XY:
-        """Map a point of the depth-th reflected copy back onto the base."""
-        for i in range(depth - 1, -1, -1):
-            p = reflect_along(p, self.mirrors[i][0], self.mirror_dirs[i])
-        return p
 
 
 *_SET_UNFOLDING, _set_sweep = slot_setters(Unfolding)
@@ -203,9 +196,9 @@ _CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
 def _sweep_data(unf: Unfolding) -> tuple[tuple, tuple]:
     """(lines, frames).  lines: for each line the channel line crosses, its
     first point, difference vector and that vector's hypot, and the fold
-    steps (mirror point, unit direction) in the order fold applies them.
-    frames: for each crossing but the last, the caller's edge and its
-    edge_frame."""
+    steps (mirror point, unit direction) that map a point of its copy back
+    onto the base, the deepest mirror first.  frames: for each crossing but
+    the last, the caller's edge and its edge_frame."""
     crossed = ((unf.base.b, unf.base.c),) + unf.mirrors + ((unf.b2, unf.c2),)
     steps = [(a.x, a.y, *d) for (a, _), d in zip(unf.mirrors, unf.mirror_dirs)]
     lines = []

@@ -67,9 +67,6 @@ class Schedule(Record):
             raise InfeasibleSchedule(f"edge(s) {missing} never visited")
         _set_positions(self, tuple(edge_point(triangle, p.edge, p.u) for p in gen))
 
-    def __len__(self) -> int:
-        return len(self.generator)
-
     def position(self, i: int) -> Point:
         return self.positions[i % len(self.positions)]
 
@@ -84,10 +81,7 @@ _set_triangle, _set_generator, _set_positions = slot_setters(Schedule)
 def is_cyclic(s: Schedule) -> bool:
     """First three visited edges cover all of E and the edge pattern has period 3."""
     edges = [p.edge for p in s.generator]
-    if {edges[0], edges[1], edges[2]} != set(EdgeId):
-        return False
-    m = len(edges)
-    return all(edges[(i + 3) % m] == edges[i] for i in range(m))
+    return _edge_cyclic(edges + edges[:3])
 
 
 def is_k_periodic(s: Schedule, k: int) -> bool:
@@ -249,7 +243,7 @@ def cyclic_reduction(prefix: Sequence[SchedulePoint], triangle: Triangle) -> Sch
             (j for j in range(k + 4, n) if edges[j] == edges[k]),
             None,
         )
-        if end is None or any(edges[j] == edges[k] for j in range(k + 1, end)):
+        if end is None:
             continue
         first = Schedule(triangle, (prefix[k], prefix[k + 1], prefix[k + 2]))
         second = Schedule(triangle, (prefix[k + 2], prefix[k + 3], prefix[end]))

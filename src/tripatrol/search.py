@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .geom import EdgeId, Point, Record, Triangle, edge_endpoints, reflect_point, slot_setters
+from .geom import EdgeId, Point, Record, Triangle, reflect_point, slot_setters
 
 # The 6-periodic chain DP batches start indices so that one batch's min-plus
 # temporary holds at most this many float64s (~1 MB).
@@ -73,7 +73,7 @@ def _segment_grid(s: Point, f: Point, us: np.ndarray) -> np.ndarray:
 
 
 def _edge_grid(t: Triangle, e: EdgeId, us: np.ndarray) -> np.ndarray:
-    return _segment_grid(*edge_endpoints(t, e), us)
+    return _segment_grid(*t.edges[e], us)
 
 
 def _dist_matrix(p: np.ndarray, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Reference channel kernels: sub_orthic_schedule, the gap timeline
 (_visit_times, _gaps_from_times, gap_report, prefix_gap_report),
 lower_bound_profile with segment_distance_xy, and greedy_run, as they were
-written on Points and per-call geom primitives before the sweep data on
-Unfolding, the edges on Triangle and the inline loops.
+written on Points and per-call primitives before the sweep data on
+Unfolding, the edges on Triangle and the inline loops.  Their
+intersections, folds and edge parameters come from reference_geom, so a
+change to geom cannot move the references it is checked against.
 
 tripatrol must return the same values, bit for bit, and raise the same
 exceptions with the same messages as these on every input; they are kept
@@ -14,18 +16,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
+import reference_geom as ref
 from tripatrol.geom import (
     XY,
     EdgeId,
     Line,
     Point,
     Triangle,
-    edge_endpoints,
-    edge_param_xy,
     edge_point,
     line_dir,
-    line_intersection,
-    line_intersection_xy,
     project_along,
     require_acute,
 )
@@ -54,16 +53,18 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     line: Line = (anchor, anchor + unf.direction * t.diameter)
 
     crossed = ((unf.base.b, unf.base.c),) + unf.mirrors
-    folded = [unf.fold(line_intersection_xy(line, cl), n) for cl, n in zip(crossed, _FOLD_DEPTHS)]
+    folded = [
+        ref.fold(unf.mirrors, ref.line_intersection(line, cl), n) for cl, n in zip(crossed, _FOLD_DEPTHS)
+    ]
     # The line's exit through the final copy's base must fold back onto the start.
-    closing = unf.fold(line_intersection_xy(line, (unf.b2, unf.c2)), len(unf.mirrors))
-    if math.dist(closing, folded[0]) > 1e-8 * t.diameter:
+    closing = ref.fold(unf.mirrors, ref.line_intersection(line, (unf.b2, unf.c2)), len(unf.mirrors))
+    if closing.dist(folded[0]) > 1e-8 * t.diameter:
         raise AssertionError("folded trajectory failed to close up")
 
     pts = []
     for p, rel_edge in zip(folded, _CROSSED_EDGES):
         edge = unf.edge_map[rel_edge]
-        u = edge_param_xy(t, edge, p, rel_tol=1e-8)
+        u = ref.edge_param(t, edge, p, rel_tol=1e-8)
         if abs(u) <= unf.snap:
             u = 0.0
         elif abs(u - 1.0) <= unf.snap:
@@ -82,8 +83,8 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
         raise ValueError("k_max must be >= 1")
     unf = reflection_chain(t)
     bc: Line = (unf.base.b, unf.base.c)
-    t_pt = line_intersection(unf.boundary_high, bc)
-    r_pt = line_intersection(unf.boundary_low, bc)
+    t_pt = ref.line_intersection(unf.boundary_high, bc)
+    r_pt = ref.line_intersection(unf.boundary_low, bc)
     v = unf.k2 - unf.k
     per2 = v.norm()  # 2 * orthic perimeter
     c = abs(v.dot(t_pt - r_pt))
@@ -211,9 +212,9 @@ def greedy_run(
     for i in range(num_cycles):
         for e in cycle:
             if e not in frames:
-                frames[e] = (edge_endpoints(t, e)[0], line_dir(edge_endpoints(t, e)))
+                frames[e] = (t.edges[e][0], line_dir(t.edges[e]))
             cur = project_along(cur, *frames[e])
-            u = edge_param_xy(t, e, cur)
+            u = ref.edge_param(t, e, Point(*cur))
             if not -1e-9 <= u <= 1.0 + 1e-9:
                 raise ProjectionEscapesEdge(
                     f"projection onto edge {e.name} landed at u={u}"

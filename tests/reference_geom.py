@@ -2,9 +2,11 @@
 parameter and line intersection, and the fold loop of the unfolding, with a
 Point built at every step.
 
-tripatrol.geom computes each of them on float pairs; it must return exactly
-the same floats, and raise the same exceptions with the same messages, as
-these.  They are slow and kept only for the tests to compare against.
+tripatrol.geom must return exactly the same floats, and raise the same
+exceptions with the same messages, as these.  They are slow and kept only
+for the tests to compare against; fold is the unfolding's former fold,
+which the sweep's fold steps replaced, and the bit gate and the reference
+channel kernels fold with it.
 
 count_edge_hits is the unfolding's former channel check, a segment-line
 test per edge; orthic's vertex-offset test must agree with "at least two
@@ -13,13 +15,13 @@ hits" wherever no vertex lies near the line.
 
 import math
 
-from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, PointOffEdge, Triangle, edge_endpoints
+from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, PointOffEdge, Triangle
 
 Line = tuple[Point, Point]
 
 
 def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    s, f = edge_endpoints(t, e)
+    s, f = t.edges[e]
     d = f - s
     dd = d.dot(d)
     resid = abs(d.cross(p - s)) / math.sqrt(dd)
@@ -71,7 +73,7 @@ def count_edge_hits(line: Line, tri: Triangle, tol: float) -> int:
     d = other - anchor
     hits = 0
     for e in EdgeId:
-        s, f = edge_endpoints(tri, e)
+        s, f = tri.edges[e]
         seg = f - s
         den = d.cross(seg)
         if abs(den) <= 1e-14 * d.norm() * seg.norm():

@@ -20,7 +20,6 @@ from tripatrol.geom import (
     Line,
     Point,
     edge_point,
-    reflect_along,
     vertex_edges,
 )
 from tripatrol.schedule import InfeasibleSchedule, travel_time
@@ -170,12 +169,6 @@ class Unfolding:
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:
         return (self.base,) + self.triangles
-
-    def fold(self, p: XY, depth: int) -> XY:
-        """Map a point of the depth-th reflected copy back onto the base."""
-        for i in range(depth - 1, -1, -1):
-            p = reflect_along(p, self.mirrors[i][0], self.mirror_dirs[i])
-        return p
 
 
 @dataclass(frozen=True)

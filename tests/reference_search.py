@@ -9,12 +9,12 @@ import math
 
 import numpy as np
 
-from tripatrol.geom import EdgeId, Triangle, edge_endpoints
+from tripatrol.geom import EdgeId, Triangle
 from tripatrol.search import GAP2_PATTERN, SearchResult
 
 
 def _edge_grid(t: Triangle, e: EdgeId, us: np.ndarray) -> np.ndarray:
-    s, f = edge_endpoints(t, e)
+    s, f = t.edges[e]
     return np.stack([s.x + us * (f.x - s.x), s.y + us * (f.y - s.y)], axis=-1)
 
 

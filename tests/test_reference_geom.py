@@ -1,7 +1,7 @@
-"""The float-pair primitives of tripatrol.geom against the Point-based
-reference: the same floats bit for bit, and the same exception type and
-message, on random input at large offsets and extreme scales and on the
-degenerate cases each primitive checks."""
+"""The primitives of tripatrol.geom against the Point-based reference:
+the same floats bit for bit, and the same exception type and message, on
+random input at large offsets and extreme scales and on the degenerate
+cases each primitive checks."""
 
 import math
 import random
@@ -13,16 +13,13 @@ from tripatrol.geom import (
     EdgeId,
     Point,
     Triangle,
-    edge_endpoints,
     edge_param,
     line_intersection,
-    line_intersection_xy,
     project_onto_line,
     reflect_point,
     signed_offset,
 )
 from tripatrol import orthic
-from tripatrol.orthic import reflection_chain
 from conftest import random_acute_triangle
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -85,12 +82,12 @@ def test_line_intersection_matches_reference(pts, shift):
 
 @SETTINGS
 @given(xs=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8), k=st.integers(505, 512))
-def test_line_intersection_xy_raises_like_reference_where_products_overflow(xs, k):
+def test_line_intersection_raises_like_reference_where_products_overflow(xs, k):
     """At 2^505 to 2^512 the cross products can overflow while every
-    coordinate is finite; the float pair must not carry inf or nan on."""
+    coordinate is finite; the result must not carry inf or nan on."""
     p, q, r, s = (Point(math.ldexp(xs[i], k), math.ldexp(xs[i + 1], k)) for i in range(0, 8, 2))
     want = outcome(lambda: ref.line_intersection((p, q), (r, s)).as_tuple())
-    assert outcome(line_intersection_xy, (p, q), (r, s)) == want
+    assert outcome(lambda: line_intersection((p, q), (r, s)).as_tuple()) == want
 
 
 @SETTINGS
@@ -106,20 +103,11 @@ def test_edge_param_matches_reference(seed, frame, e, u, off):
     offset, scale = frame
     t = random_acute_triangle(random.Random(seed))
     t = Triangle(*(Point(offset + v.x * scale, offset + v.y * scale) for v in t.vertices))
-    s, f = edge_endpoints(t, e)
+    s, f = t.edges[e]
     n = t.diameter * off
     p = Point(s.x + u * (f.x - s.x) - n * (f.y - s.y), s.y + u * (f.y - s.y) + n * (f.x - s.x))
     assert outcome(edge_param, t, e, p) == outcome(ref.edge_param, t, e, p)
     assert outcome(edge_param, t, e, p, 1e-8) == outcome(ref.edge_param, t, e, p, 1e-8)
-
-
-@SETTINGS
-@given(seed=st.integers(0, 2**32 - 1), x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0))
-def test_fold_matches_reference(seed, x, y):
-    unf = reflection_chain(random_acute_triangle(random.Random(seed)))
-    p = Point(x, y)
-    for depth in range(len(unf.mirrors) + 1):
-        assert repr(Point(*unf.fold(p.as_tuple(), depth))) == repr(ref.fold(unf.mirrors, p, depth))
 
 
 @SETTINGS

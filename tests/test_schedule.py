@@ -232,6 +232,17 @@ def test_cyclic_reduction_no_window(equilateral):
         cyclic_reduction(pts, equilateral)
 
 
+def test_cyclic_reduction_window_whose_first_edge_never_returns(equilateral):
+    # (A, C, B, C) opens a window, but A never comes back to close it.  No
+    # later window can then be taken: it would need all three edges within
+    # three steps, and A appears nowhere after the first point.
+    pts = [SP(EdgeId.A, 0.1), SP(EdgeId.C, 0.2), SP(EdgeId.B, 0.3), SP(EdgeId.C, 0.4), SP(EdgeId.B, 0.5)]
+    with pytest.raises(NoReductionWindow):
+        cyclic_reduction(pts, equilateral)
+    with pytest.raises(NoReductionWindow):
+        cyclic_reduction(pts + [SP(EdgeId.C, 0.6), SP(EdgeId.B, 0.7)], equilateral)
+
+
 def plant_window(rng: random.Random, t: Triangle):
     """Prefix starting with the reduction pattern; returns it plus the
     travel time across the planted window."""
