@@ -273,11 +273,12 @@ def cmd_search(args) -> dict:
 
     tri, inp = _triangle_from_args(args)
     grid = args.grid if args.grid is not None else (200 if args.period == 3 else 12)
+    # First, so that an obtuse triangle is refused before any grid work.
+    reference = orthic_perimeter(tri) * (1.0 if args.period == 3 else 2.0)
     if args.period == 3:
         res = grid_search_3periodic(tri, grid)
     else:
         res = grid_search_6periodic_gap2(tri, grid)
-    reference = orthic_perimeter(tri) * (1.0 if args.period == 3 else 2.0)
     results = {
         "period": args.period,
         "objective": res.objective,

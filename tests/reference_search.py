@@ -82,31 +82,16 @@ def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
     return best, best_idx
 
 
-def grid_search_6periodic_gap2(
-    t: Triangle, grid_n: int, refine_rounds: int = 8
-) -> SearchResult:
+def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    lo = np.zeros(6)
-    hi = np.ones(6)
-    best_val = math.inf
-    best_us = [0.0] * 6
-    for _ in range(refine_rounds + 1):
-        axes = [np.linspace(lo[i], hi[i], grid_n + 1) for i in range(6)]
-        grids = [_edge_grid(t, e, ax) for e, ax in zip(GAP2_PATTERN, axes)]
-        d_fwd = [_dist_matrix(grids[i], grids[(i + 1) % 6]) for i in range(6)]
-        val, idx = _min_cycle_6(d_fwd)
-        if val < best_val:
-            best_val = val
-            best_us = [float(axes[i][idx[i]]) for i in range(6)]
-        width = (hi - lo) / grid_n
-        lo = np.clip([best_us[i] - width[i] for i in range(6)], 0.0, 1.0)
-        hi = np.clip([best_us[i] + width[i] for i in range(6)], 0.0, 1.0)
-        if max(width) < 1e-9:
-            break
+    us = np.linspace(0.0, 1.0, grid_n + 1)
+    grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN]
+    d_fwd = [_dist_matrix(grids[i], grids[(i + 1) % 6]) for i in range(6)]
+    best_val, idx = _min_cycle_6(d_fwd)
     return SearchResult(
         best_value=best_val,
-        best_params=best_us,
+        best_params=[float(us[i]) for i in idx],
         grid_n=grid_n,
         objective="gap2",
         certified_tolerance=12.0 * t.diameter / grid_n,

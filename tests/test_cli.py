@@ -222,6 +222,24 @@ def test_exit_code_2_on_oversized_grid(period, slabs, capsys, monkeypatch, tmp_p
     assert doc["message"].startswith(f"grid_n {n} needs ")
 
 
+@pytest.mark.parametrize("period", ["3", "6"])
+def test_search_refuses_an_obtuse_triangle_before_any_grid_work(period, capsys, monkeypatch, tmp_path):
+    # The grid oracles fail the test if called: the orthic reference is
+    # computed first, so the refusal costs no grid work at any --grid.
+    def no_grid(*args):
+        raise AssertionError("grid search ran on an obtuse triangle")
+
+    monkeypatch.setattr("tripatrol.search.grid_search_3periodic", no_grid)
+    monkeypatch.setattr("tripatrol.search.grid_search_6periodic_gap2", no_grid)
+    args = ["search", "--period", period, "--grid", "400", "--angles-deg", "100", "40"]
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": "ValueError",
+        "message": "angles must lie in (0, pi/2] for the perimeter formula",
+    }
+
+
 @pytest.mark.parametrize(
     "args, option, value",
     [
