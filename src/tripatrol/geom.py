@@ -1,9 +1,18 @@
 """Planar primitives: points, triangle edges, projections, reflections, angles.
 
-All tolerances are scale-relative: a length comparison uses ``rel_tol *
-diameter``, where ``diameter`` is the longest side of the triangle involved
-and ``rel_tol`` defaults to the constant DEFAULT_REL_TOL.  The geometric
-formulas themselves are exact; floating point is the only noise source.
+The tolerance policy lives here.  Every structural claim the package checks
+is an exact identity of the geometry (the altitude feet are collinear, B2C2
+is parallel to BC, a sub-orthic 2-gap is twice the orthic perimeter), so
+each threshold below is numerical policy, named once and read by every
+site that applies it.  Lengths compare against a multiple of the
+triangle's diameter (`Triangle.tol()` is ``DEFAULT_REL_TOL * diameter``);
+the self-checks and the channel sweep scale their own factor the same way;
+sines, angles and edge parameters are scale-free and compare against the
+bare constant.  A threshold that is one algorithm's own parameter at one
+site stays a literal there: greedy's settle and escape tests, the angle-sum
+check of `greedy_ratio`, the ratio grid's filter, the slack of
+`verify_1gap_optimality`, the 3-periodic search's pruning margin and
+`line_dir`'s test.
 
 `Record` is the base of the package's immutable value types (Point,
 Triangle, the schedules, reports and the unfolding): repr, ==, hash,
@@ -16,11 +25,29 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 
+# Lengths, per unit of diameter: off-edge residuals, coincident points and
+# visit times (per diameter squared: the collinearity test's cross product).
 DEFAULT_REL_TOL = 1e-9
 
 # Angular slack used when classifying a triangle as acute: a max angle
 # within ACUTE_ANGLE_TOL of pi/2 counts as right, i.e. not acute.
 ACUTE_ANGLE_TOL = 1e-9
+
+# The self-checks of exact identities: residual per diameter, per perimeter or as a sine.
+CHECK_REL_TOL = 1e-10
+
+# The channel sweep folds through five mirrors, so it allows more: residuals
+# per diameter, and the width of its edge parameters' snap to a vertex.
+SWEEP_REL_TOL = 1e-8
+
+# Two lines whose angle has a smaller sine are parallel.
+PARALLEL_SIN_TOL = 1e-14
+
+# The closed forms accept angles up to pi/2 plus this: a right angle that rounds up.
+RIGHT_ANGLE_SLACK = 1e-12
+
+# An edge parameter this close to 0 or 1 is the vertex, on both of its edges.
+VERTEX_SNAP = 1e-12
 
 
 class DegenerateTriangle(ValueError):
@@ -182,9 +209,9 @@ class Triangle(Record):
     def perimeter(self) -> float:
         return sum(self.side_lengths)
 
-    def tol(self, rel_tol: float = DEFAULT_REL_TOL) -> float:
-        """Absolute length tolerance for this triangle's scale."""
-        return rel_tol * self.diameter
+    def tol(self) -> float:
+        """Absolute length tolerance for this triangle's scale: DEFAULT_REL_TOL * diameter."""
+        return DEFAULT_REL_TOL * self.diameter
 
 
 _set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges = slot_setters(Triangle)
@@ -220,12 +247,12 @@ def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
     return Point(s.x + u * (f.x - s.x), s.y + u * (f.y - s.y))
 
 
-def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def edge_param(t: Triangle, e: EdgeId, p: Point) -> float:
     """Normalized parameter of p along edge e; raises PointOffEdge if p is off the line."""
     sx, sy, dx, dy, dd, length = edge_frame(t, e)
     wx, wy = p.x - sx, p.y - sy
     resid = abs(dx * wy - dy * wx) / length
-    if resid > t.tol(rel_tol):
+    if resid > t.tol():
         raise point_off_edge(p.as_tuple(), resid, e)
     return (wx * dx + wy * dy) / dd
 
@@ -246,9 +273,9 @@ def point_off_edge(p: XY, resid: float, e: EdgeId) -> PointOffEdge:
 
 def vertex_edges(e: EdgeId, u: float) -> tuple[EdgeId, ...]:
     """Edges visited by a point at parameter u on edge e (two if u is a vertex)."""
-    if u <= 1e-12:
+    if u <= VERTEX_SNAP:
         return _VERTEX_EDGES[(e, 0)]
-    if u >= 1.0 - 1e-12:
+    if u >= 1.0 - VERTEX_SNAP:
         return _VERTEX_EDGES[(e, 1)]
     return (e,)
 
@@ -295,7 +322,7 @@ def line_intersection(l1: Line, l2: Line) -> Point:
     d1x, d1y = q.x - p.x, q.y - p.y
     d2x, d2y = s.x - r.x, s.y - r.y
     den = d1x * d2y - d1y * d2x
-    if abs(den) <= 1e-14 * math.hypot(d1x, d1y) * math.hypot(d2x, d2y):
+    if abs(den) <= PARALLEL_SIN_TOL * math.hypot(d1x, d1y) * math.hypot(d2x, d2y):
         raise ValueError("lines are parallel")
     u = ((r.x - p.x) * d2y - (r.y - p.y) * d2x) / den
     return Point(p.x + d1x * u, p.y + d1y * u)

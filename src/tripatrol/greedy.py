@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 
 from .geom import (
+    CHECK_REL_TOL,
+    RIGHT_ANGLE_SLACK,
     EdgeId,
     Record,
     Triangle,
@@ -160,7 +162,7 @@ def _limit_schedule(t: Triangle, fixed_u: float, cycle: tuple[EdgeId, ...]) -> S
         cur = project_onto_edge(cur, t, e)
         pts.append(SchedulePoint(e, edge_param(t, e, cur)))
     closing = project_onto_edge(cur, t, EdgeId.A)
-    if closing.dist(d) > 1e-10 * t.diameter:
+    if closing.dist(d) > CHECK_REL_TOL * t.diameter:
         raise AssertionError("limit cycle failed to close onto its fixed point")
     return Schedule(t, tuple(pts))
 
@@ -169,7 +171,7 @@ def greedy_limit_gap(t: Triangle) -> float:
     """Closed-form 1-gap of the greedy limit cycle:
     p * sinA sinB sinC / (1 + cosA cosB cosC)."""
     a_ang, b_ang, c_ang = angles(t)
-    if max(a_ang, b_ang, c_ang) > math.pi / 2 + 1e-12:
+    if max(a_ang, b_ang, c_ang) > math.pi / 2 + RIGHT_ANGLE_SLACK:
         raise ValueError("angles must lie in (0, pi/2]")
     k = (
         math.sin(a_ang)
@@ -194,7 +196,7 @@ def greedy_ratio(t_angles: tuple[float, float, float]) -> float:
     a_ang, b_ang, c_ang = t_angles
     if abs(a_ang + b_ang + c_ang - math.pi) > 1e-9:
         raise ValueError("angles must sum to pi")
-    if min(a_ang, b_ang, c_ang) <= 0.0 or max(a_ang, b_ang, c_ang) > math.pi / 2 + 1e-12:
+    if min(a_ang, b_ang, c_ang) <= 0.0 or max(a_ang, b_ang, c_ang) > math.pi / 2 + RIGHT_ANGLE_SLACK:
         raise ValueError("angles must lie in (0, pi/2]")
     return float(_ratio_formula(a_ang, b_ang, c_ang))
 
@@ -217,7 +219,7 @@ def greedy_ratio_extremes(
     C = math.pi - A - B
     ok = C > 1e-12
     # The formula itself only needs C <= pi/2, i.e. A + B >= pi/2.
-    ok &= C <= math.pi / 2 + 1e-12
+    ok &= C <= math.pi / 2 + RIGHT_ANGLE_SLACK
     f = np.where(ok, _ratio_formula(A, B, C), np.nan)
     hi = np.nanargmax(f)
     lo = np.nanargmin(f)

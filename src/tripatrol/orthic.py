@@ -31,7 +31,10 @@ from __future__ import annotations
 import math
 
 from .geom import (
-    XY,
+    CHECK_REL_TOL,
+    PARALLEL_SIN_TOL,
+    RIGHT_ANGLE_SLACK,
+    SWEEP_REL_TOL,
     EdgeId,
     Line,
     Point,
@@ -77,7 +80,7 @@ def orthic_perimeter(t: Triangle) -> float:
     Accepts right triangles as a boundary evaluation of the formula.
     """
     a_ang, b_ang, c_ang = angles(t)
-    if min(a_ang, b_ang, c_ang) <= 0.0 or max(a_ang, b_ang, c_ang) > math.pi / 2 + 1e-12:
+    if min(a_ang, b_ang, c_ang) <= 0.0 or max(a_ang, b_ang, c_ang) > math.pi / 2 + RIGHT_ANGLE_SLACK:
         raise ValueError("angles must lie in (0, pi/2] for the perimeter formula")
     sa, sb, sc = math.sin(a_ang), math.sin(b_ang), math.sin(c_ang)
     inv = 1.0 / (sb * sc) + 1.0 / (sa * sc) + 1.0 / (sa * sb)
@@ -94,10 +97,10 @@ def orthic_triangle(t: Triangle) -> OrthicData:
     x0 = math.cos(a_ang) * math.sin(c_ang) / math.sin(b_ang)
     # Cross-check the projection against the parametric optimizer form.
     l_param = t.c * x0 + t.a * (1.0 - x0)
-    if l_param.dist(l) > 1e-10 * t.diameter:
+    if l_param.dist(l) > CHECK_REL_TOL * t.diameter:
         raise AssertionError("altitude foot disagrees with parametric optimizer")
     per = k.dist(l) + l.dist(m) + m.dist(k)
-    if abs(per - orthic_perimeter(t)) > 1e-10 * per:
+    if abs(per - orthic_perimeter(t)) > CHECK_REL_TOL * per:
         raise AssertionError("coordinate perimeter disagrees with closed formula")
     return OrthicData(k_foot=k, l_foot=l, m_foot=m, perimeter=per, x0=x0)
 
@@ -134,7 +137,7 @@ class Unfolding(Record):
         "source", "base", "edge_map", "triangles", "mirrors",
         "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
         "direction", "boundary_low", "boundary_high", "half_width_low", "half_width_high",
-        "normal", "snap", "mirror_dirs",
+        "normal", "snap",
     )
     __slots__ = __match_args__ + ("sweep",)
 
@@ -164,12 +167,10 @@ class Unfolding(Record):
         half_width_high: float,
         normal: Point,  # unit normal toward the A side (positive signed offset)
         snap: float,  # edge parameters this close to 0 or 1 snap to the vertex
-        mirror_dirs: tuple[XY, XY, XY, XY, XY],  # unit direction of each mirror, for the sweep
     ):
         values = (
             source, base, edge_map, triangles, mirrors, a1, b1, b2, c1, c2, k, m, l1, k1, m1, l2, k2,
             direction, boundary_low, boundary_high, half_width_low, half_width_high, normal, snap,
-            mirror_dirs,
         )
         for store, value in zip(_SET_UNFOLDING, values):
             store(self, value)
@@ -200,7 +201,7 @@ def _sweep_data(unf: Unfolding) -> tuple[tuple, tuple]:
     onto the base, the deepest mirror first.  frames: for each crossing but
     the last, the caller's edge and its edge_frame."""
     crossed = ((unf.base.b, unf.base.c),) + unf.mirrors + ((unf.b2, unf.c2),)
-    steps = [(a.x, a.y, *d) for (a, _), d in zip(unf.mirrors, unf.mirror_dirs)]
+    steps = [(m[0].x, m[0].y, *line_dir(m)) for m in unf.mirrors]
     lines = []
     for (p, q), depth in zip(crossed, _FOLD_DEPTHS):
         dx, dy = q.x - p.x, q.y - p.y
@@ -234,7 +235,7 @@ def _build(t: Triangle) -> Unfolding:
     # Each step reflects one vertex across the line through the other two;
     # the mirror's foot is that step's altitude foot (m, l1, k1, m1, l2).
     verts = [a, b, c]
-    copies, mirrors, dirs, feet = [], [], [], []
+    copies, mirrors, feet = [], [], []
     for i in _REFLECTED:
         p = verts[i]
         mirror = tuple(v for j, v in enumerate(verts) if j != i)
@@ -243,7 +244,6 @@ def _build(t: Triangle) -> Unfolding:
         verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
         copies.append(tuple(verts))
         mirrors.append(mirror)
-        dirs.append(d)
         feet.append((fx, fy))
     c1, b1, a1, c2, b2 = (copy[i] for copy, i in zip(copies, _REFLECTED))
     tris = tuple(Triangle(*copy) for copy in copies)
@@ -255,7 +255,7 @@ def _build(t: Triangle) -> Unfolding:
     # The final copy's base must come out parallel to BC (total turning 3*pi).
     d0, d5 = c - b, c2 - b2
     sin_angle = abs(d0.cross(d5)) / (d0.norm() * d5.norm())
-    if sin_angle > 1e-10:
+    if sin_angle > CHECK_REL_TOL:
         raise AssertionError("B2C2 failed to come out parallel to BC")
 
     w = k2 - k
@@ -267,7 +267,7 @@ def _build(t: Triangle) -> Unfolding:
     step = direction * base.diameter  # a unit step would round away at large sides
     low_line: Line = (a1, a1 + step)
     high_line: Line = (a, a + step)
-    tol = base.tol(1e-9)
+    tol = base.tol()
     bottom, top = min(off_low, off_high), max(off_low, off_high)
     for tri in (base,) + tris:
         if not _straddles(tri, k, direction, bottom, top, tol):
@@ -300,8 +300,7 @@ def _build(t: Triangle) -> Unfolding:
         half_width_low=abs(off_low),
         half_width_high=abs(off_high),
         normal=normal,
-        snap=t.tol(1e-8) / t.diameter,
-        mirror_dirs=tuple(dirs),
+        snap=SWEEP_REL_TOL * t.diameter / t.diameter,
     )
 
 
@@ -354,7 +353,7 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(qx) and math.isfinite(qy)):
         Point(ax, ay), Point(qx, qy)  # raise as the line's Points would
     d1x, d1y = qx - ax, qy - ay
-    parallel = 1e-14 * math.hypot(d1x, d1y)
+    parallel = PARALLEL_SIN_TOL * math.hypot(d1x, d1y)
     lines, frames = unf.sweep
     folded = []
     for px, py, d2x, d2y, norm2, steps in lines:
@@ -370,10 +369,10 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
             x, y = 2.0 * (mx + ux * s) - x, 2.0 * (my + uy * s) - y
         folded.append((x, y))
     closing = folded.pop()
-    if math.dist(closing, folded[0]) > 1e-8 * diam:
+    if math.dist(closing, folded[0]) > SWEEP_REL_TOL * diam:
         raise AssertionError("folded trajectory failed to close up")
 
-    tol, snap = 1e-8 * diam, unf.snap
+    tol, snap = SWEEP_REL_TOL * diam, unf.snap
     pts = []
     for (x, y), (edge, sx, sy, dx, dy, dd, length) in zip(folded, frames):
         wx, wy = x - sx, y - sy
@@ -433,11 +432,10 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     return rows
 
 
-def verify_1gap_optimality(t: Triangle, grid_n: int = 100) -> bool:
+def verify_1gap_optimality(t: Triangle, k: int = 100) -> bool:
     """Certify 1-gap optimality of the orthic schedule by sandwiching:
     v_k / (2k)  <=  orthic 1-gap  <=  v_k / (2k) + bound_k / 2,
-    with k = grid_n unfolding repetitions."""
-    k = max(1, grid_n)
+    with k unfolding repetitions; k < 1 raises ValueError."""
     rows = lower_bound_profile(t, k)
     _, vk_over_k, bound = rows[-1]
     lower = vk_over_k / 2.0

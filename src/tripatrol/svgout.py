@@ -45,8 +45,8 @@ def channel_svg(unfolding: Unfolding, folded: list[Point]) -> str:
     allpts = verts + [p for seg in lines for p in seg] + folded
     xs = [p.x for p in allpts]
     ys = [p.y for p in allpts]
-    mx = 0.03 * (max(xs) - min(xs) + 1e-9)
-    my = 0.03 * (max(ys) - min(ys) + 1e-9)
+    mx = 0.03 * (max(xs) - min(xs))
+    my = 0.03 * (max(ys) - min(ys))
     x0, x1 = min(xs) - mx, max(xs) + mx
     y0, y1 = min(ys) - my, max(ys) + my
     sw = 0.004 * max(x1 - x0, y1 - y0)

@@ -25,7 +25,7 @@ def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TO
     d = f - s
     dd = d.dot(d)
     resid = abs(d.cross(p - s)) / math.sqrt(dd)
-    if resid > t.tol(rel_tol):
+    if resid > rel_tol * t.diameter:
         raise PointOffEdge(f"point {p} is {resid:g} off the line of edge {e.name}")
     return (p - s).dot(d) / dd
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from tripatrol.geom import (
     DEFAULT_REL_TOL,
-    XY,
     DegenerateTriangle,
     EdgeId,
     Line,
@@ -54,9 +53,9 @@ class Triangle:
     def perimeter(self) -> float:
         return sum(self.side_lengths)
 
-    def tol(self, rel_tol: float = DEFAULT_REL_TOL) -> float:
-        """Absolute length tolerance for this triangle's scale."""
-        return rel_tol * self.diameter
+    def tol(self) -> float:
+        """Absolute length tolerance for this triangle's scale: DEFAULT_REL_TOL * diameter."""
+        return DEFAULT_REL_TOL * self.diameter
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ class Unfolding:
     half_width_high: float
     normal: Point  # unit normal toward the A side (positive signed offset)
     snap: float  # edge parameters this close to 0 or 1 snap to the vertex
-    mirror_dirs: tuple[XY, XY, XY, XY, XY]  # unit direction of each mirror, for fold
 
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:

@@ -111,6 +111,23 @@ def test_svg_is_valid_xml_with_expected_elements(capsys, monkeypatch, tmp_path):
     assert len(plines) == 1
 
 
+def _svg_frame(args, capsys, monkeypatch, tmp_path):
+    """The viewBox numbers and the group's stroke-width of a render."""
+    code, _ = run_cli(["render", *args, "--out", "out.svg"], capsys, monkeypatch, tmp_path)
+    assert code == 0
+    root = ET.parse(tmp_path / "out.svg").getroot()
+    group = root.find("{http://www.w3.org/2000/svg}g")
+    return [float(x) for x in root.get("viewBox").split()] + [float(group.get("stroke-width"))]
+
+
+def test_svg_frame_scales_with_the_triangle(capsys, monkeypatch, tmp_path):
+    """The view box pads by a share of the drawing's extent alone, so a
+    triangle 1e-12 the size draws in a frame 1e-12 the size."""
+    unit = _svg_frame(["--angles-deg", "60", "60", "--side", "1"], capsys, monkeypatch, tmp_path)
+    tiny = _svg_frame(["--angles-deg", "60", "60", "--side", "1e-12"], capsys, monkeypatch, tmp_path)
+    assert tiny == pytest.approx([x * 1e-12 for x in unit], rel=1e-6)
+
+
 def test_report_floats_round_trip(capsys, monkeypatch, tmp_path):
     code, out = run_cli(["orthic", *EQ], capsys, monkeypatch, tmp_path)
     assert code == 0

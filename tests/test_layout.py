@@ -138,6 +138,28 @@ def test_foreign_assignment_check_catches_each_form():
     ) == []
 
 
+def small_float_literals(source: str) -> Counter:
+    """How often each float literal below 1e-6 in magnitude occurs in a module."""
+    return Counter(
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < abs(node.value) < 1e-6
+    )
+
+
+def test_thresholds_outside_geom_are_single_site_parameters():
+    """geom names the shared tolerances; every other small literal is one
+    algorithm's own parameter at one site: greedy's escape slack (twice, one
+    per bound), settle test, angle-sum check and ratio-grid filter, the
+    slack of verify_1gap_optimality and grid3's pruning margin."""
+    found = {
+        path.name: dict(literals)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "geom.py" and (literals := small_float_literals(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"greedy.py": {1e-9: 3, 1e-12: 2}, "orthic.py": {1e-9: 1}, "search.py": {1e-9: 1}}
+
+
 def names_read(tree: ast.AST) -> set[str]:
     """Every name and attribute name a piece of code reads."""
     return {

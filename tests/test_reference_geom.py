@@ -107,7 +107,6 @@ def test_edge_param_matches_reference(seed, frame, e, u, off):
     n = t.diameter * off
     p = Point(s.x + u * (f.x - s.x) - n * (f.y - s.y), s.y + u * (f.y - s.y) + n * (f.x - s.x))
     assert outcome(edge_param, t, e, p) == outcome(ref.edge_param, t, e, p)
-    assert outcome(edge_param, t, e, p, 1e-8) == outcome(ref.edge_param, t, e, p, 1e-8)
 
 
 @SETTINGS
@@ -130,6 +129,6 @@ def test_channel_check_matches_edge_hit_count(seed, scale, angle, shift):
     centroid = Point(sum(v.x for v in t.vertices) / 3.0, sum(v.y for v in t.vertices) / 3.0)
     anchor = centroid + Point(-d.y, d.x) * (shift * t.diameter)
     assume(all(abs(signed_offset(v, anchor, d)) > 1e-6 * t.diameter for v in t.vertices))
-    tol = t.tol(1e-9)
+    tol = t.tol()
     old = ref.count_edge_hits((anchor, anchor + d * t.diameter), t, tol) >= 2
     assert orthic._straddles(t, anchor, d, 0.0, 0.0, tol) == old

@@ -345,6 +345,12 @@ def test_verify_1gap_optimality(rng, equilateral):
         assert verify_1gap_optimality(random_acute_triangle(rng), 100)
 
 
+def test_verify_1gap_optimality_refuses_depth_zero(equilateral):
+    """The argument is the unfolding depth k; k = 0 is refused, not clamped to 1."""
+    with pytest.raises(ValueError, match="k_max must be >= 1"):
+        verify_1gap_optimality(equilateral, 0)
+
+
 def test_verify_1gap_optimality_near_right():
     # Slow certificate convergence near the right-angle boundary.
     b_ang = math.pi / 2 - 0.01
