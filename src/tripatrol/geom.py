@@ -12,7 +12,10 @@ bare constant.  A threshold that is one algorithm's own parameter at one
 site stays a literal there: greedy's settle and escape tests, the angle-sum
 check of `greedy_ratio`, the ratio grid's filter, the slack of
 `verify_1gap_optimality`, the 3-periodic search's pruning margin and
-`line_dir`'s test.
+`line_dir`'s test.  The grid searches run on `local_frame(t)`, a copy moved
+near the origin and scaled by a power of two to a diameter in [1, 2), so
+their margin, 1e-9 of that diameter, is relative to the triangle's size
+alone, wherever it lies.
 
 `Record` is the base of the package's immutable value types (Point,
 Triangle, the schedules, reports and the unfolding): repr, ==, hash,
@@ -182,9 +185,10 @@ class Triangle(Record):
     # diameter, the longest of them; computed once, as every tolerance
     # reads the diameter.  edges: the endpoints of each edge, indexed by
     # EdgeId, in the order fixed globally so that edge parameters are
-    # comparable across operations: A: B->C, B: A->C, C: A->B.
+    # comparable across operations: A: B->C, B: A->C, C: A->B.  frame:
+    # local_frame(self), set on its first call.
     __match_args__ = ("a", "b", "c")
-    __slots__ = __match_args__ + ("side_lengths", "diameter", "edges")
+    __slots__ = __match_args__ + ("side_lengths", "diameter", "edges", "frame")
 
     def __init__(self, a: Point, b: Point, c: Point):
         _set_a(self, a)
@@ -214,7 +218,32 @@ class Triangle(Record):
         return DEFAULT_REL_TOL * self.diameter
 
 
-_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges = slot_setters(Triangle)
+_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges, _set_frame = slot_setters(Triangle)
+
+
+def local_frame(t: Triangle) -> tuple[Triangle, Point, float]:
+    """(local, origin, scale): t with each vertex v moved to (v - origin) /
+    scale, labels kept.  Computed on the first call and kept on t.
+
+    scale = 2^e with t.diameter / 2^e in [1, 2), so local's diameter lies
+    in [1, 2).  origin is the vertex with the smallest |x| + |y|, each
+    coordinate rounded to the nearest multiple of 2^(e+1): a triangle within
+    about one diameter of the origin gets origin (0, 0) and keeps its bits
+    up to the scaling.  The scaling is exact, and so is the translation once
+    the origin lies three multiples out (Sterbenz); between, it rounds at
+    the ulp of the coordinates themselves."""
+    try:
+        return t.frame
+    except AttributeError:
+        pass
+    e = math.frexp(t.diameter)[1] - 1
+    g = math.ldexp(1.0, e + 1)
+    near = min(t.vertices, key=lambda v: abs(v.x) + abs(v.y))
+    ox, oy = round(near.x / g) * g, round(near.y / g) * g
+    local = Triangle(*[Point(math.ldexp(v.x - ox, -e), math.ldexp(v.y - oy, -e)) for v in t.vertices])
+    frame = (local, Point(ox, oy), math.ldexp(1.0, e))
+    _set_frame(t, frame)
+    return frame
 
 
 def angles(t: Triangle) -> tuple[float, float, float]:

@@ -5,13 +5,20 @@ geometry never loads numpy.
 
 The grid searches evaluate exact objective values on a regular grid, so the
 reported best value can only overestimate the true minimum, and by at most
-certified_tolerance (a Lipschitz bound times the grid spacing).  The grid
-minimum itself is exact: the 3-periodic search skips only grid rows and
-cells that a proven lower bound places above an attained grid value, first
-Fagnano's bound per u1 row (reflect PA across AB and across AC), then
-Heron's bound per (u1, u3) pair, so pruning leaves best_value and
-certified_tolerance unchanged.  It scores every kept pair in a few chunked
-min-plus blocks.  The 6-periodic grid minimum is exact too: a chain DP over
+certified_tolerance (a Lipschitz bound times the grid spacing).  Both search
+geom.local_frame(t): t moved near the origin and scaled by a power of two to
+a diameter in [1, 2).  Scaling best_value back is exact and the edge
+parameters need no mapping, so the results scale exactly with t and depend
+on its offset only through the rounding of its own coordinates.
+
+The grid minimum itself is exact: the 3-periodic search skips only grid
+rows and cells that a proven lower bound places above an attained grid
+value by more than a margin of 1e-9 diameters, first Fagnano's bound per u1
+row (reflect PA across AB and across AC), then Heron's bound per (u1, u3)
+pair, so pruning leaves best_value and certified_tolerance unchanged.  The
+frame keeps every coordinate within a few diameters, so the margin prunes
+alike at any offset.  It scores every kept pair in a few chunked min-plus
+blocks.  The 6-periodic grid minimum is exact too: a chain DP over
 the three distinct distance matrices of its edge pattern, with no local
 refinement.  Each phase is a few whole-array numpy calls on grids held as x
 and y rows.  Either search refuses, before it allocates anything, a grid
@@ -24,7 +31,7 @@ import math
 
 import numpy as np
 
-from .geom import EdgeId, Record, Triangle, reflect_point, slot_setters
+from .geom import EdgeId, Record, Triangle, local_frame, reflect_point, slot_setters
 
 # Each min-plus temporary holds at most this many float64s (~1 MB): the
 # 3-periodic search scores kept (u1, u3) pairs in blocks of this size over
@@ -33,7 +40,7 @@ _CHUNK = 1 << 17
 
 # A search refuses a grid whose largest array would hold more than this many
 # float64s (512 MiB): 6 (n+1)^2 for the 6-periodic slab, and 3 (n+1)^2 for
-# the 3-periodic Heron bound where the margin keeps every row.
+# the 3-periodic Heron bound where the Fagnano bound keeps every row.
 MAX_GRID_FLOATS = 1 << 26
 
 
@@ -106,8 +113,9 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     attained grid value are skipped first; in the rows left, so are the
     (u1, u3) pairs whose Heron bound does."""
     _check_grid(grid_n, 3)
+    local, _, scale = local_frame(t)
     us = np.arange(grid_n + 1) / grid_n
-    (pa, pb, pc, ra, _), rho = _fagnano_rows(t, us)
+    (pa, pb, pc, ra, _), rho = _fagnano_rows(local, us)
     # The upper bound is the attained total at the Heron argmin of the row
     # with the smallest Fagnano bound.  By Heron's reflection, |PA PB| +
     # |PB PC| >= |R_AC(PA) PC| for every PB on line AC, so |PA_i PC_k| +
@@ -117,12 +125,11 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     k0 = int((heron0[0] + heron0[1]).argmin())
     legs = _dist(np.stack([pa[:, i0], pc[:, k0]], axis=1), pb)
     upper = (legs[0] + legs[1]).min() + heron0[0, k0]
-    # Both bounds and the totals are each within a few ulps of |coord| +
-    # diameter (~1e-15 of it).  The 1e-9 margin dwarfs that, so every
-    # skipped row's or pair's total is strictly above the grid minimum; far
-    # from the origin it keeps more (every row at |coord| ~ 1e9 * diameter).
-    scale = t.diameter + max(abs(x) for v in t.vertices for x in v.as_tuple())
-    bound = upper + 1e-9 * scale
+    # In the local frame every coordinate and length is below a few
+    # diameters, so both bounds and the totals are each within a few ulps of
+    # the diameter (~1e-15 of it).  The 1e-9 margin dwarfs that, so every
+    # skipped row's or pair's total is strictly above the grid minimum.
+    bound = upper + 1e-9 * local.diameter
     rows = np.flatnonzero(rho <= bound)
     d_ca = _dist(pa[:, rows], pc)  # the closing leg |PC_k PA_i|
     keep = d_ca + _dist(ra[:, rows], pc) <= bound  # keep[r, k]: PA_rows[r], PC_k
@@ -151,7 +158,7 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     r, c = divmod(bp, cols.size)
     best_idx = (rows[r], int((d_ab[r] + d_bc[c]).argmin()), cols[c])
     return SearchResult(
-        best_value=best,
+        best_value=best * scale,
         best_params=[float(us[i]) for i in best_idx],
         grid_n=grid_n,
         objective="gap1",
@@ -204,12 +211,13 @@ def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     best_params is a grid point, and certified_tolerance bounds how far
     best_value lies above the true minimum."""
     _check_grid(grid_n, 6)
+    local, _, scale = local_frame(t)
     us = np.linspace(0.0, 1.0, grid_n + 1)
     # GAP2_PATTERN has period 3, so stops 3-5 repeat the grids of stops 0-2.
-    grids = _segment_grids([t.edges[e] for e in GAP2_PATTERN[:3]], us)
+    grids = _segment_grids([local.edges[e] for e in GAP2_PATTERN[:3]], us)
     best_val, idx = _min_cycle_6(_dist(grids, grids[[1, 2, 0]]))
     return SearchResult(
-        best_value=best_val,
+        best_value=best_val * scale,
         best_params=[float(us[i]) for i in idx],
         grid_n=grid_n,
         objective="gap2",

@@ -1,15 +1,21 @@
 """Reference grid oracles: the full (n+1)^3 min-plus cube for the 3-periodic
 search and a plain loop over the start index for the 6-periodic chain DP.
 
-tripatrol.search must return exactly the same SearchResult as these on every
-triangle; they are slow and kept only for the tests to compare against.
+grid_search_3periodic and grid_search_6periodic_gap2 run these bodies on
+geom.local_frame(t)'s triangle and map the result back as tripatrol.search
+does: best_value times the frame's scale, certified_tolerance from t's own
+diameter.  tripatrol.search must return exactly the same SearchResult as
+these on every triangle, so its pruning and batching change no bit.  The
+caller_frame_* searches run the same bodies on t itself, an independent
+check of the frame.  They are slow and kept only for the tests to compare
+against.
 """
 
 import math
 
 import numpy as np
 
-from tripatrol.geom import EdgeId, Triangle
+from tripatrol.geom import EdgeId, Triangle, local_frame
 from tripatrol.search import GAP2_PATTERN, SearchResult
 
 
@@ -23,7 +29,27 @@ def _dist_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.hypot(d[..., 0], d[..., 1])
 
 
+def _in_local_frame(search, t: Triangle, grid_n: int, lipschitz: float) -> SearchResult:
+    local, _, scale = local_frame(t)
+    res = search(local, grid_n)
+    return SearchResult(
+        best_value=res.best_value * scale,
+        best_params=res.best_params,
+        grid_n=grid_n,
+        objective=res.objective,
+        certified_tolerance=lipschitz * t.diameter / grid_n,
+    )
+
+
 def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
+    return _in_local_frame(caller_frame_grid_search_3periodic, t, grid_n, 6.0)
+
+
+def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
+    return _in_local_frame(caller_frame_grid_search_6periodic_gap2, t, grid_n, 12.0)
+
+
+def caller_frame_grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     us = np.arange(grid_n + 1) / grid_n
@@ -82,7 +108,7 @@ def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
     return best, best_idx
 
 
-def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
+def caller_frame_grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     us = np.linspace(0.0, 1.0, grid_n + 1)

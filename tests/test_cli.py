@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import tripatrol
 from tripatrol.cli import MAX_ROWS, dumps, main
 from tripatrol.search import MAX_GRID_FLOATS
+from conftest import random_acute_triangle
 from make_goldens import EQ, EQ_SCHEDULE, RI_SCHEDULE, invocations
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -351,6 +353,32 @@ def test_large_triangles_succeed(command, spec, capsys, monkeypatch, tmp_path):
     extra = ["--out", "out.svg"] if command == "render" else []
     code, out = run_cli([command, *spec, *extra], capsys, monkeypatch, tmp_path)
     assert code == 0, out
+
+
+FAR_RIGHT_ISO = ["--vertices", "999999999999,1000000000000", "1000000000000,1000000000001", "1000000000001,1000000000000"]
+
+
+@pytest.mark.parametrize("period, best", [("3", 2.0), ("6", 4.0)])
+def test_search_far_from_the_origin(period, best, capsys, monkeypatch, tmp_path):
+    # A right isosceles triangle with legs sqrt(2), 1e12 from the origin: the
+    # grid holds the optimum (the altitude to the hypotenuse, twice per
+    # 2-gap), and the search runs in the local frame, where no line of the
+    # Fagnano bound is short against the coordinates.
+    code, out = run_cli(["search", *FAR_RIGHT_ISO, "--period", period], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    assert json.loads(out)["results"]["best_value"] == best
+
+
+@pytest.mark.parametrize("period", ["3", "6"])
+def test_search_certifies_a_random_triangle_moved_by_1e12(period, capsys, monkeypatch, tmp_path):
+    t = random_acute_triangle(random.Random(17))
+    vertices = [f"{v.x + 1e12!r},{v.y + 1e12!r}" for v in t.vertices]
+    code, out = run_cli(["search", "--vertices", *vertices, "--period", period], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    res = json.loads(out)["results"]
+    assert res["best_value"] >= res["orthic_reference"] - res["certified_tolerance"]
+    if period == "3":
+        assert res["best_value"] <= res["orthic_reference"] + res["certified_tolerance"]
 
 
 def test_exit_code_3_on_infeasible_schedule(capsys, monkeypatch, tmp_path):

@@ -1,7 +1,9 @@
 import copy
 import math
+import pathlib
 import pickle
 import random
+import re
 
 import pytest
 
@@ -16,10 +18,12 @@ from tripatrol.geom import (
     edge_point,
     is_acute,
     line_intersection,
+    local_frame,
     project_onto_edge,
     reflect_point,
 )
 from conftest import random_acute_triangle
+from make_goldens import EQ, RI
 
 
 def law_of_cosines_angles(t: Triangle) -> tuple[float, float, float]:
@@ -106,6 +110,60 @@ def test_triangle_lengths_are_fixed_at_construction():
     with pytest.raises(AttributeError):
         t.diameter = 1.0
     assert pickle.loads(pickle.dumps(t)) == t
+
+
+def demo_triangles() -> list[Triangle]:
+    """The triangle each demo script builds, on its line `t = Triangle(...)`."""
+    found = []
+    for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "demos").glob("*.py")):
+        line = next(s for s in path.read_text(encoding="utf-8").splitlines() if s.startswith("t = Triangle("))
+        found.append(Triangle(*(Point(float(x), float(y)) for x, y in re.findall(r"Point\(([^,]+), ([^)]+)\)", line))))
+    return found
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-300, 2.0**300, 1e-100])
+@pytest.mark.parametrize("offset", [0.0, -7.5, 1e6, -1e9, 1e12])
+def test_local_frame(rng, offset, scale):
+    # origin on the lattice of 2 * scale, scale a power of two, local
+    # diameter in [1, 2), and each vertex of local the same-named vertex of
+    # t: exactly once the offset dwarfs the diameter, else to the rounding
+    # of t's coordinates.
+    for _ in range(20):
+        t = random_acute_triangle(rng)
+        t = Triangle(*(Point((v.x + offset) * scale, (v.y + offset) * scale) for v in t.vertices))
+        local, origin, s = local_frame(t)
+        assert math.frexp(s)[0] == 0.5
+        assert 1.0 <= local.diameter < 2.0
+        assert origin.x % (2.0 * s) == 0.0 and origin.y % (2.0 * s) == 0.0
+        back = [Point(origin.x + s * w.x, origin.y + s * w.y) for w in local.vertices]
+        if abs(offset) >= 1e6:
+            assert back == list(t.vertices)
+        for v, w in zip(t.vertices, back):
+            assert v.dist(w) <= 2.0**-52 * (v.norm() + 4.0 * t.diameter)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [Triangle(*(Point(*map(float, v.split(","))) for v in spec[1:])) for spec in (EQ, RI)] + demo_triangles(),
+    ids=["golden_equilateral", "golden_right_iso", *(f"demo_0{i}" for i in range(1, 6))],
+)
+def test_local_frame_is_the_identity_up_to_scaling_near_the_origin(t):
+    # Their grid searches keep their bits: the frame only scales them by a
+    # power of two.  The origin's zeros are +0.0.
+    local, origin, s = local_frame(t)
+    assert origin == Point(0.0, 0.0)
+    assert math.copysign(1.0, origin.x) == math.copysign(1.0, origin.y) == 1.0
+    assert local == Triangle(*(Point(v.x / s, v.y / s) for v in t.vertices))
+
+
+def test_local_frame_is_kept_on_the_triangle_out_of_eq_hash_and_repr():
+    t = Triangle(Point(1e9, 1e9), Point(1e9 + 3.0, 1e9), Point(1e9, 1e9 + 4.0))
+    frame = local_frame(t)
+    assert frame == (Triangle(Point(0.0, 0.0), Point(0.75, 0.0), Point(0.0, 1.0)), Point(1e9, 1e9), 4.0)
+    assert local_frame(t) is frame
+    assert t == Triangle(*t.vertices) and hash(t) == hash(t.vertices) and "frame" not in repr(t)
+    for copied in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
+        assert local_frame(copied) == frame and local_frame(copied) is not frame
 
 
 def test_degenerate_triangle_rejected():

@@ -151,7 +151,8 @@ def test_thresholds_outside_geom_are_single_site_parameters():
     """geom names the shared tolerances; every other small literal is one
     algorithm's own parameter at one site: greedy's escape slack (twice, one
     per bound), settle test, angle-sum check and ratio-grid filter, the
-    slack of verify_1gap_optimality and grid3's pruning margin."""
+    slack of verify_1gap_optimality and grid3's pruning margin, 1e-9 of
+    the diameter of geom.local_frame's copy, in [1, 2)."""
     found = {
         path.name: dict(literals)
         for path in sorted(PACKAGE.glob("*.py"))

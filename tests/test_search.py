@@ -99,10 +99,11 @@ def test_grid3_deterministic(equilateral):
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
 def test_grid_oracles_match_reference(rng, offset):
     # Pruning, stacking and batching must not change a single bit of the
-    # result: value, parameters and tie-breaking, also where large
-    # coordinates leave only rounding-level gaps between the bounds and the
-    # totals.  The pruning margin is tiny in absolute terms at scales 2^-300
-    # and 1e-100, and keeps every row at offset 1e9.
+    # result: value, parameters and tie-breaking.  The references run the
+    # full cube and the plain loop on the same local frame, so they see the
+    # same rounding-level gaps between the bounds and the totals at every
+    # offset and scale, and the pruning margin is 1e-9 of the local
+    # diameter whatever the offset or the scale (2^-300, 1e-100).
     triangles = [random_acute_triangle(rng) for _ in range(6)] + list(SPECIAL_TRIANGLES)
     for scale in (1.0, 2.0**-300, 2.0**300, 1e-100):
         some = triangles if scale == 1.0 else triangles[:2] + triangles[-4:]
@@ -117,6 +118,72 @@ def test_grid_oracles_match_reference(rng, offset):
         for t in (triangles[0], triangles[6], triangles[9]):
             t = moved(t, offset, scale)
             assert grid_search_3periodic(t, 200) == reference_search.grid_search_3periodic(t, 200)
+
+
+def test_grid_oracles_agree_with_the_caller_frame_brute_force(rng):
+    # An independent check of the frame: the same brute force run on t
+    # itself, not on local_frame(t).  Moving a triangle that lies off the
+    # origin to the local frame rounds each coordinate at its own ulp, so
+    # best_value may move by a few ulps of the coordinates' size; the
+    # parameters may differ where grid totals tie within that.  Measured
+    # over 160 random and the 4 special triangles at scales 1, 0.3, 7,
+    # 2^-300, 2^300 and 1e-100: at most 2.0 * 2^-52 * size; the bound is 8.
+    searches = (
+        (grid_search_3periodic, reference_search.caller_frame_grid_search_3periodic, (2, 7, 50)),
+        (grid_search_6periodic_gap2, reference_search.caller_frame_grid_search_6periodic_gap2, (2, 7)),
+    )
+    triangles = [random_acute_triangle(rng) for _ in range(8)] + list(SPECIAL_TRIANGLES)
+    for scale in (1.0, 2.0**-300, 2.0**300, 1e-100):
+        for t in triangles:
+            t = moved(t, 0.0, scale)
+            size = t.diameter + max(abs(x) for v in t.vertices for x in v.as_tuple())
+            for search_fn, brute_force, sizes in searches:
+                for n in sizes:
+                    got, want = search_fn(t, n).best_value, brute_force(t, n).best_value
+                    assert abs(got - want) <= 8 * 2.0**-52 * size
+
+
+@st.composite
+def similar_triangles(draw):
+    """An acute triangle as in conftest.random_acute_triangle: angles at
+    least 0.08 from 0 and pi/2, side 0.5 to 3, turned and moved by up to 5."""
+    b_ang = draw(st.floats(0.17, math.pi / 2 - 0.08))
+    c_ang = draw(st.floats(math.pi / 2 - b_ang + 0.08, math.pi / 2 - 0.08))
+    p = math.cos(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
+    q = math.sin(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
+    side = draw(st.floats(0.5, 3.0))
+    c, s = math.cos(th := draw(st.floats(0.0, 2.0 * math.pi))), math.sin(th)
+    dx, dy = draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))
+    pts = [(side * p, side * q), (0.0, 0.0), (side, 0.0)]
+    return Triangle(*(Point(c * x - s * y + dx, s * x + c * y + dy) for x, y in pts))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(t=similar_triangles(), k=st.integers(-300, 300), grid_n=st.integers(2, 30))
+def test_grid_oracles_scale_exactly_by_powers_of_two(t, k, grid_n):
+    # t * 2^k has the same local frame as t, with its scale times 2^k.
+    big = moved(t, 0.0, math.ldexp(1.0, k))
+    for search_fn in (grid_search_3periodic, grid_search_6periodic_gap2):
+        res, res_big = search_fn(t, grid_n), search_fn(big, grid_n)
+        assert res_big.best_params == res.best_params
+        assert res_big.best_value == math.ldexp(res.best_value, k)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    t=similar_triangles(),
+    dx=st.floats(-1e12, 1e12),
+    dy=st.floats(-1e12, 1e12),
+    grid_n=st.integers(4, 60),
+)
+def test_grid_oracles_certify_moved_triangles(t, dx, dy, grid_n):
+    # Criterion 01's certificates hold up to 1e12 diameters from the origin.
+    far = Triangle(*(Point(v.x + dx * t.diameter, v.y + dy * t.diameter) for v in t.vertices))
+    per = orthic_perimeter(far)
+    res3 = grid_search_3periodic(far, grid_n)
+    assert abs(res3.best_value - per) <= res3.certified_tolerance
+    res6 = grid_search_6periodic_gap2(far, min(grid_n, 12))
+    assert res6.best_value >= 2.0 * per - res6.certified_tolerance
 
 
 @st.composite
@@ -184,11 +251,14 @@ def test_fagnano_row_bound(case, grid_n):
     assert abs(rho_k[0] - per) <= 1e-12 * size
 
 
-@pytest.mark.parametrize("offset", [0.0, 1e9])
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e9, 1e12])
 def test_grid3_memory_within_reference(equilateral, offset):
-    # At offset 1e9 the pruning margin keeps every (u1, u3) pair.
+    # The search runs in the local frame, so its pruning margin is 1e-9 of
+    # the diameter at any offset: a moved triangle keeps about the rows and
+    # pairs of the unmoved one, and both stay far below the full cube.
     t = moved(equilateral, offset)
     new = peak_bytes(grid_search_3periodic, t, 400)
+    assert new <= 1.1 * peak_bytes(grid_search_3periodic, equilateral, 400)
     assert new <= peak_bytes(reference_search.grid_search_3periodic, t, 400)
 
 
