@@ -9,7 +9,8 @@ also refuses, before any computation, a report above MAX_ROWS rows (`unfold
 -k`, `greedy --cycles`, the horizon of `gap`), and ends a run whose reader
 closed stdout early (`| head`) without a traceback.
 
-A vertex may start with a minus sign: `--vertices -1,0 1,0 0,1`.
+A vertex or a number may start with a minus sign: `--vertices -1,0 1,0 0,1`,
+`--lambda -1e-05`.
 
 Tolerances are fixed, named once in geom, and no option or environment
 variable changes them; every report records DEFAULT_REL_TOL under
@@ -34,11 +35,12 @@ import os
 import sys
 
 from . import __version__
-from .geom import DEFAULT_REL_TOL, EdgeId, Point, Triangle, edge_param
+from .geom import DEFAULT_REL_TOL, EdgeId, Point, Triangle
 from .greedy import greedy_run
 from .orthic import (
     lower_bound_profile,
     orthic_perimeter,
+    orthic_schedule,
     orthic_triangle,
     reflection_chain,
     sub_orthic_schedule,
@@ -96,22 +98,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _negative_pair(arg: str) -> bool:
-    """Whether arg is an "x,y" pair of numbers that starts with a minus sign."""
-    x, comma, y = arg.partition(",")
-    if not (comma and x.startswith("-")):
+def _negative_value(arg: str) -> bool:
+    """Whether arg is a number, or an "x,y" pair of numbers, that starts
+    with a minus sign."""
+    if not arg.startswith("-"):
         return False
     try:
-        float(x), float(y)
+        for x in arg.split(",", 1):
+            float(x)
     except ValueError:
         return False
     return True
 
 
-def _shield_negative_pairs(argv: list[str]) -> list[str]:
-    """argparse reads an argument such as "-1,0" as an option; with a
-    leading space it reads it as a value."""
-    return [" " + a if _negative_pair(a) else a for a in argv]
+def _shield_negative_values(argv: list[str]) -> list[str]:
+    """argparse reads an argument such as "-1,0" or "-1e-05" as an option;
+    with a leading space it reads it as a value."""
+    return [" " + a if _negative_value(a) else a for a in argv]
 
 
 def _parse_vertex(s: str) -> Point:
@@ -175,13 +178,11 @@ def _schedule_dict_out(s) -> dict:
 def cmd_orthic(args) -> dict:
     tri, inp = _triangle_from_args(args)
     od = orthic_triangle(tri)
+    # K, M, L's edge parameters, read on the local frame as the feet were.
+    params = {p.edge: p.u for p in orthic_schedule(tri).generator}
     results = {
         "feet": {"K": od.k_foot.as_tuple(), "L": od.l_foot.as_tuple(), "M": od.m_foot.as_tuple()},
-        "feet_params": {
-            "A": edge_param(tri, EdgeId.A, od.k_foot),
-            "B": edge_param(tri, EdgeId.B, od.l_foot),
-            "C": edge_param(tri, EdgeId.C, od.m_foot),
-        },
+        "feet_params": {e.name: params[e] for e in EdgeId},
         "perimeter_coordinates": od.perimeter,
         "perimeter_formula": orthic_perimeter(tri),
         "x0": od.x0,
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = _shield_negative_pairs(sys.argv[1:] if argv is None else list(argv))
+    argv = _shield_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser().parse_args(argv)
         # Rendered here too: a non-finite number in the report is a domain error.

@@ -12,10 +12,17 @@ bare constant.  A threshold that is one algorithm's own parameter at one
 site stays a literal there: greedy's settle and escape tests, the angle-sum
 check of `greedy_ratio`, the ratio grid's filter, the slack of
 `verify_1gap_optimality`, the 3-periodic search's pruning margin and
-`line_dir`'s test.  The grid searches run on `local_frame(t)`, a copy moved
-near the origin and scaled by a power of two to a diameter in [1, 2), so
-their margin, 1e-9 of that diameter, is relative to the triangle's size
-alone, wherever it lies.
+`line_dir`'s test.
+
+Every construction and both grid searches run on `local_frame(t)`, a copy
+moved near the origin and scaled by a power of two to a diameter in
+[1, 2), and map back only what they report: a point p becomes
+`place(p, origin, scale)`, a length is multiplied by the scale, and edge
+parameters and ratios stay as they are.  So each tolerance above, and the
+search's margin of 1e-9 of that diameter, is relative to the triangle's
+size alone, wherever it lies; `angles` and `Triangle`'s collinearity test
+read the same scaled coordinates, where no product of two sides under- or
+overflows.
 
 `Record` is the base of the package's immutable value types (Point,
 Triangle, the schedules, reports and the unfolding): repr, ==, hash,
@@ -199,10 +206,15 @@ class Triangle(Record):
         d = max(sides)
         _set_side_lengths(self, sides)
         _set_diameter(self, d)
-        cross = (b - a).cross(c - a)
-        if not (math.isfinite(cross) and math.isfinite(d * d)):
+        if not math.isfinite(d * d):
             raise DegenerateTriangle(f"vertices {a}, {b}, {c} too large for the float range")
-        if d == 0.0 or abs(cross) <= DEFAULT_REL_TOL * d * d:
+        # The cross product of the sides scaled by 2^-e, to a diameter in
+        # [1, 2) as in local_frame: exact, and it cannot underflow.
+        e = 1 - math.frexp(d)[1]
+        ux, uy = math.ldexp(b.x - a.x, e), math.ldexp(b.y - a.y, e)
+        wx, wy = math.ldexp(c.x - a.x, e), math.ldexp(c.y - a.y, e)
+        dl = math.ldexp(d, e)
+        if d == 0.0 or abs(ux * wy - uy * wx) <= DEFAULT_REL_TOL * dl * dl:
             raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
 
     @property
@@ -221,6 +233,9 @@ class Triangle(Record):
 _set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges, _set_frame = slot_setters(Triangle)
 
 
+_ORIGIN = Point(0.0, 0.0)
+
+
 def local_frame(t: Triangle) -> tuple[Triangle, Point, float]:
     """(local, origin, scale): t with each vertex v moved to (v - origin) /
     scale, labels kept.  Computed on the first call and kept on t.
@@ -231,7 +246,11 @@ def local_frame(t: Triangle) -> tuple[Triangle, Point, float]:
     about one diameter of the origin gets origin (0, 0) and keeps its bits
     up to the scaling.  The scaling is exact, and so is the translation once
     the origin lies three multiples out (Sterbenz); between, it rounds at
-    the ulp of the coordinates themselves."""
+    the ulp of the coordinates themselves.
+
+    Where origin is (0, 0) and scale is 1, local is t itself.  Otherwise
+    local is a new Triangle whose own frame is the identity.  The point
+    (x, y) of local is the point place(x, y, origin, scale) of t."""
     try:
         return t.frame
     except AttributeError:
@@ -240,14 +259,26 @@ def local_frame(t: Triangle) -> tuple[Triangle, Point, float]:
     g = math.ldexp(1.0, e + 1)
     near = min(t.vertices, key=lambda v: abs(v.x) + abs(v.y))
     ox, oy = round(near.x / g) * g, round(near.y / g) * g
-    local = Triangle(*[Point(math.ldexp(v.x - ox, -e), math.ldexp(v.y - oy, -e)) for v in t.vertices])
-    frame = (local, Point(ox, oy), math.ldexp(1.0, e))
+    origin, scale = Point(ox, oy), math.ldexp(1.0, e)
+    if e == 0 and ox == 0.0 and oy == 0.0:
+        local = t
+    else:
+        local = Triangle(*[Point(math.ldexp(v.x - ox, -e), math.ldexp(v.y - oy, -e)) for v in t.vertices])
+        _set_frame(local, (local, _ORIGIN, 1.0))
+    frame = (local, origin, scale)
     _set_frame(t, frame)
     return frame
 
 
+def place(x: float, y: float, origin: Point, scale: float) -> Point:
+    """The point (x, y) of local_frame(t)'s triangle as a point of t: origin + scale * (x, y)."""
+    return Point(origin.x + x * scale, origin.y + y * scale)
+
+
 def angles(t: Triangle) -> tuple[float, float, float]:
-    """Interior angles (A, B, C) in radians at vertices a, b, c."""
+    """Interior angles (A, B, C) in radians at vertices a, b, c, read on
+    local_frame(t), where no product of two sides under- or overflows."""
+    t = local_frame(t)[0]
     return (
         _angle_at(t.a, t.b, t.c),
         _angle_at(t.b, t.c, t.a),

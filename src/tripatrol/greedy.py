@@ -6,6 +6,11 @@ position onto the next edge in a fixed cyclic order (BC, AB, AC clockwise).
 The distance-from-B on BC obeys d_{i+1} = c - x*d_i with
 x = cosA cosB cosC, so the trajectory contracts onto a 3-periodic cycle
 similar to the triangle itself.
+
+The walk and its limit cycle run on geom.local_frame(t), the triangle
+moved near the origin and scaled by a power of two; their edge parameters
+need no mapping, and the limit cycle's gap is scaled back.  So the walk
+settles as fast far from the origin as near it.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from .geom import (
     edge_param,
     edge_point,
     line_dir,
+    local_frame,
+    place,
     point_off_edge,
     project_onto_edge,
     require_acute,
@@ -90,8 +97,10 @@ def greedy_run(
     t: Triangle, start_u: float, num_cycles: int = 200, direction: str = "cw"
 ) -> GreedyTrace:
     """Iterate the greedy projections for num_cycles BC revisits (or until the
-    revisit distance settles to 1e-12 of |BC|) and package the analysis."""
+    revisit distance settles to 1e-12 of |BC|) and package the analysis.
+    The walk runs on local_frame(t); its edge parameters need no mapping."""
     require_acute(t)
+    local, origin, scale = local_frame(t)
     if not 0.0 <= start_u <= 1.0:
         raise ValueError("start_u must lie in [0, 1]")
     if num_cycles < 1:
@@ -101,9 +110,9 @@ def greedy_run(
         raise ValueError("direction must be 'cw' or 'ccw'")
 
     visited = [SchedulePoint(EdgeId.A, start_u)]
-    p = edge_point(t, EdgeId.A, start_u)
+    p = edge_point(local, EdgeId.A, start_u)
     x, y = p.x, p.y
-    tol = t.tol()
+    tol = local.tol()
     # edge -> its edge_frame and unit direction; built at first use, so checks fail in step order
     frames = {}
     iterates = [start_u]
@@ -113,7 +122,7 @@ def greedy_run(
         for e in cycle:
             frame = frames.get(e)
             if frame is None:
-                frame = frames[e] = edge_frame(t, e) + line_dir(t.edges[e])
+                frame = frames[e] = edge_frame(local, e) + line_dir(local.edges[e])
             sx, sy, dx, dy, dd, length, ux, uy = frame
             # The projection onto the edge's line, then its edge parameter.
             s = (x - sx) * ux + (y - sy) * uy
@@ -121,7 +130,7 @@ def greedy_run(
             wx, wy = x - sx, y - sy
             resid = abs(dx * wy - dy * wx) / length
             if resid > tol:
-                raise point_off_edge((x, y), resid, e)
+                raise point_off_edge(place(x, y, origin, scale).as_tuple(), resid * scale, e)
             u = (wx * dx + wy * dy) / dd
             if not -1e-9 <= u <= 1.0 + 1e-9:
                 raise ProjectionEscapesEdge(
@@ -155,14 +164,16 @@ def greedy_run(
 
 
 def _limit_schedule(t: Triangle, fixed_u: float, cycle: tuple[EdgeId, ...]) -> Schedule:
-    d = edge_point(t, EdgeId.A, fixed_u)
+    """The limit cycle through fixed_u on BC, projected on local_frame(t)."""
+    local = local_frame(t)[0]
+    d = edge_point(local, EdgeId.A, fixed_u)
     pts = [SchedulePoint(EdgeId.A, fixed_u)]
     cur = d
     for e in cycle[:2]:
-        cur = project_onto_edge(cur, t, e)
-        pts.append(SchedulePoint(e, edge_param(t, e, cur)))
-    closing = project_onto_edge(cur, t, EdgeId.A)
-    if closing.dist(d) > CHECK_REL_TOL * t.diameter:
+        cur = project_onto_edge(cur, local, e)
+        pts.append(SchedulePoint(e, edge_param(local, e, cur)))
+    closing = project_onto_edge(cur, local, EdgeId.A)
+    if closing.dist(d) > CHECK_REL_TOL * local.diameter:
         raise AssertionError("limit cycle failed to close onto its fixed point")
     return Schedule(t, tuple(pts))
 

@@ -15,14 +15,20 @@ line.  The channel check reads the signed offsets of each copy's vertices
 from the orthic line: a boundary parallel to it meets two edges of a copy
 unless all three vertices lie strictly on one side.
 
-`reflection_chain(t)` builds it and keeps the last one built, and the
-last build that failed, each one entry keyed on the Triangle object: a
-sweep over lambda, the v_k bounds and the CLI on one triangle build it, and
-run its checks, once.
+Every construction here runs on geom.local_frame(t): the triangle moved
+near the origin and scaled by a power of two to a diameter in [1, 2).
+What it reports is mapped back: points are placed at origin + scale * p,
+lengths multiplied by the scale, and edge parameters and ratios kept.
+
+`reflection_chain(t)` builds the unfolding of t's local triangle and keeps
+the last one built, one entry keyed on that Triangle object: a sweep over
+lambda, the v_k bounds and the CLI on one triangle build it, and run its
+checks, once.  It returns that unfolding placed back in t's coordinates;
+`sub_orthic_schedule` and `lower_bound_profile` read the local one.
 
 The unfolding also holds what the sweep over lambda reads (`sweep`): the
 seven lines a channel line crosses with their fold steps, and the edge
-frames of the caller's triangle, so that `sub_orthic_schedule` computes on
+frames of the local triangle, so that `sub_orthic_schedule` computes on
 plain floats.
 """
 
@@ -45,6 +51,8 @@ from .geom import (
     edge_param,
     line_dir,
     line_intersection,
+    local_frame,
+    place,
     point_off_edge,
     project_along,
     project_onto_edge,
@@ -88,7 +96,13 @@ def orthic_perimeter(t: Triangle) -> float:
 
 
 def orthic_triangle(t: Triangle) -> OrthicData:
-    """Altitude feet K, L, M and the orthic perimeter of an acute triangle."""
+    """Altitude feet K, L, M and the orthic perimeter of an acute triangle,
+    computed on local_frame(t) and placed back."""
+    local, origin, scale = local_frame(t)
+    if local is not t:
+        data = orthic_triangle(local)
+        k, l, m = [place(p.x, p.y, origin, scale) for p in (data.k_foot, data.l_foot, data.m_foot)]
+        return OrthicData(k, l, m, data.perimeter * scale, data.x0)
     require_acute(t)
     k = project_onto_edge(t.a, t, EdgeId.A)
     l = project_onto_edge(t.b, t, EdgeId.B)
@@ -107,13 +121,14 @@ def orthic_triangle(t: Triangle) -> OrthicData:
 
 def orthic_schedule(t: Triangle) -> Schedule:
     """The 3-periodic cyclic schedule along the orthic triangle K -> M -> L."""
-    data = orthic_triangle(t)
+    local = local_frame(t)[0]
+    data = orthic_triangle(local)
     return Schedule(
         t,
         (
-            SchedulePoint(EdgeId.A, edge_param(t, EdgeId.A, data.k_foot)),
-            SchedulePoint(EdgeId.C, edge_param(t, EdgeId.C, data.m_foot)),
-            SchedulePoint(EdgeId.B, edge_param(t, EdgeId.B, data.l_foot)),
+            SchedulePoint(EdgeId.A, edge_param(local, EdgeId.A, data.k_foot)),
+            SchedulePoint(EdgeId.C, edge_param(local, EdgeId.C, data.m_foot)),
+            SchedulePoint(EdgeId.B, edge_param(local, EdgeId.B, data.l_foot)),
         ),
     )
 
@@ -131,8 +146,8 @@ class Unfolding(Record):
     by the parallels through A and through A1.
     """
 
-    # sweep: the float data of sub_orthic_schedule, computed from the fields
-    # once (see _sweep_data).
+    # sweep: the float data of sub_orthic_schedule in the coordinates of
+    # local_frame(source), derived from the fields once (see _sweep_data).
     __match_args__ = (
         "source", "base", "edge_map", "triangles", "mirrors",
         "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
@@ -143,7 +158,7 @@ class Unfolding(Record):
 
     def __init__(
         self,
-        source: Triangle,  # caller's triangle, original labels
+        source: Triangle,  # the triangle unfolded, original labels
         base: Triangle,  # relabeled copy (alpha >= beta >= gamma)
         edge_map: dict[EdgeId, EdgeId],  # relabeled EdgeId -> caller EdgeId
         triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle],
@@ -187,6 +202,8 @@ class Unfolding(Record):
 # The unfolding's five steps: the index of the vertex reflected across the
 # line through the other two, C about AB, B about AC1, A about B1C1, and so on.
 _REFLECTED = (2, 1, 0, 2, 1)
+# The other two vertices of each index, in order: the mirror of its reflection.
+_OTHERS = ((1, 2), (0, 2), (0, 1))
 
 # The channel line crosses BC, then each mirror, then B2C2: the fold depth
 # of each crossing, and the relabeled edge of each but the last.
@@ -199,7 +216,13 @@ def _sweep_data(unf: Unfolding) -> tuple[tuple, tuple]:
     first point, difference vector and that vector's hypot, and the fold
     steps (mirror point, unit direction) that map a point of its copy back
     onto the base, the deepest mirror first.  frames: for each crossing but
-    the last, the caller's edge and its edge_frame."""
+    the last, the edge of the source it lies on and that edge's edge_frame.
+    All of it in the coordinates of local_frame(unf.source): from the
+    fields where that frame is the identity, else the sweep of the local
+    triangle's unfolding, which has the same edge map."""
+    local = local_frame(unf.source)[0]
+    if local is not unf.source:
+        return reflection_chain(local).sweep
     crossed = ((unf.base.b, unf.base.c),) + unf.mirrors + ((unf.b2, unf.c2),)
     steps = [(m[0].x, m[0].y, *line_dir(m)) for m in unf.mirrors]
     lines = []
@@ -228,6 +251,7 @@ def _straddles(tri: Triangle, anchor: Point, unit_dir: Point, bottom: float, top
 
 
 def _build(t: Triangle) -> Unfolding:
+    """The unfolding of a triangle that is its own local frame."""
     require_acute(t)
     base, edge_map = _relabel(t)
     a, b, c = base.vertices
@@ -238,7 +262,8 @@ def _build(t: Triangle) -> Unfolding:
     copies, mirrors, feet = [], [], []
     for i in _REFLECTED:
         p = verts[i]
-        mirror = tuple(v for j, v in enumerate(verts) if j != i)
+        lo, hi = _OTHERS[i]
+        mirror = (verts[lo], verts[hi])
         d = line_dir(mirror)
         fx, fy = project_along(p.as_tuple(), mirror[0], d)
         verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
@@ -304,32 +329,70 @@ def _build(t: Triangle) -> Unfolding:
     )
 
 
-# The unfolding of the last build, and the last build that raised, as
-# (triangle, exception type, args).  Keyed on the identity of the source
+def _placed(unf: Unfolding, t: Triangle, origin: Point, scale: float) -> Unfolding:
+    """unf, the unfolding of local_frame(t)[0], in t's coordinates: its base
+    vertices are t's own, every other point is placed back, its half widths
+    are scaled back, and its unit vectors, edge map and snap carry over."""
+    v = t.vertices
+    base = Triangle(*[v[e] for e in unf.edge_map.values()])  # keyed A, B, C in order
+    c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, low, high = [
+        place(p.x, p.y, origin, scale)
+        for p in (
+            unf.c1, unf.b1, unf.a1, unf.c2, unf.b2, unf.k, unf.m, unf.l1, unf.k1, unf.m1, unf.l2, unf.k2,
+            unf.boundary_low[1], unf.boundary_high[1],
+        )
+    ]
+    verts = [base.a, base.b, base.c]
+    copies, mirrors = [], []
+    for i, p in zip(_REFLECTED, (c1, b1, a1, c2, b2)):
+        lo, hi = _OTHERS[i]
+        mirrors.append((verts[lo], verts[hi]))
+        verts[i] = p
+        copies.append(Triangle(*verts))
+    return Unfolding(
+        source=t,
+        base=base,
+        edge_map=unf.edge_map,
+        triangles=tuple(copies),
+        mirrors=tuple(mirrors),
+        a1=a1,
+        b1=b1,
+        b2=b2,
+        c1=c1,
+        c2=c2,
+        k=k,
+        m=m,
+        l1=l1,
+        k1=k1,
+        m1=m1,
+        l2=l2,
+        k2=k2,
+        direction=unf.direction,
+        boundary_low=(a1, low),
+        boundary_high=(base.a, high),
+        half_width_low=unf.half_width_low * scale,
+        half_width_high=unf.half_width_high * scale,
+        normal=unf.normal,
+        snap=unf.snap,
+    )
+
+
+# The unfolding of the last build, keyed on the identity of its source
 # Triangle, not on ==: Point(0.0, y) == Point(-0.0, y), and source/base must
 # be the caller's own vertices.  Holding the triangle keeps its id from
 # being reused.
 _last_unfolding: Unfolding | None = None
-_last_failure: tuple[Triangle, type, tuple] | None = None
 
 
 def reflection_chain(t: Triangle) -> Unfolding:
-    """The unfolding of t, built and checked once per triangle; a build that
-    raised raises again, a new exception of the same type and args, without
-    being built again."""
-    global _last_unfolding, _last_failure
+    """The unfolding of t: built and checked once per triangle on
+    local_frame(t), then placed back in t's coordinates."""
+    global _last_unfolding
+    local, origin, scale = local_frame(t)
     last = _last_unfolding
-    if last is not None and last.source is t:
-        return last
-    failed = _last_failure
-    if failed is not None and failed[0] is t:
-        raise failed[1](*failed[2])
-    try:
-        _last_unfolding = _build(t)
-    except Exception as exc:
-        _last_failure = (t, type(exc), exc.args)
-        raise
-    return _last_unfolding
+    if last is None or last.source is not local:
+        last = _last_unfolding = _build(local)
+    return last if local is t else _placed(last, t, origin, scale)
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
@@ -340,18 +403,18 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     signed distance on each side.
 
     The line runs from anchor = k + normal * offset to anchor + direction *
-    diameter.  Its crossing with each line of the sweep is folded back onto
-    the base; the crossing with B2C2 must fold back onto the one with BC.
+    diameter, on the local unfolding.  Its crossing with each line of the
+    sweep is folded back onto the base; the crossing with B2C2 must fold
+    back onto the one with BC.  The edge parameters are those of t.
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
-    unf = reflection_chain(t)
+    local, origin, scale = local_frame(t)
+    unf = reflection_chain(local)
     off = lam * (unf.half_width_high if lam >= 0.0 else unf.half_width_low)
-    k, n, d, diam = unf.k, unf.normal, unf.direction, t.diameter
+    k, n, d, diam = unf.k, unf.normal, unf.direction, local.diameter
     ax, ay = k.x + n.x * off, k.y + n.y * off
     qx, qy = ax + d.x * diam, ay + d.y * diam
-    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(qx) and math.isfinite(qy)):
-        Point(ax, ay), Point(qx, qy)  # raise as the line's Points would
     d1x, d1y = qx - ax, qy - ay
     parallel = PARALLEL_SIN_TOL * math.hypot(d1x, d1y)
     lines, frames = unf.sweep
@@ -362,8 +425,6 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
             raise ValueError("lines are parallel")
         s = ((px - ax) * d2y - (py - ay) * d2x) / den
         x, y = ax + d1x * s, ay + d1y * s
-        if not (math.isfinite(x) and math.isfinite(y)):
-            Point(x, y)  # raise as line_intersection would
         for mx, my, ux, uy in steps:
             s = (x - mx) * ux + (y - my) * uy
             x, y = 2.0 * (mx + ux * s) - x, 2.0 * (my + uy * s) - y
@@ -378,7 +439,7 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
         wx, wy = x - sx, y - sy
         resid = abs(dx * wy - dy * wx) / length
         if resid > tol:
-            raise point_off_edge((x, y), resid, edge)
+            raise point_off_edge(place(x, y, origin, scale).as_tuple(), resid * scale, edge)
         u = (wx * dx + wy * dy) / dd
         if abs(u) <= snap:
             u = 0.0
@@ -393,10 +454,12 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     trajectory from the channel cross-section RT on BC to its k-th unfolded
     image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
     diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
-    |v . (T - R)| / (P k) from the skew diagonal."""
+    |v . (T - R)| / (P k) from the skew diagonal.  Both are measured on the
+    local unfolding and scaled back."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    unf = reflection_chain(t)
+    local, _, scale = local_frame(t)
+    unf = reflection_chain(local)
     bc: Line = (unf.base.b, unf.base.c)
     t_pt = line_intersection(unf.boundary_high, bc)
     r_pt = line_intersection(unf.boundary_low, bc)
@@ -428,7 +491,7 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
         w = ((tkx - rx) * ex + (tky - ry) * ey) / ee if ee else 0.0
         w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
         d_tk = math.hypot(tkx - (rx + ex * w), tky - (ry + ey * w))
-        rows.append((k, min(d_r, d_t, d_rk, d_tk) / k, 2.0 * c / (per2 * k)))
+        rows.append((k, min(d_r, d_t, d_rk, d_tk) / k * scale, 2.0 * c / (per2 * k) * scale))
     return rows
 
 

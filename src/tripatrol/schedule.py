@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from itertools import cycle, islice
 
-from .geom import EdgeId, Point, Record, Triangle, edge_point, slot_setters, vertex_edges
+from .geom import EdgeId, Point, Record, Triangle, edge_point, local_frame, slot_setters, vertex_edges
 
 
 _EDGES = tuple(EdgeId)
@@ -50,10 +50,12 @@ _set_edge, _set_u, _set_visited_edges = slot_setters(SchedulePoint)
 class Schedule(Record):
     """The periodic schedule that repeats `generator` on `triangle`."""
 
-    # positions: where each generator point sits in the plane; computed
-    # once, as every gap, travel time and rendering reads them.
+    # legs: legs[i] walks from point i on to point i + 1, computed once, as
+    # every gap and travel time reads them.  positions: where each generator
+    # point sits in the plane, computed on the first read (see __getattr__),
+    # as only periodicity tests and renderings read them.
     __match_args__ = ("triangle", "generator")
-    __slots__ = __match_args__ + ("positions",)
+    __slots__ = __match_args__ + ("positions", "legs")
 
     def __init__(self, triangle: Triangle, generator: Sequence[SchedulePoint]):
         gen = tuple(generator)
@@ -65,7 +67,15 @@ class Schedule(Record):
         if visited != _ALL_EDGES:
             missing = ",".join(e.name for e in set(EdgeId) - visited)
             raise InfeasibleSchedule(f"edge(s) {missing} never visited")
-        _set_positions(self, tuple(edge_point(triangle, p.edge, p.u) for p in gen))
+        _set_legs(self, _legs(triangle, gen))
+
+    def __getattr__(self, name: str):
+        # Reached only for a slot not yet set: positions, on its first read.
+        if name != "positions":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        positions = tuple(edge_point(self.triangle, p.edge, p.u) for p in self.generator)
+        _set_positions(self, positions)
+        return positions
 
     def position(self, i: int) -> Point:
         return self.positions[i % len(self.positions)]
@@ -75,7 +85,23 @@ class Schedule(Record):
         return travel_time(self, 0, len(self.generator))
 
 
-_set_triangle, _set_generator, _set_positions = slot_setters(Schedule)
+_set_triangle, _set_generator, _set_positions, _set_legs = slot_setters(Schedule)
+
+
+def _legs(triangle: Triangle, points: Sequence[SchedulePoint]) -> tuple[float, ...]:
+    """The length of each leg of the closed walk through points, point i to
+    point i + 1: measured on local_frame(triangle), then scaled back."""
+    local, _, scale = local_frame(triangle)
+    edges = local.edges
+    xs, ys = [], []
+    for p in points:
+        s, f = edges[p.edge]
+        u = p.u
+        xs.append(s.x + u * (f.x - s.x))
+        ys.append(s.y + u * (f.y - s.y))
+    xs.append(xs[0])
+    ys.append(ys[0])
+    return tuple([math.hypot(xs[i] - xs[i + 1], ys[i] - ys[i + 1]) * scale for i in range(len(points))])
 
 
 def is_cyclic(s: Schedule) -> bool:
@@ -97,7 +123,8 @@ def travel_time(s: Schedule, i: int, j: int) -> float:
     """Distance (= time for the unit-speed agent) from point i to point j."""
     if i > j:
         raise ValueError("need i <= j")
-    return sum(s.position(k).dist(s.position(k + 1)) for k in range(i, j))
+    legs, m = s.legs, len(s.legs)
+    return sum(legs[k % m] for k in range(i, j))
 
 
 def pairwise_gap(s: Schedule) -> float:
@@ -105,8 +132,7 @@ def pairwise_gap(s: Schedule) -> float:
     consecutively visited edges).  Defined for cyclic schedules."""
     if not is_cyclic(s):
         raise ValueError("pairwise_gap requires a cyclic schedule")
-    m = len(s.generator)
-    return max(s.position(i).dist(s.position(i + 1)) for i in range(m))
+    return max(s.legs)
 
 
 class GapReport(Record):
@@ -134,14 +160,13 @@ _SET_GAP_REPORT = slot_setters(GapReport)
 
 
 def _visit_times(
-    positions: Sequence[Point], points: Sequence[SchedulePoint], horizon: int, tol: float
+    legs: Sequence[float], points: Sequence[SchedulePoint], horizon: int, tol: float
 ) -> tuple[list[float], list[float], list[float]]:
     """Visit instants of edges A, B and C over `horizon` points of the walk
-    repeating `points`, one per instant."""
+    repeating `points`, one per instant; legs[i] walks from point i on to
+    point i + 1."""
     times: tuple[list[float], list[float], list[float]] = ([], [], [])
     visits = [p.visited_edges for p in points]
-    # legs[i] walks from point i on to point i + 1.
-    legs = [math.hypot(p.x - q.x, p.y - q.y) for p, q in zip(positions, positions[1:] + positions[:1])]
     now = 0.0
     for edges, leg in islice(cycle(zip(visits, legs)), horizon):
         for e in edges:
@@ -197,7 +222,7 @@ def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport
         horizon = attained
     if horizon < m + 1:
         raise ValueError(f"horizon {horizon} shorter than one period plus a revisit")
-    times = _visit_times(s.positions, s.generator, horizon, s.triangle.tol())
+    times = _visit_times(s.legs, s.generator, horizon, s.triangle.tol())
     mode = "periodic" if horizon >= attained else "observed"
     return _gaps_from_times(times, t, horizon, mode)
 
@@ -208,8 +233,7 @@ def prefix_gap_report(
     """Gap report over a finite non-repeating prefix of schedule points."""
     if t < 1:
         raise ValueError("gap order t must be >= 1")
-    pos = [edge_point(triangle, p.edge, p.u) for p in points]
-    times = _visit_times(pos, points, len(points), triangle.tol())
+    times = _visit_times(_legs(triangle, points), points, len(points), triangle.tol())
     return _gaps_from_times(times, t, len(points), "observed", allow_missing=True)
 
 

@@ -6,9 +6,15 @@ Unfolding, the edges on Triangle and the inline loops.  Their
 intersections, folds and edge parameters come from reference_geom, so a
 change to geom cannot move the references it is checked against.
 
-tripatrol must return the same values, bit for bit, and raise the same
-exceptions with the same messages as these on every input; they are kept
-only for the tests to compare against.
+The caller_frame_* functions are those bodies, run on the triangle they
+are given.  The public ones run the same bodies on geom.local_frame(t)'s
+triangle and map the result back as tripatrol does: edge parameters as
+they are, lengths times the frame's scale, each Schedule rebuilt on t.  A
+gap or travel time adds leg lengths measured on the local frame, times the
+scale.  tripatrol must return the same values, bit for bit, and raise the
+same exceptions with the same messages as the public ones on every input;
+the caller_frame_* ones check the frame itself.  They are kept only for
+the tests to compare against.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from tripatrol.geom import (
     Triangle,
     edge_point,
     line_dir,
+    local_frame,
     project_along,
     require_acute,
 )
@@ -39,6 +46,11 @@ _FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED)))
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
+    local = local_frame(t)[0]
+    return Schedule(t, caller_frame_sub_orthic_schedule(local, lam).generator)
+
+
+def caller_frame_sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     """Cyclic 6-periodic schedule from the channel line at parameter lam.
 
     lam = -1 is the boundary through A1, 0 the orthic line itself, +1 the
@@ -74,6 +86,11 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
 
 
 def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
+    local, _, scale = local_frame(t)
+    return [(k, vk * scale, bound * scale) for k, vk, bound in caller_frame_lower_bound_profile(local, k_max)]
+
+
+def caller_frame_lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
     """Rows (k, v_k / k, bound_k).  v_k is the length of the shortest
     trajectory from the channel cross-section RT on BC to its k-th unfolded
     image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
@@ -110,11 +127,13 @@ def segment_distance_xy(p: XY, a: XY, b: XY) -> float:
 
 
 def _visit_times(
-    positions: Sequence[Point], points: Sequence[SchedulePoint], horizon: int, tol: float
+    positions: Sequence[Point], points: Sequence[SchedulePoint], horizon: int, tol: float, scale: float = 1.0
 ) -> dict[EdgeId, list[float]]:
-    """Visit instants per edge over `horizon` points of the walk repeating `points`, one per instant."""
+    """Visit instants per edge over `horizon` points of the walk repeating
+    `points`, one per instant; each leg is measured between positions and
+    multiplied by scale."""
     m = len(points)
-    legs = [positions[i - 1].dist(positions[i]) for i in range(m)]  # legs[i] ends at point i
+    legs = [positions[i - 1].dist(positions[i]) * scale for i in range(m)]  # legs[i] ends at point i
     edges = [p.visited_edges for p in points]
     times: dict[EdgeId, list[float]] = {e: [] for e in EdgeId}
     now = 0.0
@@ -162,7 +181,20 @@ def _gaps_from_times(
     )
 
 
+def _local_positions(triangle: Triangle, points: Sequence[SchedulePoint]) -> tuple[list[Point], float]:
+    local, _, scale = local_frame(triangle)
+    return [edge_point(local, p.edge, p.u) for p in points], scale
+
+
 def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport:
+    return _gap_report(s, t, horizon, *_local_positions(s.triangle, s.generator))
+
+
+def caller_frame_gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport:
+    return _gap_report(s, t, horizon, s.positions, 1.0)
+
+
+def _gap_report(s: Schedule, t: int, horizon: int | None, positions: Sequence[Point], scale: float) -> GapReport:
     """t-gap sequences and suprema of a schedule, examined over `horizon`
     sequence elements (default: enough to attain the periodic supremum)."""
     if t < 1:
@@ -173,7 +205,7 @@ def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport
         horizon = attained
     if horizon < m + 1:
         raise ValueError(f"horizon {horizon} shorter than one period plus a revisit")
-    times = _visit_times(s.positions, s.generator, horizon, s.triangle.tol())
+    times = _visit_times(positions, s.generator, horizon, s.triangle.tol(), scale)
     mode = "periodic" if horizon >= attained else "observed"
     return _gaps_from_times(times, t, horizon, mode)
 
@@ -184,12 +216,34 @@ def prefix_gap_report(
     """Gap report over a finite non-repeating prefix of schedule points."""
     if t < 1:
         raise ValueError("gap order t must be >= 1")
-    pos = [edge_point(triangle, p.edge, p.u) for p in points]
-    times = _visit_times(pos, points, len(points), triangle.tol())
+    pos, scale = _local_positions(triangle, points)
+    times = _visit_times(pos, points, len(points), triangle.tol(), scale)
     return _gaps_from_times(times, t, len(points), "observed", allow_missing=True)
 
 
-def greedy_run(
+def greedy_run(t: Triangle, start_u: float, num_cycles: int = 200, direction: str = "cw") -> GreedyTrace:
+    """The walk of caller_frame_greedy_run on local_frame(t)'s triangle; the
+    recurrence and the limit cycle of t itself."""
+    walk = caller_frame_greedy_run(local_frame(t)[0], start_u, num_cycles, direction)
+    c, x = recurrence_constants(t, direction)
+    fixed = c / (1.0 + x)
+    limit = _limit_schedule(t, fixed, _CYCLES[direction])
+    return GreedyTrace(
+        start_u=start_u,
+        direction=direction,
+        iterates=walk.iterates,
+        c=c,
+        x=x,
+        fixed_point=fixed,
+        limit_schedule=limit,
+        limit_gap=limit.period_length(),
+        iterations_to_converge=walk.iterations_to_converge,
+        converged=walk.converged,
+        visited=walk.visited,
+    )
+
+
+def caller_frame_greedy_run(
     t: Triangle, start_u: float, num_cycles: int = 200, direction: str = "cw"
 ) -> GreedyTrace:
     """Iterate the greedy projections for num_cycles BC revisits (or until the

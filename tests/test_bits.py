@@ -20,7 +20,7 @@ from tripatrol.orthic import (
 from tripatrol.schedule import gap_report
 from conftest import random_acute_triangle
 
-DIGEST = "694b4f8acaf8ec2cd597e3ea8dfa4e75642dcf6b6cc5140ada313429dceb564e"
+DIGEST = "8c73e0a03029579358cc3edb887e9b1bf3f14c6e18d77b33587964fe457010cf"
 
 BASE_SEED = 10
 BASE_COUNT = 11

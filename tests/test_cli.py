@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,8 +11,10 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tripatrol
+from tripatrol import cli
 from tripatrol.cli import MAX_ROWS, dumps, main
 from tripatrol.search import MAX_GRID_FLOATS
 from conftest import random_acute_triangle
@@ -188,15 +192,25 @@ def test_vertices_may_be_negative(vertices, capsys, monkeypatch, tmp_path):
     assert json.loads(out)["input"]["vertices"] == [[-0.5, 0.0], [0.5, 0.0], [-0.001, -2.0]]
 
 
+@pytest.mark.parametrize("value", ["-1e-05", "-0.5", "-1"])
+def test_option_values_may_be_negative(value, capsys, monkeypatch, tmp_path):
+    # argparse reads "-1e-05" as an option unless it is shielded as "-1,0" is.
+    code, out = run_cli(["channel", "--angles-deg", "60", "60", "--lambda", value], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    assert json.loads(out)["results"]["lambda"] == float(value)
+
+
 def test_exit_code_2_on_non_finite_report(capsys, monkeypatch, tmp_path):
-    # At this side length the v_k parallelogram bound's |v . (T - R)|
-    # overflows to inf.
-    code, out = run_cli(
-        ["unfold", "--angles-deg", "60", "60", "--side", "1e154"],
-        capsys,
-        monkeypatch,
-        tmp_path,
-    )
+    # The constructions run on the local frame, so no input that passes the
+    # too-large check overflows a report (at this side length the v_k
+    # bound's |v . (T - R)| once did); a non-finite value that reached the
+    # report would still be refused.
+    args = ["unfold", "--angles-deg", "60", "60", "--side", "1e154"]
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    assert json.loads(out)["results"]["two_orthic_perimeter"] == pytest.approx(3e154, rel=1e-12)
+    monkeypatch.setattr(cli, "orthic_perimeter", lambda t: math.inf)
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
     assert code == 2
     assert json.loads(out) == {"error": "ValueError", "message": "non-finite number in report"}
 
@@ -207,13 +221,16 @@ def test_exit_code_2_on_non_finite_report(capsys, monkeypatch, tmp_path):
     ids=["channel", "unfold", "render"],
 )
 def test_exit_code_2_on_channel_lines_too_large_for_floats(args, capsys, monkeypatch, tmp_path):
-    # The channel checks stay finite at this side length (they used to
-    # overflow and exit 1); a channel line's intersection point overflows.
+    # On the local frame the channel lines stay finite up to the largest
+    # side the float range allows (at 1.2e154 an intersection point once
+    # overflowed); past it, the triangle itself is refused.
     code, out = run_cli([*args, "--angles-deg", "60", "60", "--side", "1.2e154"], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    code, out = run_cli([*args, "--angles-deg", "60", "60", "--side", "1.4e154"], capsys, monkeypatch, tmp_path)
     assert code == 2
     doc = json.loads(out)
-    assert doc["error"] == "ValueError"
-    assert doc["message"].startswith("non-finite coordinates")
+    assert doc["error"] == "DegenerateTriangle"
+    assert doc["message"].endswith(" too large for the float range")
 
 
 @pytest.mark.parametrize("side", ["1e155", "1e160"])
@@ -353,6 +370,93 @@ def test_large_triangles_succeed(command, spec, capsys, monkeypatch, tmp_path):
     extra = ["--out", "out.svg"] if command == "render" else []
     code, out = run_cli([command, *spec, *extra], capsys, monkeypatch, tmp_path)
     assert code == 0, out
+
+
+GATE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.45, 0.8))
+GATE_SPECS = {
+    **{
+        f"moved_{o:g}": ["--vertices", *(f"{x + o!r},{y + o!r}" for x, y in GATE_VERTICES)]
+        for o in (1e6, 1e7, 1e8, 1e12)
+    },
+    **{f"side_{side}": ["--angles-deg", "60", "60", "--side", side] for side in ("1e-160", "1e-200")},
+}
+
+
+@pytest.mark.parametrize("spec", GATE_SPECS)
+@pytest.mark.parametrize("command", ["orthic", "channel", "unfold", "greedy"])
+def test_far_and_tiny_triangles_succeed(command, spec, capsys, monkeypatch, tmp_path):
+    # Each construction runs on the triangle's local frame, so neither an
+    # offset of 1e12 diameters nor sides whose squares underflow lose it;
+    # each report holds the paper's identities.
+    code, out = run_cli([command, *GATE_SPECS[spec]], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    res = json.loads(out)["results"]
+    if command == "orthic":
+        assert res["perimeter_coordinates"] == pytest.approx(res["perimeter_formula"], rel=1e-12)
+    elif command == "channel":
+        assert res["gap2"] == pytest.approx(res["two_orthic_perimeter"], rel=1e-12)
+    elif command == "unfold":
+        assert 0.0 < res["final_gap_to_limit"] < 0.01 * res["two_orthic_perimeter"]
+    else:
+        assert res["converged"] and res["iterations_to_converge"] <= 20
+
+
+def test_tiny_orthic_reference_keeps_its_digits(capsys, monkeypatch, tmp_path):
+    # The angles are read on the local frame: at side 1e-160 the products of
+    # two sides no longer fall into the subnormals.
+    args = ["search", "--angles-deg", "60", "60", "--side", "1e-160", "--period", "3"]
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+    assert json.loads(out)["results"]["orthic_reference"] == pytest.approx(1.5e-160, rel=1e-14)
+
+
+@st.composite
+def fuzz_argv(draw, tmp: pathlib.Path) -> list[str]:
+    """A subcommand on a random acute triangle that is moved by 10^3 to
+    10^15, scaled by 10^+-(150 to 300), or neither."""
+    t = random_acute_triangle(random.Random(draw(st.integers(0, 2**32 - 1))), margin=0.05)
+    kind = draw(st.sampled_from(["plain", "moved", "tiny", "huge"]))
+    move = 10.0 ** draw(st.floats(3.0, 15.0)) if kind == "moved" else 0.0
+    scale = 10.0 ** draw(st.floats(150.0, 300.0)) if kind in ("tiny", "huge") else 1.0
+    if kind == "tiny":
+        scale = 1.0 / scale
+    points = [[v.x * scale + move, v.y * scale + move] for v in t.vertices]
+    vertices = [f"{x!r},{y!r}" for x, y in points]
+    command = draw(st.sampled_from(["orthic", "greedy", "channel", "unfold", "search", "render", "gap"]))
+    extra = {
+        "greedy": ["--direction", draw(st.sampled_from(["cw", "ccw"]))],
+        "channel": ["--lambda", repr(draw(st.floats(-1.0, 1.0)))],
+        "unfold": ["-k", "5"],
+        "search": ["--grid", "8", "--period", draw(st.sampled_from(["3", "6"]))],
+        "render": ["--out", str(tmp / "out.svg")],
+    }.get(command, [])
+    if command == "gap":
+        doc = {"triangle": points, "generator": [{"edge": e, "u": 0.5} for e in "ACB"]}
+        (tmp / "fuzz.json").write_text(json.dumps(doc))
+        return ["gap", "--schedule", str(tmp / "fuzz.json"), "--t", "2"]
+    return [command, "--vertices", *vertices, *extra]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_fuzzed_inputs_never_exit_1(fuzz_dir):
+    # A result (0) or a documented domain error (2): the too-large verdict
+    # on huge sides, or a triangle rounded to non-acute far out; never an
+    # internal error (1).
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(argv=fuzz_argv(fuzz_dir))
+    def run(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 2), (argv, out.getvalue())
+        if code == 2:
+            assert json.loads(out.getvalue())["error"] in ("DegenerateTriangle", "NotAcute"), (argv, out.getvalue())
+
+    run()
 
 
 FAR_RIGHT_ISO = ["--vertices", "999999999999,1000000000000", "1000000000000,1000000000001", "1000000000001,1000000000000"]

@@ -166,6 +166,27 @@ def test_local_frame_is_kept_on_the_triangle_out_of_eq_hash_and_repr():
         assert local_frame(copied) == frame and local_frame(copied) is not frame
 
 
+def test_local_frame_of_a_frame_is_itself():
+    # A triangle already in its frame is its own local triangle, and so is
+    # the local triangle of any other: the constructions map nothing back.
+    t = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.45, 0.8))
+    assert local_frame(t) == (t, Point(0.0, 0.0), 1.0) and local_frame(t)[0] is t
+    moved = Triangle(*(Point(v.x + 1e6, v.y - 3.0) for v in t.vertices))
+    local = local_frame(moved)[0]
+    assert local is not moved and local_frame(local) == (local, Point(0.0, 0.0), 1.0)
+    assert local_frame(local)[0] is local
+
+
+@pytest.mark.parametrize("side", [1e-160, 1e-200, 1e-300, 2.0**-1000])
+def test_tiny_triangles_are_not_collinear_and_keep_their_angles(side):
+    # The collinearity test scales the sides to a diameter in [1, 2) and
+    # the angles are read on the local frame, so neither underflows.
+    t = Triangle(Point(0.0, 0.0), Point(side, 0.0), Point(0.5 * side, math.sqrt(3.0) / 2.0 * side))
+    assert angles(t) == pytest.approx((math.pi / 3.0,) * 3, rel=1e-14)
+    with pytest.raises(DegenerateTriangle, match="collinear"):
+        Triangle(Point(0.0, 0.0), Point(side, 0.0), Point(2.0 * side, 0.0))
+
+
 def test_degenerate_triangle_rejected():
     with pytest.raises(DegenerateTriangle):
         Triangle(Point(0, 0), Point(1, 0), Point(2, 0))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -194,3 +195,19 @@ def test_boundary_face_reduces_to_inverse_sine():
     assert np.max(np.abs(vals - 1.0 / np.sin(cs))) < 1e-12
     assert np.max(vals) == pytest.approx(2 * SQRT3 / 3, abs=1e-9)
     assert np.argmax(vals) == 0
+
+
+def test_greedy_settles_far_from_the_origin():
+    # The channel benchmark's moved triangles, drawn as it draws them (a
+    # triangle, then a start on BC) and moved by 1e6: the walk runs on the
+    # local frame and settles as the unmoved one does.  The third once ran
+    # all 600 cycles both ways.
+    rng = random.Random(0)
+    for _ in range(8):
+        t = random_acute_triangle(rng)
+        start = rng.uniform(0.05, 0.95)
+        moved = Triangle(*(Point(v.x + 1e6, v.y + 1e6) for v in t.vertices))
+        for direction in ("cw", "ccw"):
+            run = greedy_run(moved, start, 600, direction)
+            assert run.converged and run.iterations_to_converge <= 20
+            assert run.limit_gap == pytest.approx(greedy_limit_gap(t), rel=1e-9)

@@ -12,6 +12,7 @@ from tripatrol.geom import (
     edge_param,
     edge_point,
     line_intersection,
+    local_frame,
     signed_offset,
 )
 from tripatrol import orthic
@@ -350,49 +351,39 @@ def test_unfolding_equal_but_distinct_triangle_gets_its_own_chain():
 
 
 def test_unfolding_failed_build_raises_on_every_call():
-    far = acute_triangle(dx=1e7)
+    # On the local frame no acute triangle fails the build (moved by 1e7,
+    # this one failed its B2C2 check); a right triangle fails its first
+    # check, on every call.
+    assert reflection_chain(acute_triangle(dx=1e7)).source is not None
     for _ in range(2):
-        with pytest.raises(AssertionError, match="B2C2"):
-            reflection_chain(far)
-        with pytest.raises(AssertionError, match="B2C2"):
-            sub_orthic_schedule(far, 0.5)
-        with pytest.raises(AssertionError, match="B2C2"):
-            lower_bound_profile(far, 5)
+        with pytest.raises(NotAcute, match="not acutely below"):
+            reflection_chain(RIGHT_ISO)
+        with pytest.raises(NotAcute, match="not acutely below"):
+            sub_orthic_schedule(RIGHT_ISO, 0.5)
+        with pytest.raises(NotAcute, match="not acutely below"):
+            lower_bound_profile(RIGHT_ISO, 5)
 
 
-def test_unfolding_failed_build_is_remembered(monkeypatch):
-    """A triangle whose build raised is not built again: each call raises a
-    new exception of the same type and message, while the last good
-    unfolding stays remembered beside it."""
-    built = []
-    build = orthic._build
-
-    def counted(t):
-        built.append(t)
-        return build(t)
-
-    monkeypatch.setattr(orthic, "_build", counted)
-    far, good, flat = acute_triangle(dx=1e7), acute_triangle(), RIGHT_ISO
-    calls = [(reflection_chain, ()), (sub_orthic_schedule, (0.5,)), (lower_bound_profile, (5,))]
-    # flat's failure replaces far's, and good stays remembered throughout.
-    for t, kind, message, builds in (
-        (far, AssertionError, "B2C2", [far, good]),
-        (flat, NotAcute, "not acutely below", [flat]),
-    ):
-        raised = []
-        for fn, args in calls * 2:
-            with pytest.raises(kind, match=message) as info:
-                fn(t, *args)
-            raised.append(info.value)
-            reflection_chain(good)
-        assert len(built) == len(builds) and all(a is b for a, b in zip(built, builds))
-        assert len({id(exc) for exc in raised}) == len(raised)
-        assert {(type(exc), exc.args) for exc in raised} == {(kind, raised[0].args)}
-        built.clear()
-    # A new triangle equal to the failed one is a new input, and is built.
-    with pytest.raises(AssertionError, match="B2C2"):
-        reflection_chain(acute_triangle(dx=1e7))
-    assert len(built) == 1
+def test_unfolding_is_built_on_the_local_frame_and_placed_back(rng):
+    # Its base vertices are the caller's own; every other point is the
+    # local unfolding's, placed back; unit vectors and edge parameters are
+    # the local ones.
+    t = acute_triangle(dx=1e6, scale=3.0)
+    local, origin, scale = local_frame(t)
+    unf, there = reflection_chain(t), reflection_chain(local)
+    assert there.source is local and unf.source is t
+    assert all(a is b for a, b in zip(sorted(unf.base.vertices, key=id), sorted(t.vertices, key=id)))
+    for name in ("a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2"):
+        p = getattr(there, name)
+        assert getattr(unf, name) == Point(origin.x + p.x * scale, origin.y + p.y * scale)
+    assert (unf.direction, unf.normal, unf.snap, unf.edge_map) == (there.direction, there.normal, there.snap, there.edge_map)
+    assert (unf.half_width_low, unf.half_width_high) == (there.half_width_low * scale, there.half_width_high * scale)
+    assert [tri.vertices for tri in unf.triangles][-1] == (unf.a1, unf.b2, unf.c2)
+    assert unf.sweep is there.sweep
+    # A triangle that is its own frame is built as given: its signed zeros stay.
+    flat = Triangle(Point(-0.0, -0.0), Point(1.0, -0.0), Point(0.45, 0.8))
+    assert local_frame(flat)[0] is flat
+    assert all(math.copysign(1.0, z) < 0.0 for z in (flat.a.x, flat.a.y, reflection_chain(flat).base.c.y))
 
 
 @pytest.mark.parametrize(
