@@ -44,19 +44,9 @@ from .greedy import (
     greedy_run,
 )
 
+from .search import SearchResult, grid_search_3periodic, grid_search_6periodic_gap2
+
 __version__ = "0.1.0"
-
-# The grid oracles import numpy at module level; load them on first access
-# (PEP 562) so that importing the package does not import numpy.
-_SEARCH_NAMES = ("SearchResult", "grid_search_3periodic", "grid_search_6periodic_gap2")
-
-
-def __getattr__(name: str):
-    if name in _SEARCH_NAMES:
-        from . import search
-
-        return getattr(search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -52,6 +52,7 @@ from .schedule import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from .search import grid_search_3periodic, grid_search_6periodic_gap2
 from .svgout import channel_svg
 
 # The most rows a report may hold: unfold's v_k rows, greedy's cycles, or gap's horizon.
@@ -279,9 +280,6 @@ def cmd_channel(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    # The only subcommand that needs numpy; the other six never load it.
-    from .search import grid_search_3periodic, grid_search_6periodic_gap2
-
     tri, inp = _triangle_from_args(args)
     grid = args.grid if args.grid is not None else (200 if args.period == 3 else 12)
     # First, so that an obtuse triangle is refused before any grid work.
@@ -326,9 +324,10 @@ def cmd_render(args) -> dict:
 
 
 def _add_triangle_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vertices", nargs=3, metavar="X,Y", help="three vertices a b c")
-    p.add_argument("--angles-deg", nargs=2, type=float, metavar=("A", "B"), help="angles A and B in degrees")
-    p.add_argument("--angles-rad", nargs=2, type=float, metavar=("A", "B"), help="angles A and B in radians")
+    spec = p.add_mutually_exclusive_group()
+    spec.add_argument("--vertices", nargs=3, metavar="X,Y", help="three vertices a b c")
+    spec.add_argument("--angles-deg", nargs=2, type=float, metavar=("A", "B"), help="angles A and B in degrees")
+    spec.add_argument("--angles-rad", nargs=2, type=float, metavar=("A", "B"), help="angles A and B in radians")
     p.add_argument("--side", type=float, default=1.0, help="length of side BC (with --angles-*)")
 
 

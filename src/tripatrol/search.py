@@ -1,7 +1,8 @@
 """Brute-force certification oracles: certified grid searches over 3- and
-6-periodic cyclic schedules.  It imports numpy at module level; the package
-imports this module only on first access to its names, so the constructive
-geometry never loads numpy.
+6-periodic cyclic schedules.  Each function that computes with numpy
+imports it in its body, so importing this module, the package or its
+names does not load numpy; the first oracle call does.  A grid that
+_check_grid refuses never loads it.
 
 The grid searches evaluate exact objective values on a regular grid, so the
 reported best value can only overestimate the true minimum, and by at most
@@ -28,8 +29,6 @@ whose largest array would exceed MAX_GRID_FLOATS.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .geom import EdgeId, Record, Triangle, local_frame, reflect_point, slot_setters
 
@@ -76,21 +75,23 @@ def _check_grid(grid_n: int, slabs: int) -> None:
         )
 
 
-def _segment_grids(segments, us: np.ndarray) -> np.ndarray:
+def _segment_grids(segments, us):
     """grids[m] = (xs, ys): the points s + u (f - s), u in us, of the m-th
     segment (s, f), all segments in one broadcast."""
+    import numpy as np
     s, f = (np.array([[p.x, p.y] for p in ends])[:, :, None] for ends in zip(*segments))
     return s + us * (f - s)
 
 
-def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _dist(p, q):
     """d[..., i, j] = |p_i q_j| for points given as x and y rows, p (..., 2, m)
     and q (..., 2, n); hypot is symmetric in sign, so d is |q_j p_i| too."""
+    import numpy as np
     d = p[..., 0, :, None] - q[..., 0, None, :]
     return np.hypot(d, p[..., 1, :, None] - q[..., 1, None, :], out=d)
 
 
-def _fagnano_rows(t: Triangle, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fagnano_rows(t: Triangle, us):
     """The grids of PA, PB, PC (edges A, B, C), R_AC(PA) and R_AB(PA) at
     parameters us, and Fagnano's bound rho_i for each point PA_i of edge BC.
 
@@ -99,6 +100,7 @@ def _fagnano_rows(t: Triangle, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |R_AC(PA_i) R_AB(PA_i)|, with equality at the orthic triangle.  Each
     reflection is affine and fixes the end of BC on its mirror, so it maps
     BC onto the segment from R_AC(B) to C, and from B to R_AB(C)."""
+    import numpy as np
     mirrored = (reflect_point(t.b, (t.a, t.c)), t.c), (t.b, reflect_point(t.c, (t.a, t.b)))
     grids = _segment_grids((*t.edges, *mirrored), us)
     return grids, np.hypot(*(grids[3] - grids[4]))
@@ -113,6 +115,7 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     attained grid value are skipped first; in the rows left, so are the
     (u1, u3) pairs whose Heron bound does."""
     _check_grid(grid_n, 3)
+    import numpy as np
     local, _, scale = local_frame(t)
     us = np.arange(grid_n + 1) / grid_n
     (pa, pb, pc, ra, _), rho = _fagnano_rows(local, us)
@@ -171,7 +174,7 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
 GAP2_PATTERN = (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A, EdgeId.C, EdgeId.B)
 
 
-def _min_cycle_6(dist: np.ndarray) -> tuple[float, list[int]]:
+def _min_cycle_6(dist) -> tuple[float, list[int]]:
     """Min over u1..u6 of the closed chain sum, with backpointer recovery.
 
     dist is a (3, n+1, n+1) slab: dist[s % 3] is the distance matrix
@@ -181,6 +184,7 @@ def _min_cycle_6(dist: np.ndarray) -> tuple[float, list[int]]:
     sums, so ties go to the first i0, then the first index of each later
     stop, as a loop over i0 would give.
     """
+    import numpy as np
     n1 = dist.shape[1]
     best = math.inf
     best_idx: list[int] = [0] * 6
@@ -211,6 +215,7 @@ def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     best_params is a grid point, and certified_tolerance bounds how far
     best_value lies above the true minimum."""
     _check_grid(grid_n, 6)
+    import numpy as np
     local, _, scale = local_frame(t)
     us = np.linspace(0.0, 1.0, grid_n + 1)
     # GAP2_PATTERN has period 3, so stops 3-5 repeat the grids of stops 0-2.

@@ -84,13 +84,42 @@ def test_golden_outputs_fresh_process(name, tmp_path, sched_files):
     assert "inspect" not in imported or args[0] == "search"
 
 
+NO_NUMPY_PROBE = """
+import sys
+sys.modules["numpy"] = None  # import numpy now fails, wherever numpy is installed
+from tripatrol import *
+t = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.45, 0.8))
+orthic_triangle(t)
+gap_report(sub_orthic_schedule(t, 0.3), 2)
+lower_bound_profile(t, 10)
+greedy_run(t, 0.25)
+for grid_n in (1, 4):  # refused before numpy is needed; then an oracle call
+    try:
+        grid_search_3periodic(t, grid_n)
+    except (ValueError, ImportError) as exc:
+        print(type(exc).__name__)
+"""
+
+
 def test_package_exports_are_lazy(tmp_path):
     """Importing the package and the CLI loads neither numpy nor dataclasses,
     inspect or typing.  -S leaves out site, whose .pth files may import
-    typing themselves."""
+    typing themselves.  Without numpy, the star-import and every
+    construction run, and a grid is refused as before; the first oracle
+    call is what loads numpy."""
     probe = "import sys, tripatrol, tripatrol.cli; print(sorted({'numpy', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     proc = run_fresh(["-S", "-c", probe], tmp_path)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+    proc = run_fresh(["-S", "-c", NO_NUMPY_PROBE], tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "ValueError\nModuleNotFoundError\n", proc.stderr
+    probe = (
+        "import sys\nfrom tripatrol import Point, Triangle, grid_search_3periodic\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "grid_search_3periodic(Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.45, 0.8)), 4)\n"
+        "print(loaded, 'numpy' in sys.modules)"
+    )
+    proc = run_fresh(["-c", probe], tmp_path)
+    assert proc.returncode == 0 and proc.stdout == "False True\n", proc.stderr
     assert tripatrol.grid_search_3periodic is tripatrol.search.grid_search_3periodic
     assert tripatrol.SearchResult is tripatrol.search.SearchResult
     for name in tripatrol.__all__:
@@ -165,8 +194,20 @@ def test_exit_code_2_on_domain_errors(capsys, monkeypatch, tmp_path):
         (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
         (["orthic", "--vertices", "0,0", "1,0"], "argument --vertices: expected 3 arguments"),
         (["search", *EQ, "--period", "5"], "argument --period: invalid choice: 5 (choose from 3, 6)"),
+        (
+            ["orthic", "--vertices", "0,0", "1,0", "0.5,0.8", "--angles-deg", "60", "60"],
+            "argument --angles-deg: not allowed with argument --vertices",
+        ),
+        (
+            ["gap", "--schedule", "s.json", "--angles-rad", "1", "1", *EQ],
+            "argument --vertices: not allowed with argument --angles-rad",
+        ),
+        (
+            ["channel", "--angles-deg", "60", "60", "--angles-rad", "1", "1"],
+            "argument --angles-rad: not allowed with argument --angles-deg",
+        ),
     ],
-    ids=["no-subcommand", "unknown-subcommand", "vertices-arity", "period-5"],
+    ids=["no-subcommand", "unknown-subcommand", "vertices-arity", "period-5", "orthic-two-specs", "gap-two-specs", "channel-two-specs"],
 )
 def test_usage_errors_are_json(args, message, capsys, monkeypatch, tmp_path):
     code, out = run_cli(args, capsys, monkeypatch, tmp_path)
@@ -455,6 +496,79 @@ def test_fuzzed_inputs_never_exit_1(fuzz_dir):
         assert code in (0, 2), (argv, out.getvalue())
         if code == 2:
             assert json.loads(out.getvalue())["error"] in ("DegenerateTriangle", "NotAcute"), (argv, out.getvalue())
+
+    run()
+
+
+SIX_POINT_SCHEDULE = {
+    "triangle": RI_SCHEDULE["triangle"],
+    "generator": [{"edge": e, "u": u} for e, u in zip("ACBACB", (0.25, 0.5, 0.75, 0.6, 0.4, 0.2))],
+}
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**400), 10**400), st.text(max_size=3),
+    st.lists(st.floats(-2.0, 2.0), max_size=3), st.dictionaries(st.sampled_from(["edge", "u"]), st.floats(0.0, 1.0)),
+)
+OUTSIDE_UNIT = st.one_of(st.floats(-10.0, -1e-12), st.floats(1.0 + 1e-12, 10.0), st.sampled_from([-1e-300, 1.0 + 2**-52]))
+
+
+@st.composite
+def mutated_schedule(draw):
+    """A schedule document after one or two mutations: a value of the wrong
+    type, a missing key, a non-finite number, u outside [0, 1], an unknown
+    edge, or a generator point dropped or repeated."""
+    doc = json.loads(json.dumps(draw(st.sampled_from([EQ_SCHEDULE, RI_SCHEDULE, SIX_POINT_SCHEDULE]))))
+    for _ in range(draw(st.integers(1, 2))):
+        if not isinstance(doc, dict):
+            break
+        gen, tri = doc.get("generator"), doc.get("triangle")
+        entries = [e for e in gen if isinstance(e, dict)] if isinstance(gen, list) else []
+        vertices = [v for v in tri if isinstance(v, list)] if isinstance(tri, list) else []
+        coordinates = [(v, i) for v in vertices for i in range(len(v))]
+        numbers = coordinates + [(e, "u") for e in entries]
+        kind = draw(st.sampled_from(["type", "missing", "non-finite", "u-outside", "edge", "drop", "repeat"]))
+        if kind == "type":
+            holders = [(doc, None), (doc, "triangle"), (doc, "generator"), *numbers]
+            holder, key = draw(st.sampled_from(holders + [(e, "edge") for e in entries]))
+            if key is None:
+                doc = draw(JUNK)
+            else:
+                holder[key] = draw(JUNK)
+        elif kind == "missing":
+            holder = draw(st.sampled_from([doc, *entries]))
+            if holder:
+                del holder[draw(st.sampled_from(sorted(holder)))]
+        elif kind == "non-finite" and numbers:
+            holder, key = draw(st.sampled_from(numbers))
+            holder[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif kind == "u-outside" and entries:
+            draw(st.sampled_from(entries))["u"] = draw(OUTSIDE_UNIT)
+        elif kind == "edge" and entries:
+            draw(st.sampled_from(entries))["edge"] = draw(st.sampled_from(["D", "a", "", "AB", 0]))
+        elif kind in ("drop", "repeat") and isinstance(gen, list) and gen:
+            i = draw(st.integers(0, len(gen) - 1))
+            if kind == "drop":
+                del gen[i]
+            else:
+                gen.insert(i, json.loads(json.dumps(gen[i])))
+    return doc
+
+
+def test_gap_on_mutated_schedules_reports_json_errors(fuzz_dir):
+    """`gap --schedule` on a damaged schedule file gives a report (0), a
+    domain error (2) or an infeasible schedule (3), never an internal error
+    (1), and every error is a JSON object on stdout."""
+    path = fuzz_dir / "mutated.json"
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(doc=mutated_schedule(), t=st.sampled_from([-1, 0, 1, 2, 100]))
+    def run(doc, t):
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["gap", "--schedule", str(path), "--t", str(t)])
+        assert code in (0, 2, 3), (doc, t, out.getvalue())
+        report = json.loads(out.getvalue())
+        assert ("error" in report) == (code != 0), (doc, t, report)
 
     run()
 

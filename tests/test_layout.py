@@ -138,6 +138,58 @@ def test_foreign_assignment_check_catches_each_form():
     ) == []
 
 
+def module_level_numpy_imports(source: str) -> list[str]:
+    """The imports of numpy, or of a numpy submodule, that run when a module
+    is imported: anywhere outside a function body, class bodies and
+    if/try blocks included."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                visit(child)
+                continue
+            found.extend(f"line {child.lineno}: {name}" for name in names if name.split(".")[0] == "numpy")
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_no_module_imports_numpy_at_import_time():
+    """Only the grid oracles and the ratio landscape use numpy, and each
+    imports it in the body of the function that does, so importing the
+    package never loads it."""
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := module_level_numpy_imports(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_numpy_import_check_catches_each_form():
+    assert module_level_numpy_imports("import math, numpy as np") == ["line 1: numpy"]
+    assert module_level_numpy_imports("from numpy import hypot\nimport numpy.linalg") == [
+        "line 1: numpy", "line 2: numpy.linalg"
+    ]
+    assert module_level_numpy_imports("try:\n    import numpy\nexcept ImportError:\n    pass") == [
+        "line 2: numpy"
+    ]
+    assert module_level_numpy_imports("class C:\n    import numpy as np") == ["line 2: numpy"]
+    # An import in a function body, a package-relative import and another
+    # module whose name starts with "num" are allowed.
+    assert module_level_numpy_imports(
+        "def f():\n    import numpy as np\nclass C:\n    def m(self):\n        from numpy import nan\n"
+        "from .numpy import x\nimport numbers"
+    ) == []
+
+
 def small_float_literals(source: str) -> Counter:
     """How often each float literal below 1e-6 in magnitude occurs in a module."""
     return Counter(
