@@ -193,12 +193,11 @@ def greedy_limit_gap(t: Triangle) -> float:
     return t.perimeter * k
 
 
-def _ratio_formula(a_ang, b_ang, c_ang):
-    """(sinA + sinB + sinC) / (2 (1 + cosA cosB cosC)); no domain checks."""
-    import numpy as np  # here, so that importing the package stays numpy-free
-
-    num = np.sin(a_ang) + np.sin(b_ang) + np.sin(c_ang)
-    den = 2.0 * (1.0 + np.cos(a_ang) * np.cos(b_ang) * np.cos(c_ang))
+def _ratio_formula(a_ang, b_ang, c_ang, sin, cos):
+    """(sinA + sinB + sinC) / (2 (1 + cosA cosB cosC)) with the caller's
+    sin and cos: math's for one ratio, numpy's for a grid; no domain checks."""
+    num = sin(a_ang) + sin(b_ang) + sin(c_ang)
+    den = 2.0 * (1.0 + cos(a_ang) * cos(b_ang) * cos(c_ang))
     return num / den
 
 
@@ -209,7 +208,7 @@ def greedy_ratio(t_angles: tuple[float, float, float]) -> float:
         raise ValueError("angles must sum to pi")
     if min(a_ang, b_ang, c_ang) <= 0.0 or max(a_ang, b_ang, c_ang) > math.pi / 2 + RIGHT_ANGLE_SLACK:
         raise ValueError("angles must lie in (0, pi/2]")
-    return float(_ratio_formula(a_ang, b_ang, c_ang))
+    return _ratio_formula(a_ang, b_ang, c_ang, math.sin, math.cos)
 
 
 def greedy_ratio_extremes(
@@ -220,7 +219,7 @@ def greedy_ratio_extremes(
     Returns (max, min, argmax angles, argmin angles); ties go to the
     lexicographically smallest (A, B) grid pair.
     """
-    import numpy as np
+    import numpy as np  # here, so that importing the package stays numpy-free
 
     if grid_n < 100:
         raise ValueError("grid_n must be >= 100 to resolve the landscape")
@@ -231,7 +230,7 @@ def greedy_ratio_extremes(
     ok = C > 1e-12
     # The formula itself only needs C <= pi/2, i.e. A + B >= pi/2.
     ok &= C <= math.pi / 2 + RIGHT_ANGLE_SLACK
-    f = np.where(ok, _ratio_formula(A, B, C), np.nan)
+    f = np.where(ok, _ratio_formula(A, B, C, np.sin, np.cos), np.nan)
     hi = np.nanargmax(f)
     lo = np.nanargmin(f)
     ai, bi = np.unravel_index(hi, f.shape)

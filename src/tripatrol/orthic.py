@@ -20,16 +20,16 @@ near the origin and scaled by a power of two to a diameter in [1, 2).
 What it reports is mapped back: points are placed at origin + scale * p,
 lengths multiplied by the scale, and edge parameters and ratios kept.
 
-`reflection_chain(t)` builds the unfolding of t's local triangle and keeps
-the last one built, one entry keyed on that Triangle object: a sweep over
-lambda, the v_k bounds and the CLI on one triangle build it, and run its
-checks, once.  It returns that unfolding placed back in t's coordinates;
-`sub_orthic_schedule` and `lower_bound_profile` read the local one.
+`reflection_chain(t)` builds the one unfolding of t: computed and checked
+on t's local triangle, then assembled in t's coordinates, with t's own
+vertices as its base.  It keeps the last one built, one entry keyed on
+the caller's Triangle object: a sweep over lambda, the v_k bounds and the
+CLI on one triangle build it, and run its checks, once.
 
-The unfolding also holds what the sweep over lambda reads (`sweep`): the
-seven lines a channel line crosses with their fold steps, and the edge
-frames of the local triangle, so that `sub_orthic_schedule` computes on
-plain floats.
+Beside the unfolding, the entry keeps the local data its two readers
+compute on: for `sub_orthic_schedule`, the seven lines a channel line
+crosses with their fold steps and the edge frames of the local triangle;
+for `lower_bound_profile`, BC, the channel boundaries and k2 - k.
 """
 
 from __future__ import annotations
@@ -135,7 +135,8 @@ def orthic_schedule(t: Triangle) -> Schedule:
 
 class Unfolding(Record):
     """Five successive reflections of a triangle with alpha >= beta >= gamma
-    and the orthic channel they straighten out.
+    and the orthic channel they straighten out, in the coordinates of the
+    triangle unfolded.
 
     C1 is C reflected about AB, B1 is B about A-C1, A1 is A about B1-C1,
     C2 is C1 about A1-B1, B2 is B1 about A1-C2.  The altitude feet of the
@@ -146,15 +147,12 @@ class Unfolding(Record):
     by the parallels through A and through A1.
     """
 
-    # sweep: the float data of sub_orthic_schedule in the coordinates of
-    # local_frame(source), derived from the fields once (see _sweep_data).
-    __match_args__ = (
+    __slots__ = __match_args__ = (
         "source", "base", "edge_map", "triangles", "mirrors",
         "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
         "direction", "boundary_low", "boundary_high", "half_width_low", "half_width_high",
         "normal", "snap",
     )
-    __slots__ = __match_args__ + ("sweep",)
 
     def __init__(
         self,
@@ -189,14 +187,13 @@ class Unfolding(Record):
         )
         for store, value in zip(_SET_UNFOLDING, values):
             store(self, value)
-        _set_sweep(self, _sweep_data(self))
 
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:
         return (self.base,) + self.triangles
 
 
-*_SET_UNFOLDING, _set_sweep = slot_setters(Unfolding)
+_SET_UNFOLDING = slot_setters(Unfolding)
 
 
 # The unfolding's five steps: the index of the vertex reflected across the
@@ -211,28 +208,6 @@ _FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED) + 1))
 _CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
 
 
-def _sweep_data(unf: Unfolding) -> tuple[tuple, tuple]:
-    """(lines, frames).  lines: for each line the channel line crosses, its
-    first point, difference vector and that vector's hypot, and the fold
-    steps (mirror point, unit direction) that map a point of its copy back
-    onto the base, the deepest mirror first.  frames: for each crossing but
-    the last, the edge of the source it lies on and that edge's edge_frame.
-    All of it in the coordinates of local_frame(unf.source): from the
-    fields where that frame is the identity, else the sweep of the local
-    triangle's unfolding, which has the same edge map."""
-    local = local_frame(unf.source)[0]
-    if local is not unf.source:
-        return reflection_chain(local).sweep
-    crossed = ((unf.base.b, unf.base.c),) + unf.mirrors + ((unf.b2, unf.c2),)
-    steps = [(m[0].x, m[0].y, *line_dir(m)) for m in unf.mirrors]
-    lines = []
-    for (p, q), depth in zip(crossed, _FOLD_DEPTHS):
-        dx, dy = q.x - p.x, q.y - p.y
-        lines.append((p.x, p.y, dx, dy, math.hypot(dx, dy), tuple(reversed(steps[:depth]))))
-    edges = [unf.edge_map[e] for e in _CROSSED_EDGES]
-    return tuple(lines), tuple((e, *edge_frame(unf.source, e)) for e in edges)
-
-
 def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     """Vertices reordered so opposite side lengths are non-increasing."""
     sides = t.side_lengths
@@ -243,23 +218,35 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     return relabeled, edge_map
 
 
-def _straddles(tri: Triangle, anchor: Point, unit_dir: Point, bottom: float, top: float, tol: float) -> bool:
+def _straddles(verts: tuple[Point, ...], anchor: Point, unit_dir: Point, bottom: float, top: float, tol: float) -> bool:
     """Each parallel to unit_dir at a signed offset from bottom to top meets
-    at least two edges of tri: its vertices are not all strictly on one side."""
-    offs = [signed_offset(v, anchor, unit_dir) for v in tri.vertices]
+    at least two edges of the triangle verts: they are not all strictly on
+    one side."""
+    offs = [signed_offset(v, anchor, unit_dir) for v in verts]
     return max(offs) >= top - tol and min(offs) <= bottom + tol
 
 
-def _build(t: Triangle) -> Unfolding:
-    """The unfolding of a triangle that is its own local frame."""
-    require_acute(t)
-    base, edge_map = _relabel(t)
+def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
+    """(unfolding, sweep, bound): the unfolding of t, built and checked on
+    local_frame(t) and returned in t's coordinates, with the local data
+    its two readers compute on.
+
+    sweep, for sub_orthic_schedule: k's coordinates, the two half widths,
+    then for each line the channel line crosses, its first point,
+    difference vector and that vector's hypot, and the fold steps (mirror
+    point, unit direction) that map a point of its copy back onto the base,
+    the deepest mirror first; and for each crossing but the last, the edge
+    of t it lies on and that edge's edge_frame.  bound, for
+    lower_bound_profile: BC, the two channel boundaries and k2 - k."""
+    local, origin, scale = local_frame(t)
+    require_acute(local)
+    base, edge_map = _relabel(local)
     a, b, c = base.vertices
 
     # Each step reflects one vertex across the line through the other two;
     # the mirror's foot is that step's altitude foot (m, l1, k1, m1, l2).
     verts = [a, b, c]
-    copies, mirrors, feet = [], [], []
+    copies, mirrors, steps, feet = [], [], [], []
     for i in _REFLECTED:
         p = verts[i]
         lo, hi = _OTHERS[i]
@@ -269,9 +256,9 @@ def _build(t: Triangle) -> Unfolding:
         verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
         copies.append(tuple(verts))
         mirrors.append(mirror)
+        steps.append((mirror[0].x, mirror[0].y, *d))
         feet.append((fx, fy))
     c1, b1, a1, c2, b2 = (copy[i] for copy, i in zip(copies, _REFLECTED))
-    tris = tuple(Triangle(*copy) for copy in copies)
 
     k = Point(*project_along(a.as_tuple(), b, line_dir((b, c))))
     m, l1, k1, m1, l2 = (Point(*f) for f in feet)
@@ -294,18 +281,41 @@ def _build(t: Triangle) -> Unfolding:
     high_line: Line = (a, a + step)
     tol = base.tol()
     bottom, top = min(off_low, off_high), max(off_low, off_high)
-    for tri in (base,) + tris:
+    for tri in (base.vertices, *copies):
         if not _straddles(tri, k, direction, bottom, top, tol):
             raise AssertionError("channel boundary misses a reflected triangle")
 
     normal = Point(-direction.y, direction.x)
     if off_high < 0.0:
         normal = normal * -1.0
-    return Unfolding(
+    lines = []
+    for (p, q), depth in zip(((b, c), *mirrors, (b2, c2)), _FOLD_DEPTHS):
+        dx, dy = q.x - p.x, q.y - p.y
+        lines.append((p.x, p.y, dx, dy, math.hypot(dx, dy), tuple(reversed(steps[:depth]))))
+    frames = tuple((edge_map[e], *edge_frame(local, edge_map[e])) for e in _CROSSED_EDGES)
+    sweep = (k.x, k.y, abs(off_low), abs(off_high), tuple(lines), frames)
+    bound = ((b, c), low_line, high_line, w)
+
+    # In t's coordinates: the base is t's own vertices, every other point is
+    # placed back; a triangle that is its own frame keeps its points as built.
+    points = [c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, low_line[1], high_line[1]]
+    if local is not t:
+        v = t.vertices
+        base = Triangle(*[v[e] for e in edge_map.values()])  # keyed A, B, C in order
+        points = [place(p.x, p.y, origin, scale) for p in points]
+    c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, low_end, high_end = points
+    verts = [base.a, base.b, base.c]
+    tris, mirrors = [], []
+    for i, p in zip(_REFLECTED, (c1, b1, a1, c2, b2)):
+        lo, hi = _OTHERS[i]
+        mirrors.append((verts[lo], verts[hi]))
+        verts[i] = p
+        tris.append(Triangle(*verts))
+    unf = Unfolding(
         source=t,
         base=base,
         edge_map=edge_map,
-        triangles=tris,
+        triangles=tuple(tris),
         mirrors=tuple(mirrors),
         a1=a1,
         b1=b1,
@@ -320,79 +330,31 @@ def _build(t: Triangle) -> Unfolding:
         l2=l2,
         k2=k2,
         direction=direction,
-        boundary_low=low_line,
-        boundary_high=high_line,
-        half_width_low=abs(off_low),
-        half_width_high=abs(off_high),
+        boundary_low=(a1, low_end),
+        boundary_high=(base.a, high_end),
+        half_width_low=abs(off_low) * scale,
+        half_width_high=abs(off_high) * scale,
         normal=normal,
-        snap=SWEEP_REL_TOL * t.diameter / t.diameter,
+        snap=SWEEP_REL_TOL,
     )
+    return unf, sweep, bound
 
 
-def _placed(unf: Unfolding, t: Triangle, origin: Point, scale: float) -> Unfolding:
-    """unf, the unfolding of local_frame(t)[0], in t's coordinates: its base
-    vertices are t's own, every other point is placed back, its half widths
-    are scaled back, and its unit vectors, edge map and snap carry over."""
-    v = t.vertices
-    base = Triangle(*[v[e] for e in unf.edge_map.values()])  # keyed A, B, C in order
-    c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, low, high = [
-        place(p.x, p.y, origin, scale)
-        for p in (
-            unf.c1, unf.b1, unf.a1, unf.c2, unf.b2, unf.k, unf.m, unf.l1, unf.k1, unf.m1, unf.l2, unf.k2,
-            unf.boundary_low[1], unf.boundary_high[1],
-        )
-    ]
-    verts = [base.a, base.b, base.c]
-    copies, mirrors = [], []
-    for i, p in zip(_REFLECTED, (c1, b1, a1, c2, b2)):
-        lo, hi = _OTHERS[i]
-        mirrors.append((verts[lo], verts[hi]))
-        verts[i] = p
-        copies.append(Triangle(*verts))
-    return Unfolding(
-        source=t,
-        base=base,
-        edge_map=unf.edge_map,
-        triangles=tuple(copies),
-        mirrors=tuple(mirrors),
-        a1=a1,
-        b1=b1,
-        b2=b2,
-        c1=c1,
-        c2=c2,
-        k=k,
-        m=m,
-        l1=l1,
-        k1=k1,
-        m1=m1,
-        l2=l2,
-        k2=k2,
-        direction=unf.direction,
-        boundary_low=(a1, low),
-        boundary_high=(base.a, high),
-        half_width_low=unf.half_width_low * scale,
-        half_width_high=unf.half_width_high * scale,
-        normal=unf.normal,
-        snap=unf.snap,
-    )
-
-
-# The unfolding of the last build, keyed on the identity of its source
-# Triangle, not on ==: Point(0.0, y) == Point(-0.0, y), and source/base must
-# be the caller's own vertices.  Holding the triangle keeps its id from
-# being reused.
-_last_unfolding: Unfolding | None = None
+# The last build, keyed on the identity of the caller's Triangle, not on
+# ==: Point(0.0, y) == Point(-0.0, y), and source/base must be the caller's
+# own vertices.  Holding the triangle keeps its id from being reused.
+# sub_orthic_schedule and lower_bound_profile call reflection_chain(t) and
+# then read their local data here.
+_last: tuple[Unfolding, tuple, tuple] | None = None
 
 
 def reflection_chain(t: Triangle) -> Unfolding:
     """The unfolding of t: built and checked once per triangle on
-    local_frame(t), then placed back in t's coordinates."""
-    global _last_unfolding
-    local, origin, scale = local_frame(t)
-    last = _last_unfolding
-    if last is None or last.source is not local:
-        last = _last_unfolding = _build(local)
-    return last if local is t else _placed(last, t, origin, scale)
+    local_frame(t), and returned in t's coordinates."""
+    global _last
+    if _last is None or _last[0].source is not t:
+        _last = _build(t)
+    return _last[0]
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
@@ -403,21 +365,22 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     signed distance on each side.
 
     The line runs from anchor = k + normal * offset to anchor + direction *
-    diameter, on the local unfolding.  Its crossing with each line of the
-    sweep is folded back onto the base; the crossing with B2C2 must fold
-    back onto the one with BC.  The edge parameters are those of t.
+    diameter, in local_frame(t).  Its crossing with each line of the
+    unfolding's sweep data is folded back onto the base; the crossing with
+    B2C2 must fold back onto the one with BC.  The edge parameters are
+    those of t.
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
     local, origin, scale = local_frame(t)
-    unf = reflection_chain(local)
-    off = lam * (unf.half_width_high if lam >= 0.0 else unf.half_width_low)
-    k, n, d, diam = unf.k, unf.normal, unf.direction, local.diameter
-    ax, ay = k.x + n.x * off, k.y + n.y * off
+    unf = reflection_chain(t)
+    kx, ky, low, high, lines, frames = _last[1]
+    off = lam * (high if lam >= 0.0 else low)
+    n, d, diam = unf.normal, unf.direction, local.diameter
+    ax, ay = kx + n.x * off, ky + n.y * off
     qx, qy = ax + d.x * diam, ay + d.y * diam
     d1x, d1y = qx - ax, qy - ay
     parallel = PARALLEL_SIN_TOL * math.hypot(d1x, d1y)
-    lines, frames = unf.sweep
     folded = []
     for px, py, d2x, d2y, norm2, steps in lines:
         den = d1x * d2y - d1y * d2x
@@ -454,16 +417,15 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     trajectory from the channel cross-section RT on BC to its k-th unfolded
     image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
     diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
-    |v . (T - R)| / (P k) from the skew diagonal.  Both are measured on the
-    local unfolding and scaled back."""
+    |v . (T - R)| / (P k) from the skew diagonal.  Both are measured in
+    local_frame(t) and scaled back."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    local, _, scale = local_frame(t)
-    unf = reflection_chain(local)
-    bc: Line = (unf.base.b, unf.base.c)
-    t_pt = line_intersection(unf.boundary_high, bc)
-    r_pt = line_intersection(unf.boundary_low, bc)
-    v = unf.k2 - unf.k
+    scale = local_frame(t)[2]
+    reflection_chain(t)
+    bc, low, high, v = _last[2]
+    t_pt = line_intersection(high, bc)
+    r_pt = line_intersection(low, bc)
     per2 = v.norm()  # 2 * orthic perimeter
     c = abs(v.dot(t_pt - r_pt))
     vx, vy = v.x, v.y

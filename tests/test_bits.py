@@ -20,7 +20,7 @@ from tripatrol.orthic import (
 from tripatrol.schedule import gap_report
 from conftest import random_acute_triangle
 
-DIGEST = "8c73e0a03029579358cc3edb887e9b1bf3f14c6e18d77b33587964fe457010cf"
+DIGEST = "f3c8f5a11c3748fb106473dbe51df321c6b9de9d3de5ef027e3126551c200eb6"
 
 BASE_SEED = 10
 BASE_COUNT = 11

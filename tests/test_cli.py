@@ -93,6 +93,8 @@ orthic_triangle(t)
 gap_report(sub_orthic_schedule(t, 0.3), 2)
 lower_bound_profile(t, 10)
 greedy_run(t, 0.25)
+greedy_limit_gap(t)
+greedy_ratio(angles(t))
 for grid_n in (1, 4):  # refused before numpy is needed; then an oracle call
     try:
         grid_search_3periodic(t, grid_n)

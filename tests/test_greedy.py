@@ -191,7 +191,7 @@ def test_boundary_face_reduces_to_inverse_sine():
     # On the A = 0 face the ratio collapses to 1 / sin(C); its maximum over
     # C in [pi/3, pi/2) is 2*sqrt(3)/3 at C = pi/3.
     cs = np.linspace(math.pi / 3, math.pi / 2 - 1e-9, 500)
-    vals = _ratio_formula(0.0, math.pi - cs, cs)
+    vals = _ratio_formula(0.0, math.pi - cs, cs, np.sin, np.cos)
     assert np.max(np.abs(vals - 1.0 / np.sin(cs))) < 1e-12
     assert np.max(vals) == pytest.approx(2 * SQRT3 / 3, abs=1e-9)
     assert np.argmax(vals) == 0

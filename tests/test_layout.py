@@ -377,3 +377,62 @@ def test_global_check_catches_each_form():
     assert global_users("if True:\n    global z") == ["<module>"]
     # Reading, or mutating in place, a module-level name is allowed.
     assert global_users("x = []\ndef f():\n    x.append(1)\n    return x") == []
+
+
+def construction_sites(source: str, cls: str) -> list[str]:
+    """The functions, by qualified name, that call `cls` ("<module>" for a
+    call at module level): by its name, by a name it is imported as, or as
+    an attribute of a module."""
+    tree = ast.parse(source)
+    names = {cls} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == cls and alias.asname
+    }
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and (
+                isinstance(child.func, ast.Name) and child.func.id in names
+                or isinstance(child.func, ast.Attribute) and child.func.attr == cls
+            ):
+                found.append(scope or "<module>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_unfolding_is_constructed_at_one_site():
+    """One unfolding per triangle: _build assembles it, in the caller's
+    coordinates, and nothing else in the package constructs one."""
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in construction_sites(path.read_text(encoding="utf-8"), "Unfolding")
+    ]
+    assert sites == ["orthic._build"]
+
+
+def test_construction_site_check_catches_each_form():
+    assert construction_sites("def f():\n    return Unfolding(1)", "Unfolding") == ["f"]
+    assert construction_sites("from . import orthic\nx = orthic.Unfolding()", "Unfolding") == ["<module>"]
+    assert construction_sites(
+        "from .orthic import Unfolding as U\nclass C:\n    def m(self):\n        return [U(), U()]",
+        "Unfolding",
+    ) == ["C.m", "C.m"]
+    assert construction_sites("def f():\n    def g():\n        return Unfolding(Unfolding())", "Unfolding") == [
+        "f.g", "f.g"
+    ]
+    # Naming the class, subclassing it or calling another name is not a construction.
+    assert construction_sites(
+        "from .orthic import Unfolding\nclass Sub(Unfolding):\n    pass\nx: Unfolding = make()\n"
+        "isinstance(x, Unfolding)",
+        "Unfolding",
+    ) == []

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from itertools import combinations
 
 import pytest
@@ -323,6 +325,17 @@ def test_unfolding_built_once_per_triangle(builds):
     assert builds == {"builds": 1, "channel_checks": 6}
 
 
+def test_unfolding_copies_leave_the_memo_alone(builds):
+    # A moved triangle: its unfolding is built on the local frame and placed
+    # back once; copying or unpickling the record runs no build.
+    t = acute_triangle(dx=1e6, scale=3.0)
+    unf = reflection_chain(t)
+    assert copy.copy(unf) == unf
+    assert pickle.loads(pickle.dumps(unf)) == unf
+    assert reflection_chain(t) is unf
+    assert builds == {"builds": 1, "channel_checks": 6}
+
+
 def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
     t1, t2 = random_acute_triangle(rng), random_acute_triangle(rng)
 
@@ -379,7 +392,8 @@ def test_unfolding_is_built_on_the_local_frame_and_placed_back(rng):
     assert (unf.direction, unf.normal, unf.snap, unf.edge_map) == (there.direction, there.normal, there.snap, there.edge_map)
     assert (unf.half_width_low, unf.half_width_high) == (there.half_width_low * scale, there.half_width_high * scale)
     assert [tri.vertices for tri in unf.triangles][-1] == (unf.a1, unf.b2, unf.c2)
-    assert unf.sweep is there.sweep
+    for lam in (-1.0, -0.4, 0.0, 0.7, 1.0):
+        assert sub_orthic_schedule(t, lam).generator == sub_orthic_schedule(local, lam).generator
     # A triangle that is its own frame is built as given: its signed zeros stay.
     flat = Triangle(Point(-0.0, -0.0), Point(1.0, -0.0), Point(0.45, 0.8))
     assert local_frame(flat)[0] is flat

@@ -131,4 +131,4 @@ def test_channel_check_matches_edge_hit_count(seed, scale, angle, shift):
     assume(all(abs(signed_offset(v, anchor, d)) > 1e-6 * t.diameter for v in t.vertices))
     tol = t.tol()
     old = ref.count_edge_hits((anchor, anchor + d * t.diameter), t, tol) >= 2
-    assert orthic._straddles(t, anchor, d, 0.0, 0.0, tol) == old
+    assert orthic._straddles(t.vertices, anchor, d, 0.0, 0.0, tol) == old
