@@ -6,7 +6,7 @@ _check_grid refuses never loads it.
 
 The grid searches evaluate exact objective values on a regular grid, so the
 reported best value can only overestimate the true minimum, and by at most
-certified_tolerance (a Lipschitz bound times the grid spacing).  Both search
+certified_tolerance (a Lipschitz bound times the grid spacing).  Both run on
 geom.local_frame(t): t moved near the origin and scaled by a power of two to
 a diameter in [1, 2).  Scaling best_value back is exact and the edge
 parameters need no mapping, so the results scale exactly with t and depend
@@ -21,9 +21,13 @@ frame keeps every coordinate within a few diameters, so the margin prunes
 alike at any offset.  It scores every kept pair in a few chunked min-plus
 blocks.  The 6-periodic grid minimum is exact too: a chain DP over
 the three distinct distance matrices of its edge pattern, with no local
-refinement.  Each phase is a few whole-array numpy calls on grids held as x
-and y rows.  Either search refuses, before it allocates anything, a grid
-whose largest array would exceed MAX_GRID_FLOATS.
+refinement, so both report grid points, each the float nearest to i / N.
+The point grids of all segments are one (segments, 2, N+1) array of x and y
+rows, built from one flat array of segment ends; a phase picks its points
+by a slice or one fancy index, and each distance matrix is one hypot.  Each
+chain DP step lays its sums out [prev, r, next] in C order and takes the min
+over the leading axis.  Either search refuses, before it allocates anything,
+a grid that would hold more than MAX_GRID_FLOATS float64s at once.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ from .geom import EdgeId, Record, Triangle, local_frame, reflect_point, slot_set
 # u2, and the 6-periodic chain DP batches start indices to fit it.
 _CHUNK = 1 << 17
 
-# A search refuses a grid whose largest array would hold more than this many
-# float64s (512 MiB): 6 (n+1)^2 for the 6-periodic slab, and 3 (n+1)^2 for
-# the 3-periodic Heron bound where the Fagnano bound keeps every row.
+# A search refuses a grid that would hold more than this many float64s at once
+# (512 MiB), over all live arrays: 6 (n+1)^2 for the two (3, n+1, n+1)
+# operands of the 6-periodic slab's hypot, and 3 (n+1)^2 for the 3-periodic
+# Heron bound where the Fagnano bound keeps every row (the closing legs and
+# the two operands of the Heron legs' hypot).
 MAX_GRID_FLOATS = 1 << 26
 
 
@@ -70,16 +76,24 @@ def _check_grid(grid_n: int, slabs: int) -> None:
     floats = slabs * (grid_n + 1) ** 2
     if floats > MAX_GRID_FLOATS:
         raise ValueError(
-            f"grid_n {grid_n} needs {floats} float64s in one array, "
+            f"grid_n {grid_n} needs {floats} float64s at once, "
             f"above the limit of {MAX_GRID_FLOATS}"
         )
 
 
+def _grid(grid_n: int):
+    """The grid parameters i / grid_n, i = 0..grid_n, each the float
+    nearest to i / grid_n (one correctly rounded division)."""
+    import numpy as np
+    return np.arange(grid_n + 1) / grid_n
+
+
 def _segment_grids(segments, us):
     """grids[m] = (xs, ys): the points s + u (f - s), u in us, of the m-th
-    segment (s, f), all segments in one broadcast."""
+    segment (s, f), all segments from one flat array of their ends."""
     import numpy as np
-    s, f = (np.array([[p.x, p.y] for p in ends])[:, :, None] for ends in zip(*segments))
+    ends = np.array([c for seg in segments for p in seg for c in (p.x, p.y)]).reshape(-1, 2, 2, 1)
+    s, f = ends[:, 0], ends[:, 1]
     return s + us * (f - s)
 
 
@@ -117,16 +131,17 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     _check_grid(grid_n, 3)
     import numpy as np
     local, _, scale = local_frame(t)
-    us = np.arange(grid_n + 1) / grid_n
-    (pa, pb, pc, ra, _), rho = _fagnano_rows(local, us)
+    us = _grid(grid_n)
+    grids, rho = _fagnano_rows(local, us)
+    pb, pc = grids[1], grids[2]
     # The upper bound is the attained total at the Heron argmin of the row
     # with the smallest Fagnano bound.  By Heron's reflection, |PA PB| +
     # |PB PC| >= |R_AC(PA) PC| for every PB on line AC, so |PA_i PC_k| +
     # |R_AC(PA_i) PC_k| bounds every cycle through PA_i and PC_k.
     i0 = int(rho.argmin())
-    heron0 = _dist(np.stack([pa[:, i0], ra[:, i0]], axis=1), pc)
+    heron0 = _dist(grids[::3, :, i0, None], pc)[:, 0]  # from PA_i0 and R_AC(PA_i0)
     k0 = int((heron0[0] + heron0[1]).argmin())
-    legs = _dist(np.stack([pa[:, i0], pc[:, k0]], axis=1), pb)
+    legs = _dist(grids[[0, 2], :, [i0, k0]].T, pb)  # from PA_i0 and PC_k0
     upper = (legs[0] + legs[1]).min() + heron0[0, k0]
     # In the local frame every coordinate and length is below a few
     # diameters, so both bounds and the totals are each within a few ulps of
@@ -134,17 +149,17 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     # skipped row's or pair's total is strictly above the grid minimum.
     bound = upper + 1e-9 * local.diameter
     rows = np.flatnonzero(rho <= bound)
-    d_ca = _dist(pa[:, rows], pc)  # the closing leg |PC_k PA_i|
-    keep = d_ca + _dist(ra[:, rows], pc) <= bound  # keep[r, k]: PA_rows[r], PC_k
+    pa, ra = grids[::3, :, rows]
+    d_ca = _dist(pa, pc)  # the closing leg |PC_k PA_i|
+    keep = d_ca + _dist(ra, pc) <= bound  # keep[r, k]: PA_rows[r], PC_k
     cols = np.flatnonzero(keep.any(axis=0))
     keep, d_ca = keep[:, cols].ravel(), d_ca[:, cols].ravel()  # row-major (r, c) positions
-    d_ab = _dist(pa[:, rows], pb)
+    d_ab = _dist(pa, pb)
     d_bc = _dist(pc[:, cols], pb)  # only the columns a kept pair uses
     # Score the kept pairs in row-major order: min over u2 of |PA PB| +
     # |PB PC|, plus |PC PA|.  Blocks of keep's positions, not an index
     # array of every kept pair, bound each temporary to _CHUNK floats.
     best = math.inf
-    bp = 0
     step = _CHUNK // (grid_n + 1)
     for lo in range(0, keep.size, step):
         p = lo + np.flatnonzero(keep[lo : lo + step])
@@ -156,10 +171,8 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
         totals = tot.min(axis=1) + d_ca[p]
         s = int(totals.argmin())
         if totals[s] < best:
-            best, bp = float(totals[s]), int(p[s])
-    # Recover the middle parameter only for the winning (u1, u3) pair.
-    r, c = divmod(bp, cols.size)
-    best_idx = (rows[r], int((d_ab[r] + d_bc[c]).argmin()), cols[c])
+            # the middle parameter only for the block's winning (u1, u3) pair
+            best, best_idx = float(totals[s]), (rows[r[s]], int(tot[s].argmin()), cols[c[s]])
     return SearchResult(
         best_value=best * scale,
         best_params=[float(us[i]) for i in best_idx],
@@ -180,9 +193,12 @@ def _min_cycle_6(dist) -> tuple[float, list[int]]:
     dist is a (3, n+1, n+1) slab: dist[s % 3] is the distance matrix
     between stop s and stop s+1 (0-based, stop 6 wrapping to stop 0).  The
     chain DP runs for a chunk of start indices i0 at once and keeps each
-    step's value matrix; the winner's backpointers are argmins of the same
-    sums, so ties go to the first i0, then the first index of each later
-    stop, as a loop over i0 would give.
+    step's value matrix vs[s][r, j].  A step adds the next leg to the last
+    values in a [prev, r, next] block in C order and takes the min over its
+    leading axis, prev, a reduction over whole contiguous rows.  The
+    winner's backpointers are argmins of the same sums, so ties go to the
+    first i0, then the first index of each later stop, as a loop over i0
+    would give.
     """
     import numpy as np
     n1 = dist.shape[1]
@@ -193,8 +209,7 @@ def _min_cycle_6(dist) -> tuple[float, list[int]]:
         # vs[s][r, j]: best chain from stop 0 = lo + r to stop s = j
         vs = [dist[0, lo : lo + step]]
         for s in range(1, 5):
-            # [r, next, prev], C order so the reduction below copies nothing
-            vs.append(np.add(vs[-1][:, None, :], dist[s % 3].T, order="C").min(axis=2))
+            vs.append(np.add(vs[-1].T[:, :, None], dist[s % 3][:, None, :], order="C").min(axis=0))
         tot_last = vs[4] + dist[2, :, lo : lo + step].T
         r, i5 = divmod(int(tot_last.argmin()), n1)
         val = float(tot_last[r, i5])
@@ -215,12 +230,12 @@ def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     best_params is a grid point, and certified_tolerance bounds how far
     best_value lies above the true minimum."""
     _check_grid(grid_n, 6)
-    import numpy as np
     local, _, scale = local_frame(t)
-    us = np.linspace(0.0, 1.0, grid_n + 1)
-    # GAP2_PATTERN has period 3, so stops 3-5 repeat the grids of stops 0-2.
-    grids = _segment_grids([local.edges[e] for e in GAP2_PATTERN[:3]], us)
-    best_val, idx = _min_cycle_6(_dist(grids, grids[[1, 2, 0]]))
+    us = _grid(grid_n)
+    # GAP2_PATTERN has period 3: stops 3-5 repeat the grids of stops 0-2, and
+    # the grids of stops 0-3 give the three distinct legs.
+    grids = _segment_grids([local.edges[e] for e in GAP2_PATTERN[:4]], us)
+    best_val, idx = _min_cycle_6(_dist(grids[:3], grids[1:]))
     return SearchResult(
         best_value=best_val * scale,
         best_params=[float(us[i]) for i in idx],

@@ -111,7 +111,7 @@ def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
 def caller_frame_grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    us = np.linspace(0.0, 1.0, grid_n + 1)
+    us = np.arange(grid_n + 1) / grid_n
     grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN]
     d_fwd = [_dist_matrix(grids[i], grids[(i + 1) % 6]) for i in range(6)]
     best_val, idx = _min_cycle_6(d_fwd)

@@ -120,6 +120,34 @@ def test_grid_oracles_match_reference(rng, offset):
             assert grid_search_3periodic(t, 200) == reference_search.grid_search_3periodic(t, 200)
 
 
+@pytest.mark.parametrize("per_block", [1, 2, 5])
+def test_grid_oracles_match_reference_in_small_blocks(rng, monkeypatch, per_block):
+    # A small _CHUNK gives grid3's pair scoring blocks of per_block positions
+    # of keep, many of them without a kept pair, and grid6's chain DP ragged
+    # batches of per_block start indices (13 = 5 + 5 + 3 at n = 12).  The
+    # blocks must change no bit: a later block's winner replaces an earlier
+    # one only when strictly smaller.
+    triangles = [random_acute_triangle(rng) for _ in range(6)] + list(SPECIAL_TRIANGLES)
+    for t in triangles:
+        for n in (7, 12, 50):
+            monkeypatch.setattr(search, "_CHUNK", per_block * (n + 1))
+            assert grid_search_3periodic(t, n) == reference_search.grid_search_3periodic(t, n)
+            monkeypatch.setattr(search, "_CHUNK", per_block * (n + 1) ** 2)
+            assert grid_search_6periodic_gap2(t, n) == reference_search.grid_search_6periodic_gap2(t, n)
+
+
+@pytest.mark.parametrize("grid_n", [5, 7, 12, 50])
+def test_grid_oracles_report_exact_grid_points(rng, grid_n):
+    # Every reported parameter is the float nearest to i / grid_n, not
+    # i * (1 / grid_n) as np.linspace computes it, which at grid_n = 12 is
+    # one ulp off for i = 5, 7 and 10.
+    triangles = [random_acute_triangle(rng) for _ in range(8)] + list(SPECIAL_TRIANGLES)
+    for t in triangles:
+        for search_fn in (grid_search_3periodic, grid_search_6periodic_gap2):
+            for p in search_fn(t, grid_n).best_params:
+                assert p == round(p * grid_n) / grid_n
+
+
 def test_grid_oracles_agree_with_the_caller_frame_brute_force(rng):
     # An independent check of the frame: the same brute force run on t
     # itself, not on local_frame(t).  Moving a triangle that lies off the
@@ -282,7 +310,7 @@ def test_grid_n_validation(equilateral):
     "fn, slabs", [(grid_search_3periodic, 3), (grid_search_6periodic_gap2, 6)]
 )
 def test_oversized_grid_raises_before_allocating(equilateral, fn, slabs):
-    # The smallest grid_n whose largest array exceeds the cap; grid_n - 1
+    # The smallest grid_n whose float64s held at once exceed the cap; grid_n - 1
     # is within it.  Only the refused size is run.
     n = math.isqrt(search.MAX_GRID_FLOATS // slabs)
     assert slabs * n**2 <= search.MAX_GRID_FLOATS < slabs * (n + 1) ** 2
