@@ -1,18 +1,19 @@
 """Planar primitives: points, triangle edges, projections, reflections, angles.
 
-The tolerance policy lives here.  Every structural claim the package checks
-is an exact identity of the geometry (the altitude feet are collinear, B2C2
-is parallel to BC, a sub-orthic 2-gap is twice the orthic perimeter), so
+The tolerance policy lives here.  Every structural claim of the paper is
+an exact identity of the geometry (the altitude feet are collinear, B2C2
+is parallel to BC, a sub-orthic 2-gap is twice the orthic perimeter),
+which the tests check, the first two on an exact rational reference; so
 each threshold below is numerical policy, named once and read by every
 site that applies it.  Lengths compare against a multiple of the
 triangle's diameter (`Triangle.tol()` is ``DEFAULT_REL_TOL * diameter``);
-the self-checks and the channel sweep scale their own factor the same way;
-sines, angles and edge parameters are scale-free and compare against the
-bare constant.  A threshold that is one algorithm's own parameter at one
-site stays a literal there: greedy's settle and escape tests, the angle-sum
-check of `greedy_ratio`, the ratio grid's filter, the slack of
-`verify_1gap_optimality`, the 3-periodic search's pruning margin and
-`line_dir`'s test.
+the two closure checks and the channel sweep scale their own factor the
+same way; sines, angles and edge parameters are scale-free and compare
+against the bare constant.  A threshold that is one algorithm's own
+parameter at one site stays a literal there: greedy's settle and escape
+tests, the angle-sum check of `greedy_ratio`, the ratio grid's filter, the
+slack of `verify_1gap_optimality`, the 3-periodic search's pruning margin
+and `line_dir`'s test.
 
 Every construction and both grid searches run on `local_frame(t)`, a copy
 moved near the origin and scaled by a power of two to a diameter in
@@ -43,7 +44,8 @@ DEFAULT_REL_TOL = 1e-9
 # within ACUTE_ANGLE_TOL of pi/2 counts as right, i.e. not acute.
 ACUTE_ANGLE_TOL = 1e-9
 
-# The self-checks of exact identities: residual per diameter, per perimeter or as a sine.
+# The closure check of greedy._limit_schedule, per diameter (the closure
+# check of sub_orthic_schedule's folded trajectory reads SWEEP_REL_TOL).
 CHECK_REL_TOL = 1e-10
 
 # The channel sweep folds through five mirrors, so it allows more: residuals

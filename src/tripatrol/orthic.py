@@ -11,20 +11,21 @@ to the caller's vertex labels before they are returned.
 One rule builds it: each of the five steps reflects one vertex of the
 current copy across the line through the other two (`_REFLECTED`), and
 the foot of that reflection is the copy's altitude foot on the orthic
-line.  The channel check reads the signed offsets of each copy's vertices
-from the orthic line: a boundary parallel to it meets two edges of a copy
-unless all three vertices lie strictly on one side.
+line.
 
 Every construction here runs on geom.local_frame(t): the triangle moved
 near the origin and scaled by a power of two to a diameter in [1, 2).
 What it reports is mapped back: points are placed at origin + scale * p,
 lengths multiplied by the scale, and edge parameters and ratios kept.
 
-`reflection_chain(t)` builds the one unfolding of t: computed and checked
-on t's local triangle, then assembled in t's coordinates, with t's own
-vertices as its base.  It keeps the last one built, one entry keyed on
-the caller's Triangle object: a sweep over lambda, the v_k bounds and the
-CLI on one triangle build it, and run its checks, once.
+`reflection_chain(t)` builds the one unfolding of t: computed on t's
+local triangle, then assembled in t's coordinates, with t's own vertices
+as its base.  `_chain` keeps the last one built, one entry keyed on the
+caller's Triangle object: a sweep over lambda, the v_k bounds and the CLI
+on one triangle build it once.
+
+Its exact identities (collinear feet, B2C2 parallel to BC, a channel
+that meets two edges of every copy) are tested, not checked here.
 
 Beside the unfolding, the entry keeps the local data its two readers
 compute on: for `sub_orthic_schedule`, the seven lines a channel line
@@ -37,7 +38,6 @@ from __future__ import annotations
 import math
 
 from .geom import (
-    CHECK_REL_TOL,
     PARALLEL_SIN_TOL,
     RIGHT_ANGLE_SLACK,
     SWEEP_REL_TOL,
@@ -109,13 +109,7 @@ def orthic_triangle(t: Triangle) -> OrthicData:
     m = project_onto_edge(t.c, t, EdgeId.C)
     a_ang, b_ang, c_ang = angles(t)
     x0 = math.cos(a_ang) * math.sin(c_ang) / math.sin(b_ang)
-    # Cross-check the projection against the parametric optimizer form.
-    l_param = t.c * x0 + t.a * (1.0 - x0)
-    if l_param.dist(l) > CHECK_REL_TOL * t.diameter:
-        raise AssertionError("altitude foot disagrees with parametric optimizer")
     per = k.dist(l) + l.dist(m) + m.dist(k)
-    if abs(per - orthic_perimeter(t)) > CHECK_REL_TOL * per:
-        raise AssertionError("coordinate perimeter disagrees with closed formula")
     return OrthicData(k_foot=k, l_foot=l, m_foot=m, perimeter=per, x0=x0)
 
 
@@ -218,16 +212,8 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     return relabeled, edge_map
 
 
-def _straddles(verts: tuple[Point, ...], anchor: Point, unit_dir: Point, bottom: float, top: float, tol: float) -> bool:
-    """Each parallel to unit_dir at a signed offset from bottom to top meets
-    at least two edges of the triangle verts: they are not all strictly on
-    one side."""
-    offs = [signed_offset(v, anchor, unit_dir) for v in verts]
-    return max(offs) >= top - tol and min(offs) <= bottom + tol
-
-
 def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
-    """(unfolding, sweep, bound): the unfolding of t, built and checked on
+    """(unfolding, sweep, bound): the unfolding of t, built on
     local_frame(t) and returned in t's coordinates, with the local data
     its two readers compute on.
 
@@ -246,7 +232,7 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     # Each step reflects one vertex across the line through the other two;
     # the mirror's foot is that step's altitude foot (m, l1, k1, m1, l2).
     verts = [a, b, c]
-    copies, mirrors, steps, feet = [], [], [], []
+    reflected, mirrors, steps, feet = [], [], [], []
     for i in _REFLECTED:
         p = verts[i]
         lo, hi = _OTHERS[i]
@@ -254,36 +240,23 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
         d = line_dir(mirror)
         fx, fy = project_along(p.as_tuple(), mirror[0], d)
         verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
-        copies.append(tuple(verts))
+        reflected.append(verts[i])
         mirrors.append(mirror)
         steps.append((mirror[0].x, mirror[0].y, *d))
         feet.append((fx, fy))
-    c1, b1, a1, c2, b2 = (copy[i] for copy, i in zip(copies, _REFLECTED))
+    c1, b1, a1, c2, b2 = reflected
 
     k = Point(*project_along(a.as_tuple(), b, line_dir((b, c))))
     m, l1, k1, m1, l2 = (Point(*f) for f in feet)
     k2 = Point(*project_along(a1.as_tuple(), b2, line_dir((b2, c2))))
 
-    # The final copy's base must come out parallel to BC (total turning 3*pi).
-    d0, d5 = c - b, c2 - b2
-    sin_angle = abs(d0.cross(d5)) / (d0.norm() * d5.norm())
-    if sin_angle > CHECK_REL_TOL:
-        raise AssertionError("B2C2 failed to come out parallel to BC")
-
     w = k2 - k
     direction = w * (1.0 / w.norm())
     off_high = signed_offset(a, k, direction)
     off_low = signed_offset(a1, k, direction)
-    if not off_high * off_low < 0.0:
-        raise AssertionError("A and A1 should straddle the orthic line")
     step = direction * base.diameter  # a unit step would round away at large sides
     low_line: Line = (a1, a1 + step)
     high_line: Line = (a, a + step)
-    tol = base.tol()
-    bottom, top = min(off_low, off_high), max(off_low, off_high)
-    for tri in (base.vertices, *copies):
-        if not _straddles(tri, k, direction, bottom, top, tol):
-            raise AssertionError("channel boundary misses a reflected triangle")
 
     normal = Point(-direction.y, direction.x)
     if off_high < 0.0:
@@ -343,18 +316,21 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
 # The last build, keyed on the identity of the caller's Triangle, not on
 # ==: Point(0.0, y) == Point(-0.0, y), and source/base must be the caller's
 # own vertices.  Holding the triangle keeps its id from being reused.
-# sub_orthic_schedule and lower_bound_profile call reflection_chain(t) and
-# then read their local data here.
 _last: tuple[Unfolding, tuple, tuple] | None = None
 
 
-def reflection_chain(t: Triangle) -> Unfolding:
-    """The unfolding of t: built and checked once per triangle on
-    local_frame(t), and returned in t's coordinates."""
+def _chain(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
+    """_build(t), built once per triangle: the last build is kept."""
     global _last
     if _last is None or _last[0].source is not t:
         _last = _build(t)
-    return _last[0]
+    return _last
+
+
+def reflection_chain(t: Triangle) -> Unfolding:
+    """The unfolding of t: built once per triangle on local_frame(t), and
+    returned in t's coordinates."""
+    return _chain(t)[0]
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
@@ -373,8 +349,7 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
     local, origin, scale = local_frame(t)
-    unf = reflection_chain(t)
-    kx, ky, low, high, lines, frames = _last[1]
+    unf, (kx, ky, low, high, lines, frames), _ = _chain(t)
     off = lam * (high if lam >= 0.0 else low)
     n, d, diam = unf.normal, unf.direction, local.diameter
     ax, ay = kx + n.x * off, ky + n.y * off
@@ -422,8 +397,7 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     scale = local_frame(t)[2]
-    reflection_chain(t)
-    bc, low, high, v = _last[2]
+    bc, low, high, v = _chain(t)[2]
     t_pt = line_intersection(high, bc)
     r_pt = line_intersection(low, bc)
     per2 = v.norm()  # 2 * orthic perimeter

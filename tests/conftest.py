@@ -40,17 +40,13 @@ def equilateral() -> Triangle:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of unfolding builds (each relabels the triangle once) and of
-    the channel checks they run (one per copy, 6 per build)."""
-    counts = {"builds": 0, "channel_checks": 0}
+    """Counts of unfolding builds: each relabels the triangle once."""
+    counts = {"builds": 0}
+    relabel = orthic._relabel
 
-    def counted(key, fn):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
+    def counted(t):
+        counts["builds"] += 1
+        return relabel(t)
 
-        return wrapper
-
-    monkeypatch.setattr(orthic, "_relabel", counted("builds", orthic._relabel))
-    monkeypatch.setattr(orthic, "_straddles", counted("channel_checks", orthic._straddles))
+    monkeypatch.setattr(orthic, "_relabel", counted)
     return counts

@@ -1,0 +1,177 @@
+"""Exact rational reference for the orthic triangle and the unfolding.
+
+Every construction before a length is rational in the vertex coordinates:
+a projection onto, or a reflection across, the line through two rational
+points.  A float is a dyadic rational, so `fractions.Fraction` rebuilds
+the altitude feet, the five reflected copies and the orthic line of a
+float triangle with no rounding at all, and the paper's identities hold
+with zero residual (Yap, "Towards exact geometric computation", CGTA
+1997).  Lengths are square roots; they are taken in `decimal` at 50
+digits, well inside the 1e-40 the tests ask of them.
+
+The unfolding follows the paper's steps as written, apart from
+tripatrol.orthic's tables: C1 is C reflected about AB, B1 is B about AC1,
+A1 is A about B1C1, C2 is C1 about A1B1, B2 is B1 about A1C2.  Offsets
+from the orthic line are cross products with the unnormalised
+w = k2 - k, signed positive on A's side: |w| times the signed distance,
+so every sign and every ordering of the distances is kept.
+
+It is slow and kept only for the tests to compare against.
+"""
+
+from __future__ import annotations
+
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from typing import NamedTuple
+
+from tripatrol.geom import Point, Triangle
+
+XY = tuple[Fraction, Fraction]
+
+# The unfolding's points, by the names tripatrol.orthic.Unfolding gives them.
+POINTS = ("a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2")
+
+DIGITS = 50
+
+
+def exact(p: Point) -> XY:
+    return (Fraction(p.x), Fraction(p.y))
+
+
+def sub(p: XY, q: XY) -> XY:
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def cross(u: XY, v: XY) -> Fraction:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def dot(u: XY, v: XY) -> Fraction:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def foot(p: XY, a: XY, b: XY) -> XY:
+    """Foot of the perpendicular from p onto the line through a and b."""
+    d = sub(b, a)
+    s = dot(sub(p, a), d) / dot(d, d)
+    return (a[0] + s * d[0], a[1] + s * d[1])
+
+
+def reflect(p: XY, a: XY, b: XY) -> XY:
+    """Mirror image of p across the line through a and b: 2 * foot - p."""
+    f = foot(p, a, b)
+    return (2 * f[0] - p[0], 2 * f[1] - p[1])
+
+
+def side2(t: tuple[XY, XY, XY]) -> tuple[Fraction, Fraction, Fraction]:
+    """Squared side lengths (alpha^2, beta^2, gamma^2): BC, AC, AB."""
+    a, b, c = t
+    return (dot(sub(c, b), sub(c, b)), dot(sub(c, a), sub(c, a)), dot(sub(b, a), sub(b, a)))
+
+
+def relabel(t: Triangle) -> tuple[int, int, int]:
+    """The vertex order with opposite side lengths non-increasing, ties by
+    index: the rule of orthic._relabel, on the exact lengths."""
+    sides = side2(tuple(exact(v) for v in t.vertices))
+    return tuple(sorted(range(3), key=lambda i: (-sides[i], i)))
+
+
+class Orthic(NamedTuple):
+    """The altitude feet K, L, M of a triangle in its own labels, and
+    x0 = (beta^2 + gamma^2 - alpha^2) / (2 beta^2)."""
+
+    k_foot: XY
+    l_foot: XY
+    m_foot: XY
+    x0: Fraction
+
+
+def orthic(t: Triangle) -> Orthic:
+    a, b, c = verts = tuple(exact(v) for v in t.vertices)
+    alpha2, beta2, gamma2 = side2(verts)
+    return Orthic(foot(a, b, c), foot(b, a, c), foot(c, a, b), (beta2 + gamma2 - alpha2) / (2 * beta2))
+
+
+def sqrt(x: Fraction) -> Decimal:
+    return (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+
+
+def perimeters(t: Triangle) -> tuple[Decimal, Decimal]:
+    """The orthic perimeter as |KL| + |LM| + |MK| from the exact feet, and
+    its closed form 2p / (1/(sinB sinC) + 1/(sinA sinC) + 1/(sinA sinB)),
+    each sine 2 * area over the product of its two sides, in decimal."""
+    verts = tuple(exact(v) for v in t.vertices)
+    k, l, m, _ = orthic(t)
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        per = sum(sqrt(dot(sub(p, q), sub(p, q))) for p, q in ((k, l), (l, m), (m, k)))
+        sa, sb, sc = (sqrt(s) for s in side2(verts))
+        area2 = abs(cross(sub(verts[1], verts[0]), sub(verts[2], verts[0])))
+        twice_area = Decimal(area2.numerator) / Decimal(area2.denominator)
+        sin_a, sin_b, sin_c = twice_area / (sb * sc), twice_area / (sa * sc), twice_area / (sa * sb)
+        closed = 2 * (sa + sb + sc) / (1 / (sin_b * sin_c) + 1 / (sin_a * sin_c) + 1 / (sin_a * sin_b))
+        return +per, +closed
+
+
+class Unfolding(NamedTuple):
+    """The exact unfolding of the triangle (a, b, c), labels as given."""
+
+    a1: XY
+    b1: XY
+    b2: XY
+    c1: XY
+    c2: XY
+    k: XY
+    m: XY
+    l1: XY
+    k1: XY
+    m1: XY
+    l2: XY
+    k2: XY
+    copies: tuple[tuple[XY, XY, XY], ...]  # the base, then each reflected copy
+    normal: XY  # w = k2 - k turned a quarter, toward A's side
+    offsets: tuple[tuple[Fraction, Fraction, Fraction], ...]  # of each copy's vertices
+
+    def offset(self, p: XY) -> Fraction:
+        """|w| times the signed distance of p from the orthic line, positive on A's side."""
+        return dot(self.normal, sub(p, self.k))
+
+
+def unfolding(a: Point, b: Point, c: Point) -> Unfolding:
+    a, b, c = exact(a), exact(b), exact(c)
+    c1 = reflect(c, a, b)
+    b1 = reflect(b, a, c1)
+    a1 = reflect(a, b1, c1)
+    c2 = reflect(c1, a1, b1)
+    b2 = reflect(b1, a1, c2)
+    k, k2 = foot(a, b, c), foot(a1, b2, c2)
+    normal = (k[1] - k2[1], k2[0] - k[0])
+    if dot(normal, sub(a, k)) < 0:
+        normal = (-normal[0], -normal[1])
+    copies = ((a, b, c), (a, b, c1), (a, b1, c1), (a1, b1, c1), (a1, b1, c2), (a1, b2, c2))
+    return Unfolding(
+        a1=a1,
+        b1=b1,
+        b2=b2,
+        c1=c1,
+        c2=c2,
+        k=k,
+        m=foot(c, a, b),
+        l1=foot(b, a, c1),
+        k1=foot(a, b1, c1),
+        m1=foot(c1, a1, b1),
+        l2=foot(b1, a1, c2),
+        k2=k2,
+        copies=copies,
+        normal=normal,
+        offsets=tuple(tuple(dot(normal, sub(v, k)) for v in copy) for copy in copies),
+    )
+
+
+def straddles(offsets: tuple[Fraction, ...], bottom: Fraction, top: Fraction) -> bool:
+    """Every parallel at an offset from bottom to top meets two edges of
+    the triangle whose vertices have these offsets: they do not all lie
+    strictly on one side of it."""
+    return max(offsets) >= top and min(offsets) <= bottom
+

@@ -9,8 +9,8 @@ which the sweep's fold steps replaced, and the bit gate and the reference
 channel kernels fold with it.
 
 count_edge_hits is the unfolding's former channel check, a segment-line
-test per edge; orthic's vertex-offset test must agree with "at least two
-hits" wherever no vertex lies near the line.
+test per edge; the vertex-offset test of reference_exact.straddles must
+agree with "at least two hits" wherever no vertex lies near the line.
 """
 
 import math

@@ -368,7 +368,7 @@ def test_only_reflection_chain_keeps_module_state():
         for path in sorted(PACKAGE.glob("*.py"))
         for name in global_users(path.read_text(encoding="utf-8"))
     ]
-    assert users == ["orthic.reflection_chain"]
+    assert users == ["orthic._chain"]
 
 
 def test_global_check_catches_each_form():
@@ -435,4 +435,56 @@ def test_construction_site_check_catches_each_form():
         "from .orthic import Unfolding\nclass Sub(Unfolding):\n    pass\nx: Unfolding = make()\n"
         "isinstance(x, Unfolding)",
         "Unfolding",
+    ) == []
+
+
+def _is_assertion_error(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (
+        isinstance(node, ast.Name) and node.id == "AssertionError"
+        or isinstance(node, ast.Attribute) and node.attr == "AssertionError"
+    )
+
+
+def self_check_sites(source: str) -> list[str]:
+    """The functions, by qualified name, that raise AssertionError or hold
+    an assert statement ("<module>" for one at module level)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Assert) or isinstance(child, ast.Raise) and _is_assertion_error(child.exc):
+                found.append(scope or "<module>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_self_checks_guard_only_returned_schedules():
+    """The exact identities of the orthic triangle and the unfolding are
+    carried by tests (tests/test_reference_exact.py), not checked on every
+    call.  The two self-checks left guard a schedule a function returns:
+    the folded trajectory closes up, and the greedy limit cycle closes onto
+    its fixed point."""
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in self_check_sites(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == ["greedy._limit_schedule", "orthic.sub_orthic_schedule"]
+
+
+def test_self_check_site_check_catches_each_form():
+    assert self_check_sites("def f():\n    raise AssertionError('x')") == ["f"]
+    assert self_check_sites("class C:\n    def m(self):\n        if x:\n            raise AssertionError") == ["C.m"]
+    assert self_check_sites("import builtins\nraise builtins.AssertionError()") == ["<module>"]
+    assert self_check_sites("def f(x):\n    def g():\n        assert x") == ["f.g"]
+    # Other exceptions, a bare re-raise, and catching or naming AssertionError are not self-checks.
+    assert self_check_sites(
+        "def f():\n    raise ValueError('x')\ntry:\n    f()\nexcept AssertionError:\n    raise\nE = AssertionError"
     ) == []

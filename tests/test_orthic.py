@@ -15,9 +15,7 @@ from tripatrol.geom import (
     edge_point,
     line_intersection,
     local_frame,
-    signed_offset,
 )
-from tripatrol import orthic
 from tripatrol.orthic import (
     OutsideChannel,
     lower_bound_profile,
@@ -29,6 +27,7 @@ from tripatrol.orthic import (
 )
 from tripatrol.schedule import gap_report, is_cyclic, is_k_periodic, pairwise_gap
 from conftest import random_acute_triangle
+from test_reference_exact import UNFOLDINGS
 
 RIGHT_ISO = Triangle(Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 0.0))
 ACUTE = ((0.0, 0.0), (1.0, 0.0), (0.4, 0.9))
@@ -322,7 +321,7 @@ def test_unfolding_built_once_per_triangle(builds):
         sub_orthic_schedule(t, -1.0 + i / 10.0)
     lower_bound_profile(t, 20)
     reflection_chain(t)
-    assert builds == {"builds": 1, "channel_checks": 6}
+    assert builds == {"builds": 1}
 
 
 def test_unfolding_copies_leave_the_memo_alone(builds):
@@ -333,7 +332,7 @@ def test_unfolding_copies_leave_the_memo_alone(builds):
     assert copy.copy(unf) == unf
     assert pickle.loads(pickle.dumps(unf)) == unf
     assert reflection_chain(t) is unf
-    assert builds == {"builds": 1, "channel_checks": 6}
+    assert builds == {"builds": 1}
 
 
 def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
@@ -400,36 +399,18 @@ def test_unfolding_is_built_on_the_local_frame_and_placed_back(rng):
     assert all(math.copysign(1.0, z) < 0.0 for z in (flat.a.x, flat.a.y, reflection_chain(flat).base.c.y))
 
 
-@pytest.mark.parametrize(
-    "name, fake, message",
-    [
-        ("signed_offset", lambda p, anchor, d: 1.0, "A and A1 should straddle"),
-        ("_straddles", lambda *args: False, "channel boundary misses"),
-    ],
-)
-def test_unfolding_build_runs_its_channel_checks(name, fake, message, monkeypatch):
-    monkeypatch.setattr(orthic, name, fake)
-    with pytest.raises(AssertionError, match=message):
-        reflection_chain(acute_triangle())
-
-
 @pytest.mark.parametrize("pushed", ["bottom", "top"])
-def test_channel_check_is_tight_at_each_boundary(pushed, rng, monkeypatch):
-    """The channel is the widest strip the copies allow: either boundary
-    moved outward by 3 tolerances misses a copy, and the build raises."""
-    check = orthic._straddles
-
-    def push(tri, anchor, unit_dir, bottom, top, tol):
-        if pushed == "bottom":
-            bottom -= 3.0 * tol
+def test_channel_check_is_tight_at_each_boundary(pushed):
+    """The channel is the widest strip the copies allow, exactly: some copy
+    has no vertex beyond A's side of the parallel through A, and some copy
+    none beyond A1's side of the parallel through A1, so either boundary
+    moved outward misses a copy (tests/reference_exact.py, every triangle
+    of the exact suite)."""
+    for label, u in UNFOLDINGS:
+        if pushed == "top":
+            assert min(max(o) for o in u.offsets) == u.offset(u.copies[0][0]), label
         else:
-            top += 3.0 * tol
-        return check(tri, anchor, unit_dir, bottom, top, tol)
-
-    monkeypatch.setattr(orthic, "_straddles", push)
-    for t in (acute_triangle(), acute_triangle(scale=2.0**-300), random_acute_triangle(rng)):
-        with pytest.raises(AssertionError, match="channel boundary misses"):
-            reflection_chain(t)
+            assert max(min(o) for o in u.offsets) == u.offset(u.a1), label
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-14, 1e-100])

