@@ -113,17 +113,12 @@ def greedy_run(
     p = edge_point(local, EdgeId.A, start_u)
     x, y = p.x, p.y
     tol = local.tol()
-    # edge -> its edge_frame and unit direction; built at first use, so checks fail in step order
-    frames = {}
+    steps = [(e, edge_frame(local, e) + line_dir(local.edges[e])) for e in cycle]
     iterates = [start_u]
     converged = False
     its = num_cycles
     for i in range(num_cycles):
-        for e in cycle:
-            frame = frames.get(e)
-            if frame is None:
-                frame = frames[e] = edge_frame(local, e) + line_dir(local.edges[e])
-            sx, sy, dx, dy, dd, length, ux, uy = frame
+        for e, (sx, sy, dx, dy, dd, length, ux, uy) in steps:
             # The projection onto the edge's line, then its edge parameter.
             s = (x - sx) * ux + (y - sy) * uy
             x, y = sx + ux * s, sy + uy * s
@@ -193,48 +188,46 @@ def greedy_limit_gap(t: Triangle) -> float:
     return t.perimeter * k
 
 
-def _ratio_formula(a_ang, b_ang, c_ang, sin, cos):
-    """(sinA + sinB + sinC) / (2 (1 + cosA cosB cosC)) with the caller's
-    sin and cos: math's for one ratio, numpy's for a grid; no domain checks."""
-    num = sin(a_ang) + sin(b_ang) + sin(c_ang)
-    den = 2.0 * (1.0 + cos(a_ang) * cos(b_ang) * cos(c_ang))
-    return num / den
+def _ratio_formula(a_ang: float, b_ang: float, c_ang: float) -> float:
+    """(sinA + sinB + sinC) / (2 (1 + cosA cosB cosC)); no domain checks."""
+    num = math.sin(a_ang) + math.sin(b_ang) + math.sin(c_ang)
+    return num / (2.0 * (1.0 + math.cos(a_ang) * math.cos(b_ang) * math.cos(c_ang)))
 
 
 def greedy_ratio(t_angles: tuple[float, float, float]) -> float:
     """Scale-free ratio of the greedy limit 1-gap to the orthic perimeter."""
     a_ang, b_ang, c_ang = t_angles
-    if abs(a_ang + b_ang + c_ang - math.pi) > 1e-9:
+    # Written so that a NaN angle fails each check.
+    if not abs(a_ang + b_ang + c_ang - math.pi) <= 1e-9:
         raise ValueError("angles must sum to pi")
-    if min(a_ang, b_ang, c_ang) <= 0.0 or max(a_ang, b_ang, c_ang) > math.pi / 2 + RIGHT_ANGLE_SLACK:
+    if not all(0.0 < x <= math.pi / 2 + RIGHT_ANGLE_SLACK for x in (a_ang, b_ang, c_ang)):
         raise ValueError("angles must lie in (0, pi/2]")
-    return _ratio_formula(a_ang, b_ang, c_ang, math.sin, math.cos)
+    return _ratio_formula(a_ang, b_ang, c_ang)
 
 
 def greedy_ratio_extremes(
     grid_n: int,
 ) -> tuple[float, float, tuple[float, float, float], tuple[float, float, float]]:
-    """Grid extremes of the ratio over {A+B+C=pi, 0 < A,B,C <= pi/2}.
+    """Grid extremes of the ratio over {A+B+C=pi, 0 < A,B,C <= pi/2}, with
+    A and B on the grid i*pi/(2 grid_n), i = 1..grid_n.
 
     Returns (max, min, argmax angles, argmin angles); ties go to the
     lexicographically smallest (A, B) grid pair.
     """
-    import numpy as np  # here, so that importing the package stays numpy-free
-
-    if grid_n < 100:
-        raise ValueError("grid_n must be >= 100 to resolve the landscape")
+    if not isinstance(grid_n, int) or grid_n < 100:
+        raise ValueError("grid_n must be an integer >= 100 to resolve the landscape")
     h = (math.pi / 2) / grid_n
-    vals = np.arange(1, grid_n + 1) * h
-    A, B = np.meshgrid(vals, vals, indexing="ij")
-    C = math.pi - A - B
-    ok = C > 1e-12
-    # The formula itself only needs C <= pi/2, i.e. A + B >= pi/2.
-    ok &= C <= math.pi / 2 + RIGHT_ANGLE_SLACK
-    f = np.where(ok, _ratio_formula(A, B, C, np.sin, np.cos), np.nan)
-    hi = np.nanargmax(f)
-    lo = np.nanargmin(f)
-    ai, bi = np.unravel_index(hi, f.shape)
-    aj, bj = np.unravel_index(lo, f.shape)
-    argmax = (float(A[ai, bi]), float(B[ai, bi]), float(C[ai, bi]))
-    argmin = (float(A[aj, bj]), float(B[aj, bj]), float(C[aj, bj]))
-    return float(f[ai, bi]), float(f[aj, bj]), argmax, argmin
+    vals = [i * h for i in range(1, grid_n + 1)]
+    fmax, fmin = -math.inf, math.inf
+    for a_ang in vals:
+        for b_ang in vals:
+            c_ang = math.pi - a_ang - b_ang
+            # The formula itself only needs C <= pi/2, i.e. A + B >= pi/2.
+            if not 1e-12 < c_ang <= math.pi / 2 + RIGHT_ANGLE_SLACK:
+                continue
+            f = _ratio_formula(a_ang, b_ang, c_ang)
+            if f > fmax:
+                fmax, argmax = f, (a_ang, b_ang, c_ang)
+            if f < fmin:
+                fmin, argmin = f, (a_ang, b_ang, c_ang)
+    return fmax, fmin, argmax, argmin

@@ -95,6 +95,7 @@ lower_bound_profile(t, 10)
 greedy_run(t, 0.25)
 greedy_limit_gap(t)
 greedy_ratio(angles(t))
+greedy_ratio_extremes(100)
 for grid_n in (1, 4):  # refused before numpy is needed; then an oracle call
     try:
         grid_search_3periodic(t, grid_n)

@@ -2,7 +2,6 @@ import copy
 import math
 import pathlib
 import pickle
-import random
 import re
 
 import pytest

@@ -1,9 +1,9 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
+import reference_channel
 from tripatrol.geom import NotAcute, Point, Triangle, angles
 from tripatrol.greedy import (
     _ratio_formula,
@@ -146,6 +146,10 @@ def test_ratio_domain_checks():
         greedy_ratio((1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         greedy_ratio((0.2, 0.2, math.pi - 0.4))
+    # Every comparison with NaN is false, so a NaN once passed both checks.
+    for bad in ((math.nan, 1.0, 1.0), (0.5, math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            greedy_ratio(bad)
 
 
 def test_ratio_matches_gap_quotient(rng):
@@ -174,6 +178,16 @@ def test_ratio_bounds_on_admissible_grid():
     assert fmax <= (1 + math.sqrt(2)) / 2 + 1e-9
     with pytest.raises(ValueError):
         greedy_ratio_extremes(50)
+    # numpy's arange took 100.5, and the argmax of that grid had B > pi/2.
+    with pytest.raises(ValueError, match="integer"):
+        greedy_ratio_extremes(100.5)
+
+
+@pytest.mark.parametrize("grid_n", [100, 120, 400, 500])
+def test_ratio_extremes_equal_the_numpy_landscape(grid_n):
+    """The math loop visits the numpy grid's cells in its row order and
+    returns the same four values, bit for bit."""
+    assert greedy_ratio_extremes(grid_n) == reference_channel.greedy_ratio_extremes(grid_n)
 
 
 def test_equilateral_is_interior_stationary_point():
@@ -190,11 +204,12 @@ def test_equilateral_is_interior_stationary_point():
 def test_boundary_face_reduces_to_inverse_sine():
     # On the A = 0 face the ratio collapses to 1 / sin(C); its maximum over
     # C in [pi/3, pi/2) is 2*sqrt(3)/3 at C = pi/3.
-    cs = np.linspace(math.pi / 3, math.pi / 2 - 1e-9, 500)
-    vals = _ratio_formula(0.0, math.pi - cs, cs, np.sin, np.cos)
-    assert np.max(np.abs(vals - 1.0 / np.sin(cs))) < 1e-12
-    assert np.max(vals) == pytest.approx(2 * SQRT3 / 3, abs=1e-9)
-    assert np.argmax(vals) == 0
+    step = (math.pi / 2 - 1e-9 - math.pi / 3) / 499
+    cs = [math.pi / 3 + i * step for i in range(500)]
+    vals = [_ratio_formula(0.0, math.pi - c, c) for c in cs]
+    assert max(abs(v - 1.0 / math.sin(c)) for v, c in zip(vals, cs)) < 1e-12
+    assert max(vals) == pytest.approx(2 * SQRT3 / 3, abs=1e-9)
+    assert vals.index(max(vals)) == 0
 
 
 def test_greedy_settles_far_from_the_origin():

@@ -138,6 +138,17 @@ def test_foreign_assignment_check_catches_each_form():
     ) == []
 
 
+def _numpy_names(node: ast.AST) -> list[str] | None:
+    """For an import statement, the numpy modules it imports; None for any other node."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        names = [node.module]
+    else:
+        return None
+    return [name for name in names if name.split(".")[0] == "numpy"]
+
+
 def module_level_numpy_imports(source: str) -> list[str]:
     """The imports of numpy, or of a numpy submodule, that run when a module
     is imported: anywhere outside a function body, class bodies and
@@ -148,23 +159,29 @@ def module_level_numpy_imports(source: str) -> list[str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module]
-            else:
+            names = _numpy_names(child)
+            if names is None:
                 visit(child)
-                continue
-            found.extend(f"line {child.lineno}: {name}" for name in names if name.split(".")[0] == "numpy")
+            else:
+                found.extend(f"line {child.lineno}: {name}" for name in names)
 
     visit(ast.parse(source))
     return found
 
 
+def numpy_imports(source: str) -> list[str]:
+    """Every import of numpy, or of a numpy submodule, in a module, function
+    bodies included."""
+    return [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        for name in _numpy_names(node) or ()
+    ]
+
+
 def test_no_module_imports_numpy_at_import_time():
-    """Only the grid oracles and the ratio landscape use numpy, and each
-    imports it in the body of the function that does, so importing the
-    package never loads it."""
+    """Only the grid oracles use numpy, and each imports it in the body of
+    the function that does, so importing the package never loads it."""
     offenders = {
         path.name: found
         for path in sorted(PACKAGE.glob("*.py"))
@@ -188,6 +205,29 @@ def test_numpy_import_check_catches_each_form():
         "def f():\n    import numpy as np\nclass C:\n    def m(self):\n        from numpy import nan\n"
         "from .numpy import x\nimport numbers"
     ) == []
+
+
+def test_only_search_imports_numpy():
+    """The grid oracles are the package's one numpy user: every other module,
+    greedy's ratio landscape included, runs on math alone."""
+    users = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := numpy_imports(path.read_text(encoding="utf-8")))
+    }
+    assert list(users) == ["search.py"]
+
+
+def test_numpy_anywhere_check_catches_each_form():
+    assert numpy_imports("import math, numpy as np") == ["line 1: numpy"]
+    assert numpy_imports(
+        "def f():\n    import numpy as np\nclass C:\n    async def m(self):\n        from numpy import nan"
+    ) == ["line 2: numpy", "line 5: numpy"]
+    assert numpy_imports("if x:\n    try:\n        import numpy.linalg\n    except ImportError:\n        pass") == [
+        "line 3: numpy.linalg"
+    ]
+    # A package-relative import and another module whose name starts with "num" are allowed.
+    assert numpy_imports("def f():\n    from .numpy import x\n    import numbers") == []
 
 
 def small_float_literals(source: str) -> Counter:

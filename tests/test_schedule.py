@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from tripatrol.geom import EdgeId, Point, Triangle, edge_point
+from tripatrol.geom import EdgeId, Triangle, edge_point
 from tripatrol.schedule import (
     InfeasibleSchedule,
     NoReductionWindow,
