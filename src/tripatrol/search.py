@@ -1,8 +1,8 @@
 """Brute-force certification oracles: certified grid searches over 3- and
-6-periodic cyclic schedules.  Each function that computes with numpy
-imports it in its body, so importing this module, the package or its
-names does not load numpy; the first oracle call does.  A grid that
-_check_grid refuses never loads it.
+6-periodic cyclic schedules.  The 3-periodic search runs on math alone.
+The 6-periodic one imports numpy in the functions that compute with it, so
+importing this module, the package or its names does not load numpy; the
+first 6-periodic call does.  A grid that _check_grid refuses never loads it.
 
 The grid searches evaluate exact objective values on a regular grid, so the
 reported best value can only overestimate the true minimum, and by at most
@@ -10,42 +10,48 @@ certified_tolerance (a Lipschitz bound times the grid spacing).  Both run on
 geom.local_frame(t): t moved near the origin and scaled by a power of two to
 a diameter in [1, 2).  Scaling best_value back is exact and the edge
 parameters need no mapping, so the results scale exactly with t and depend
-on its offset only through the rounding of its own coordinates.
+on its offset only through the rounding of its own coordinates.  Both
+report grid points, each the float nearest to i / N.
 
-The grid minimum itself is exact: the 3-periodic search skips only grid
-rows and cells that a proven lower bound places above an attained grid
-value by more than a margin of 1e-9 diameters, first Fagnano's bound per u1
-row (reflect PA across AB and across AC), then Heron's bound per (u1, u3)
-pair, so pruning leaves best_value and certified_tolerance unchanged.  The
-frame keeps every coordinate within a few diameters, so the margin prunes
-alike at any offset.  It scores every kept pair in a few chunked min-plus
-blocks.  The 6-periodic grid minimum is exact too: a chain DP over
-the three distinct distance matrices of its edge pattern, with no local
-refinement, so both report grid points, each the float nearest to i / N.
-The point grids of all segments are one (segments, 2, N+1) array of x and y
-rows, built from one flat array of segment ends; a phase picks its points
-by a slice or one fancy index, and each distance matrix is one hypot.  Each
-chain DP step lays its sums out [prev, r, next] in C order and takes the min
-over the leading axis.  Either search refuses, before it allocates anything,
-a grid that would hold more than MAX_GRID_FLOATS float64s at once.
+The grid minimum itself is exact.  The 3-periodic search minimizes three
+functions, each convex in its one grid parameter, as a sum of norms of
+affine maps is (Boyd & Vandenberghe, Convex Optimization, 3.2): Fagnano's
+bound per u1 row (reflect PA across AB and across AC), Heron's bound per
+(u1, u3) pair, and |PA PB| + |PB PC| over u2 for a pair.  A convex
+function's sublevel sets on the grid are single runs of cells, and its grid
+minimum lies next to its continuous minimizer, one projection or one Heron
+reflection away; _run walks each run from there.  Rows and pairs whose
+bound exceeds an attained grid value by more than 1e-9 diameters are
+skipped, and each u2 walk ends 1e-12 diameters above the least value it has
+seen.  The frame keeps every coordinate within a few diameters, so both
+dwarf the rounding and act alike at any offset: best_value, the parameters
+and their tie-breaking are those of the full cube with math.hypot
+distances.
+
+The 6-periodic grid minimum is exact too: a chain DP over the three
+distinct distance matrices of its edge pattern, with no local refinement.
+The point grids of its segments are one (segments, 2, N+1) array of x and y
+rows, built from one flat array of segment ends, and each distance matrix
+is one hypot.  Each chain DP step lays its sums out [prev, r, next] in C
+order and takes the min over the leading axis.  Either search refuses,
+before it computes anything, a grid above MAX_GRID_FLOATS.
 """
 
 from __future__ import annotations
 
-import math
+from math import hypot, inf
 
 from .geom import EdgeId, Record, Triangle, local_frame, reflect_point, slot_setters
 
 # Each min-plus temporary holds at most this many float64s (~1 MB): the
-# 3-periodic search scores kept (u1, u3) pairs in blocks of this size over
-# u2, and the 6-periodic chain DP batches start indices to fit it.
+# 6-periodic chain DP batches start indices to fit it.
 _CHUNK = 1 << 17
 
-# A search refuses a grid that would hold more than this many float64s at once
-# (512 MiB), over all live arrays: 6 (n+1)^2 for the two (3, n+1, n+1)
-# operands of the 6-periodic slab's hypot, and 3 (n+1)^2 for the 3-periodic
-# Heron bound where the Fagnano bound keeps every row (the closing legs and
-# the two operands of the Heron legs' hypot).
+# The 6-periodic search refuses a grid that would hold more than this many
+# float64s at once (512 MiB), 6 (n+1)^2 for the two (3, n+1, n+1) operands
+# of its slab's hypot.  The 3-periodic search holds no grid, but keeps the
+# cap 3 (n+1)^2 <= MAX_GRID_FLOATS, N <= 4728, so that the grids it refuses
+# and the exit codes of `search --period 3` stay as they were.
 MAX_GRID_FLOATS = 1 << 26
 
 
@@ -105,19 +111,76 @@ def _dist(p, q):
     return np.hypot(d, p[..., 1, :, None] - q[..., 1, None, :], out=d)
 
 
-def _fagnano_rows(t: Triangle, us):
-    """The grids of PA, PB, PC (edges A, B, C), R_AC(PA) and R_AB(PA) at
-    parameters us, and Fagnano's bound rho_i for each point PA_i of edge BC.
+def _segments(t: Triangle) -> list[tuple[float, float, float, float]]:
+    """The segments PA, PB, PC (edges A, B, C), R_AC(PA) and R_AB(PA) as
+    (sx, sy, dx, dy): the point at parameter u is (sx + u dx, sy + u dy).
 
-    For every PB on line AC and PC on line AB, the cycle PA_i PB PC has
-    length |R_AC(PA_i) PB| + |PB PC| + |PC R_AB(PA_i)| >= rho_i =
-    |R_AC(PA_i) R_AB(PA_i)|, with equality at the orthic triangle.  Each
-    reflection is affine and fixes the end of BC on its mirror, so it maps
-    BC onto the segment from R_AC(B) to C, and from B to R_AB(C)."""
-    import numpy as np
+    Each reflection is affine and fixes the end of BC on its mirror, so it
+    maps BC onto the segment from R_AC(B) to C, and from B to R_AB(C)."""
     mirrored = (reflect_point(t.b, (t.a, t.c)), t.c), (t.b, reflect_point(t.c, (t.a, t.b)))
-    grids = _segment_grids((*t.edges, *mirrored), us)
-    return grids, np.hypot(*(grids[3] - grids[4]))
+    return [(s.x, s.y, f.x - s.x, f.y - s.y) for s, f in (*t.edges, *mirrored)]
+
+
+def _cell(u: float, n: int) -> int:
+    """The grid cell of 0..n nearest to the parameter u, clamped."""
+    return min(max(round(u * n), 0), n)
+
+
+def _heron(px: float, py: float, qx: float, qy: float, seg) -> float:
+    """The parameter u of the point X of seg's line minimizing |P X| + |X Q|
+    (Heron): X divides the feet of P and Q in the ratio of their distances
+    from the line, whichever sides of it they lie on."""
+    sx, sy, dx, dy = seg
+    px, py, qx, qy = px - sx, py - sy, qx - sx, qy - sy
+    hp, hq = abs(dx * py - dy * px), abs(dx * qy - dy * qx)
+    tp, tq = dx * px + dy * py, dx * qx + dy * qy
+    if hp + hq:
+        tp += (tq - tp) * hp / (hp + hq)
+    return tp / (dx * dx + dy * dy)
+
+
+def _run(f, k: int, n: int, bound: float, slack: float = inf) -> tuple[int, int, int, float]:
+    """Walk a convex f over the grid cells 0..n from cell k: descend to a
+    local minimum, then extend both ways while f stays at or below
+    min(bound, least + slack), least being the smallest value seen so far.
+
+    Returns (lo, hi, arg, least): the run lo..hi, empty (lo > hi) when the
+    local minimum is above bound, and its first smallest value f(arg).
+    Each sublevel set of a convex f is one run of cells, and rounding moves
+    the computed values by a few ulps only, so the run holds every cell
+    whose value is below the threshold by more than that.  With slack
+    above the rounding, it holds every cell equal to f's least value on the
+    grid, and arg is the first of them.  Each cell is evaluated once."""
+    least = f(k)
+    # Descend, one cell at a time, toward a strictly smaller neighbour;
+    # left and right end as f(k - 1) and f(k + 1), inf beyond the grid.
+    right = f(k + 1) if k < n else inf
+    left = None
+    while right < least:
+        k, left, least = k + 1, least, right
+        right = f(k + 1) if k < n else inf
+    if left is None:
+        left = f(k - 1) if k else inf
+        while left < least:
+            k, right, least = k - 1, least, left
+            left = f(k - 1) if k else inf
+    if least > bound:
+        return k + 1, k, k, least
+    lo = hi = arg = k
+    top = min(bound, least + slack)
+    while lo and left <= top:
+        lo -= 1
+        if left <= least:  # a tie further left comes first
+            least, arg, top = left, lo, min(bound, left + slack)
+        if lo:
+            left = f(lo - 1)
+    while hi < n and right <= top:
+        hi += 1
+        if right < least:
+            least, arg, top = right, hi, min(bound, right + slack)
+        if hi < n:
+            right = f(hi + 1)
+    return lo, hi, arg, least
 
 
 def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
@@ -125,57 +188,78 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     3-periodic schedule) over a (grid_n+1)^3 grid, one parameter per edge.
 
     Value and tie-breaking (first (u1, u3) in row order, then first u2) are
-    those of the full grid.  Whole u1 rows whose Fagnano bound exceeds an
-    attained grid value are skipped first; in the rows left, so are the
-    (u1, u3) pairs whose Heron bound does."""
+    those of the full grid.  The u1 rows kept are the run whose Fagnano
+    bound is within an attained grid value; in each, the u3 columns kept
+    are the run whose Heron bound is; each kept pair's u2 is the run
+    around its least |PA PB| + |PB PC|."""
     _check_grid(grid_n, 3)
-    import numpy as np
     local, _, scale = local_frame(t)
-    us = _grid(grid_n)
-    grids, rho = _fagnano_rows(local, us)
-    pb, pc = grids[1], grids[2]
-    # The upper bound is the attained total at the Heron argmin of the row
-    # with the smallest Fagnano bound.  By Heron's reflection, |PA PB| +
-    # |PB PC| >= |R_AC(PA) PC| for every PB on line AC, so |PA_i PC_k| +
-    # |R_AC(PA_i) PC_k| bounds every cycle through PA_i and PC_k.
-    i0 = int(rho.argmin())
-    heron0 = _dist(grids[::3, :, i0, None], pc)[:, 0]  # from PA_i0 and R_AC(PA_i0)
-    k0 = int((heron0[0] + heron0[1]).argmin())
-    legs = _dist(grids[[0, 2], :, [i0, k0]].T, pb)  # from PA_i0 and PC_k0
-    upper = (legs[0] + legs[1]).min() + heron0[0, k0]
+    n = grid_n
+    seg_a, seg_b, seg_c, seg_r, seg_q = _segments(local)
+    (asx, asy, adx, ady), (bsx, bsy, bdx, bdy), (csx, csy, cdx, cdy) = seg_a, seg_b, seg_c
+    (rsx, rsy, rdx, rdy), (qsx, qsy, qdx, qdy) = seg_r, seg_q
     # In the local frame every coordinate and length is below a few
-    # diameters, so both bounds and the totals are each within a few ulps of
-    # the diameter (~1e-15 of it).  The 1e-9 margin dwarfs that, so every
-    # skipped row's or pair's total is strictly above the grid minimum.
-    bound = upper + 1e-9 * local.diameter
-    rows = np.flatnonzero(rho <= bound)
-    pa, ra = grids[::3, :, rows]
-    d_ca = _dist(pa, pc)  # the closing leg |PC_k PA_i|
-    keep = d_ca + _dist(ra, pc) <= bound  # keep[r, k]: PA_rows[r], PC_k
-    cols = np.flatnonzero(keep.any(axis=0))
-    keep, d_ca = keep[:, cols].ravel(), d_ca[:, cols].ravel()  # row-major (r, c) positions
-    d_ab = _dist(pa, pb)
-    d_bc = _dist(pc[:, cols], pb)  # only the columns a kept pair uses
-    # Score the kept pairs in row-major order: min over u2 of |PA PB| +
-    # |PB PC|, plus |PC PA|.  Blocks of keep's positions, not an index
-    # array of every kept pair, bound each temporary to _CHUNK floats.
-    best = math.inf
-    step = _CHUNK // (grid_n + 1)
-    for lo in range(0, keep.size, step):
-        p = lo + np.flatnonzero(keep[lo : lo + step])
-        if not p.size:
-            continue
-        r, c = np.divmod(p, cols.size)
-        tot = d_ab[r]
-        tot += d_bc[c]
-        totals = tot.min(axis=1) + d_ca[p]
-        s = int(totals.argmin())
-        if totals[s] < best:
-            # the middle parameter only for the block's winning (u1, u3) pair
-            best, best_idx = float(totals[s]), (rows[r[s]], int(tot[s].argmin()), cols[c[s]])
+    # diameters, so the bounds and the totals are each within a few ulps of
+    # the diameter (~1e-15 of it).  The 1e-9 margin of the bounds and the
+    # 1e-12 slack of the u2 walk dwarf that, so every skipped row, pair or
+    # u2 is strictly above the grid minimum.
+    slack = 1e-12 * local.diameter
+
+    def rho(i):
+        # Fagnano: for every PB on line AC and PC on line AB, the cycle
+        # PA PB PC has length |R_AC(PA) PB| + |PB PC| + |PC R_AB(PA)| >=
+        # |R_AC(PA) R_AB(PA)|, with equality at the orthic triangle.
+        u = i / n
+        return hypot(rsx + u * rdx - (qsx + u * qdx), rsy + u * rdy - (qsy + u * qdy))
+
+    def row(i):
+        """PA_i, Heron's bound on the cycles through PA_i and each PC_k,
+        and the cell of the bound's continuous minimizer.  By Heron's
+        reflection, |PA PB| + |PB PC| >= |R_AC(PA) PC| for every PB on line
+        AC, so |PA_i PC_k| + |R_AC(PA_i) PC_k| bounds every such cycle."""
+        u = i / n
+        pax, pay, rax, ray = asx + u * adx, asy + u * ady, rsx + u * rdx, rsy + u * rdy
+
+        def heron(k):
+            v = k / n
+            x, y = csx + v * cdx, csy + v * cdy
+            return hypot(x - pax, y - pay) + hypot(x - rax, y - ray)
+
+        return pax, pay, heron, _cell(_heron(pax, pay, rax, ray, seg_c), n)
+
+    def score(pax, pay, k):
+        """The least grid total of the cycles through PA and PC_k, and its
+        first u2 cell: min over u2 of |PA PB| + |PB PC|, plus |PC PA|."""
+        v = k / n
+        pcx, pcy = csx + v * cdx, csy + v * cdy
+
+        def legs(j):
+            w = j / n
+            x, y = bsx + w * bdx, bsy + w * bdy
+            return hypot(pax - x, pay - y) + hypot(x - pcx, y - pcy)
+
+        _, _, j, least = _run(legs, _cell(_heron(pax, pay, pcx, pcy, seg_b), n), n, inf, slack)
+        return least + hypot(pcx - pax, pcy - pay), j
+
+    # The upper bound is the attained total at the cells nearest the
+    # continuous minimizers: rho(u) = 2 sin A |A PA(u)|, least at the foot of
+    # the altitude from A, and then Heron's bound in that row.
+    i0 = _cell(((local.a.x - asx) * adx + (local.a.y - asy) * ady) / (adx * adx + ady * ady), n)
+    pax, pay, _, k0 = row(i0)
+    upper = score(pax, pay, k0)
+    bound = upper[0] + 1e-9 * local.diameter
+    best = inf
+    lo, hi, _, _ = _run(rho, i0, n, bound)
+    for i in range(lo, hi + 1):
+        pax, pay, heron, k = row(i)
+        klo, khi, _, _ = _run(heron, k, n, bound)
+        for k in range(klo, khi + 1):
+            total, j = upper if (i, k) == (i0, k0) else score(pax, pay, k)
+            if total < best:
+                best, best_idx = total, (i, j, k)
     return SearchResult(
         best_value=best * scale,
-        best_params=[float(us[i]) for i in best_idx],
+        best_params=[i / n for i in best_idx],
         grid_n=grid_n,
         objective="gap1",
         certified_tolerance=6.0 * t.diameter / grid_n,
@@ -202,7 +286,7 @@ def _min_cycle_6(dist) -> tuple[float, list[int]]:
     """
     import numpy as np
     n1 = dist.shape[1]
-    best = math.inf
+    best = inf
     best_idx: list[int] = [0] * 6
     step = max(1, _CHUNK // (n1 * n1))
     for lo in range(0, n1, step):

@@ -1,5 +1,7 @@
 """Reference grid oracles: the full (n+1)^3 min-plus cube for the 3-periodic
 search and a plain loop over the start index for the 6-periodic chain DP.
+Each computes its distances as its search does: the 3-periodic cube with
+math.hypot, the 6-periodic loop with np.hypot.
 
 grid_search_3periodic and grid_search_6periodic_gap2 run these bodies on
 geom.local_frame(t)'s triangle and map the result back as tripatrol.search
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from tripatrol.geom import EdgeId, Triangle, local_frame
+from tripatrol.geom import EdgeId, Triangle, local_frame, reflect_point
 from tripatrol.search import GAP2_PATTERN, SearchResult
 
 
@@ -27,6 +29,12 @@ def _edge_grid(t: Triangle, e: EdgeId, us: np.ndarray) -> np.ndarray:
 def _dist_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     d = p[:, None, :] - q[None, :, :]
     return np.hypot(d[..., 0], d[..., 1])
+
+
+def _math_dist_matrix(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """_dist_matrix with math.hypot, the distance the 3-periodic search uses."""
+    q = q.tolist()
+    return np.array([[math.hypot(x - u, y - v) for u, v in q] for x, y in p.tolist()])
 
 
 def _in_local_frame(search, t: Triangle, grid_n: int, lipschitz: float) -> SearchResult:
@@ -56,9 +64,9 @@ def caller_frame_grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult
     pa = _edge_grid(t, EdgeId.A, us)
     pb = _edge_grid(t, EdgeId.B, us)
     pc = _edge_grid(t, EdgeId.C, us)
-    d_ab = _dist_matrix(pa, pb)
-    d_bc = _dist_matrix(pb, pc)
-    d_ca = _dist_matrix(pc, pa)
+    d_ab = _math_dist_matrix(pa, pb)
+    d_bc = _math_dist_matrix(pb, pc)
+    d_ca = _math_dist_matrix(pc, pa)
 
     best = math.inf
     bi = bk = 0
@@ -83,6 +91,31 @@ def caller_frame_grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult
         objective="gap1",
         certified_tolerance=6.0 * t.diameter / grid_n,
     )
+
+
+def numpy_hypot_cube_3periodic(t: Triangle, grid_n: int, upper: float):
+    """The 3-periodic cube on t with np.hypot distances in place of
+    math.hypot's: (least, (i, j, k), total), least its smallest
+    total, (i, j, k) the first cell holding it in the search's order and
+    total(i, j, k) any cell's total.  Only (u1, u3) pairs whose Heron bound
+    |PA_i PC_k| + |R_AC(PA_i) PC_k| is at most upper are scored; the bound
+    lies below every total through its pair, so least is the whole cube's
+    whenever that is at most upper."""
+    us = np.arange(grid_n + 1) / grid_n
+    pa, pb, pc = (_edge_grid(t, e, us) for e in EdgeId)
+    r = reflect_point(t.b, (t.a, t.c))
+    ra = np.stack([r.x + us * (t.c.x - r.x), r.y + us * (t.c.y - r.y)], axis=-1)
+    d_ab, d_bc, d_ac = _dist_matrix(pa, pb), _dist_matrix(pb, pc), _dist_matrix(pc, pa).T
+    rows, cols = np.nonzero(d_ac + _dist_matrix(ra, pc) <= upper)  # in row order
+    sums = d_ab[rows] + d_bc[:, cols].T
+    totals = sums.min(axis=1) + d_ac[rows, cols]
+    p = int(totals.argmin())
+    i, j, k = int(rows[p]), int(sums[p].argmin()), int(cols[p])
+
+    def total(i, j, k):
+        return float(d_ab[i, j] + d_bc[j, k] + d_ac[i, k])
+
+    return float(totals[p]), (i, j, k), total
 
 
 def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:

@@ -68,9 +68,9 @@ def test_golden_outputs(name, capsys, monkeypatch, tmp_path, sched_files):
 @pytest.mark.parametrize("name", sorted(invocations("EQ", "RI")))
 def test_golden_outputs_fresh_process(name, tmp_path, sched_files):
     """The real entry point, `python -m tripatrol.cli`, reproduces each golden;
-    -X importtime lists every module it imports.  Only `search` may import
-    numpy, and with it inspect, which numpy imports; none imports
-    dataclasses."""
+    -X importtime lists every module it imports.  Only `search --period 6`
+    may import numpy, and with it inspect, which numpy imports; none
+    imports dataclasses."""
     args = invocations(*sched_files)[name]
     proc = run_fresh(["-X", "importtime", "-m", "tripatrol.cli", *args], tmp_path)
     assert proc.returncode == int((GOLDEN / f"{name}.exit").read_text())
@@ -79,9 +79,10 @@ def test_golden_outputs_fresh_process(name, tmp_path, sched_files):
     if svg_golden.exists():
         assert (tmp_path / "out.svg").read_bytes() == svg_golden.read_bytes()
     imported = set(re.findall(r"\|\s+([\w.]+)$", proc.stderr, re.MULTILINE))
-    assert ("numpy" in imported) == (args[0] == "search")
+    grid6 = args[0] == "search" and args[args.index("--period") + 1] == "6"
+    assert ("numpy" in imported) == grid6
     assert "dataclasses" not in imported
-    assert "inspect" not in imported or args[0] == "search"
+    assert "inspect" not in imported or grid6
 
 
 NO_NUMPY_PROBE = """
@@ -96,9 +97,11 @@ greedy_run(t, 0.25)
 greedy_limit_gap(t)
 greedy_ratio(angles(t))
 greedy_ratio_extremes(100)
-for grid_n in (1, 4):  # refused before numpy is needed; then an oracle call
+for grid_n in (4, 200):
+    print(repr(grid_search_3periodic(t, grid_n)))
+for grid_n in (1, 4):  # refused before numpy is needed; then a 6-periodic call
     try:
-        grid_search_3periodic(t, grid_n)
+        grid_search_6periodic_gap2(t, grid_n)
     except (ValueError, ImportError) as exc:
         print(type(exc).__name__)
 """
@@ -107,18 +110,21 @@ for grid_n in (1, 4):  # refused before numpy is needed; then an oracle call
 def test_package_exports_are_lazy(tmp_path):
     """Importing the package and the CLI loads neither numpy nor dataclasses,
     inspect or typing.  -S leaves out site, whose .pth files may import
-    typing themselves.  Without numpy, the star-import and every
-    construction run, and a grid is refused as before; the first oracle
+    typing themselves.  Without numpy, the star-import, every construction
+    and the 3-periodic oracle run, the latter with the same results as
+    here, and a 6-periodic grid is refused as before; the first 6-periodic
     call is what loads numpy."""
     probe = "import sys, tripatrol, tripatrol.cli; print(sorted({'numpy', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     proc = run_fresh(["-S", "-c", probe], tmp_path)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
     proc = run_fresh(["-S", "-c", NO_NUMPY_PROBE], tmp_path)
-    assert proc.returncode == 0 and proc.stdout == "ValueError\nModuleNotFoundError\n", proc.stderr
+    t = tripatrol.Triangle(tripatrol.Point(0.0, 0.0), tripatrol.Point(1.0, 0.0), tripatrol.Point(0.45, 0.8))
+    grid3 = "".join(f"{tripatrol.grid_search_3periodic(t, n)!r}\n" for n in (4, 200))
+    assert proc.returncode == 0 and proc.stdout == grid3 + "ValueError\nModuleNotFoundError\n", proc.stderr
     probe = (
-        "import sys\nfrom tripatrol import Point, Triangle, grid_search_3periodic\n"
+        "import sys\nfrom tripatrol import Point, Triangle, grid_search_6periodic_gap2\n"
         "loaded = 'numpy' in sys.modules\n"
-        "grid_search_3periodic(Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.45, 0.8)), 4)\n"
+        "grid_search_6periodic_gap2(Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.45, 0.8)), 4)\n"
         "print(loaded, 'numpy' in sys.modules)"
     )
     proc = run_fresh(["-c", probe], tmp_path)

@@ -208,8 +208,9 @@ def test_numpy_import_check_catches_each_form():
 
 
 def test_only_search_imports_numpy():
-    """The grid oracles are the package's one numpy user: every other module,
-    greedy's ratio landscape included, runs on math alone."""
+    """The 6-periodic grid oracle is the package's one numpy user: every
+    other module, greedy's ratio landscape included, and the 3-periodic
+    oracle beside it run on math alone."""
     users = {
         path.name: found
         for path in sorted(PACKAGE.glob("*.py"))
@@ -243,14 +244,15 @@ def test_thresholds_outside_geom_are_single_site_parameters():
     """geom names the shared tolerances; every other small literal is one
     algorithm's own parameter at one site: greedy's escape slack (twice, one
     per bound), settle test, angle-sum check and ratio-grid filter, the
-    slack of verify_1gap_optimality and grid3's pruning margin, 1e-9 of
-    the diameter of geom.local_frame's copy, in [1, 2)."""
+    slack of verify_1gap_optimality, and grid3's pruning margin and u2
+    walk slack, 1e-9 and 1e-12 of the diameter of geom.local_frame's copy,
+    in [1, 2)."""
     found = {
         path.name: dict(literals)
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "geom.py" and (literals := small_float_literals(path.read_text(encoding="utf-8")))
     }
-    assert found == {"greedy.py": {1e-9: 3, 1e-12: 2}, "orthic.py": {1e-9: 1}, "search.py": {1e-9: 1}}
+    assert found == {"greedy.py": {1e-9: 3, 1e-12: 2}, "orthic.py": {1e-9: 1}, "search.py": {1e-9: 1, 1e-12: 1}}
 
 
 def names_read(tree: ast.AST) -> set[str]:

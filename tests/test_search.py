@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import reference_search
 
-from tripatrol.geom import EdgeId, Point, Triangle, edge_param, edge_point
+from tripatrol.geom import EdgeId, Point, Triangle, edge_param, edge_point, local_frame
 from tripatrol.orthic import (
     lower_bound_profile,
     orthic_perimeter,
@@ -42,6 +42,27 @@ def peak_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def hypot_calls(t: Triangle, grid_n: int) -> int:
+    """The distance evaluations of grid_search_3periodic(t, grid_n), counted
+    through the hypot its module calls."""
+    calls = 0
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return math.hypot(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "hypot", counted)
+        grid_search_3periodic(t, grid_n)
+    return calls
+
+
+def walk(values: list[float], k: int, bound: float = math.inf, slack: float = math.inf):
+    """search._run over a list of values, from cell k."""
+    return search._run(values.__getitem__, k, len(values) - 1, bound, slack)
 
 
 def orthic_feet_params(t: Triangle) -> list[float]:
@@ -96,6 +117,40 @@ def test_grid3_deterministic(equilateral):
     assert r1 == r2
 
 
+@pytest.mark.parametrize("k", [0, 3, 6, 9])
+def test_run_walks_a_plateau_from_any_start(k):
+    values = [9.0, 5.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 5.0, 9.0]
+    assert walk(values, k, bound=2.0) == (2, 7, 3, 1.0)
+    assert walk(values, k, slack=0.5) == (3, 6, 3, 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_run_keeps_exact_ties_at_both_ends(k):
+    values = [16.0, 9.0, 4.0, 1.0, 0.0, 1.0, 4.0, 9.0, 16.0]
+    assert walk(values, k, bound=4.0) == (2, 6, 4, 0.0)
+    assert walk(values, k, bound=math.nextafter(4.0, 0.0)) == (3, 5, 4, 0.0)
+    assert walk(values, k, slack=1.0) == (3, 5, 4, 0.0)
+
+
+def test_run_descends_from_either_end_and_the_far_side():
+    rising = [0.0, 1.0, 4.0, 9.0, 16.0, 25.0]
+    for k in (0, 2, 5):  # from the least cell, from the slope, from the far end
+        assert walk(rising, k, bound=1.0) == (0, 1, 0, 0.0)
+        assert walk(rising[::-1], 5 - k, bound=1.0) == (4, 5, 5, 0.0)
+    lo, hi, arg, least = walk(rising, 5, bound=-1.0)  # no cell within the bound
+    assert lo > hi and (arg, least) == (0, 0.0)
+
+
+def test_run_reaches_ties_across_one_ulp_noise():
+    # Rounding makes a convex sequence wobble by an ulp.  The first least
+    # value lies past a cell one ulp above it, from a start that is already
+    # a local minimum (cell 4) or that descends into a dip (cell 0).
+    up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+    assert walk([3.0, up, 1.0, up, 1.0, up, 3.0], 4, slack=1e-12) == (1, 5, 2, 1.0)
+    assert walk([3.0, 1.0, up, up, 1.0, 3.0], 4, slack=1e-12) == (1, 4, 1, 1.0)
+    assert walk([3.0, 1.0, down, 1.0, 3.0], 0, slack=1e-12) == (1, 3, 2, down)
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
 def test_grid_oracles_match_reference(rng, offset):
     # Pruning, stacking and batching must not change a single bit of the
@@ -122,16 +177,13 @@ def test_grid_oracles_match_reference(rng, offset):
 
 @pytest.mark.parametrize("per_block", [1, 2, 5])
 def test_grid_oracles_match_reference_in_small_blocks(rng, monkeypatch, per_block):
-    # A small _CHUNK gives grid3's pair scoring blocks of per_block positions
-    # of keep, many of them without a kept pair, and grid6's chain DP ragged
-    # batches of per_block start indices (13 = 5 + 5 + 3 at n = 12).  The
-    # blocks must change no bit: a later block's winner replaces an earlier
-    # one only when strictly smaller.
+    # A small _CHUNK gives grid6's chain DP ragged batches of per_block start
+    # indices (13 = 5 + 5 + 3 at n = 12).  The batches must change no bit: a
+    # later batch's winner replaces an earlier one only when strictly
+    # smaller.
     triangles = [random_acute_triangle(rng) for _ in range(6)] + list(SPECIAL_TRIANGLES)
     for t in triangles:
         for n in (7, 12, 50):
-            monkeypatch.setattr(search, "_CHUNK", per_block * (n + 1))
-            assert grid_search_3periodic(t, n) == reference_search.grid_search_3periodic(t, n)
             monkeypatch.setattr(search, "_CHUNK", per_block * (n + 1) ** 2)
             assert grid_search_6periodic_gap2(t, n) == reference_search.grid_search_6periodic_gap2(t, n)
 
@@ -243,6 +295,83 @@ def test_grid_oracles_match_reference_on_tie_prone_triangles(t, grid_n):
 
 
 @st.composite
+def non_acute_triangles(draw):
+    """Triangles on the base (0, 0), (1, 0), turned by quarter turns and
+    relabelled: obtuse at the apex (inside the circle on the base) or at a
+    base vertex (apex beyond it), right at a base vertex (exactly) or at the
+    apex (on the circle, to rounding), or thin (apex height 1e-6 to 1e-2)."""
+    kind = draw(st.sampled_from(["obtuse apex", "obtuse base", "right base", "right apex", "thin"]))
+    if kind in ("obtuse apex", "right apex"):
+        th = draw(st.floats(0.1, math.pi - 0.1))
+        r = 0.5 * (draw(st.floats(0.1, 0.95)) if kind == "obtuse apex" else 1.0)
+        apex = (0.5 + r * math.cos(th), r * math.sin(th))
+    elif kind == "obtuse base":
+        apex = (draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.55, 2.5)) + 0.5, draw(st.floats(0.05, 2.0)))
+    elif kind == "right base":
+        apex = (draw(st.sampled_from([0.0, 1.0])), draw(st.floats(0.05, 3.0)))
+    else:
+        apex = (draw(st.floats(-0.5, 1.5)), draw(st.floats(1e-6, 1e-2)))
+    pts = [apex, (0.0, 0.0), (1.0, 0.0)]
+    for _ in range(draw(st.integers(0, 3))):
+        pts = [(-y, x) for x, y in pts]
+    return Triangle(*(Point(x, y) for x, y in draw(st.permutations(pts))))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(t=non_acute_triangles(), grid_n=st.integers(2, 30))
+def test_grid3_matches_reference_on_non_acute_triangles(t, grid_n):
+    # The bounds and the walks rest on convexity alone, which holds for any
+    # triangle: obtuse and right ones, whose best cycle is degenerate, and
+    # thin ones, whose rows are nearly flat.
+    assert grid_search_3periodic(t, grid_n) == reference_search.grid_search_3periodic(t, grid_n)
+
+
+@pytest.mark.parametrize("th", [0.1, 0.15, 0.2, 0.25, 0.3])
+def test_grid3_takes_the_first_u2_of_a_flat_cycle(th):
+    # A right angle at A, on the circle over BC, with a short leg AC.  At
+    # many grid sizes the best grid cycle is then C, PB, A, whose length
+    # 2|AC| is the same for every PB on AC, so the computed |C PB| + |PB A|
+    # wobbles by an ulp along the edge.  The first u2 at its least value
+    # lies past cells one ulp above it, which only the u2 walk's slack
+    # crosses (with no slack, 32 of these 145 searches differ).
+    t = Triangle(Point(0.5 + 0.5 * math.cos(th), 0.5 * math.sin(th)), Point(0.0, 0.0), Point(1.0, 0.0))
+    for n in range(2, 31):
+        assert grid_search_3periodic(t, n) == reference_search.grid_search_3periodic(t, n)
+
+
+def test_grid3_is_within_ulps_of_the_numpy_hypot_cube(rng):
+    # The search measures distances with math.hypot, the grid3 reference
+    # too; np.hypot, which the search used before, rounds a little
+    # differently.  Measured on these 200 triangles at n = 50 and 200: 3
+    # of the 400 best values differ, each by 1 ulp, and no parameters.
+    for _ in range(200):
+        local = local_frame(random_acute_triangle(rng))[0]
+        for n in (50, 200):
+            got = grid_search_3periodic(local, n)
+            least, cell, total = reference_search.numpy_hypot_cube_3periodic(
+                local, n, got.best_value + 1e-9 * local.diameter
+            )
+            assert abs(got.best_value - least) <= 2 * math.ulp(least)
+            got_cell = tuple(round(u * n) for u in got.best_params)
+            if got_cell != cell:
+                assert total(*got_cell) <= least + 4 * math.ulp(least)
+
+
+# The most distance evaluations one grid3 call may make on the triangles of
+# test_grid3_distance_evaluations_stay_bounded: twice the measured maximum,
+# 238 at n = 200 and 114 at n = 4728, where the Fagnano bound keeps a run of
+# 9 to 14 rows; the median is 16.  A walk that degraded to O(n) cells per
+# row or pair would pass it at n = 4728.
+GRID3_MAX_HYPOT_CALLS = 476
+
+
+@pytest.mark.parametrize("grid_n", [200, 4728])  # 4728: the largest grid the search accepts
+def test_grid3_distance_evaluations_stay_bounded(rng, grid_n):
+    for _ in range(64):
+        assert hypot_calls(random_acute_triangle(rng), grid_n) <= GRID3_MAX_HYPOT_CALLS
+
+
+@st.composite
 def acute_triangles(draw):
     """(triangle, u_K, P): B at the origin and C on the x axis before an
     offset of up to 1e6, angles at least 0.08 from 0 and pi/2, a
@@ -273,21 +402,26 @@ def test_fagnano_row_bound(case, grid_n):
         + reference_search._dist_matrix(pb, pc)[None, :, :]
         + reference_search._dist_matrix(pc, pa).T[:, None, :]
     )
-    _, rho = search._fagnano_rows(t, us)
-    assert np.all(rho <= cube.min(axis=(1, 2)) + 1e-12 * size)
-    _, rho_k = search._fagnano_rows(t, np.array([u_k]))
-    assert abs(rho_k[0] - per) <= 1e-12 * size
+    *_, (rsx, rsy, rdx, rdy), (qsx, qsy, qdx, qdy) = search._segments(t)
+
+    def rho(u):  # |R_AC(PA(u)) R_AB(PA(u))|
+        return math.hypot(rsx + u * rdx - (qsx + u * qdx), rsy + u * rdy - (qsy + u * qdy))
+
+    assert np.all(np.array([rho(u) for u in us]) <= cube.min(axis=(1, 2)) + 1e-12 * size)
+    assert abs(rho(u_k) - per) <= 1e-12 * size
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9, 1e12])
 def test_grid3_memory_within_reference(equilateral, offset):
     # The search runs in the local frame, so its pruning margin is 1e-9 of
     # the diameter at any offset: a moved triangle keeps about the rows and
-    # pairs of the unmoved one, and both stay far below the full cube.
+    # pairs of the unmoved one, counted in distance evaluations.  It holds
+    # no grid: its peak is a few KiB of Python objects (2-3 KiB measured),
+    # below 1/64 of one (n+1)^2 float64 matrix, and so far below the
+    # reference, whose cube holds three such matrices and a block of sums.
     t = moved(equilateral, offset)
-    new = peak_bytes(grid_search_3periodic, t, 400)
-    assert new <= 1.1 * peak_bytes(grid_search_3periodic, equilateral, 400)
-    assert new <= peak_bytes(reference_search.grid_search_3periodic, t, 400)
+    assert peak_bytes(grid_search_3periodic, t, 400) <= 8 * 401**2 // 64
+    assert hypot_calls(t, 400) <= 1.1 * hypot_calls(equilateral, 400)
 
 
 @pytest.mark.parametrize("grid_n", [12, 200])
