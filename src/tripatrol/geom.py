@@ -1,4 +1,4 @@
-"""Planar primitives: points, triangle edges, projections, reflections, angles.
+"""Planar primitives: points, triangle edges, projections, angles.
 
 The tolerance policy lives here.  Every structural claim of the paper is
 an exact identity of the geometry (the altitude feet are collinear, B2C2
@@ -279,18 +279,18 @@ def place(x: float, y: float, origin: Point, scale: float) -> Point:
 
 def angles(t: Triangle) -> tuple[float, float, float]:
     """Interior angles (A, B, C) in radians at vertices a, b, c, read on
-    local_frame(t), where no product of two sides under- or overflows."""
+    local_frame(t), where no product of two sides under- or overflows.
+
+    The angle at v between the sides u = p - v and w = q - v is
+    atan2(|u x w|, u . w), on plain floats."""
     t = local_frame(t)[0]
-    return (
-        _angle_at(t.a, t.b, t.c),
-        _angle_at(t.b, t.c, t.a),
-        _angle_at(t.c, t.a, t.b),
-    )
-
-
-def _angle_at(v: Point, p: Point, q: Point) -> float:
-    u, w = p - v, q - v
-    return math.atan2(abs(u.cross(w)), u.dot(w))
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
+    a = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+    ux, uy, wx, wy = cx - bx, cy - by, ax - bx, ay - by
+    b = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+    ux, uy, wx, wy = ax - cx, ay - cy, bx - cx, by - cy
+    return a, b, math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
 
 
 def is_acute(t: Triangle) -> bool:
@@ -370,12 +370,6 @@ def project_onto_line(p: Point, line: Line) -> Point:
 def project_onto_edge(p: Point, t: Triangle, e: EdgeId) -> Point:
     """Foot of the perpendicular from p onto the line through edge e."""
     return project_onto_line(p, t.edges[e])
-
-
-def reflect_point(p: Point, line: Line) -> Point:
-    """Mirror image of p across the line, 2 * foot - p; an involution."""
-    fx, fy = project_along(p.as_tuple(), line[0], line_dir(line))
-    return Point(2.0 * fx - p.x, 2.0 * fy - p.y)
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:

@@ -30,18 +30,19 @@ distances.
 
 The 6-periodic grid minimum is exact too: a chain DP over the three
 distinct distance matrices of its edge pattern, with no local refinement.
-The point grids of its segments are one (segments, 2, N+1) array of x and y
-rows, built from one flat array of segment ends, and each distance matrix
-is one hypot.  Each chain DP step lays its sums out [prev, r, next] in C
-order and takes the min over the leading axis.  Either search refuses,
-before it computes anything, a grid above MAX_GRID_FLOATS.
+The point grids of its segments are one (2, segments, N+1) array of x and y
+rows, built from one array of the segments' starts and differences, and
+the three distance matrices are one hypot.  Each chain DP step lays its
+sums out [prev, r, next] in C order and takes the min over the leading
+axis.  Before it computes anything, the 6-periodic search refuses a grid
+above MAX_GRID_FLOATS and the 3-periodic one a grid above MAX_GRID3_N.
 """
 
 from __future__ import annotations
 
 from math import hypot, inf
 
-from .geom import EdgeId, Record, Triangle, local_frame, reflect_point, slot_setters
+from .geom import EdgeId, Record, Triangle, local_frame, slot_setters
 
 # Each min-plus temporary holds at most this many float64s (~1 MB): the
 # 6-periodic chain DP batches start indices to fit it.
@@ -49,10 +50,15 @@ _CHUNK = 1 << 17
 
 # The 6-periodic search refuses a grid that would hold more than this many
 # float64s at once (512 MiB), 6 (n+1)^2 for the two (3, n+1, n+1) operands
-# of its slab's hypot.  The 3-periodic search holds no grid, but keeps the
-# cap 3 (n+1)^2 <= MAX_GRID_FLOATS, N <= 4728, so that the grids it refuses
-# and the exit codes of `search --period 3` stay as they were.
+# of its slab's hypot: N <= 3343.
 MAX_GRID_FLOATS = 1 << 26
+
+# The 3-periodic search holds no grid, and its walks evaluate a few dozen
+# distances at any N.  It refuses N above this, the largest grid whose three
+# (N+1)^2 distance matrices an earlier numpy search held within
+# MAX_GRID_FLOATS, so that the grids `search --period 3` accepts and its exit
+# codes stay as they were.
+MAX_GRID3_N = 4728
 
 
 class SearchResult(Record):
@@ -76,10 +82,14 @@ class SearchResult(Record):
 _SET_SEARCH_RESULT = slot_setters(SearchResult)
 
 
-def _check_grid(grid_n: int, slabs: int) -> None:
+def _check_grid(grid_n: int, period: int) -> None:
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    floats = slabs * (grid_n + 1) ** 2
+    if period == 3:
+        if grid_n > MAX_GRID3_N:
+            raise ValueError(f"grid_n {grid_n} is above the 3-periodic search's limit of {MAX_GRID3_N}")
+        return
+    floats = 6 * (grid_n + 1) ** 2
     if floats > MAX_GRID_FLOATS:
         raise ValueError(
             f"grid_n {grid_n} needs {floats} float64s at once, "
@@ -87,38 +97,33 @@ def _check_grid(grid_n: int, slabs: int) -> None:
         )
 
 
-def _grid(grid_n: int):
-    """The grid parameters i / grid_n, i = 0..grid_n, each the float
-    nearest to i / grid_n (one correctly rounded division)."""
-    import numpy as np
-    return np.arange(grid_n + 1) / grid_n
-
-
-def _segment_grids(segments, us):
-    """grids[m] = (xs, ys): the points s + u (f - s), u in us, of the m-th
-    segment (s, f), all segments from one flat array of their ends."""
-    import numpy as np
-    ends = np.array([c for seg in segments for p in seg for c in (p.x, p.y)]).reshape(-1, 2, 2, 1)
-    s, f = ends[:, 0], ends[:, 1]
-    return s + us * (f - s)
-
-
-def _dist(p, q):
-    """d[..., i, j] = |p_i q_j| for points given as x and y rows, p (..., 2, m)
-    and q (..., 2, n); hypot is symmetric in sign, so d is |q_j p_i| too."""
-    import numpy as np
-    d = p[..., 0, :, None] - q[..., 0, None, :]
-    return np.hypot(d, p[..., 1, :, None] - q[..., 1, None, :], out=d)
-
-
 def _segments(t: Triangle) -> list[tuple[float, float, float, float]]:
     """The segments PA, PB, PC (edges A, B, C), R_AC(PA) and R_AB(PA) as
     (sx, sy, dx, dy): the point at parameter u is (sx + u dx, sy + u dy).
 
     Each reflection is affine and fixes the end of BC on its mirror, so it
-    maps BC onto the segment from R_AC(B) to C, and from B to R_AB(C)."""
-    mirrored = (reflect_point(t.b, (t.a, t.c)), t.c), (t.b, reflect_point(t.c, (t.a, t.b)))
-    return [(s.x, s.y, f.x - s.x, f.y - s.y) for s, f in (*t.edges, *mirrored)]
+    maps BC onto the segment from R_AC(B) to C, and from B to R_AB(C).  Each
+    image is 2 * foot - p, with line_dir's unit vector and project_along's
+    foot in the same float operations.  On the local frame line_dir's test
+    never fires: every side exceeds 1e-9 diameters (Triangle's collinearity
+    test), and every coordinate is within a few."""
+    ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
+    acx, acy, abx, aby = cx - ax, cy - ay, bx - ax, by - ay
+    s = 1.0 / hypot(acx, acy)
+    ux, uy = acx * s, acy * s
+    k = abx * ux + aby * uy
+    rx, ry = 2.0 * (ax + ux * k) - bx, 2.0 * (ay + uy * k) - by
+    s = 1.0 / hypot(abx, aby)
+    ux, uy = abx * s, aby * s
+    k = acx * ux + acy * uy
+    qx, qy = 2.0 * (ax + ux * k) - cx, 2.0 * (ay + uy * k) - cy
+    return [
+        (bx, by, cx - bx, cy - by),
+        (ax, ay, acx, acy),
+        (ax, ay, abx, aby),
+        (rx, ry, cx - rx, cy - ry),
+        (bx, by, qx - bx, qy - by),
+    ]
 
 
 def _cell(u: float, n: int) -> int:
@@ -245,25 +250,20 @@ def grid_search_3periodic(t: Triangle, grid_n: int) -> SearchResult:
     # continuous minimizers: rho(u) = 2 sin A |A PA(u)|, least at the foot of
     # the altitude from A, and then Heron's bound in that row.
     i0 = _cell(((local.a.x - asx) * adx + (local.a.y - asy) * ady) / (adx * adx + ady * ady), n)
-    pax, pay, _, k0 = row(i0)
+    first = row(i0)
+    pax, pay, _, k0 = first
     upper = score(pax, pay, k0)
     bound = upper[0] + 1e-9 * local.diameter
     best = inf
     lo, hi, _, _ = _run(rho, i0, n, bound)
     for i in range(lo, hi + 1):
-        pax, pay, heron, k = row(i)
+        pax, pay, heron, k = first if i == i0 else row(i)
         klo, khi, _, _ = _run(heron, k, n, bound)
         for k in range(klo, khi + 1):
             total, j = upper if (i, k) == (i0, k0) else score(pax, pay, k)
             if total < best:
                 best, best_idx = total, (i, j, k)
-    return SearchResult(
-        best_value=best * scale,
-        best_params=[i / n for i in best_idx],
-        grid_n=grid_n,
-        objective="gap1",
-        certified_tolerance=6.0 * t.diameter / grid_n,
-    )
+    return SearchResult(best * scale, [i / n for i in best_idx], n, "gap1", 6.0 * t.diameter / n)
 
 
 # Edge visitation pattern of the 6-periodic search; each edge appears twice,
@@ -314,16 +314,17 @@ def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     best_params is a grid point, and certified_tolerance bounds how far
     best_value lies above the true minimum."""
     _check_grid(grid_n, 6)
+    import numpy as np
     local, _, scale = local_frame(t)
-    us = _grid(grid_n)
-    # GAP2_PATTERN has period 3: stops 3-5 repeat the grids of stops 0-2, and
-    # the grids of stops 0-3 give the three distinct legs.
-    grids = _segment_grids([local.edges[e] for e in GAP2_PATTERN[:4]], us)
-    best_val, idx = _min_cycle_6(_dist(grids[:3], grids[1:]))
-    return SearchResult(
-        best_value=best_val * scale,
-        best_params=[float(us[i]) for i in idx],
-        grid_n=grid_n,
-        objective="gap2",
-        certified_tolerance=12.0 * t.diameter / grid_n,
-    )
+    n = grid_n
+    # GAP2_PATTERN has period 3: stops 3-5 repeat the segments of stops 0-2,
+    # and the segments of stops 0-3 give the three distinct legs.  ends has
+    # the rows sx, sy, dx, dy of those four segments, x and y the rows of
+    # their grid points s + u (f - s), u = i / n.
+    edges = [local.edges[e] for e in GAP2_PATTERN[:4]]
+    ends = np.array([(s.x, s.y, f.x - s.x, f.y - s.y) for s, f in edges]).T
+    x, y = ends[:2, :, None] + ends[2:, :, None] * (np.arange(n + 1) / n)
+    # d[s, i, j] = |P_i Q_j|, P_i and Q_j the grid points of stops s and s + 1.
+    d = x[:3, :, None] - x[1:, None, :]
+    best_val, idx = _min_cycle_6(np.hypot(d, y[:3, :, None] - y[1:, None, :], out=d))
+    return SearchResult(best_val * scale, [i / n for i in idx], n, "gap2", 12.0 * t.diameter / n)

@@ -28,6 +28,15 @@ def random_acute_triangle(rng: random.Random, margin: float = 0.08) -> Triangle:
     )
 
 
+# The two golden-file triangles, an obtuse one and a thin one.
+SPECIAL_TRIANGLES = (
+    Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 0.8660254037844386)),
+    Triangle(Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 0.0)),
+    Triangle(Point(0.0, 0.0), Point(3.0, 0.0), Point(0.4, 0.5)),
+    Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.3, 0.01)),
+)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20230917)

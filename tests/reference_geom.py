@@ -1,10 +1,11 @@
 """Reference primitives: the Point-based projection, reflection, edge
-parameter and line intersection, and the fold loop of the unfolding, with a
-Point built at every step.
+parameter, angles and line intersection, and the fold loop of the unfolding,
+with a Point built at every step.
 
 tripatrol.geom must return exactly the same floats, and raise the same
-exceptions with the same messages, as these.  They are slow and kept only
-for the tests to compare against; fold is the unfolding's former fold,
+exceptions with the same messages, as these, and the mirror images of
+tripatrol.search._segments must equal reflect_point's.  They are slow and
+kept only for the tests to compare against; fold is the unfolding's former fold,
 which the sweep's fold steps replaced, and the bit gate and the reference
 channel kernels fold with it.
 
@@ -15,7 +16,7 @@ agree with "at least two hits" wherever no vertex lies near the line.
 
 import math
 
-from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, PointOffEdge, Triangle
+from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, PointOffEdge, Triangle, local_frame
 
 Line = tuple[Point, Point]
 
@@ -48,6 +49,16 @@ def project_onto_line(p: Point, line: Line) -> Point:
 def reflect_point(p: Point, line: Line) -> Point:
     f = project_onto_line(p, line)
     return Point(2.0 * f.x - p.x, 2.0 * f.y - p.y)
+
+
+def _angle_at(v: Point, p: Point, q: Point) -> float:
+    u, w = p - v, q - v
+    return math.atan2(abs(u.cross(w)), u.dot(w))
+
+
+def angles(t: Triangle) -> tuple[float, float, float]:
+    t = local_frame(t)[0]
+    return (_angle_at(t.a, t.b, t.c), _angle_at(t.b, t.c, t.a), _angle_at(t.c, t.a, t.b))
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:

@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from tripatrol.geom import EdgeId, Triangle, local_frame, reflect_point
+from reference_geom import reflect_point
+from tripatrol.geom import EdgeId, Triangle, local_frame
 from tripatrol.search import GAP2_PATTERN, SearchResult
 
 

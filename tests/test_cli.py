@@ -305,7 +305,10 @@ def test_exit_code_2_on_oversized_grid(period, slabs, capsys, monkeypatch, tmp_p
     assert code == 2
     doc = json.loads(out)
     assert doc["error"] == "ValueError"
-    assert doc["message"].startswith(f"grid_n {n} needs ")
+    if period == "3":
+        assert doc["message"] == f"grid_n {n} is above the 3-periodic search's limit of {n - 1}"
+    else:
+        assert doc["message"].startswith(f"grid_n {n} needs ")
 
 
 @pytest.mark.parametrize("period", ["3", "6"])

@@ -19,7 +19,7 @@ from tripatrol.geom import (
     line_intersection,
     local_frame,
     project_onto_edge,
-    reflect_point,
+    project_onto_line,
 )
 from conftest import random_acute_triangle
 from make_goldens import EQ, RI
@@ -225,41 +225,9 @@ def test_projection_minimality(rng):
             assert p.dist(foot) <= p.dist(q) + 1e-12
 
 
-def test_reflection_closed_form_coordinates():
-    # B at the origin, C = (1, 0); reflecting A across BC flips its height,
-    # reflecting C across AB lands at (cos 2B, sin 2B).
-    b_ang, c_ang = 0.6, 0.7
-    p = math.cos(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
-    q = math.sin(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
-    a, b, c = Point(p, q), Point(0, 0), Point(1, 0)
-    a1 = reflect_point(a, (b, c))
-    assert a1.dist(Point(p, -q)) < 1e-15
-    c1 = reflect_point(c, (a, b))
-    assert c1.dist(Point(math.cos(2 * b_ang), math.sin(2 * b_ang))) < 1e-14
-
-
-def test_reflection_involution_and_isometry(rng):
-    for _ in range(200):
-        line = (
-            Point(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-            Point(rng.uniform(-3, 3), rng.uniform(-3, 3)),
-        )
-        if line[0].dist(line[1]) < 1e-6:
-            continue
-        p = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        q = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        scale = max(p.norm(), q.norm(), 1.0)
-        assert reflect_point(reflect_point(p, line), line).dist(p) <= 1e-12 * scale
-        assert abs(reflect_point(p, line).dist(reflect_point(q, line)) - p.dist(q)) <= 1e-12 * scale
-    # Point on the line is fixed.
-    line = (Point(0, 0), Point(2, 1))
-    on = Point(4, 2)
-    assert reflect_point(on, line).dist(on) < 1e-14
-
-
-def test_reflection_coincident_endpoints_error():
-    with pytest.raises(ValueError):
-        reflect_point(Point(1, 2), (Point(3, 3), Point(3, 3)))
+def test_projection_coincident_endpoints_error():
+    with pytest.raises(ValueError, match="line endpoints coincide"):
+        project_onto_line(Point(1, 2), (Point(3, 3), Point(3, 3)))
 
 
 def test_edge_param_conventions(equilateral):

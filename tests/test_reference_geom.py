@@ -1,7 +1,8 @@
-"""The primitives of tripatrol.geom against the Point-based reference:
-the same floats bit for bit, and the same exception type and message, on
-random input at large offsets and extreme scales and on the degenerate
-cases each primitive checks."""
+"""The primitives of tripatrol.geom, and the mirror images of
+tripatrol.search, against the Point-based reference: the same floats bit
+for bit, and the same exception type and message, on random input at large
+offsets and extreme scales and on the degenerate cases each primitive
+checks."""
 
 import math
 import random
@@ -11,16 +12,19 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_exact as rx
 import reference_geom as ref
 from tripatrol.geom import (
+    DegenerateTriangle,
     EdgeId,
     Point,
     Triangle,
+    angles,
     edge_param,
     line_intersection,
+    local_frame,
     project_onto_line,
-    reflect_point,
     signed_offset,
 )
-from conftest import random_acute_triangle
+from tripatrol.search import _segments
+from conftest import SPECIAL_TRIANGLES, random_acute_triangle
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
@@ -66,7 +70,37 @@ def points(n: int):
 def test_projection_and_reflection_match_reference(pts):
     p, a, b = pts
     assert outcome(project_onto_line, p, (a, b)) == outcome(ref.project_onto_line, p, (a, b))
-    assert outcome(reflect_point, p, (a, b)) == outcome(ref.reflect_point, p, (a, b))
+    # _segments reflects B across AC and C across AB of the local frame on
+    # floats: R_AC(B) is the start of its fourth segment, R_AB(C) - B the
+    # difference of its fifth.
+    try:
+        t = local_frame(Triangle(a, b, p))[0]
+    except DegenerateTriangle:
+        return
+    *_, (rx, ry, _, _), (_, _, qdx, qdy) = _segments(t)
+    r, q = ref.reflect_point(t.b, (t.a, t.c)), ref.reflect_point(t.c, (t.a, t.b))
+    assert (rx, ry) == r.as_tuple()
+    assert (qdx, qdy) == (q.x - t.b.x, q.y - t.b.y)
+
+
+def test_angles_match_reference(rng):
+    # angles computes the sides' cross and dot products on plain floats;
+    # the reference builds a Point for each side.  A moved triangle is
+    # rounded by the move, so each case is compared with itself.
+    cases = list(SPECIAL_TRIANGLES)
+    for _ in range(100):
+        t = random_acute_triangle(rng)
+        cases.append(t)
+        for offset in (1e6, 1e12, 1e15):
+            try:
+                cases.append(Triangle(*[Point(v.x + offset, v.y + offset) for v in t.vertices]))
+            except DegenerateTriangle:
+                pass
+        for scale in (2.0**-300, 2.0**300):
+            cases.append(Triangle(*[Point(v.x * scale, v.y * scale) for v in t.vertices]))
+    assert len(cases) > 590
+    for t in cases:
+        assert angles(t) == ref.angles(t)
 
 
 @SETTINGS

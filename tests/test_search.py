@@ -20,15 +20,7 @@ from tripatrol.orthic import (
 from tripatrol.schedule import Schedule, SchedulePoint, gap_report
 from tripatrol import search
 from tripatrol.search import GAP2_PATTERN, grid_search_3periodic, grid_search_6periodic_gap2
-from conftest import random_acute_triangle
-
-# The two golden-file triangles, an obtuse one and a thin one.
-SPECIAL_TRIANGLES = (
-    Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 0.8660254037844386)),
-    Triangle(Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 0.0)),
-    Triangle(Point(0.0, 0.0), Point(3.0, 0.0), Point(0.4, 0.5)),
-    Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.3, 0.01)),
-)
+from conftest import SPECIAL_TRIANGLES, random_acute_triangle
 
 
 def moved(t: Triangle, offset: float, scale: float = 1.0) -> Triangle:
@@ -371,6 +363,52 @@ def test_grid3_distance_evaluations_stay_bounded(rng, grid_n):
         assert hypot_calls(random_acute_triangle(rng), grid_n) <= GRID3_MAX_HYPOT_CALLS
 
 
+def test_segment_mirrors_closed_form_coordinates():
+    # A at the origin and B = (1, 0): reflecting B across AC lands at
+    # (cos 2A, sin 2A), and reflecting C across AB flips its height.
+    a_ang = 0.6
+    c = Point(0.9 * math.cos(a_ang), 0.9 * math.sin(a_ang))
+    *_, (rx, ry, _, _), (bx, by, qdx, qdy) = search._segments(Triangle(Point(0, 0), Point(1, 0), c))
+    assert math.hypot(rx - math.cos(2 * a_ang), ry - math.sin(2 * a_ang)) < 1e-15
+    assert math.hypot(bx + qdx - c.x, by + qdy + c.y) < 1e-15
+
+
+def test_segment_mirrors_keep_their_distances_to_the_mirror(rng):
+    # A reflection across AC fixes A and C, so R_AC(B) is as far from each
+    # as B is; likewise R_AB(C) from A and B.
+    for _ in range(200):
+        t = random_acute_triangle(rng)
+        a, b, c = t.vertices
+        *_, (rx, ry, _, _), (bx, by, qdx, qdy) = search._segments(t)
+        r, q = Point(rx, ry), Point(bx + qdx, by + qdy)
+        scale = t.diameter + max(abs(x) for v in t.vertices for x in v.as_tuple())
+        for mirror_end, image, source in ((a, r, b), (c, r, b), (a, q, c), (b, q, c)):
+            assert abs(mirror_end.dist(image) - mirror_end.dist(source)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_oracle_builds_no_points_once_the_frame_is_cached(rng, monkeypatch, offset):
+    # The oracle's calls compute on plain floats: with the triangle's local
+    # frame cached, the orthic perimeter, grid3 at n = 200 and grid6 at
+    # n = 12 construct no Point.
+    t = moved(random_acute_triangle(rng), offset)
+    local_frame(t)
+    built = 0
+    point_init = Point.__init__
+
+    def counted(self, x, y):
+        nonlocal built
+        built += 1
+        point_init(self, x, y)
+
+    monkeypatch.setattr(Point, "__init__", counted)
+    orthic_perimeter(t)
+    grid_search_3periodic(t, 200)
+    grid_search_6periodic_gap2(t, 12)
+    Point(0.0, 0.0)  # the counter itself is live
+    assert built == 1
+
+
 @st.composite
 def acute_triangles(draw):
     """(triangle, u_K, P): B at the origin and C on the x axis before an
@@ -448,9 +486,13 @@ def test_oversized_grid_raises_before_allocating(equilateral, fn, slabs):
     # is within it.  Only the refused size is run.
     n = math.isqrt(search.MAX_GRID_FLOATS // slabs)
     assert slabs * n**2 <= search.MAX_GRID_FLOATS < slabs * (n + 1) ** 2
+    if slabs == 3:
+        message = f"grid_n {n} is above the 3-periodic search's limit of {n - 1}$"
+    else:
+        message = f"grid_n {n} needs .* above the limit"
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"grid_n {n} needs .* above the limit"):
+        with pytest.raises(ValueError, match=message):
             fn(equilateral, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
