@@ -393,7 +393,16 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
     diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
     |v . (T - R)| / (P k) from the skew diagonal.  Both are measured in
-    local_frame(t) and scaled back."""
+    local_frame(t) and scaled back.
+
+    v_k is dist(R, R_kT_k) alone.  RT and R_kT_k lie on distinct parallels
+    to BC, so v_k is the least distance from an endpoint of one to the
+    other, and by the parallelogram's central symmetry dist(T_k, RT) and
+    dist(R_k, RT) are those of R and T from R_kT_k.  v runs from K toward M
+    at the angle A to the ray KB (BKM is similar to BAC), and line KM
+    separates B from A, on whose side T lies.  So v . (T - R) = -|v| |T - R|
+    cos A < 0 (A, the relabeled base's largest angle, is acute): T projects
+    past T_k, and dist(T, R_kT_k) = k |v| = |R - R_k| >= dist(R, R_kT_k)."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     scale = local_frame(t)[2]
@@ -404,30 +413,17 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     c = abs(v.dot(t_pt - r_pt))
     vx, vy = v.x, v.y
     rx, ry, tx, ty = r_pt.x, r_pt.y, t_pt.x, t_pt.y
-    ex, ey = tx - rx, ty - ry
-    ee = ex * ex + ey * ey
     rows = []
     for k in range(1, k_max + 1):
-        rkx, rky, tkx, tky = rx + vx * k, ry + vy * k, tx + vx * k, ty + vy * k
-        fx, fy = tkx - rkx, tky - rky
+        rkx, rky = rx + vx * k, ry + vy * k
+        fx, fy = tx + vx * k - rkx, ty + vy * k - rky
         ff = fx * fx + fy * fy
-        # RT and its translate never cross (v is not parallel to BC), so an
-        # endpoint is nearest: the distances of R and T from R_kT_k and of
-        # R_k and T_k from RT, each projection clamped to its segment (to its
-        # start if the segment has length 0).
+        # R's projection onto R_kT_k, clamped to the segment; R_k where the
+        # segment rounds to a point, as on thin triangles near a right angle.
         w = ((rx - rkx) * fx + (ry - rky) * fy) / ff if ff else 0.0
         w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
         d_r = math.hypot(rx - (rkx + fx * w), ry - (rky + fy * w))
-        w = ((tx - rkx) * fx + (ty - rky) * fy) / ff if ff else 0.0
-        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
-        d_t = math.hypot(tx - (rkx + fx * w), ty - (rky + fy * w))
-        w = ((rkx - rx) * ex + (rky - ry) * ey) / ee if ee else 0.0
-        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
-        d_rk = math.hypot(rkx - (rx + ex * w), rky - (ry + ey * w))
-        w = ((tkx - rx) * ex + (tky - ry) * ey) / ee if ee else 0.0
-        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
-        d_tk = math.hypot(tkx - (rx + ex * w), tky - (ry + ey * w))
-        rows.append((k, min(d_r, d_t, d_rk, d_tk) / k * scale, 2.0 * c / (per2 * k) * scale))
+        rows.append((k, d_r / k * scale, 2.0 * c / (per2 * k) * scale))
     return rows
 
 

@@ -75,11 +75,14 @@ class SearchResult(Record):
         objective: str,  # "gap1" or "gap2"
         certified_tolerance: float,
     ):
-        for store, value in zip(_SET_SEARCH_RESULT, (best_value, best_params, grid_n, objective, certified_tolerance)):
-            store(self, value)
+        _set_best_value(self, best_value)
+        _set_best_params(self, best_params)
+        _set_grid_n(self, grid_n)
+        _set_objective(self, objective)
+        _set_certified_tolerance(self, certified_tolerance)
 
 
-_SET_SEARCH_RESULT = slot_setters(SearchResult)
+_set_best_value, _set_best_params, _set_grid_n, _set_objective, _set_certified_tolerance = slot_setters(SearchResult)
 
 
 def _check_grid(grid_n: int, period: int) -> None:

@@ -16,6 +16,30 @@ def random_acute_triangle(rng: random.Random, margin: float = 0.08) -> Triangle:
         c_ang = math.pi - a_ang - b_ang
         if margin < c_ang < math.pi / 2 - margin:
             break
+    return placed_triangle(rng, b_ang, c_ang)
+
+
+def near_right_triangles(rng: random.Random, count: int) -> list[tuple[float, Triangle]]:
+    """(slack, triangle): count random triangles whose angle at A is
+    pi/2 - slack, the first two at slack 1e-5 and 2e-9 and the rest
+    log-uniform between, their other two angles 0.08 or more from 0 and
+    from pi/2, placed as random_acute_triangle places its triangles."""
+    out = []
+    for i in range(count):
+        slack = (1e-5, 2e-9)[i] if i < 2 else 10.0 ** rng.uniform(math.log10(2e-9), -5.0)
+        while True:
+            b_ang = rng.uniform(0.08, math.pi / 2 - 0.08)
+            c_ang = math.pi / 2 + slack - b_ang
+            if 0.08 < c_ang < math.pi / 2 - 0.08:
+                break
+        out.append((slack, placed_triangle(rng, b_ang, c_ang)))
+    return out
+
+
+def placed_triangle(rng: random.Random, b_ang: float, c_ang: float) -> Triangle:
+    """The triangle with angles B and C at B = (0, 0) and C = (alpha, 0),
+    alpha random in [0.5, 3], then turned by a random angle and moved by a
+    random offset in [-5, 5]^2."""
     alpha = rng.uniform(0.5, 3.0)
     p = math.cos(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)
     q = math.sin(b_ang) * math.sin(c_ang) / math.sin(b_ang + c_ang)

@@ -16,6 +16,11 @@ from the orthic line are cross products with the unnormalised
 w = k2 - k, signed positive on A's side: |w| times the signed distance,
 so every sign and every ordering of the distances is kept.
 
+The channel's cross-section RT on BC is rational too: R and T are where
+the parallels to the orthic line through A1 and A meet BC.  v_k, the
+distance from R to RT's k-th image R_kT_k = RT + k w, is the square root
+of a rational squared distance.
+
 It is slow and kept only for the tests to compare against.
 """
 
@@ -167,6 +172,41 @@ def unfolding(a: Point, b: Point, c: Point) -> Unfolding:
         normal=normal,
         offsets=tuple(tuple(dot(normal, sub(v, k)) for v in copy) for copy in copies),
     )
+
+
+def meet(p: XY, d: XY, a: XY, b: XY) -> XY:
+    """Where the line through p with direction d meets the line through a and b."""
+    e = sub(b, a)
+    s = cross(sub(a, p), e) / cross(d, e)
+    return (p[0] + s * d[0], p[1] + s * d[1])
+
+
+def cross_section(u: Unfolding) -> tuple[XY, XY]:
+    """R and T: where the parallels to the orthic line through A1 and A meet BC."""
+    a, b, c = u.copies[0]
+    w = sub(u.k2, u.k)
+    return meet(u.a1, w, b, c), meet(a, w, b, c)
+
+
+def lower_bound_rows(u: Unfolding, k_max: int) -> list[tuple[int, Decimal, Decimal]]:
+    """Rows (k, v_k / k, bound_k) of tripatrol.orthic.lower_bound_profile,
+    in decimal: v_k = dist(R, R_kT_k), R_kT_k = RT + k w, and
+    bound_k = 2 |w . (T - R)| / (|w| k)."""
+    r, t = cross_section(u)
+    w, e = sub(u.k2, u.k), sub(t, r)
+    we, ee = dot(w, e), dot(e, e)
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        skew = 2 * abs(we)
+        skew = Decimal(skew.numerator) / Decimal(skew.denominator) / sqrt(dot(w, w))
+        for k in range(1, k_max + 1):
+            # R_k - R = k w, and R_kT_k runs from R_k along e = T - R: R's
+            # projection onto it lies at s = -k (w . e) / (e . e), clamped.
+            s = min(1, max(0, -k * we / ee))
+            q = (k * w[0] + s * e[0], k * w[1] + s * e[1])
+            rows.append((k, sqrt(dot(q, q)) / k, skew / k))
+    return rows
 
 
 def straddles(offsets: tuple[Fraction, ...], bottom: Fraction, top: Fraction) -> bool:

@@ -1,9 +1,11 @@
 """The float-only channel kernels against tests/reference_channel.py: the
 same values bit for bit (equal reprs), and the same exception type and
 message, on random acute triangles as drawn, moved far from the origin and
-scaled to the ends of the float range.  The bit gate in test_bits.py says
+scaled to the ends of the float range; lower_bound_profile's v_k also
+within a few ulps near a right angle.  The bit gate in test_bits.py says
 that something changed; these say which function changed it."""
 
+import math
 import random
 
 import pytest
@@ -13,7 +15,7 @@ from tripatrol.geom import Point, Triangle
 from tripatrol.greedy import greedy_run
 from tripatrol.orthic import lower_bound_profile, sub_orthic_schedule
 from tripatrol.schedule import gap_report, prefix_gap_report
-from conftest import random_acute_triangle
+from conftest import near_right_triangles, random_acute_triangle
 
 SEED = 13
 COUNT = 5
@@ -83,6 +85,41 @@ def test_sub_orthic_schedule_and_gaps_match_reference(label, t):
 def test_lower_bound_profile_matches_reference(label, t):
     for k_max in (1, 60):
         assert outcome(lower_bound_profile, t, k_max) == outcome(ref.lower_bound_profile, t, k_max)
+
+
+# lower_bound_profile takes v_k as dist(R, R_kT_k) alone; the reference
+# takes the least of the four endpoint-segment distances.  Exactly, that
+# least is dist(R, R_kT_k), but within ~1e-7 rad of a right angle the float
+# dist(T, R_kT_k) = |T - T_k| can round below it.  Rows then move by a few
+# ulps: 669 rows of 61 of these inputs, by at most 2, and by at most 3 over
+# 2,000 other near-right triangles, each as drawn and moved by 1e3, 1e6 and
+# 1e9.  Both stay within N eps diam of the exact row (test_reference_exact).
+NEAR_RIGHT_ULPS = 4
+NEAR_RIGHT_COUNT = 40
+
+
+def near_right_inputs() -> list[tuple[str, Triangle]]:
+    """(label, triangle): conftest's near-right triangles, each as drawn,
+    moved by 1e6 and scaled by 2^300 and 2^-300."""
+    out = []
+    for slack, t in near_right_triangles(random.Random(SEED + 2), NEAR_RIGHT_COUNT):
+        out += [(f"{slack:.3g}", t), (f"{slack:.3g}+1e6", Triangle(*(Point(v.x + 1e6, v.y + 1e6) for v in t.vertices)))]
+        out += [(f"{slack:.3g}*{s:g}", Triangle(*(Point(v.x * s, v.y * s) for v in t.vertices))) for s in SCALES[:2]]
+    return out
+
+
+def test_lower_bound_profile_near_a_right_angle_is_within_ulps_of_reference():
+    moved = 0
+    for label, t in near_right_inputs():
+        want = outcome(ref.lower_bound_profile, t, 100)
+        if isinstance(want, tuple):
+            assert outcome(lower_bound_profile, t, 100) == want, label
+            continue
+        for (k, vk, b), (k0, vk0, b0) in zip(lower_bound_profile(t, 100), ref.lower_bound_profile(t, 100), strict=True):
+            assert (k, b) == (k0, b0) and abs(vk - vk0) <= NEAR_RIGHT_ULPS * math.ulp(vk0), (label, k)
+            moved += vk != vk0
+    # The rounding this test is for occurs on its inputs.
+    assert moved
 
 
 @pytest.mark.parametrize("label, t", TRIANGLES, ids=[label for label, _ in TRIANGLES])

@@ -6,28 +6,33 @@ coordinates, so on the exact reference the seven altitude feet are
 collinear, B2C2 is parallel to BC and the channel between the parallels
 through A and A1 meets two edges of every copy, each exactly, and the
 orthic perimeter equals its closed form to 1e-40 (in `decimal` at 50
-digits).
+digits).  The channel's cross-section RT on BC runs against the orthic
+direction, w . (T - R) < 0, exactly: lower_bound_profile's v_k rests on it.
 orthic_triangle and reflection_chain compute on local_frame(t) in floats
-and check none of this; their points must lie within N eps diam of the
-exact ones on that same frame.
+and check none of this; their points, and lower_bound_profile's rows, must
+lie within N eps diam of the exact ones on that same frame.
 
 Inputs: random acute triangles at angle margins 0.08, 0.01 and 0.001,
 each as drawn, moved by 1e6, 1e12 and 1e15 and scaled by 2^500 and
 2^-500 (a moved copy is kept where it is still an acute triangle: at 1e15
 the coordinates round to multiples of 1/8), and the two acute golden
-triangles.
+triangles.  The v_k tests add NEAR_RIGHT: triangles whose largest angle is
+pi/2 - slack, slack from 1e-5 to 2e-9, as drawn and moved by 1e6 (the
+float sign of v . (T - R) comes out >= 0 on 2 of these 24), and two thin
+ones near a right angle on which R and T round to one float point.
 """
 
 import functools
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import reference_exact as rx
 from tripatrol import cli
 from tripatrol.geom import EdgeId, Point, Triangle, is_acute, local_frame
-from tripatrol.orthic import orthic_triangle, reflection_chain
-from conftest import random_acute_triangle
+from tripatrol.orthic import lower_bound_profile, orthic_triangle, reflection_chain
+from conftest import near_right_triangles, random_acute_triangle
 from make_goldens import EQ
 
 SEED = 22
@@ -35,6 +40,8 @@ PER_MARGIN = 18
 MARGINS = (0.08, 0.01, 0.001)
 OFFSETS = (1e6, 1e12, 1e15)
 SCALES = (2.0**500, 2.0**-500)
+NEAR_RIGHT_COUNT = 12
+K_MAX = 100
 
 EPS = sys.float_info.epsilon
 # Every float point lies within N eps diam of its exact value on the local
@@ -42,7 +49,10 @@ EPS = sys.float_info.epsilon
 # 9.49 eps diam: the unfolding's c2 on "margin 0.001 #4 +1e+06"; the feet
 # of orthic_triangle reach 2.12 eps diam and x0 1.98 eps.  The error grows
 # as the smallest angle shrinks: over 3,600 other triangles the worst was
-# 67.6 eps diam, at a smallest angle of 0.052 rad.
+# 67.6 eps diam, at a smallest angle of 0.052 rad.  lower_bound_profile's
+# rows for k <= K_MAX, v_k / k and bound_k, reach 7.56 eps diam (v_7 / 7 on
+# "margin 0.001 #7 +1e+15"); on NEAR_RIGHT 4.34, and 5.39 over 120 other
+# near-right triangles.
 N = 16
 
 
@@ -76,26 +86,52 @@ def triangles() -> list[tuple[str, Triangle]]:
 TRIANGLES = triangles()
 
 
+def near_right() -> list[tuple[str, Triangle]]:
+    """conftest's near-right triangles, each as drawn and moved by 1e6."""
+    out = []
+    for slack, t in near_right_triangles(random.Random(SEED + 1), NEAR_RIGHT_COUNT):
+        out.append((f"slack {slack:.3g}", t))
+        if (m := _moved(t, 1e6)) is not None:
+            out.append((f"slack {slack:.3g} +1e6", m))
+    return out
+
+
+# Angles pi/2 - 2.6e-9, 2.4e-8 and pi/2 - 2.1e-8 rad, and pi/2 - 4.1e-9,
+# 1.3e-8 and pi/2 - 9.0e-9: RT is ~1.1e-16 diameters long exactly, and R
+# and T round to one float point, so every R_kT_k of lower_bound_profile
+# has length 0.  Found by a search over 268 triangles with one angle of
+# 1e-8 to 1e-6 rad and one within 1.1e-9 to 1e-8 rad of pi/2, 7 of which
+# divide by that length at some k <= 1000 without its guard.
+ROUNDED_CROSS_SECTIONS = [
+    ("thin near-right #1", Triangle(Point(0.6371651029824486, -0.7707273392979941), Point(0.0, 0.0),
+                                    Point(0.6371650848392733, -0.7707273542970703))),
+    ("thin near-right #2", Triangle(Point(0.9797335463395073, -0.2003052125557707), Point(0.0, 0.0),
+                                    Point(0.9797335437137021, -0.20030522539911752))),
+]
+NEAR_RIGHT = near_right() + ROUNDED_CROSS_SECTIONS
+
+
 # The float constructions are compared in their own labels, which are the
 # exact ones on all but the golden triangles: each unfolding is built once.
 exact_unfolding = functools.cache(rx.unfolding)
 
 
-def exact_unfoldings() -> list[tuple[str, rx.Unfolding]]:
+def exact_unfoldings(triangles: list[tuple[str, Triangle]]) -> list[tuple[str, rx.Unfolding]]:
     """Each triangle's exact unfolding on its local frame, relabeled so
     that alpha >= beta >= gamma exactly."""
     out = []
-    for label, t in TRIANGLES:
+    for label, t in triangles:
         local = local_frame(t)[0]
         out.append((label, exact_unfolding(*(local.vertices[i] for i in rx.relabel(local)))))
     return out
 
 
-UNFOLDINGS = exact_unfoldings()
+UNFOLDINGS = exact_unfoldings(TRIANGLES)
 
 
 def test_inputs_cover_the_stated_range():
     assert len(TRIANGLES) >= 300
+    assert len(NEAR_RIGHT) >= 26 and {"slack 1e-05", "slack 2e-09"} <= {label for label, _ in NEAR_RIGHT}
     for part in (*(f"margin {m} " for m in MARGINS), *(f"+{o:g}" for o in OFFSETS), *(f"*{s:g}" for s in SCALES)):
         assert sum(part in label for label, _ in TRIANGLES) >= 10, part
 
@@ -120,6 +156,14 @@ def test_channel_meets_two_edges_of_every_copy():
     for label, u in UNFOLDINGS:
         top, bottom = u.offset(u.copies[0][0]), u.offset(u.a1)
         assert all(rx.straddles(offsets, bottom, top) for offsets in u.offsets), label
+
+
+def test_cross_section_runs_against_the_orthic_direction():
+    """lower_bound_profile's premise: T != R and w . (T - R) < 0, so T
+    projects past T_k onto R_kT_k and v_k is dist(R, R_kT_k) alone."""
+    for label, u in UNFOLDINGS + exact_unfoldings(NEAR_RIGHT):
+        r, t = rx.cross_section(u)
+        assert t != r and rx.dot(rx.sub(u.k2, u.k), rx.sub(t, r)) < 0, label
 
 
 def test_foot_l_is_the_convex_combination_at_x0():
@@ -151,10 +195,27 @@ def float_errors(t: Triangle) -> tuple[float, float]:
     od, exact_od = orthic_triangle(local), rx.orthic(local)
     worst = max(_error(getattr(od, f), getattr(exact_od, f)) for f in ("k_foot", "l_foot", "m_foot"))
     unf = reflection_chain(local)
-    v = local.vertices
-    exact_unf = exact_unfolding(*(v[unf.edge_map[e]] for e in EdgeId))
+    exact_unf = in_float_labels(local)
     worst = max(worst, *(_error(getattr(unf, name), getattr(exact_unf, name)) for name in rx.POINTS))
     return float(worst / unit) ** 0.5, float(abs(Fraction(od.x0) - exact_od.x0) / Fraction(EPS))
+
+
+def in_float_labels(local: Triangle) -> rx.Unfolding:
+    """The exact unfolding of a local-frame triangle, labeled as
+    reflection_chain labels it."""
+    v = local.vertices
+    return exact_unfolding(*(v[reflection_chain(local).edge_map[e]] for e in EdgeId))
+
+
+def row_error(t: Triangle) -> float:
+    """The largest distance, in eps diam, of a value of lower_bound_profile
+    on local_frame(t), k <= K_MAX, from its exact value."""
+    local = local_frame(t)[0]
+    unit = Decimal(EPS * local.diameter)
+    rows = zip(lower_bound_profile(local, K_MAX), rx.lower_bound_rows(in_float_labels(local), K_MAX), strict=True)
+    with localcontext() as ctx:
+        ctx.prec = rx.DIGITS
+        return float(max(max(abs(Decimal(vk) - xvk), abs(Decimal(b) - xb)) for (_, vk, b), (_, xvk, xb) in rows) / unit)
 
 
 def test_float_constructions_lie_near_the_exact_points():
@@ -162,6 +223,12 @@ def test_float_constructions_lie_near_the_exact_points():
     assert {label: e for label, e in errors.items() if max(e) > N} == {}
     # N is measured, not padded: a tenth of it fails on some input.
     assert max(max(e) for e in errors.values()) > N / 10
+
+
+def test_lower_bound_rows_lie_near_the_exact_ones():
+    errors = {label: row_error(t) for label, t in TRIANGLES + NEAR_RIGHT}
+    assert {label: e for label, e in errors.items() if e > N} == {}
+    assert max(errors.values()) > N / 10
 
 
 def test_float_relabeling_is_the_exact_one():

@@ -141,6 +141,9 @@ def test_run_reaches_ties_across_one_ulp_noise():
     assert walk([3.0, up, 1.0, up, 1.0, up, 3.0], 4, slack=1e-12) == (1, 5, 2, 1.0)
     assert walk([3.0, 1.0, up, up, 1.0, 3.0], 4, slack=1e-12) == (1, 4, 1, 1.0)
     assert walk([3.0, 1.0, down, 1.0, 3.0], 0, slack=1e-12) == (1, 3, 2, down)
+    # A new least found while extending rightward sets the threshold to
+    # that least plus slack, so the cell an ulp or two above it still joins.
+    assert walk([3.0, 1.0, 1.0, down, up, 3.0], 1, slack=1e-12) == (1, 4, 3, down)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
