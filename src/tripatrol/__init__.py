@@ -37,7 +37,6 @@ from .orthic import (
 )
 from .greedy import (
     GreedyTrace,
-    ProjectionEscapesEdge,
     greedy_limit_gap,
     greedy_ratio,
     greedy_ratio_extremes,
@@ -78,7 +77,6 @@ __all__ = [
     "reflection_chain",
     "sub_orthic_schedule",
     "GreedyTrace",
-    "ProjectionEscapesEdge",
     "greedy_limit_gap",
     "greedy_ratio",
     "greedy_ratio_extremes",

@@ -10,10 +10,10 @@ triangle's diameter (`Triangle.tol()` is ``DEFAULT_REL_TOL * diameter``);
 the two closure checks and the channel sweep scale their own factor the
 same way; sines, angles and edge parameters are scale-free and compare
 against the bare constant.  A threshold that is one algorithm's own
-parameter at one site stays a literal there: greedy's settle and escape
-tests, the angle-sum check of `greedy_ratio`, the ratio grid's filter, the
-slack of `verify_1gap_optimality`, the 3-periodic search's pruning margin
-and `line_dir`'s test.
+parameter at one site stays a literal there: greedy's settle test, the
+angle-sum check of `greedy_ratio`, the ratio grid's filter, the slack of
+`verify_1gap_optimality`, the 3-periodic search's pruning margin and
+`line_dir`'s test.
 
 Every construction and both grid searches run on `local_frame(t)`, a copy
 moved near the origin and scaled by a power of two to a diameter in

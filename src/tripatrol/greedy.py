@@ -25,21 +25,13 @@ from .geom import (
     Triangle,
     angles,
     edge_frame,
-    edge_param,
     edge_point,
     line_dir,
     local_frame,
-    place,
-    point_off_edge,
-    project_onto_edge,
     require_acute,
     slot_setters,
 )
 from .schedule import Schedule, SchedulePoint
-
-
-class ProjectionEscapesEdge(RuntimeError):
-    """A projection left its closed edge segment (impossible for acute input)."""
 
 
 class GreedyTrace(Record):
@@ -100,7 +92,7 @@ def greedy_run(
     revisit distance settles to 1e-12 of |BC|) and package the analysis.
     The walk runs on local_frame(t); its edge parameters need no mapping."""
     require_acute(t)
-    local, origin, scale = local_frame(t)
+    local = local_frame(t)[0]
     if not 0.0 <= start_u <= 1.0:
         raise ValueError("start_u must lie in [0, 1]")
     if num_cycles < 1:
@@ -112,26 +104,14 @@ def greedy_run(
     visited = [SchedulePoint(EdgeId.A, start_u)]
     p = edge_point(local, EdgeId.A, start_u)
     x, y = p.x, p.y
-    tol = local.tol()
-    steps = [(e, edge_frame(local, e) + line_dir(local.edges[e])) for e in cycle]
+    steps = [(e, edge_frame(local, e)[:5] + line_dir(local.edges[e])) for e in cycle]
     iterates = [start_u]
     converged = False
     its = num_cycles
     for i in range(num_cycles):
-        for e, (sx, sy, dx, dy, dd, length, ux, uy) in steps:
-            # The projection onto the edge's line, then its edge parameter.
-            s = (x - sx) * ux + (y - sy) * uy
-            x, y = sx + ux * s, sy + uy * s
-            wx, wy = x - sx, y - sy
-            resid = abs(dx * wy - dy * wx) / length
-            if resid > tol:
-                raise point_off_edge(place(x, y, origin, scale).as_tuple(), resid * scale, e)
-            u = (wx * dx + wy * dy) / dd
-            if not -1e-9 <= u <= 1.0 + 1e-9:
-                raise ProjectionEscapesEdge(
-                    f"projection onto edge {e.name} landed at u={u}"
-                )
-            visited.append(SchedulePoint(e, (u if u < 1.0 else 1.0) if u > 0.0 else 0.0))
+        for e, step in steps:
+            x, y, u = _step(x, y, *step)
+            visited.append(SchedulePoint(e, u))
         d = visited[-1].u
         iterates.append(d)
         if abs(d - iterates[-2]) <= 1e-12:
@@ -141,8 +121,7 @@ def greedy_run(
 
     c, x = recurrence_constants(t, direction)
     fixed = c / (1.0 + x)
-    limit = _limit_schedule(t, fixed, cycle)
-    limit_gap = limit.period_length()
+    limit = _limit_schedule(t, local, fixed, steps)
     return GreedyTrace(
         start_u=start_u,
         direction=direction,
@@ -151,26 +130,41 @@ def greedy_run(
         x=x,
         fixed_point=fixed,
         limit_schedule=limit,
-        limit_gap=limit_gap,
+        limit_gap=limit.period_length(),
         iterations_to_converge=its,
         converged=converged,
         visited=visited,
     )
 
 
-def _limit_schedule(t: Triangle, fixed_u: float, cycle: tuple[EdgeId, ...]) -> Schedule:
-    """The limit cycle through fixed_u on BC, projected on local_frame(t)."""
-    local = local_frame(t)[0]
+def _step(
+    x: float, y: float, sx: float, sy: float, dx: float, dy: float, dd: float, ux: float, uy: float
+) -> tuple[float, float, float]:
+    """The foot of (x, y) on the line of the edge from (sx, sy) along (dx,
+    dy), dd = |(dx, dy)|^2, with unit direction (ux, uy); and its edge
+    parameter, clamped to [0, 1].  The foot lies on the line and, for acute
+    input, on the edge: its parameter leaves [0, 1] by rounding alone, by
+    a few eps * diameter / |edge| (tests/test_greedy.py measures both)."""
+    s = (x - sx) * ux + (y - sy) * uy
+    x, y = sx + ux * s, sy + uy * s
+    u = ((x - sx) * dx + (y - sy) * dy) / dd
+    return x, y, (u if u < 1.0 else 1.0) if u > 0.0 else 0.0
+
+
+def _limit_schedule(t: Triangle, local: Triangle, fixed_u: float, steps: list) -> Schedule:
+    """The limit cycle of t through fixed_u on BC: one cycle of the walk's
+    steps on local = local_frame(t)[0], with the start and the first two
+    feet clamped to their edges; the last step, back on BC, must land on
+    the start."""
     d = edge_point(local, EdgeId.A, fixed_u)
-    pts = [SchedulePoint(EdgeId.A, fixed_u)]
-    cur = d
-    for e in cycle[:2]:
-        cur = project_onto_edge(cur, local, e)
-        pts.append(SchedulePoint(e, edge_param(local, e, cur)))
-    closing = project_onto_edge(cur, local, EdgeId.A)
-    if closing.dist(d) > CHECK_REL_TOL * local.diameter:
+    (e1, step1), (e2, step2), (_, step3) = steps
+    x, y, u1 = _step(d.x, d.y, *step1)
+    x, y, u2 = _step(x, y, *step2)
+    x, y, _ = _step(x, y, *step3)
+    if math.hypot(x - d.x, y - d.y) > CHECK_REL_TOL * local.diameter:
         raise AssertionError("limit cycle failed to close onto its fixed point")
-    return Schedule(t, tuple(pts))
+    start = SchedulePoint(EdgeId.A, min(max(fixed_u, 0.0), 1.0))
+    return Schedule(t, (start, SchedulePoint(e1, u1), SchedulePoint(e2, u2)))
 
 
 def greedy_limit_gap(t: Triangle) -> float:

@@ -1,11 +1,13 @@
 """Reference channel kernels: sub_orthic_schedule, the gap timeline
 (_visit_times, _gaps_from_times, gap_report, prefix_gap_report),
-lower_bound_profile with segment_distance_xy, and greedy_run, as they were
-written on Points and per-call primitives before the sweep data on
-Unfolding, the edges on Triangle and the inline loops; and
-greedy_ratio_extremes as it was written on numpy grids.  Their
+lower_bound_profile with segment_distance_xy, and greedy_run with its
+limit cycle, as they were written on Points and per-call primitives before
+the sweep data on Unfolding, the edges on Triangle and the inline loops;
+and greedy_ratio_extremes as it was written on numpy grids.  Their
 intersections, folds and edge parameters come from reference_geom, so a
 change to geom cannot move the references it is checked against.
+greedy_feet is the walk's projections alone, unchecked, for the tests
+that measure them.
 
 The caller_frame_* functions are those bodies, run on the triangle they
 are given.  The public ones run the same bodies on geom.local_frame(t)'s
@@ -15,18 +17,22 @@ gap or travel time adds leg lengths measured on the local frame, times the
 scale.  tripatrol must return the same values, bit for bit, and raise the
 same exceptions with the same messages as the public ones on every input,
 but for v_k near a right angle, where tripatrol's one distance and this
-least of four may round a few ulps apart; the caller_frame_* ones check
-the frame itself.  They are kept only for
+least of four may round a few ulps apart, and for greedy_run on thin
+triangles, where this walk's escape test and this limit cycle's unclamped
+edge parameters refuse rounding that tripatrol clamps; the
+caller_frame_* ones check the frame itself.  They are kept only for
 the tests to compare against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import reference_geom as ref
 from tripatrol.geom import (
+    CHECK_REL_TOL,
     RIGHT_ANGLE_SLACK,
     XY,
     EdgeId,
@@ -39,9 +45,13 @@ from tripatrol.geom import (
     project_along,
     require_acute,
 )
-from tripatrol.greedy import _CYCLES, GreedyTrace, ProjectionEscapesEdge, _limit_schedule, recurrence_constants
+from tripatrol.greedy import _CYCLES, GreedyTrace, recurrence_constants
 from tripatrol.orthic import _REFLECTED, OutsideChannel, reflection_chain
 from tripatrol.schedule import GapReport, InfeasibleSchedule, Schedule, SchedulePoint
+
+
+class ProjectionEscapesEdge(RuntimeError):
+    """A projection left its closed edge segment (impossible for acute input)."""
 
 
 # The channel line crosses BC, then each mirror: each crossing's relabeled edge and fold depth.
@@ -247,6 +257,20 @@ def greedy_run(t: Triangle, start_u: float, num_cycles: int = 200, direction: st
     )
 
 
+def greedy_feet(t: Triangle, start_u: float, direction: str) -> Iterator[tuple[EdgeId, Point]]:
+    """(edge, foot) for each projection of the greedy walk from start_u on
+    BC, without end.  An edge's frame is built at its first use, so checks
+    fail in step order."""
+    cur = edge_point(t, EdgeId.A, start_u).as_tuple()
+    frames = {}  # edge -> (start, unit direction)
+    while True:
+        for e in _CYCLES[direction]:
+            if e not in frames:
+                frames[e] = (t.edges[e][0], line_dir(t.edges[e]))
+            cur = project_along(cur, *frames[e])
+            yield e, Point(*cur)
+
+
 def caller_frame_greedy_run(
     t: Triangle, start_u: float, num_cycles: int = 200, direction: str = "cw"
 ) -> GreedyTrace:
@@ -262,17 +286,13 @@ def caller_frame_greedy_run(
         raise ValueError("direction must be 'cw' or 'ccw'")
 
     visited = [SchedulePoint(EdgeId.A, start_u)]
-    cur = edge_point(t, EdgeId.A, start_u).as_tuple()
-    frames = {}  # edge -> (start, unit direction); built at first use, so checks fail in step order
+    feet = greedy_feet(t, start_u, direction)
     iterates = [start_u]
     converged = False
     its = num_cycles
     for i in range(num_cycles):
-        for e in cycle:
-            if e not in frames:
-                frames[e] = (t.edges[e][0], line_dir(t.edges[e]))
-            cur = project_along(cur, *frames[e])
-            u = ref.edge_param(t, e, Point(*cur))
+        for e, p in itertools.islice(feet, len(cycle)):
+            u = ref.edge_param(t, e, p)
             if not -1e-9 <= u <= 1.0 + 1e-9:
                 raise ProjectionEscapesEdge(
                     f"projection onto edge {e.name} landed at u={u}"
@@ -302,6 +322,21 @@ def caller_frame_greedy_run(
         converged=converged,
         visited=visited,
     )
+
+
+def _limit_schedule(t: Triangle, fixed_u: float, cycle: tuple[EdgeId, ...]) -> Schedule:
+    """The limit cycle through fixed_u on BC, projected on local_frame(t)."""
+    local = local_frame(t)[0]
+    d = edge_point(local, EdgeId.A, fixed_u)
+    pts = [SchedulePoint(EdgeId.A, fixed_u)]
+    cur = d
+    for e in cycle[:2]:
+        cur = ref.project_onto_line(cur, local.edges[e])
+        pts.append(SchedulePoint(e, ref.edge_param(local, e, cur)))
+    closing = ref.project_onto_line(cur, local.edges[EdgeId.A])
+    if closing.dist(d) > CHECK_REL_TOL * local.diameter:
+        raise AssertionError("limit cycle failed to close onto its fixed point")
+    return Schedule(t, tuple(pts))
 
 
 def greedy_ratio_extremes(

@@ -21,14 +21,20 @@ from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, PointOffEdge, Triangl
 Line = tuple[Point, Point]
 
 
-def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def edge_coordinates(t: Triangle, e: EdgeId, p: Point) -> tuple[float, float]:
+    """(u, resid): the edge parameter of p along edge e, unclamped, and
+    the distance of p from the edge's line."""
     s, f = t.edges[e]
     d = f - s
     dd = d.dot(d)
-    resid = abs(d.cross(p - s)) / math.sqrt(dd)
+    return (p - s).dot(d) / dd, abs(d.cross(p - s)) / math.sqrt(dd)
+
+
+def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
+    u, resid = edge_coordinates(t, e, p)
     if resid > rel_tol * t.diameter:
         raise PointOffEdge(f"point {p} is {resid:g} off the line of edge {e.name}")
-    return (p - s).dot(d) / dd
+    return u
 
 
 def line_dir(line: Line) -> Point:

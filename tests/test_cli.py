@@ -196,6 +196,24 @@ def test_exit_code_2_on_domain_errors(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+# Thin acute triangles: angle B 7.5e-8 and 3.4e-7 rad, A and C near right angles.
+THIN_GREEDY = (
+    "3.139127161137748,3.664858745148333 2.1329630925276337,1.5501374260786358 3.1391273198518954,3.6648586696336585",
+    "6.869160172560454,-3.978537334885198 4.750995631442352,-4.771344367472793 6.86916043894691,-3.9785380465976568",
+)
+
+
+@pytest.mark.parametrize("vertices", THIN_GREEDY, ids=["escape", "limit"])
+def test_greedy_succeeds_on_thin_triangles(vertices, capsys, monkeypatch, tmp_path):
+    # Each once failed on an edge parameter rounded outside [0, 1] on the
+    # short edge AC: the first with exit 1 on a foot of the walk at
+    # u = 1.0000000011, the second with exit 2 on the limit cycle's second
+    # point at u = 1.00000000012.
+    args = ["greedy", "--vertices", *vertices.split(), "--direction", "ccw"]
+    code, out = run_cli(args, capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -1,10 +1,12 @@
+import itertools
 import math
 import random
 
 import pytest
 
 import reference_channel
-from tripatrol.geom import NotAcute, Point, Triangle, angles
+import reference_geom
+from tripatrol.geom import DegenerateTriangle, NotAcute, Point, Triangle, angles, is_acute, local_frame
 from tripatrol.greedy import (
     _ratio_formula,
     greedy_limit_gap,
@@ -13,7 +15,7 @@ from tripatrol.greedy import (
     greedy_run,
     recurrence_constants,
 )
-from conftest import random_acute_triangle
+from conftest import placed_triangle, random_acute_triangle
 
 SQRT3 = math.sqrt(3.0)
 
@@ -226,3 +228,64 @@ def test_greedy_settles_far_from_the_origin():
             run = greedy_run(moved, start, 600, direction)
             assert run.converged and run.iterations_to_converge <= 20
             assert run.limit_gap == pytest.approx(greedy_limit_gap(t), rel=1e-9)
+
+
+def thin_triangles(rng: random.Random, count: int) -> list[Triangle]:
+    """The acute triangles among count draws with angle B = 10^U(-9, -1)
+    and C = pi/2 - B * U(0.05, 0.95), placed by conftest.placed_triangle:
+    a short edge AC, and A and C near right angles."""
+    out = []
+    for _ in range(count):
+        b_ang = 10.0 ** rng.uniform(-9.0, -1.0)
+        c_ang = math.pi / 2 - b_ang * rng.uniform(0.05, 0.95)
+        try:
+            t = placed_triangle(rng, b_ang, c_ang)
+        except DegenerateTriangle:
+            continue
+        if is_acute(t):
+            out.append(t)
+    return out
+
+
+# On the walk's feet, in units of eps * diameter of the local frame: the
+# distance from the edge's line, and how far the edge parameter lies
+# outside [0, 1] times the edge's length.  Measured at most 1.26 and 2.03
+# over 8,400 thin triangles, both directions, two starts each.
+FOOT_EPS = 16
+
+
+def test_greedy_runs_on_thin_triangles():
+    # On the short edge AC, rounding puts a foot's raw parameter up to 1.2e-8
+    # outside [0, 1], and the fixed point c/(1+x) can round above 1: the
+    # walk and the limit cycle clamp both, so every acute triangle gets its
+    # cycle.
+    thin = thin_triangles(random.Random(27), 300)
+    assert len(thin) > 200
+    eps = 2.0**-52
+    for t in thin:
+        local = local_frame(t)[0]
+        bound = FOOT_EPS * eps * local.diameter
+        for direction in ("cw", "ccw"):
+            run = greedy_run(t, 0.25, 200, direction)
+            # The prototype's worst was 1.95e-8; 1.84e-8 over 8,400 of these.
+            assert run.limit_gap == pytest.approx(greedy_limit_gap(t), rel=1e-7)
+            feet = reference_channel.greedy_feet(local, 0.25, direction)
+            for e, p in itertools.islice(feet, len(run.visited) - 1):
+                u, resid = reference_geom.edge_coordinates(local, e, p)
+                slack = bound / local.side_lengths[e]
+                assert resid <= bound and -slack <= u <= 1.0 + slack, (t, direction, e)
+
+
+def test_limit_cycle_clamps_a_fixed_point_rounded_above_one():
+    # Angle B is 7.8e-9 rad and AC is 7.8e-9 diameters long: the fixed point
+    # c/(1+x) rounds to 1 + 2^-52.  The trace keeps that closed form; the
+    # limit cycle starts at the vertex C.
+    t = Triangle(
+        Point(3.093013915764694, 1.1045671530825059),
+        Point(4.480577485588302, 2.52264103881799),
+        Point(3.0930139046465754, 1.1045671639614145),
+    )
+    run = greedy_run(t, 0.25, 200, "ccw")
+    assert run.fixed_point == 1.0 + 2.0**-52
+    assert run.limit_schedule.generator[0].u == 1.0
+    assert run.limit_gap == pytest.approx(greedy_limit_gap(t), rel=1e-7)

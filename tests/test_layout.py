@@ -242,17 +242,71 @@ def small_float_literals(source: str) -> Counter:
 
 def test_thresholds_outside_geom_are_single_site_parameters():
     """geom names the shared tolerances; every other small literal is one
-    algorithm's own parameter at one site: greedy's escape slack (twice, one
-    per bound), settle test, angle-sum check and ratio-grid filter, the
-    slack of verify_1gap_optimality, and grid3's pruning margin and u2
-    walk slack, 1e-9 and 1e-12 of the diameter of geom.local_frame's copy,
-    in [1, 2)."""
+    algorithm's own parameter at one site: greedy's settle test, angle-sum
+    check and ratio-grid filter, the slack of verify_1gap_optimality, and
+    grid3's pruning margin and u2 walk slack, 1e-9 and 1e-12 of the
+    diameter of geom.local_frame's copy, in [1, 2)."""
     found = {
         path.name: dict(literals)
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "geom.py" and (literals := small_float_literals(path.read_text(encoding="utf-8")))
     }
-    assert found == {"greedy.py": {1e-9: 3, 1e-12: 2}, "orthic.py": {1e-9: 1}, "search.py": {1e-9: 1, 1e-12: 1}}
+    assert found == {"greedy.py": {1e-9: 1, 1e-12: 2}, "orthic.py": {1e-9: 1}, "search.py": {1e-9: 1, 1e-12: 1}}
+
+
+def unconstructed_exceptions(modules: dict[str, str]) -> list[str]:
+    """The exception classes that `modules` (name -> source) define and
+    that no module calls or raises, by name or as an attribute: each
+    subclasses a builtin exception or another such class of the modules."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    exceptions = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name)
+                and (base.id in exceptions or isinstance(getattr(builtins, base.id, None), type)
+                     and issubclass(getattr(builtins, base.id), BaseException))
+                for base in node.bases
+            ):
+                exceptions[node.name] = f"{name}.{node.name}"
+    # `raise E` constructs E, as `raise E()` does.
+    targets = [
+        node.func if isinstance(node, ast.Call) else node.exc
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Call, ast.Raise))
+    ]
+    called = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in targets
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return [qualified for cls, qualified in exceptions.items() if cls not in called]
+
+
+def test_every_exception_class_is_constructed():
+    """An exception class outlives its last raise only by mistake: each one
+    the package defines is constructed somewhere in the package."""
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unconstructed_exceptions(modules) == []
+
+
+def test_exception_construction_check_catches_each_form():
+    modules = {
+        "geom": "class Off(ValueError):\n    pass\nclass Stale(RuntimeError):\n    pass\n"
+        "class Base(Exception):\n    pass\nclass Sub(Base):\n    pass\nclass Shape:\n    pass\n"
+        "def off(p):\n    return Off(p)",
+        "greedy": "from . import geom\nraise geom.Base('x')",
+    }
+    # A call by name or as a module attribute counts; a subclass of another
+    # exception class counts as one; a class that is no exception is exempt.
+    assert unconstructed_exceptions(modules) == ["geom.Stale", "geom.Sub"]
+    # Naming, catching or subclassing a class is no construction.
+    modules["greedy"] += "\ntry:\n    pass\nexcept geom.Stale:\n    pass\nE = geom.Sub"
+    assert unconstructed_exceptions(modules) == ["geom.Stale", "geom.Sub"]
+    # A bare raise of the class constructs it.
+    modules["greedy"] += "\nraise geom.Sub()\nraise Stale"
+    assert unconstructed_exceptions(modules) == []
 
 
 def names_read(tree: ast.AST) -> set[str]:

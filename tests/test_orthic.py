@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from tripatrol.geom import (
+    PARALLEL_SIN_TOL,
     EdgeId,
     NotAcute,
     Point,
@@ -207,6 +208,34 @@ def test_sub_orthic_lambda_zero_is_doubled_orthic(rng, equilateral):
             assert p1.dist(p2) <= tol
             assert min(p1.dist(f) for f in feet) <= tol
         assert is_k_periodic(s, 3)
+
+
+def crossing_sines(t: Triangle) -> list[float]:
+    """The sine of the angle at which the channel direction meets each line
+    that sub_orthic_schedule crosses: BC, the five mirrors and B2C2."""
+    unf = reflection_chain(t)
+    d = unf.direction
+    lines = ((unf.base.b, unf.base.c), *unf.mirrors, (unf.b2, unf.c2))
+    return [abs(d.cross(q - p)) / p.dist(q) for p, q in lines]
+
+
+def test_sub_orthic_crossings_are_far_from_parallel_but_on_thin_triangles(rng):
+    # Exactly, the channel meets each line at the angle A, B or C, at least
+    # 0.08 rad here, so sub_orthic_schedule's parallel test cannot fire.
+    for _ in range(50):
+        assert min(crossing_sines(random_acute_triangle(rng))) >= 1e-10
+    # Angle B is 2.6e-9 rad here, but the float unfolding of this thin
+    # near-right triangle is inexact enough that its direction meets two
+    # mirrors at a sine of 5e-17: the test refuses, where the crossing
+    # would divide by zero.
+    thin = Triangle(
+        Point(-2.491462513711181, -1.9120268668496627),
+        Point(-2.8818586721283, -1.2632582850378604),
+        Point(-2.4914625153875947, -1.9120268678584438),
+    )
+    assert min(crossing_sines(thin)) < PARALLEL_SIN_TOL
+    with pytest.raises(ValueError, match="lines are parallel"):
+        sub_orthic_schedule(thin, 0.0)
 
 
 def test_sub_orthic_is_cyclic_6_periodic(rng):

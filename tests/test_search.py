@@ -622,6 +622,18 @@ def test_verify_1gap_optimality(rng, equilateral):
         assert verify_1gap_optimality(random_acute_triangle(rng), 100)
 
 
+def test_verify_1gap_optimality_allows_rounding_on_a_thin_triangle():
+    # 2P is ~9.4e-8 diameters here, so the rows' rounding, a fraction of
+    # eps * diameter, is ~1e-9 of the 1-gap: upper - lower came out 4.9e-17
+    # at bound_k = 0, above a slack of 1e-9 * upper = 4.7e-17 alone.
+    t = Triangle(
+        Point(0.6371651029824486, -0.7707273392979941),
+        Point(0.0, 0.0),
+        Point(0.6371650848392733, -0.7707273542970703),
+    )
+    assert verify_1gap_optimality(t, 100)
+
+
 def test_verify_1gap_optimality_refuses_depth_zero(equilateral):
     """The argument is the unfolding depth k; k = 0 is refused, not clamped to 1."""
     with pytest.raises(ValueError, match="k_max must be >= 1"):
