@@ -5,7 +5,6 @@ from .geom import (
     EdgeId,
     NotAcute,
     Point,
-    PointOffEdge,
     Triangle,
     angles,
     is_acute,
@@ -53,7 +52,6 @@ __all__ = [
     "EdgeId",
     "NotAcute",
     "Point",
-    "PointOffEdge",
     "Triangle",
     "angles",
     "is_acute",

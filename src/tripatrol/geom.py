@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 
-# Lengths, per unit of diameter: off-edge residuals, coincident points and
-# visit times (per diameter squared: the collinearity test's cross product).
+# Lengths, per unit of diameter: coincident points and visit times (per
+# diameter squared: the collinearity test's cross product).
 DEFAULT_REL_TOL = 1e-9
 
 # Angular slack used when classifying a triangle as acute: a max angle
@@ -48,8 +48,9 @@ ACUTE_ANGLE_TOL = 1e-9
 # check of sub_orthic_schedule's folded trajectory reads SWEEP_REL_TOL).
 CHECK_REL_TOL = 1e-10
 
-# The channel sweep folds through five mirrors, so it allows more: residuals
-# per diameter, and the width of its edge parameters' snap to a vertex.
+# The channel sweep folds through five mirrors, so it allows more: the
+# closure of its folded trajectory per diameter, and the width of its edge
+# parameters' snap to a vertex.
 SWEEP_REL_TOL = 1e-8
 
 # Two lines whose angle has a smaller sine are parallel.
@@ -64,10 +65,6 @@ VERTEX_SNAP = 1e-12
 
 class DegenerateTriangle(ValueError):
     """Vertices are (numerically) collinear, or too far apart for the float range."""
-
-
-class PointOffEdge(ValueError):
-    """A point handed to edge_param does not lie on the edge's line."""
 
 
 class NotAcute(ValueError):
@@ -309,30 +306,6 @@ def edge_point(t: Triangle, e: EdgeId, u: float) -> Point:
     return Point(s.x + u * (f.x - s.x), s.y + u * (f.y - s.y))
 
 
-def edge_param(t: Triangle, e: EdgeId, p: Point) -> float:
-    """Normalized parameter of p along edge e; raises PointOffEdge if p is off the line."""
-    sx, sy, dx, dy, dd, length = edge_frame(t, e)
-    wx, wy = p.x - sx, p.y - sy
-    resid = abs(dx * wy - dy * wx) / length
-    if resid > t.tol():
-        raise point_off_edge(p.as_tuple(), resid, e)
-    return (wx * dx + wy * dy) / dd
-
-
-def edge_frame(t: Triangle, e: EdgeId) -> tuple[float, float, float, float, float, float]:
-    """What edge_param reads of edge e: its start (sx, sy), difference
-    vector (dx, dy), squared length dd and length sqrt(dd)."""
-    s, f = t.edges[e]
-    dx, dy = f.x - s.x, f.y - s.y
-    dd = dx * dx + dy * dy
-    return (s.x, s.y, dx, dy, dd, math.sqrt(dd))
-
-
-def point_off_edge(p: XY, resid: float, e: EdgeId) -> PointOffEdge:
-    """The error of edge_param for a point p found resid off the line of edge e."""
-    return PointOffEdge(f"point {Point(*p)} is {resid:g} off the line of edge {e.name}")
-
-
 def vertex_edges(e: EdgeId, u: float) -> tuple[EdgeId, ...]:
     """Edges visited by a point at parameter u on edge e (two if u is a vertex)."""
     if u <= VERTEX_SNAP:
@@ -362,14 +335,27 @@ def project_along(p: XY, a: Point, d: XY) -> XY:
     return (a.x + d[0] * s, a.y + d[1] * s)
 
 
-def project_onto_line(p: Point, line: Line) -> Point:
-    """Foot of the perpendicular from p onto the (infinite) line."""
-    return Point(*project_along(p.as_tuple(), line[0], line_dir(line)))
+def edge_frame(t: Triangle, e: EdgeId) -> tuple[float, float, float, float, float, float, float]:
+    """What foot_on_edge reads of edge e: its start (sx, sy), difference
+    vector (dx, dy), squared length dd and unit direction (ux, uy)."""
+    s, f = t.edges[e]
+    dx, dy = f.x - s.x, f.y - s.y
+    return (s.x, s.y, dx, dy, dx * dx + dy * dy, *line_dir((s, f)))
 
 
-def project_onto_edge(p: Point, t: Triangle, e: EdgeId) -> Point:
-    """Foot of the perpendicular from p onto the line through edge e."""
-    return project_onto_line(p, t.edges[e])
+def foot_on_edge(
+    x: float, y: float, sx: float, sy: float, dx: float, dy: float, dd: float, ux: float, uy: float
+) -> tuple[float, float, float]:
+    """The foot of (x, y) on the line of the edge whose edge_frame is (sx,
+    sy, dx, dy, dd, ux, uy), and its edge parameter, clamped to [0, 1].
+    The foot lies on the line, and the greedy walk's feet and the altitude
+    feet of an acute triangle lie on the edge: their parameters leave
+    [0, 1] by rounding alone, by a few eps * diameter / |edge|
+    (tests/test_greedy.py and tests/test_orthic.py measure both)."""
+    s = (x - sx) * ux + (y - sy) * uy
+    x, y = sx + ux * s, sy + uy * s
+    u = ((x - sx) * dx + (y - sy) * dy) / dd
+    return x, y, (u if u < 1.0 else 1.0) if u > 0.0 else 0.0
 
 
 def line_intersection(l1: Line, l2: Line) -> Point:

@@ -26,7 +26,7 @@ from .geom import (
     angles,
     edge_frame,
     edge_point,
-    line_dir,
+    foot_on_edge,
     local_frame,
     require_acute,
     slot_setters,
@@ -104,13 +104,13 @@ def greedy_run(
     visited = [SchedulePoint(EdgeId.A, start_u)]
     p = edge_point(local, EdgeId.A, start_u)
     x, y = p.x, p.y
-    steps = [(e, edge_frame(local, e)[:5] + line_dir(local.edges[e])) for e in cycle]
+    steps = [(e, edge_frame(local, e)) for e in cycle]
     iterates = [start_u]
     converged = False
     its = num_cycles
     for i in range(num_cycles):
         for e, step in steps:
-            x, y, u = _step(x, y, *step)
+            x, y, u = foot_on_edge(x, y, *step)
             visited.append(SchedulePoint(e, u))
         d = visited[-1].u
         iterates.append(d)
@@ -137,20 +137,6 @@ def greedy_run(
     )
 
 
-def _step(
-    x: float, y: float, sx: float, sy: float, dx: float, dy: float, dd: float, ux: float, uy: float
-) -> tuple[float, float, float]:
-    """The foot of (x, y) on the line of the edge from (sx, sy) along (dx,
-    dy), dd = |(dx, dy)|^2, with unit direction (ux, uy); and its edge
-    parameter, clamped to [0, 1].  The foot lies on the line and, for acute
-    input, on the edge: its parameter leaves [0, 1] by rounding alone, by
-    a few eps * diameter / |edge| (tests/test_greedy.py measures both)."""
-    s = (x - sx) * ux + (y - sy) * uy
-    x, y = sx + ux * s, sy + uy * s
-    u = ((x - sx) * dx + (y - sy) * dy) / dd
-    return x, y, (u if u < 1.0 else 1.0) if u > 0.0 else 0.0
-
-
 def _limit_schedule(t: Triangle, local: Triangle, fixed_u: float, steps: list) -> Schedule:
     """The limit cycle of t through fixed_u on BC: one cycle of the walk's
     steps on local = local_frame(t)[0], with the start and the first two
@@ -158,9 +144,9 @@ def _limit_schedule(t: Triangle, local: Triangle, fixed_u: float, steps: list) -
     the start."""
     d = edge_point(local, EdgeId.A, fixed_u)
     (e1, step1), (e2, step2), (_, step3) = steps
-    x, y, u1 = _step(d.x, d.y, *step1)
-    x, y, u2 = _step(x, y, *step2)
-    x, y, _ = _step(x, y, *step3)
+    x, y, u1 = foot_on_edge(d.x, d.y, *step1)
+    x, y, u2 = foot_on_edge(x, y, *step2)
+    x, y, _ = foot_on_edge(x, y, *step3)
     if math.hypot(x - d.x, y - d.y) > CHECK_REL_TOL * local.diameter:
         raise AssertionError("limit cycle failed to close onto its fixed point")
     start = SchedulePoint(EdgeId.A, min(max(fixed_u, 0.0), 1.0))

@@ -48,14 +48,12 @@ from .geom import (
     Triangle,
     angles,
     edge_frame,
-    edge_param,
+    foot_on_edge,
     line_dir,
     line_intersection,
     local_frame,
     place,
-    point_off_edge,
     project_along,
-    project_onto_edge,
     require_acute,
     signed_offset,
     slot_setters,
@@ -95,35 +93,31 @@ def orthic_perimeter(t: Triangle) -> float:
     return 2.0 * t.perimeter / inv
 
 
+def _feet(t: Triangle) -> list[tuple[float, float, float]]:
+    """The altitude feet K, L, M of acute t on edges A, B and C, each as
+    (x, y, u): the foot and its edge parameter, clamped to [0, 1]."""
+    require_acute(t)
+    return [foot_on_edge(v.x, v.y, *edge_frame(t, e)) for v, e in zip(t.vertices, EdgeId)]
+
+
 def orthic_triangle(t: Triangle) -> OrthicData:
     """Altitude feet K, L, M and the orthic perimeter of an acute triangle,
     computed on local_frame(t) and placed back."""
     local, origin, scale = local_frame(t)
-    if local is not t:
-        data = orthic_triangle(local)
-        k, l, m = [place(p.x, p.y, origin, scale) for p in (data.k_foot, data.l_foot, data.m_foot)]
-        return OrthicData(k, l, m, data.perimeter * scale, data.x0)
-    require_acute(t)
-    k = project_onto_edge(t.a, t, EdgeId.A)
-    l = project_onto_edge(t.b, t, EdgeId.B)
-    m = project_onto_edge(t.c, t, EdgeId.C)
-    a_ang, b_ang, c_ang = angles(t)
+    k, l, m = [Point(x, y) for x, y, _ in _feet(local)]
+    a_ang, b_ang, c_ang = angles(local)
     x0 = math.cos(a_ang) * math.sin(c_ang) / math.sin(b_ang)
-    per = k.dist(l) + l.dist(m) + m.dist(k)
+    per = (k.dist(l) + l.dist(m) + m.dist(k)) * scale
+    if local is not t:
+        k, l, m = [place(p.x, p.y, origin, scale) for p in (k, l, m)]
     return OrthicData(k_foot=k, l_foot=l, m_foot=m, perimeter=per, x0=x0)
 
 
 def orthic_schedule(t: Triangle) -> Schedule:
     """The 3-periodic cyclic schedule along the orthic triangle K -> M -> L."""
-    local = local_frame(t)[0]
-    data = orthic_triangle(local)
+    (_, _, uk), (_, _, ul), (_, _, um) = _feet(local_frame(t)[0])
     return Schedule(
-        t,
-        (
-            SchedulePoint(EdgeId.A, edge_param(local, EdgeId.A, data.k_foot)),
-            SchedulePoint(EdgeId.C, edge_param(local, EdgeId.C, data.m_foot)),
-            SchedulePoint(EdgeId.B, edge_param(local, EdgeId.B, data.l_foot)),
-        ),
+        t, (SchedulePoint(EdgeId.A, uk), SchedulePoint(EdgeId.C, um), SchedulePoint(EdgeId.B, ul))
     )
 
 
@@ -222,7 +216,8 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     difference vector and that vector's hypot, and the fold steps (mirror
     point, unit direction) that map a point of its copy back onto the base,
     the deepest mirror first; and for each crossing but the last, the edge
-    of t it lies on and that edge's edge_frame.  bound, for
+    of t it lies on and the start, difference vector and squared length of
+    that edge's edge_frame.  bound, for
     lower_bound_profile: BC, the two channel boundaries and k2 - k."""
     local, origin, scale = local_frame(t)
     require_acute(local)
@@ -265,7 +260,7 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     for (p, q), depth in zip(((b, c), *mirrors, (b2, c2)), _FOLD_DEPTHS):
         dx, dy = q.x - p.x, q.y - p.y
         lines.append((p.x, p.y, dx, dy, math.hypot(dx, dy), tuple(reversed(steps[:depth]))))
-    frames = tuple((edge_map[e], *edge_frame(local, edge_map[e])) for e in _CROSSED_EDGES)
+    frames = tuple((edge_map[e], *edge_frame(local, edge_map[e])[:5]) for e in _CROSSED_EDGES)
     sweep = (k.x, k.y, abs(off_low), abs(off_high), tuple(lines), frames)
     bound = ((b, c), low_line, high_line, w)
 
@@ -343,15 +338,17 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     The line runs from anchor = k + normal * offset to anchor + direction *
     diameter, in local_frame(t).  Its crossing with each line of the
     unfolding's sweep data is folded back onto the base; the crossing with
-    B2C2 must fold back onto the one with BC.  The edge parameters are
-    those of t.
+    B2C2 must fold back onto the one with BC.  Each fold reflects across
+    the mirror that built the copy, so a folded crossing lies on its base
+    edge's line by construction (tests/test_orthic.py measures it).  The
+    edge parameters are those of t.
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
-    local, origin, scale = local_frame(t)
+    diam = local_frame(t)[0].diameter
     unf, (kx, ky, low, high, lines, frames), _ = _chain(t)
     off = lam * (high if lam >= 0.0 else low)
-    n, d, diam = unf.normal, unf.direction, local.diameter
+    n, d = unf.normal, unf.direction
     ax, ay = kx + n.x * off, ky + n.y * off
     qx, qy = ax + d.x * diam, ay + d.y * diam
     d1x, d1y = qx - ax, qy - ay
@@ -371,14 +368,10 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     if math.dist(closing, folded[0]) > SWEEP_REL_TOL * diam:
         raise AssertionError("folded trajectory failed to close up")
 
-    tol, snap = SWEEP_REL_TOL * diam, unf.snap
+    snap = unf.snap
     pts = []
-    for (x, y), (edge, sx, sy, dx, dy, dd, length) in zip(folded, frames):
-        wx, wy = x - sx, y - sy
-        resid = abs(dx * wy - dy * wx) / length
-        if resid > tol:
-            raise point_off_edge(place(x, y, origin, scale).as_tuple(), resid * scale, edge)
-        u = (wx * dx + wy * dy) / dd
+    for (x, y), (edge, sx, sy, dx, dy, dd) in zip(folded, frames):
+        u = ((x - sx) * dx + (y - sy) * dy) / dd
         if abs(u) <= snap:
             u = 0.0
         elif abs(u - 1.0) <= snap:

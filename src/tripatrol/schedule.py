@@ -152,11 +152,15 @@ class GapReport(Record):
         horizon: int,
         mode: str = "periodic",
     ):
-        for store, value in zip(_SET_GAP_REPORT, (t, per_edge_gaps, per_edge_sup, overall, horizon, mode)):
-            store(self, value)
+        _set_t(self, t)
+        _set_per_edge_gaps(self, per_edge_gaps)
+        _set_per_edge_sup(self, per_edge_sup)
+        _set_overall(self, overall)
+        _set_horizon(self, horizon)
+        _set_mode(self, mode)
 
 
-_SET_GAP_REPORT = slot_setters(GapReport)
+_set_t, _set_per_edge_gaps, _set_per_edge_sup, _set_overall, _set_horizon, _set_mode = slot_setters(GapReport)
 
 
 def _visit_times(

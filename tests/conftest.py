@@ -4,7 +4,7 @@ import random
 import pytest
 
 from tripatrol import orthic
-from tripatrol.geom import Point, Triangle
+from tripatrol.geom import DegenerateTriangle, Point, Triangle, is_acute
 
 
 def random_acute_triangle(rng: random.Random, margin: float = 0.08) -> Triangle:
@@ -50,6 +50,31 @@ def placed_triangle(rng: random.Random, b_ang: float, c_ang: float) -> Triangle:
     return Triangle(
         *[Point(ct * v.x - st * v.y + dx, st * v.x + ct * v.y + dy) for v in pts]
     )
+
+
+def thin_triangles(rng: random.Random, count: int) -> list[Triangle]:
+    """The acute triangles among count draws with angle B = 10^U(-9, -1)
+    and C = pi/2 - B * U(0.05, 0.95), placed by conftest.placed_triangle:
+    a short edge AC, and A and C near right angles."""
+    out = []
+    for _ in range(count):
+        b_ang = 10.0 ** rng.uniform(-9.0, -1.0)
+        c_ang = math.pi / 2 - b_ang * rng.uniform(0.05, 0.95)
+        try:
+            t = placed_triangle(rng, b_ang, c_ang)
+        except DegenerateTriangle:
+            continue
+        if is_acute(t):
+            out.append(t)
+    return out
+
+
+# On a constructed point of an edge's line, in units of eps * diameter of
+# the local frame: its distance from the line, and how far its raw edge
+# parameter lies outside [0, 1] times the edge's length.  Measured on the
+# greedy walk's feet at most 1.26 and 2.03 over 8,400 thin triangles, both
+# directions, two starts each.
+FOOT_EPS = 16
 
 
 # The two golden-file triangles, an obtuse one and a thin one.

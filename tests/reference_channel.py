@@ -6,8 +6,8 @@ the sweep data on Unfolding, the edges on Triangle and the inline loops;
 and greedy_ratio_extremes as it was written on numpy grids.  Their
 intersections, folds and edge parameters come from reference_geom, so a
 change to geom cannot move the references it is checked against.
-greedy_feet is the walk's projections alone, unchecked, for the tests
-that measure them.
+greedy_feet is the walk's projections alone, and folded_crossings the
+sweep's folded crossings, unchecked, for the tests that measure them.
 
 The caller_frame_* functions are those bodies, run on the triangle they
 are given.  The public ones run the same bodies on geom.local_frame(t)'s
@@ -17,10 +17,13 @@ gap or travel time adds leg lengths measured on the local frame, times the
 scale.  tripatrol must return the same values, bit for bit, and raise the
 same exceptions with the same messages as the public ones on every input,
 but for v_k near a right angle, where tripatrol's one distance and this
-least of four may round a few ulps apart, and for greedy_run on thin
+least of four may round a few ulps apart; for greedy_run on thin
 triangles, where this walk's escape test and this limit cycle's unclamped
-edge parameters refuse rounding that tripatrol clamps; the
-caller_frame_* ones check the frame itself.  They are kept only for
+edge parameters refuse rounding that tripatrol clamps; and for a folded
+crossing more than 1e-8 diameters off its edge's line, which this
+sub_orthic_schedule refuses with reference_geom.PointOffEdge and
+tripatrol does not test (tests/test_orthic.py measures that distance).
+The caller_frame_* ones check the frame itself.  They are kept only for
 the tests to compare against.
 """
 
@@ -71,6 +74,27 @@ def caller_frame_sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     boundary through A; in between the offset interpolates linearly in
     signed distance on each side.
     """
+    folded, closing = folded_crossings(t, lam)
+    unf = reflection_chain(t)
+    # The line's exit through the final copy's base must fold back onto the start.
+    if closing.dist(folded[0][1]) > 1e-8 * t.diameter:
+        raise AssertionError("folded trajectory failed to close up")
+
+    pts = []
+    for edge, p in folded:
+        u = ref.edge_param(t, edge, p, rel_tol=1e-8)
+        if abs(u) <= unf.snap:
+            u = 0.0
+        elif abs(u - 1.0) <= unf.snap:
+            u = 1.0
+        pts.append(SchedulePoint(edge, u))
+    return Schedule(t, tuple(pts))
+
+
+def folded_crossings(t: Triangle, lam: float) -> tuple[list[tuple[EdgeId, Point]], Point]:
+    """(folded, closing): the crossings of the channel line at lam with BC
+    and each mirror of reflection_chain(t), each folded back onto the base
+    with the edge of t it lies on; and its crossing with B2C2, folded back."""
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
     unf = reflection_chain(t)
@@ -80,23 +104,11 @@ def caller_frame_sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
 
     crossed = ((unf.base.b, unf.base.c),) + unf.mirrors
     folded = [
-        ref.fold(unf.mirrors, ref.line_intersection(line, cl), n) for cl, n in zip(crossed, _FOLD_DEPTHS)
+        (unf.edge_map[e], ref.fold(unf.mirrors, ref.line_intersection(line, cl), n))
+        for cl, e, n in zip(crossed, _CROSSED_EDGES, _FOLD_DEPTHS)
     ]
-    # The line's exit through the final copy's base must fold back onto the start.
     closing = ref.fold(unf.mirrors, ref.line_intersection(line, (unf.b2, unf.c2)), len(unf.mirrors))
-    if closing.dist(folded[0]) > 1e-8 * t.diameter:
-        raise AssertionError("folded trajectory failed to close up")
-
-    pts = []
-    for p, rel_edge in zip(folded, _CROSSED_EDGES):
-        edge = unf.edge_map[rel_edge]
-        u = ref.edge_param(t, edge, p, rel_tol=1e-8)
-        if abs(u) <= unf.snap:
-            u = 0.0
-        elif abs(u - 1.0) <= unf.snap:
-            u = 1.0
-        pts.append(SchedulePoint(edge, u))
-    return Schedule(t, tuple(pts))
+    return folded, closing
 
 
 def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:

@@ -3,11 +3,14 @@ parameter, angles and line intersection, and the fold loop of the unfolding,
 with a Point built at every step.
 
 tripatrol.geom must return exactly the same floats, and raise the same
-exceptions with the same messages, as these, and the mirror images of
-tripatrol.search._segments must equal reflect_point's.  They are slow and
-kept only for the tests to compare against; fold is the unfolding's former fold,
-which the sweep's fold steps replaced, and the bit gate and the reference
-channel kernels fold with it.
+exceptions with the same messages, as these: geom.foot_on_edge gives the
+foot of project_onto_line and the parameter of edge_coordinates, clamped
+to [0, 1], and the mirror images of tripatrol.search._segments must equal
+reflect_point's.  They are slow and kept only for the tests to compare
+against.  edge_param, with its off-line test and its own PointOffEdge, is
+the library's former edge parameter; the reference channel and walk read
+it.  fold is the unfolding's former fold, which the sweep's fold steps
+replaced, and the bit gate and the reference channel kernels fold with it.
 
 count_edge_hits is the unfolding's former channel check, a segment-line
 test per edge; the vertex-offset test of reference_exact.straddles must
@@ -16,9 +19,13 @@ agree with "at least two hits" wherever no vertex lies near the line.
 
 import math
 
-from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, PointOffEdge, Triangle, local_frame
+from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, Triangle, local_frame
 
 Line = tuple[Point, Point]
+
+
+class PointOffEdge(ValueError):
+    """A point handed to edge_param does not lie on the edge's line."""
 
 
 def edge_coordinates(t: Triangle, e: EdgeId, p: Point) -> tuple[float, float]:

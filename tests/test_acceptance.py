@@ -23,7 +23,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from tripatrol.geom import EdgeId, Triangle, edge_param
+from reference_geom import edge_param
+from tripatrol.geom import EdgeId, Triangle
 from tripatrol.greedy import greedy_limit_gap, greedy_ratio, greedy_ratio_extremes, greedy_run
 from tripatrol.orthic import (
     lower_bound_profile,

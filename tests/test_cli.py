@@ -214,6 +214,15 @@ def test_greedy_succeeds_on_thin_triangles(vertices, capsys, monkeypatch, tmp_pa
     assert code == 0, out
 
 
+def test_orthic_succeeds_on_a_thin_triangle(capsys, monkeypatch, tmp_path):
+    # Angle B is 7.8e-9 rad: the foot K's raw parameter on BC rounds to
+    # 1 + 2^-52, which once exited 2 with "edge parameter
+    # 1.0000000000000002 outside [0, 1]".
+    vertices = "3.093013915764694,1.1045671530825059 4.480577485588302,2.52264103881799 3.0930139046465754,1.1045671639614145"
+    code, out = run_cli(["orthic", "--vertices", *vertices.split()], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -10,16 +10,15 @@ from tripatrol.geom import (
     DegenerateTriangle,
     EdgeId,
     Point,
-    PointOffEdge,
     Triangle,
     angles,
-    edge_param,
+    edge_frame,
     edge_point,
+    foot_on_edge,
     is_acute,
+    line_dir,
     line_intersection,
     local_frame,
-    project_onto_edge,
-    project_onto_line,
 )
 from conftest import random_acute_triangle
 from make_goldens import EQ, RI
@@ -193,14 +192,20 @@ def test_degenerate_triangle_rejected():
         Triangle(Point(0, 0), Point(0, 0), Point(1, 1))
 
 
+def foot(p: Point, t: Triangle, e: EdgeId) -> tuple[Point, float]:
+    """The foot of p on the line of edge e, and its clamped edge parameter."""
+    x, y, u = foot_on_edge(p.x, p.y, *edge_frame(t, e))
+    return Point(x, y), u
+
+
 def test_projection_identity_and_symmetry(equilateral):
     # A point already on the edge line projects to itself.
     p = edge_point(equilateral, EdgeId.A, 0.37)
-    assert project_onto_edge(p, equilateral, EdgeId.A).dist(p) < 1e-15
+    assert foot(p, equilateral, EdgeId.A)[0].dist(p) < 1e-15
     # Vertex A of the equilateral projects onto the midpoint of BC.
-    foot = project_onto_edge(equilateral.a, equilateral, EdgeId.A)
+    k = foot(equilateral.a, equilateral, EdgeId.A)[0]
     mid = edge_point(equilateral, EdgeId.A, 0.5)
-    assert foot.dist(mid) < 1e-15
+    assert k.dist(mid) < 1e-15
 
 
 def test_projection_orthogonality_residual(rng):
@@ -208,7 +213,7 @@ def test_projection_orthogonality_residual(rng):
         t = random_acute_triangle(rng)
         p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         e = rng.choice(list(EdgeId))
-        q = project_onto_edge(p, t, e)
+        q = foot(p, t, e)[0]
         s, f = t.edges[e]
         d = f - s
         assert abs((q - p).dot(d)) / (d.norm() * max(1.0, (q - p).norm())) < 1e-12
@@ -219,40 +224,39 @@ def test_projection_minimality(rng):
         t = random_acute_triangle(rng)
         p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         e = rng.choice(list(EdgeId))
-        foot = project_onto_edge(p, t, e)
+        q = foot(p, t, e)[0]
         for _ in range(20):
-            q = edge_point(t, e, rng.uniform(-2, 3))
-            assert p.dist(foot) <= p.dist(q) + 1e-12
+            r = edge_point(t, e, rng.uniform(-2, 3))
+            assert p.dist(q) <= p.dist(r) + 1e-12
 
 
 def test_projection_coincident_endpoints_error():
     with pytest.raises(ValueError, match="line endpoints coincide"):
-        project_onto_line(Point(1, 2), (Point(3, 3), Point(3, 3)))
+        line_dir((Point(3, 3), Point(3, 3)))
 
 
 def test_edge_param_conventions(equilateral):
     # Endpoint order: A: B->C, B: A->C, C: A->B.
-    assert edge_param(equilateral, EdgeId.A, equilateral.b) == pytest.approx(0.0, abs=1e-15)
-    assert edge_param(equilateral, EdgeId.A, equilateral.c) == pytest.approx(1.0, abs=1e-15)
-    assert edge_param(equilateral, EdgeId.B, equilateral.a) == pytest.approx(0.0, abs=1e-15)
-    assert edge_param(equilateral, EdgeId.C, equilateral.b) == pytest.approx(1.0, abs=1e-15)
+    assert foot(equilateral.b, equilateral, EdgeId.A)[1] == pytest.approx(0.0, abs=1e-15)
+    assert foot(equilateral.c, equilateral, EdgeId.A)[1] == pytest.approx(1.0, abs=1e-15)
+    assert foot(equilateral.a, equilateral, EdgeId.B)[1] == pytest.approx(0.0, abs=1e-15)
+    assert foot(equilateral.b, equilateral, EdgeId.C)[1] == pytest.approx(1.0, abs=1e-15)
     mid = edge_point(equilateral, EdgeId.B, 0.5)
-    assert edge_param(equilateral, EdgeId.B, mid) == pytest.approx(0.5, abs=1e-15)
+    assert foot(mid, equilateral, EdgeId.B)[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_edge_param_round_trip(rng):
+    # A point of the edge's line is its own foot; its parameter is clamped
+    # to the edge.
     for _ in range(200):
         t = random_acute_triangle(rng)
         e = rng.choice(list(EdgeId))
         u = rng.uniform(-0.5, 1.5)
         p = edge_point(t, e, u)
-        u2 = edge_param(t, e, p)
-        assert edge_point(t, e, u2).dist(p) <= 1e-12 * t.diameter
-
-
-def test_edge_param_off_edge_error(equilateral):
-    with pytest.raises(PointOffEdge):
-        edge_param(equilateral, EdgeId.A, Point(0.5, 0.25))
+        q, u2 = foot(p, t, e)
+        assert q.dist(p) <= 1e-12 * t.diameter
+        assert u2 == pytest.approx(min(max(u, 0.0), 1.0), abs=1e-12)
+        assert 0.0 <= u2 <= 1.0
 
 
 def test_line_intersection():

@@ -6,7 +6,7 @@ import pytest
 
 import reference_channel
 import reference_geom
-from tripatrol.geom import DegenerateTriangle, NotAcute, Point, Triangle, angles, is_acute, local_frame
+from tripatrol.geom import NotAcute, Point, Triangle, angles, local_frame
 from tripatrol.greedy import (
     _ratio_formula,
     greedy_limit_gap,
@@ -15,7 +15,7 @@ from tripatrol.greedy import (
     greedy_run,
     recurrence_constants,
 )
-from conftest import placed_triangle, random_acute_triangle
+from conftest import FOOT_EPS, random_acute_triangle, thin_triangles
 
 SQRT3 = math.sqrt(3.0)
 
@@ -228,30 +228,6 @@ def test_greedy_settles_far_from_the_origin():
             run = greedy_run(moved, start, 600, direction)
             assert run.converged and run.iterations_to_converge <= 20
             assert run.limit_gap == pytest.approx(greedy_limit_gap(t), rel=1e-9)
-
-
-def thin_triangles(rng: random.Random, count: int) -> list[Triangle]:
-    """The acute triangles among count draws with angle B = 10^U(-9, -1)
-    and C = pi/2 - B * U(0.05, 0.95), placed by conftest.placed_triangle:
-    a short edge AC, and A and C near right angles."""
-    out = []
-    for _ in range(count):
-        b_ang = 10.0 ** rng.uniform(-9.0, -1.0)
-        c_ang = math.pi / 2 - b_ang * rng.uniform(0.05, 0.95)
-        try:
-            t = placed_triangle(rng, b_ang, c_ang)
-        except DegenerateTriangle:
-            continue
-        if is_acute(t):
-            out.append(t)
-    return out
-
-
-# On the walk's feet, in units of eps * diameter of the local frame: the
-# distance from the edge's line, and how far the edge parameter lies
-# outside [0, 1] times the edge's length.  Measured at most 1.26 and 2.03
-# over 8,400 thin triangles, both directions, two starts each.
-FOOT_EPS = 16
 
 
 def test_greedy_runs_on_thin_triangles():

@@ -17,10 +17,10 @@ from tripatrol.geom import (
     Point,
     Triangle,
     angles,
-    edge_param,
+    edge_frame,
+    foot_on_edge,
     line_intersection,
     local_frame,
-    project_onto_line,
     signed_offset,
 )
 from tripatrol.search import _segments
@@ -67,9 +67,8 @@ def points(n: int):
 
 @SETTINGS
 @given(pts=points(3))
-def test_projection_and_reflection_match_reference(pts):
+def test_reflections_match_reference(pts):
     p, a, b = pts
-    assert outcome(project_onto_line, p, (a, b)) == outcome(ref.project_onto_line, p, (a, b))
     # _segments reflects B across AC and C across AB of the local frame on
     # floats: R_AC(B) is the start of its fourth segment, R_AB(C) - B the
     # difference of its fifth.
@@ -124,23 +123,34 @@ def test_line_intersection_raises_like_reference_where_products_overflow(xs, k):
     assert outcome(lambda: line_intersection((p, q), (r, s)).as_tuple()) == want
 
 
+def reference_foot(t: Triangle, e: EdgeId, p: Point) -> tuple[float, float, float]:
+    """The foot of p on edge e's line and its edge parameter clamped to
+    [0, 1], from the Point-based reference."""
+    f = ref.project_onto_line(p, t.edges[e])
+    u = ref.edge_coordinates(t, e, f)[0]
+    return f.x, f.y, min(1.0, max(0.0, u))
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
     frame=frames(),
     e=st.sampled_from(list(EdgeId)),
     u=st.floats(-0.5, 1.5),
-    off=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3]),
+    off=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3, 1.0]),
 )
-def test_edge_param_matches_reference(seed, frame, e, u, off):
-    """Points on, near and off an edge of a moved and scaled triangle."""
+def test_foot_on_edge_matches_reference(seed, frame, e, u, off):
+    """Points on, near and off an edge of a moved and scaled triangle: the
+    foot and its clamped parameter, or the error of a line whose ends
+    coincide at the offset's scale."""
     offset, scale = frame
     t = random_acute_triangle(random.Random(seed))
     t = Triangle(*(Point(offset + v.x * scale, offset + v.y * scale) for v in t.vertices))
     s, f = t.edges[e]
     n = t.diameter * off
     p = Point(s.x + u * (f.x - s.x) - n * (f.y - s.y), s.y + u * (f.y - s.y) + n * (f.x - s.x))
-    assert outcome(edge_param, t, e, p) == outcome(ref.edge_param, t, e, p)
+    got = outcome(lambda: foot_on_edge(p.x, p.y, *edge_frame(t, e)))
+    assert got == outcome(reference_foot, t, e, p)
 
 
 @SETTINGS

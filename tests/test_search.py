@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_search
+from reference_geom import edge_param
 
-from tripatrol.geom import EdgeId, Point, Triangle, edge_param, edge_point, local_frame
+from tripatrol.geom import EdgeId, Point, Triangle, edge_point, local_frame
 from tripatrol.orthic import (
     lower_bound_profile,
     orthic_perimeter,
