@@ -7,11 +7,10 @@ which the tests check, the first two on an exact rational reference; so
 each threshold below is numerical policy, named once and read by every
 site that applies it.  Lengths compare against a multiple of the
 triangle's diameter (`Triangle.tol()` is ``DEFAULT_REL_TOL * diameter``);
-the two closure checks and the channel sweep scale their own factor the
-same way; sines, angles and edge parameters are scale-free and compare
-against the bare constant.  A threshold that is one algorithm's own
-parameter at one site stays a literal there: greedy's settle test, the
-angle-sum check of `greedy_ratio`, the ratio grid's filter, the slack of
+sines, angles and edge parameters are scale-free and compare against the
+bare constant.  A threshold that is one algorithm's own parameter at one
+site stays a literal there: greedy's settle test, the angle-sum check of
+`greedy_ratio`, the ratio grid's filter, the slack of
 `verify_1gap_optimality`, the 3-periodic search's pruning margin and
 `line_dir`'s test.
 
@@ -44,13 +43,8 @@ DEFAULT_REL_TOL = 1e-9
 # within ACUTE_ANGLE_TOL of pi/2 counts as right, i.e. not acute.
 ACUTE_ANGLE_TOL = 1e-9
 
-# The closure check of greedy._limit_schedule, per diameter (the closure
-# check of sub_orthic_schedule's folded trajectory reads SWEEP_REL_TOL).
-CHECK_REL_TOL = 1e-10
-
-# The channel sweep folds through five mirrors, so it allows more: the
-# closure of its folded trajectory per diameter, and the width of its edge
-# parameters' snap to a vertex.
+# The channel sweep folds through five mirrors, so its edge parameters snap
+# to a vertex within this, a wider band than VERTEX_SNAP.
 SWEEP_REL_TOL = 1e-8
 
 # Two lines whose angle has a smaller sine are parallel.
@@ -208,12 +202,13 @@ class Triangle(Record):
         if not math.isfinite(d * d):
             raise DegenerateTriangle(f"vertices {a}, {b}, {c} too large for the float range")
         # The cross product of the sides scaled by 2^-e, to a diameter in
-        # [1, 2) as in local_frame: exact, and it cannot underflow.
+        # [1, 2) as in local_frame: exact, and it cannot underflow.  Where
+        # the vertices coincide (d = 0), both sides are 0 and so is dl.
         e = 1 - math.frexp(d)[1]
         ux, uy = math.ldexp(b.x - a.x, e), math.ldexp(b.y - a.y, e)
         wx, wy = math.ldexp(c.x - a.x, e), math.ldexp(c.y - a.y, e)
         dl = math.ldexp(d, e)
-        if d == 0.0 or abs(ux * wy - uy * wx) <= DEFAULT_REL_TOL * dl * dl:
+        if abs(ux * wy - uy * wx) <= DEFAULT_REL_TOL * dl * dl:
             raise DegenerateTriangle(f"collinear vertices {a}, {b}, {c}")
 
     @property

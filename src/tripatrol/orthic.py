@@ -28,9 +28,10 @@ Its exact identities (collinear feet, B2C2 parallel to BC, a channel
 that meets two edges of every copy) are tested, not checked here.
 
 Beside the unfolding, the entry keeps the local data its two readers
-compute on: for `sub_orthic_schedule`, the seven lines a channel line
-crosses with their fold steps and the edge frames of the local triangle;
-for `lower_bound_profile`, BC, the channel boundaries and k2 - k.
+compute on: for `sub_orthic_schedule`, BC and the five mirrors, the six
+lines a channel line crosses in one period, with their fold steps and the
+edge frames of the local triangle; for `lower_bound_profile`, BC, the
+channel boundaries and k2 - k.
 """
 
 from __future__ import annotations
@@ -190,9 +191,10 @@ _REFLECTED = (2, 1, 0, 2, 1)
 # The other two vertices of each index, in order: the mirror of its reflection.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
-# The channel line crosses BC, then each mirror, then B2C2: the fold depth
-# of each crossing, and the relabeled edge of each but the last.
-_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED) + 1))
+# The channel line crosses BC, then each mirror: the fold depth of each
+# crossing, and its relabeled edge.  Its next crossing, with B2C2, is BC's
+# image under the five reflections and folds back onto the first.
+_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED)))
 _CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
 
 
@@ -215,10 +217,10 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     then for each line the channel line crosses, its first point,
     difference vector and that vector's hypot, and the fold steps (mirror
     point, unit direction) that map a point of its copy back onto the base,
-    the deepest mirror first; and for each crossing but the last, the edge
-    of t it lies on and the start, difference vector and squared length of
-    that edge's edge_frame.  bound, for
-    lower_bound_profile: BC, the two channel boundaries and k2 - k."""
+    the deepest mirror first; and for each crossing, the edge of t it lies
+    on and the start, difference vector and squared length of that edge's
+    edge_frame.  bound, for lower_bound_profile: BC, the two channel
+    boundaries and k2 - k."""
     local, origin, scale = local_frame(t)
     require_acute(local)
     base, edge_map = _relabel(local)
@@ -257,7 +259,7 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     if off_high < 0.0:
         normal = normal * -1.0
     lines = []
-    for (p, q), depth in zip(((b, c), *mirrors, (b2, c2)), _FOLD_DEPTHS):
+    for (p, q), depth in zip(((b, c), *mirrors), _FOLD_DEPTHS):
         dx, dy = q.x - p.x, q.y - p.y
         lines.append((p.x, p.y, dx, dy, math.hypot(dx, dy), tuple(reversed(steps[:depth]))))
     frames = tuple((edge_map[e], *edge_frame(local, edge_map[e])[:5]) for e in _CROSSED_EDGES)
@@ -337,11 +339,12 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
 
     The line runs from anchor = k + normal * offset to anchor + direction *
     diameter, in local_frame(t).  Its crossing with each line of the
-    unfolding's sweep data is folded back onto the base; the crossing with
-    B2C2 must fold back onto the one with BC.  Each fold reflects across
-    the mirror that built the copy, so a folded crossing lies on its base
-    edge's line by construction (tests/test_orthic.py measures it).  The
-    edge parameters are those of t.
+    unfolding's sweep data is folded back onto the base.  Each fold
+    reflects across the mirror that built the copy, so a folded crossing
+    lies on its base edge's line by construction, and the line's next
+    crossing, with B2C2, folds back onto the one with BC: the six make one
+    period (tests/test_orthic.py measures both).  The edge parameters are
+    those of t.
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
@@ -364,9 +367,6 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
             s = (x - mx) * ux + (y - my) * uy
             x, y = 2.0 * (mx + ux * s) - x, 2.0 * (my + uy * s) - y
         folded.append((x, y))
-    closing = folded.pop()
-    if math.dist(closing, folded[0]) > SWEEP_REL_TOL * diam:
-        raise AssertionError("folded trajectory failed to close up")
 
     snap = unf.snap
     pts = []

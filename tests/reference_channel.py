@@ -35,7 +35,6 @@ from collections.abc import Iterator, Sequence
 
 import reference_geom as ref
 from tripatrol.geom import (
-    CHECK_REL_TOL,
     RIGHT_ANGLE_SLACK,
     XY,
     EdgeId,
@@ -346,7 +345,7 @@ def _limit_schedule(t: Triangle, fixed_u: float, cycle: tuple[EdgeId, ...]) -> S
         cur = ref.project_onto_line(cur, local.edges[e])
         pts.append(SchedulePoint(e, ref.edge_param(local, e, cur)))
     closing = ref.project_onto_line(cur, local.edges[EdgeId.A])
-    if closing.dist(d) > CHECK_REL_TOL * local.diameter:
+    if closing.dist(d) > 1e-10 * local.diameter:
         raise AssertionError("limit cycle failed to close onto its fixed point")
     return Schedule(t, tuple(pts))
 

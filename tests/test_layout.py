@@ -394,13 +394,15 @@ def unused_public_names(modules: dict[str, str], used_elsewhere: set[str]) -> li
     return found
 
 
+def _script_names() -> set[str]:
+    """Every name and attribute name the demos and perfbench scripts read."""
+    scripts = [path for folder in ("demos", "perfbench") for path in (REPO / folder).glob("*.py")]
+    return set().union(*(names_read(ast.parse(path.read_text(encoding="utf-8"))) for path in scripts))
+
+
 def test_every_public_name_has_a_user():
     modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    scripts = [path for folder in ("demos", "perfbench") for path in (REPO / folder).glob("*.py")]
-    used = set(tripatrol.__all__).union(
-        *(names_read(ast.parse(path.read_text(encoding="utf-8"))) for path in scripts)
-    )
-    assert unused_public_names(modules, used) == []
+    assert unused_public_names(modules, set(tripatrol.__all__) | _script_names()) == []
 
 
 def test_unused_public_name_check_catches_each_form():
@@ -436,6 +438,57 @@ def test_unused_method_check_catches_each_form():
         "geom.Shape.unused", "geom.Shape.lonely", "geom._Parser.note", "geom.Square.error"
     ]
     assert unused_public_names(modules, {"unused", "lonely", "note", "error"}) == []
+
+
+def _is_constant(name: str) -> bool:
+    return name.lstrip("_")[:1].isalpha() and name == name.upper()
+
+
+def unread_constants(modules: dict[str, str], read_elsewhere: set[str]) -> list[str]:
+    """The module-level ALL_CAPS names that `modules` (name -> source)
+    assign, plainly, annotated or in a tuple, and that no module reads and
+    that are not in `read_elsewhere`.  Matching is by name alone, so a
+    same-named attribute anywhere counts as a read."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = read_elsewhere.union(*(names_read(tree) for tree in trees.values()))
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and _is_constant(leaf.id) and leaf.id not in read:
+                        found.append(f"{name}.{leaf.id}")
+    return list(dict.fromkeys(found))
+
+
+def test_every_module_constant_has_a_reader():
+    """A named tolerance or table outlives its last reader only by mistake:
+    each module-level constant of the package is read by the package, the
+    demos or perfbench, not by the tests alone."""
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_constants(modules, _script_names()) == []
+
+
+def test_unread_constant_check_catches_each_form():
+    modules = {
+        "geom": "A_TOL = 1\nB_TOL: float = 2\nC_TOL, (D_TOL, _E_TABLE) = 3, (4, 5)\nF_TOL = G_TOL = 6\n"
+        "G_TOL = 7\nlower = 8\nMixed_Case = 9\n_ = 10\nclass K:\n    H_TOL = 11\ndef f():\n    I_TOL = 12",
+        "orthic": "from .geom import A_TOL\nfrom . import geom\ngeom.B_TOL + C_TOL",
+    }
+    # Importing a constant, or assigning it again, is no read; a read by
+    # name or as a module attribute is.  Names in a class or a function,
+    # and names not in ALL_CAPS, are no module constants.
+    assert unread_constants(modules, set()) == [
+        "geom.A_TOL", "geom.D_TOL", "geom._E_TABLE", "geom.F_TOL", "geom.G_TOL"
+    ]
+    modules["orthic"] += "\nprint(A_TOL, _E_TABLE)"
+    assert unread_constants(modules, {"D_TOL", "F_TOL", "G_TOL"}) == []
 
 
 def global_users(source: str) -> list[str]:
@@ -561,18 +614,20 @@ def self_check_sites(source: str) -> list[str]:
     return found
 
 
-def test_self_checks_guard_only_returned_schedules():
+def test_package_makes_no_self_checks():
     """The exact identities of the orthic triangle and the unfolding are
     carried by tests (tests/test_reference_exact.py), not checked on every
-    call.  The two self-checks left guard a schedule a function returns:
-    the folded trajectory closes up, and the greedy limit cycle closes onto
-    its fixed point."""
+    call, and so are the closures of the schedules built on them: the
+    channel line's folded crossings close up
+    (test_orthic.py::test_folded_trajectory_closes_up), and the greedy limit
+    cycle closes onto its fixed point
+    (test_greedy.py::test_limit_cycle_closes_onto_its_fixed_point)."""
     sites = [
         f"{path.stem}.{site}"
         for path in sorted(PACKAGE.glob("*.py"))
         for site in self_check_sites(path.read_text(encoding="utf-8"))
     ]
-    assert sites == ["greedy._limit_schedule", "orthic.sub_orthic_schedule"]
+    assert sites == []
 
 
 def test_self_check_site_check_catches_each_form():

@@ -169,6 +169,7 @@ A, B, C = (SchedulePoint(e, 0.5) for e in EdgeId)
     "name, args, kwargs",
     [
         ("Triangle", (Point(0, 0), Point(1, 0), Point(2, 0)), {}),
+        ("Triangle", (Point(2, 3), Point(2, 3), Point(2, 3)), {}),
         ("Triangle", (Point(0, 0), Point(1e160, 0), Point(0, 1e160)), {}),
         ("Triangle", (Point(0, 0), Point(1, 0), None), {}),
         ("Triangle", (Point(0, 0), Point(1, 0)), {}),
