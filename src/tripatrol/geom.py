@@ -9,10 +9,15 @@ site that applies it.  Lengths compare against a multiple of the
 triangle's diameter (`Triangle.tol()` is ``DEFAULT_REL_TOL * diameter``);
 sines, angles and edge parameters are scale-free and compare against the
 bare constant.  A threshold that is one algorithm's own parameter at one
-site stays a literal there: greedy's settle test, the angle-sum check of
-`greedy_ratio`, the ratio grid's filter, the slack of
-`verify_1gap_optimality`, the 3-periodic search's pruning margin and
-`line_dir`'s test.
+site stays a literal there, outside this module: greedy's settle test, the
+angle-sum check of `greedy_ratio`, the ratio grid's filter, the slack of
+`verify_1gap_optimality` and the 3-periodic search's pruning margin.  This
+module writes no small literal in place (tests/test_layout.py keeps it so).
+
+Segments have one kernel: `edge_frame(s, f)` reads a segment once, and
+`foot_on_edge` drops a perpendicular onto its line.  The altitude feet,
+the unfolding's reflections and greedy's walk project through it; grid3's
+`search._segments` repeats its float operations inline.
 
 Every construction and both grid searches run on `local_frame(t)`, a copy
 moved near the origin and scaled by a power of two to a diameter in
@@ -155,9 +160,6 @@ class Point(Record):
 
 
 _set_x, _set_y = slot_setters(Point)
-
-XY = tuple[float, float]  # a point as plain floats, as the hot loops compute on it
-
 
 class EdgeId(IntEnum):
     """Edge opposite the same-named vertex: A = BC, B = AC, C = AB."""
@@ -313,29 +315,16 @@ def vertex_edges(e: EdgeId, u: float) -> tuple[EdgeId, ...]:
 Line = tuple[Point, Point]
 
 
-def line_dir(line: Line) -> XY:
-    """Unit vector from the line's first point toward its second."""
-    p, q = line
-    dx, dy = q.x - p.x, q.y - p.y
-    n = math.hypot(dx, dy)
-    if n <= 1e-12 * max(p.norm(), q.norm()):
-        raise ValueError("line endpoints coincide")
-    s = 1.0 / n
-    return (dx * s, dy * s)
-
-
-def project_along(p: XY, a: Point, d: XY) -> XY:
-    """Foot of the perpendicular from p onto the line through a with unit direction d."""
-    s = (p[0] - a.x) * d[0] + (p[1] - a.y) * d[1]
-    return (a.x + d[0] * s, a.y + d[1] * s)
-
-
-def edge_frame(t: Triangle, e: EdgeId) -> tuple[float, float, float, float, float, float, float]:
-    """What foot_on_edge reads of edge e: its start (sx, sy), difference
-    vector (dx, dy), squared length dd and unit direction (ux, uy)."""
-    s, f = t.edges[e]
+def edge_frame(s: Point, f: Point) -> tuple[float, float, float, float, float, float, float]:
+    """What foot_on_edge reads of the segment from s to f: its start (sx,
+    sy), difference vector (dx, dy), squared length dd and unit direction
+    (ux, uy).  Raises ValueError where s and f coincide."""
     dx, dy = f.x - s.x, f.y - s.y
-    return (s.x, s.y, dx, dy, dx * dx + dy * dy, *line_dir((s, f)))
+    n = math.hypot(dx, dy)
+    if not n:
+        raise ValueError("line endpoints coincide")
+    r = 1.0 / n
+    return (s.x, s.y, dx, dy, dx * dx + dy * dy, dx * r, dy * r)
 
 
 def foot_on_edge(
@@ -351,21 +340,4 @@ def foot_on_edge(
     x, y = sx + ux * s, sy + uy * s
     u = ((x - sx) * dx + (y - sy) * dy) / dd
     return x, y, (u if u < 1.0 else 1.0) if u > 0.0 else 0.0
-
-
-def line_intersection(l1: Line, l2: Line) -> Point:
-    """Intersection of two non-parallel lines."""
-    (p, q), (r, s) = l1, l2
-    d1x, d1y = q.x - p.x, q.y - p.y
-    d2x, d2y = s.x - r.x, s.y - r.y
-    den = d1x * d2y - d1y * d2x
-    if abs(den) <= PARALLEL_SIN_TOL * math.hypot(d1x, d1y) * math.hypot(d2x, d2y):
-        raise ValueError("lines are parallel")
-    u = ((r.x - p.x) * d2y - (r.y - p.y) * d2x) / den
-    return Point(p.x + d1x * u, p.y + d1y * u)
-
-
-def signed_offset(p: Point, anchor: Point, unit_dir: Point) -> float:
-    """Signed perpendicular distance of p from the line (anchor, direction)."""
-    return unit_dir.cross(p - anchor)
 

@@ -103,7 +103,7 @@ def greedy_run(
     visited = [SchedulePoint(EdgeId.A, start_u)]
     p = edge_point(local, EdgeId.A, start_u)
     x, y = p.x, p.y
-    steps = [(e, edge_frame(local, e)) for e in cycle]
+    steps = [(e, edge_frame(*local.edges[e])) for e in cycle]
     iterates = [start_u]
     converged = False
     its = num_cycles

@@ -30,8 +30,10 @@ that meets two edges of every copy) are tested, not checked here.
 Beside the unfolding, the entry keeps the local data its two readers
 compute on: for `sub_orthic_schedule`, BC and the five mirrors, the six
 lines a channel line crosses in one period, with their fold steps and the
-edge frames of the local triangle; for `lower_bound_profile`, BC, the
-channel boundaries and k2 - k.
+edge frames of the local triangle; for `lower_bound_profile`, the channel's
+cross-section RT on BC and v = k2 - k, computed once per triangle.  Every
+projection of the build, the five reflections and the feet k and k2, goes
+through geom's one segment kernel, `edge_frame` and `foot_on_edge`.
 """
 
 from __future__ import annotations
@@ -50,13 +52,9 @@ from .geom import (
     angles,
     edge_frame,
     foot_on_edge,
-    line_dir,
-    line_intersection,
     local_frame,
     place,
-    project_along,
     require_acute,
-    signed_offset,
     slot_setters,
 )
 from .schedule import Schedule, SchedulePoint, gap_report
@@ -87,7 +85,7 @@ def orthic_perimeter(t: Triangle) -> float:
     Accepts right triangles as a boundary evaluation of the formula.
     """
     a_ang, b_ang, c_ang = angles(t)
-    if min(a_ang, b_ang, c_ang) <= 0.0 or max(a_ang, b_ang, c_ang) > math.pi / 2 + RIGHT_ANGLE_SLACK:
+    if max(a_ang, b_ang, c_ang) > math.pi / 2 + RIGHT_ANGLE_SLACK:
         raise ValueError("angles must lie in (0, pi/2] for the perimeter formula")
     sa, sb, sc = math.sin(a_ang), math.sin(b_ang), math.sin(c_ang)
     inv = 1.0 / (sb * sc) + 1.0 / (sa * sc) + 1.0 / (sa * sb)
@@ -98,7 +96,7 @@ def _feet(t: Triangle) -> list[tuple[float, float, float]]:
     """The altitude feet K, L, M of acute t on edges A, B and C, each as
     (x, y, u): the foot and its edge parameter, clamped to [0, 1]."""
     require_acute(t)
-    return [foot_on_edge(v.x, v.y, *edge_frame(t, e)) for v, e in zip(t.vertices, EdgeId)]
+    return [foot_on_edge(v.x, v.y, *edge_frame(*t.edges[e])) for v, e in zip(t.vertices, EdgeId)]
 
 
 def orthic_triangle(t: Triangle) -> OrthicData:
@@ -219,8 +217,9 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     point, unit direction) that map a point of its copy back onto the base,
     the deepest mirror first; and for each crossing, the edge of t it lies
     on and the start, difference vector and squared length of that edge's
-    edge_frame.  bound, for lower_bound_profile: BC, the two channel
-    boundaries and k2 - k."""
+    edge_frame.  bound, for lower_bound_profile: (rx, ry, tx, ty, vx, vy,
+    |v|, |v . (T - R)|), the ends R and T of the channel's cross-section,
+    where the boundaries through A1 and A meet BC, and v = k2 - k."""
     local, origin, scale = local_frame(t)
     require_acute(local)
     base, edge_map = _relabel(local)
@@ -234,26 +233,38 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
         p = verts[i]
         lo, hi = _OTHERS[i]
         mirror = (verts[lo], verts[hi])
-        d = line_dir(mirror)
-        fx, fy = project_along(p.as_tuple(), mirror[0], d)
+        sx, sy, *_, ux, uy = frame = edge_frame(*mirror)
+        fx, fy, _ = foot_on_edge(p.x, p.y, *frame)
         verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
         reflected.append(verts[i])
         mirrors.append(mirror)
-        steps.append((mirror[0].x, mirror[0].y, *d))
-        feet.append((fx, fy))
+        steps.append((sx, sy, ux, uy))
+        feet.append(Point(fx, fy))
     c1, b1, a1, c2, b2 = reflected
 
-    k = Point(*project_along(a.as_tuple(), b, line_dir((b, c))))
-    m, l1, k1, m1, l2 = (Point(*f) for f in feet)
-    k2 = Point(*project_along(a1.as_tuple(), b2, line_dir((b2, c2))))
+    k = Point(*foot_on_edge(a.x, a.y, *edge_frame(b, c))[:2])
+    m, l1, k1, m1, l2 = feet
+    k2 = Point(*foot_on_edge(a1.x, a1.y, *edge_frame(b2, c2))[:2])
 
     w = k2 - k
     direction = w * (1.0 / w.norm())
-    off_high = signed_offset(a, k, direction)
-    off_low = signed_offset(a1, k, direction)
+    off_high = direction.cross(a - k)
+    off_low = direction.cross(a1 - k)
     step = direction * base.diameter  # a unit step would round away at large sides
     low_line: Line = (a1, a1 + step)
     high_line: Line = (a, a + step)
+
+    # The cross-section RT: R and T, where the boundaries through A1 and A
+    # meet BC.  They are parallel to KM, which meets BC at the angle A, the
+    # base's largest, in [pi/3, pi/2): the sine is at least sqrt(3)/2, and
+    # no parallel test is needed.
+    ex, ey = c.x - b.x, c.y - b.y
+    cross_section = []
+    for p, q in (low_line, high_line):
+        dx, dy = q.x - p.x, q.y - p.y
+        s = ((b.x - p.x) * ey - (b.y - p.y) * ex) / (dx * ey - dy * ex)
+        cross_section += (p.x + dx * s, p.y + dy * s)
+    rx, ry, tx, ty = cross_section
 
     normal = Point(-direction.y, direction.x)
     if off_high < 0.0:
@@ -262,9 +273,9 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     for (p, q), depth in zip(((b, c), *mirrors), _FOLD_DEPTHS):
         dx, dy = q.x - p.x, q.y - p.y
         lines.append((p.x, p.y, dx, dy, math.hypot(dx, dy), tuple(reversed(steps[:depth]))))
-    frames = tuple((edge_map[e], *edge_frame(local, edge_map[e])[:5]) for e in _CROSSED_EDGES)
+    frames = tuple((edge_map[e], *edge_frame(*local.edges[edge_map[e]])[:5]) for e in _CROSSED_EDGES)
     sweep = (k.x, k.y, abs(off_low), abs(off_high), tuple(lines), frames)
-    bound = ((b, c), low_line, high_line, w)
+    bound = (rx, ry, tx, ty, w.x, w.y, w.norm(), abs(w.x * (tx - rx) + w.y * (ty - ry)))
 
     # In t's coordinates: the base is t's own vertices, every other point is
     # placed back; a triangle that is its own frame keeps its points as built.
@@ -386,7 +397,9 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
     diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
     |v . (T - R)| / (P k) from the skew diagonal.  Both are measured in
-    local_frame(t) and scaled back.
+    local_frame(t) and scaled back.  R, T, v, |v| and |v . (T - R)| come
+    from the unfolding's build, once per triangle; each row is float
+    arithmetic on them.
 
     v_k is dist(R, R_kT_k) alone.  RT and R_kT_k lie on distinct parallels
     to BC, so v_k is the least distance from an endpoint of one to the
@@ -399,13 +412,7 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     scale = local_frame(t)[2]
-    bc, low, high, v = _chain(t)[2]
-    t_pt = line_intersection(high, bc)
-    r_pt = line_intersection(low, bc)
-    per2 = v.norm()  # 2 * orthic perimeter
-    c = abs(v.dot(t_pt - r_pt))
-    vx, vy = v.x, v.y
-    rx, ry, tx, ty = r_pt.x, r_pt.y, t_pt.x, t_pt.y
+    rx, ry, tx, ty, vx, vy, per2, c = _chain(t)[2]
     rows = []
     for k in range(1, k_max + 1):
         rkx, rky = rx + vx * k, ry + vy * k

@@ -4,8 +4,10 @@ lower_bound_profile with segment_distance_xy, and greedy_run with its
 limit cycle, as they were written on Points and per-call primitives before
 the sweep data on Unfolding, the edges on Triangle and the inline loops;
 and greedy_ratio_extremes as it was written on numpy grids.  Their
-intersections, folds and edge parameters come from reference_geom, so a
-change to geom cannot move the references it is checked against.
+intersections, folds and edge parameters come from reference_geom, and the
+walk's projections from line_dir and project_along, geom's former float
+helpers kept here verbatim, so a change to geom cannot move the
+references it is checked against.
 greedy_feet is the walk's projections alone, and folded_crossings the
 sweep's folded crossings, unchecked, for the tests that measure them.
 
@@ -36,20 +38,37 @@ from collections.abc import Iterator, Sequence
 import reference_geom as ref
 from tripatrol.geom import (
     RIGHT_ANGLE_SLACK,
-    XY,
     EdgeId,
     Line,
     Point,
     Triangle,
     edge_point,
-    line_dir,
     local_frame,
-    project_along,
     require_acute,
 )
 from tripatrol.greedy import _CYCLES, GreedyTrace, recurrence_constants
 from tripatrol.orthic import _REFLECTED, OutsideChannel, reflection_chain
 from tripatrol.schedule import GapReport, InfeasibleSchedule, Schedule, SchedulePoint
+
+
+XY = tuple[float, float]  # a point as plain floats, as the hot loops compute on it
+
+
+def line_dir(line: Line) -> XY:
+    """Unit vector from the line's first point toward its second."""
+    p, q = line
+    dx, dy = q.x - p.x, q.y - p.y
+    n = math.hypot(dx, dy)
+    if n <= 1e-12 * max(p.norm(), q.norm()):
+        raise ValueError("line endpoints coincide")
+    s = 1.0 / n
+    return (dx * s, dy * s)
+
+
+def project_along(p: XY, a: Point, d: XY) -> XY:
+    """Foot of the perpendicular from p onto the line through a with unit direction d."""
+    s = (p[0] - a.x) * d[0] + (p[1] - a.y) * d[1]
+    return (a.x + d[0] * s, a.y + d[1] * s)
 
 
 class ProjectionEscapesEdge(RuntimeError):

@@ -16,8 +16,6 @@ from tripatrol.geom import (
     edge_point,
     foot_on_edge,
     is_acute,
-    line_dir,
-    line_intersection,
     local_frame,
 )
 from conftest import random_acute_triangle
@@ -194,7 +192,7 @@ def test_degenerate_triangle_rejected():
 
 def foot(p: Point, t: Triangle, e: EdgeId) -> tuple[Point, float]:
     """The foot of p on the line of edge e, and its clamped edge parameter."""
-    x, y, u = foot_on_edge(p.x, p.y, *edge_frame(t, e))
+    x, y, u = foot_on_edge(p.x, p.y, *edge_frame(*t.edges[e]))
     return Point(x, y), u
 
 
@@ -232,7 +230,14 @@ def test_projection_minimality(rng):
 
 def test_projection_coincident_endpoints_error():
     with pytest.raises(ValueError, match="line endpoints coincide"):
-        line_dir((Point(3, 3), Point(3, 3)))
+        edge_frame(Point(3, 3), Point(3, 3))
+
+
+def test_edge_frame_takes_a_unit_edge_far_from_the_origin():
+    # Only coincident endpoints are refused: a unit edge whose ends lie
+    # near (1e12, 1e12) has its exact difference vector.
+    t = Triangle(Point(1e12, 1e12), Point(1e12, 1e12 + 1), Point(1e12 + 1, 1e12))
+    assert edge_frame(*t.edges[EdgeId.C]) == (1e12, 1e12, 0.0, 1.0, 1.0, 0.0, 1.0)
 
 
 def test_edge_param_conventions(equilateral):
@@ -258,19 +263,4 @@ def test_edge_param_round_trip(rng):
         assert u2 == pytest.approx(min(max(u, 0.0), 1.0), abs=1e-12)
         assert 0.0 <= u2 <= 1.0
 
-
-def test_line_intersection():
-    p = line_intersection((Point(0, 0), Point(2, 2)), (Point(0, 2), Point(2, 0)))
-    assert p.dist(Point(1, 1)) < 1e-15
-    with pytest.raises(ValueError):
-        line_intersection((Point(0, 0), Point(1, 0)), (Point(0, 1), Point(1, 1)))
-
-
-def test_line_intersection_with_coincident_endpoints_is_parallel():
-    # A line through one point twice has no direction: the parallel test
-    # compares 0 with 0 and must say so rather than divide by zero.
-    p, q, r = Point(0.3, 0.2), Point(1.0, 2.0), Point(-1.0, 0.5)
-    for l1, l2 in (((p, p), (q, r)), ((q, r), (p, p)), ((p, p), (p, p))):
-        with pytest.raises(ValueError, match="^lines are parallel$"):
-            line_intersection(l1, l2)
 

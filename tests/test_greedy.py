@@ -278,7 +278,7 @@ def test_limit_cycle_closes_onto_its_fixed_point(rng):
             start = edge_point(local, EdgeId.A, greedy_run(t, 0.5, 1, direction).fixed_point)
             x, y = start.x, start.y
             for e in cycle:
-                x, y, _ = foot_on_edge(x, y, *edge_frame(local, e))
+                x, y, _ = foot_on_edge(x, y, *edge_frame(*local.edges[e]))
             assert math.hypot(x - start.x, y - start.y) <= FOOT_EPS * eps * local.diameter, (t, direction)
 
 

@@ -231,13 +231,13 @@ def test_numpy_anywhere_check_catches_each_form():
     assert numpy_imports("def f():\n    from .numpy import x\n    import numbers") == []
 
 
+def _small_float(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < abs(node.value) < 1e-6
+
+
 def small_float_literals(source: str) -> Counter:
     """How often each float literal below 1e-6 in magnitude occurs in a module."""
-    return Counter(
-        node.value
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0.0 < abs(node.value) < 1e-6
-    )
+    return Counter(node.value for node in ast.walk(ast.parse(source)) if _small_float(node))
 
 
 def test_thresholds_outside_geom_are_single_site_parameters():
@@ -252,6 +252,45 @@ def test_thresholds_outside_geom_are_single_site_parameters():
         if path.name != "geom.py" and (literals := small_float_literals(path.read_text(encoding="utf-8")))
     }
     assert found == {"greedy.py": {1e-9: 1, 1e-12: 2}, "orthic.py": {1e-9: 1}, "search.py": {1e-9: 1, 1e-12: 1}}
+
+
+def unnamed_small_literals(source: str) -> list[str]:
+    """The float literals below 1e-6 in magnitude in a module that are not
+    the whole value of a module-level ALL_CAPS assignment to one name."""
+    tree = ast.parse(source)
+    named = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, ast.Constant) and all(
+            isinstance(target, ast.Name) and _is_constant(target.id) for target in targets
+        ):
+            named.add(node.value)
+    return [
+        f"line {node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if _small_float(node) and node not in named
+    ]
+
+
+def test_geom_thresholds_are_named():
+    """geom holds the tolerance policy: each of its small thresholds is a
+    named constant that every site applying it reads."""
+    assert unnamed_small_literals((PACKAGE / "geom.py").read_text(encoding="utf-8")) == []
+
+
+def test_unnamed_small_literal_check_catches_each_form():
+    assert unnamed_small_literals("def f(n):\n    return n <= 1e-12") == ["line 2: 1e-12"]
+    assert unnamed_small_literals("class C:\n    TOL = 1e-9") == ["line 2: 1e-09"]
+    assert unnamed_small_literals("tol = 1e-9\nX_TOL = 2 * 1e-9\nA_TOL, B_TOL = 1e-9, 1e-12") == [
+        "line 1: 1e-09", "line 2: 1e-09", "line 3: 1e-09", "line 3: 1e-12"
+    ]
+    # A named constant, plain or annotated, and a literal of 1e-6 or more are allowed.
+    assert unnamed_small_literals("X_TOL = 1e-9\nY_TOL: float = 2e-12\nZ = W = 1e-14\nr = 1e-6 * x") == []
 
 
 def unconstructed_exceptions(modules: dict[str, str]) -> list[str]:

@@ -17,7 +17,6 @@ from tripatrol.geom import (
     Triangle,
     angles,
     edge_point,
-    line_intersection,
     local_frame,
 )
 from tripatrol.orthic import (
@@ -74,6 +73,19 @@ def test_orthic_perimeter_formula_values(equilateral):
     # Right isosceles boundary evaluation: alpha=1, B=C=pi/4 gives
     # 2 * 1 * sin^2(pi/4) = 1.
     assert orthic_perimeter(RIGHT_ISO) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_angles_of_a_valid_triangle_are_positive():
+    # orthic_perimeter tests only the largest angle: a Triangle's cross
+    # product exceeds 1e-9 * diameter^2 on its local frame, where angles
+    # reads it, so no angle is 0.
+    flat = ((0.0, 0.0), (1.0, 0.0), (0.5, 1.0000001e-9))
+    cases = [
+        Triangle(*[Point(x * scale + dx, y * scale + dx) for x, y in flat])
+        for scale, dx in ((1.0, 0.0), (2.0**500, 0.0), (2.0**-500, 0.0), (1.0, 1e6))
+    ]
+    for t in cases + thin_triangles(random.Random(2), 2000):
+        assert min(angles(t)) > 0.0
 
 
 def test_orthic_perimeter_matches_coordinates(rng):
@@ -208,10 +220,22 @@ def test_channel_boundary_hits_bc_inside_with_bk_at_least_half_bt(rng):
         t = random_acute_triangle(rng)
         ch = reflection_chain(t)
         base = ch.base
-        t_pt = line_intersection(ch.boundary_high, (base.b, base.c))
+        t_pt = ref.line_intersection(ch.boundary_high, (base.b, base.c))
         u_t = edge_param(base, EdgeId.A, t_pt)
         u_k = edge_param(base, EdgeId.A, ch.k)
         assert u_k >= u_t / 2 - 1e-12
+
+
+def test_channel_boundaries_meet_bc_at_the_largest_angle(rng):
+    # The boundaries are parallel to KM, which meets BC at the base's
+    # largest angle A, in [pi/3, pi/2): the build intersects them with BC
+    # without a parallel test.
+    generic = [random_acute_triangle(rng) for _ in range(300)]
+    near_right = [t for _, t in near_right_triangles(random.Random(3), 300)]
+    for t in generic + thin_triangles(random.Random(2), 2000) + near_right:
+        unf = reflection_chain(t)
+        b, c = unf.base.b, unf.base.c
+        assert abs(unf.direction.cross(c - b)) / b.dist(c) >= math.sin(math.pi / 3) - 1e-9
 
 
 def test_channel_rejects_non_acute():
