@@ -15,15 +15,13 @@ A vertex or a number may start with a minus sign: `--vertices -1,0 1,0 0,1`,
 Tolerances are fixed, named once in geom, and no option or environment
 variable changes them; every report records DEFAULT_REL_TOL under
 "tolerances".  Lengths compare at DEFAULT_REL_TOL (10^-9) times the
-triangle's diameter; the channel sweep's edge parameters snap to a
-vertex within SWEEP_REL_TOL (10^-8); lines are parallel below a sine of
-PARALLEL_SIN_TOL (10^-14); an edge parameter within VERTEX_SNAP (10^-12)
-of 0 or 1 is the vertex.  A right triangle is a domain boundary: `search`
-evaluates the closed-form orthic perimeter up to a largest angle of
-pi/2 + RIGHT_ANGLE_SLACK (10^-12 rad), so it accepts one, and `gap` needs
-no angle condition; `orthic`, `greedy`, `channel`, `unfold` and `render`
-refuse (exit 2) a largest angle within ACUTE_ANGLE_TOL (10^-9 rad) of
-pi/2.
+triangle's diameter; an edge parameter within VERTEX_SNAP (10^-12) of
+0 or 1 is the vertex, and a channel stop that close snaps to it.  A
+right triangle is a domain boundary: `search` evaluates the closed-form
+orthic perimeter up to a largest angle of pi/2 + RIGHT_ANGLE_SLACK
+(10^-12 rad), so it accepts one, and `gap` needs no angle condition;
+`orthic`, `greedy`, `channel`, `unfold` and `render` refuse (exit 2) a
+largest angle within ACUTE_ANGLE_TOL (10^-9 rad) of pi/2.
 """
 
 from __future__ import annotations

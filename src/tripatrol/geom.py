@@ -48,17 +48,11 @@ DEFAULT_REL_TOL = 1e-9
 # within ACUTE_ANGLE_TOL of pi/2 counts as right, i.e. not acute.
 ACUTE_ANGLE_TOL = 1e-9
 
-# The channel sweep folds through five mirrors, so its edge parameters snap
-# to a vertex within this, a wider band than VERTEX_SNAP.
-SWEEP_REL_TOL = 1e-8
-
-# Two lines whose angle has a smaller sine are parallel.
-PARALLEL_SIN_TOL = 1e-14
-
 # The closed forms accept angles up to pi/2 plus this: a right angle that rounds up.
 RIGHT_ANGLE_SLACK = 1e-12
 
-# An edge parameter this close to 0 or 1 is the vertex, on both of its edges.
+# An edge parameter this close to 0 or 1 is the vertex, on both of its
+# edges; a channel stop this close to 0 or 1 snaps to the vertex.
 VERTEX_SNAP = 1e-12
 
 

@@ -1,5 +1,5 @@
 """Orthic triangle, the five-reflection unfolding with its orthic channel,
-the 6-periodic schedules obtained by folding channel lines back in, and the
+the 6-periodic schedules of the channel lines folded back in, and the
 unfolding lower-bound sequence v_k that certifies their optimality.
 
 `Unfolding` is the one object for the unfolding: the reflected copies, the
@@ -28,12 +28,14 @@ Its exact identities (collinear feet, B2C2 parallel to BC, a channel
 that meets two edges of every copy) are tested, not checked here.
 
 Beside the unfolding, the entry keeps the local data its two readers
-compute on: for `sub_orthic_schedule`, BC and the five mirrors, the six
-lines a channel line crosses in one period, with their fold steps and the
-edge frames of the local triangle; for `lower_bound_profile`, the channel's
-cross-section RT on BC and v = k2 - k, computed once per triangle.  Every
-projection of the build, the five reflections and the feet k and k2, goes
-through geom's one segment kernel, `edge_frame` and `foot_on_edge`.
+compute on, once per triangle.  For `sub_orthic_schedule`, the channel
+family in closed form: a channel line is parallel to the orthic sides, so
+each of its six stops, folded back onto the base, moves linearly in lambda
+from an orthic foot, with a slope d / side^2, d = (B - A) . (C - A), on
+the relabeled base.  For `lower_bound_profile`, the channel's
+cross-section RT on BC and v = k2 - k.  Every projection of the build,
+the five reflections and the feet k and k2, goes through geom's one
+segment kernel, `edge_frame` and `foot_on_edge`.
 """
 
 from __future__ import annotations
@@ -41,9 +43,8 @@ from __future__ import annotations
 import math
 
 from .geom import (
-    PARALLEL_SIN_TOL,
     RIGHT_ANGLE_SLACK,
-    SWEEP_REL_TOL,
+    VERTEX_SNAP,
     EdgeId,
     Line,
     Point,
@@ -138,7 +139,6 @@ class Unfolding(Record):
         "source", "base", "edge_map", "triangles", "mirrors",
         "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
         "direction", "boundary_low", "boundary_high", "half_width_low", "half_width_high",
-        "normal", "snap",
     )
 
     def __init__(
@@ -165,12 +165,10 @@ class Unfolding(Record):
         boundary_high: Line,  # through A, parallel to the orthic line
         half_width_low: float,
         half_width_high: float,
-        normal: Point,  # unit normal toward the A side (positive signed offset)
-        snap: float,  # edge parameters this close to 0 or 1 snap to the vertex
     ):
         values = (
             source, base, edge_map, triangles, mirrors, a1, b1, b2, c1, c2, k, m, l1, k1, m1, l2, k2,
-            direction, boundary_low, boundary_high, half_width_low, half_width_high, normal, snap,
+            direction, boundary_low, boundary_high, half_width_low, half_width_high,
         )
         for store, value in zip(_SET_UNFOLDING, values):
             store(self, value)
@@ -189,12 +187,6 @@ _REFLECTED = (2, 1, 0, 2, 1)
 # The other two vertices of each index, in order: the mirror of its reflection.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 
-# The channel line crosses BC, then each mirror: the fold depth of each
-# crossing, and its relabeled edge.  Its next crossing, with B2C2, is BC's
-# image under the five reflections and folds back onto the first.
-_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED)))
-_CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
-
 
 def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     """Vertices reordered so opposite side lengths are non-increasing."""
@@ -207,19 +199,16 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
 
 
 def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
-    """(unfolding, sweep, bound): the unfolding of t, built on
+    """(unfolding, stops, bound): the unfolding of t, built on
     local_frame(t) and returned in t's coordinates, with the local data
     its two readers compute on.
 
-    sweep, for sub_orthic_schedule: k's coordinates, the two half widths,
-    then for each line the channel line crosses, its first point,
-    difference vector and that vector's hypot, and the fold steps (mirror
-    point, unit direction) that map a point of its copy back onto the base,
-    the deepest mirror first; and for each crossing, the edge of t it lies
-    on and the start, difference vector and squared length of that edge's
-    edge_frame.  bound, for lower_bound_profile: (rx, ry, tx, ty, vx, vy,
-    |v|, |v . (T - R)|), the ends R and T of the channel's cross-section,
-    where the boundaries through A1 and A meet BC, and v = k2 - k."""
+    stops, for sub_orthic_schedule: for each of the six stops of a
+    channel line, (edge of t, u0, sign * slope, whether t's edge runs
+    against the relabeled one).  bound, for lower_bound_profile: (rx, ry,
+    tx, ty, vx, vy, |v|, |v . (T - R)|), the ends R and T of the channel's
+    cross-section, where the boundaries through A1 and A meet BC, and v =
+    k2 - k."""
     local, origin, scale = local_frame(t)
     require_acute(local)
     base, edge_map = _relabel(local)
@@ -228,17 +217,13 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     # Each step reflects one vertex across the line through the other two;
     # the mirror's foot is that step's altitude foot (m, l1, k1, m1, l2).
     verts = [a, b, c]
-    reflected, mirrors, steps, feet = [], [], [], []
+    reflected, feet = [], []
     for i in _REFLECTED:
         p = verts[i]
         lo, hi = _OTHERS[i]
-        mirror = (verts[lo], verts[hi])
-        sx, sy, *_, ux, uy = frame = edge_frame(*mirror)
-        fx, fy, _ = foot_on_edge(p.x, p.y, *frame)
+        fx, fy, _ = foot_on_edge(p.x, p.y, *edge_frame(verts[lo], verts[hi]))
         verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
         reflected.append(verts[i])
-        mirrors.append(mirror)
-        steps.append((sx, sy, ux, uy))
         feet.append(Point(fx, fy))
     c1, b1, a1, c2, b2 = reflected
 
@@ -266,15 +251,22 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
         cross_section += (p.x + dx * s, p.y + dy * s)
     rx, ry, tx, ty = cross_section
 
-    normal = Point(-direction.y, direction.x)
-    if off_high < 0.0:
-        normal = normal * -1.0
-    lines = []
-    for (p, q), depth in zip(((b, c), *mirrors), _FOLD_DEPTHS):
-        dx, dy = q.x - p.x, q.y - p.y
-        lines.append((p.x, p.y, dx, dy, math.hypot(dx, dy), tuple(reversed(steps[:depth]))))
-    frames = tuple((edge_map[e], *edge_frame(*local.edges[edge_map[e]])[:5]) for e in _CROSSED_EDGES)
-    sweep = (k.x, k.y, abs(off_low), abs(off_high), tuple(lines), frames)
+    # The channel stops in crossing order, (BC, +) (AB, -) (AC, -) (BC, -)
+    # (AB, +) (AC, +): each edge's orthic foot u0 and its slope per unit of
+    # lambda, d / side^2 with d = (B - A) . (C - A); on AC and AB, u0 is
+    # the slope too.
+    abx, aby, acx, acy, bcx, bcy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y, c.x - b.x, c.y - b.y
+    d = abx * acx + aby * acy
+    bc2 = bcx * bcx + bcy * bcy
+    s_bc, s_ac, s_ab = d / bc2, d / (acx * acx + acy * acy), d / (abx * abx + aby * aby)
+    u_bc = -(abx * bcx + aby * bcy) / bc2
+    stops = []
+    for e, u0, slope in (
+        (EdgeId.A, u_bc, s_bc), (EdgeId.C, s_ab, -s_ab), (EdgeId.B, s_ac, -s_ac),
+        (EdgeId.A, u_bc, -s_bc), (EdgeId.C, s_ab, s_ab), (EdgeId.B, s_ac, s_ac),
+    ):
+        lo, hi = _OTHERS[e]
+        stops.append((edge_map[e], u0, slope, edge_map[EdgeId(lo)] > edge_map[EdgeId(hi)]))
     bound = (rx, ry, tx, ty, w.x, w.y, w.norm(), abs(w.x * (tx - rx) + w.y * (ty - ry)))
 
     # In t's coordinates: the base is t's own vertices, every other point is
@@ -315,10 +307,8 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
         boundary_high=(base.a, high_end),
         half_width_low=abs(off_low) * scale,
         half_width_high=abs(off_high) * scale,
-        normal=normal,
-        snap=SWEEP_REL_TOL,
     )
-    return unf, sweep, bound
+    return unf, tuple(stops), bound
 
 
 # The last build, keyed on the identity of the caller's Triangle, not on
@@ -346,48 +336,31 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
 
     lam = -1 is the boundary through A1, 0 the orthic line itself, +1 the
     boundary through A; in between the offset interpolates linearly in
-    signed distance on each side.
+    signed distance on each side.  The two half widths are equal: A1's
+    copy meets the orthic line along the image of KM, as the base does.
 
-    The line runs from anchor = k + normal * offset to anchor + direction *
-    diameter, in local_frame(t).  Its crossing with each line of the
-    unfolding's sweep data is folded back onto the base.  Each fold
-    reflects across the mirror that built the copy, so a folded crossing
-    lies on its base edge's line by construction, and the line's next
-    crossing, with B2C2, folds back onto the one with BC: the six make one
-    period (tests/test_orthic.py measures both).  The edge parameters are
-    those of t.
+    The line is parallel to the orthic sides, so it crosses BC at the
+    angle A, AC at B and AB at C, and each of its six stops, folded back
+    onto the relabeled base, moves linearly in lam along its edge:
+    u = u0 + lam * sign * s.  At lam = 0 they are the orthic feet K, M, L,
+    K, M, L, with u0 = (A - B) . (C - B) / |BC|^2 on BC and d / |AC|^2,
+    d / |AB|^2 on AC and AB, d = (B - A) . (C - A).  The slopes are d /
+    side^2 on every edge: the half width h_a cos A over side * sin(angle).
+    So on AC and AB u0 = s, and the stops that reach vertex A at lam = +-1
+    are 0 exactly.  Each u is built once per triangle with the unfolding;
+    a stop within VERTEX_SNAP of 0 or 1 is that vertex, and the edge
+    parameters are turned to t's own orientation of each edge.
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
-    diam = local_frame(t)[0].diameter
-    unf, (kx, ky, low, high, lines, frames), _ = _chain(t)
-    off = lam * (high if lam >= 0.0 else low)
-    n, d = unf.normal, unf.direction
-    ax, ay = kx + n.x * off, ky + n.y * off
-    qx, qy = ax + d.x * diam, ay + d.y * diam
-    d1x, d1y = qx - ax, qy - ay
-    parallel = PARALLEL_SIN_TOL * math.hypot(d1x, d1y)
-    folded = []
-    for px, py, d2x, d2y, norm2, steps in lines:
-        den = d1x * d2y - d1y * d2x
-        if abs(den) <= parallel * norm2:
-            raise ValueError("lines are parallel")
-        s = ((px - ax) * d2y - (py - ay) * d2x) / den
-        x, y = ax + d1x * s, ay + d1y * s
-        for mx, my, ux, uy in steps:
-            s = (x - mx) * ux + (y - my) * uy
-            x, y = 2.0 * (mx + ux * s) - x, 2.0 * (my + uy * s) - y
-        folded.append((x, y))
-
-    snap = unf.snap
     pts = []
-    for (x, y), (edge, sx, sy, dx, dy, dd) in zip(folded, frames):
-        u = ((x - sx) * dx + (y - sy) * dy) / dd
-        if abs(u) <= snap:
+    for edge, u0, slope, flip in _chain(t)[1]:
+        u = u0 + lam * slope
+        if abs(u) <= VERTEX_SNAP:
             u = 0.0
-        elif abs(u - 1.0) <= snap:
+        elif abs(u - 1.0) <= VERTEX_SNAP:
             u = 1.0
-        pts.append(SchedulePoint(edge, u))
+        pts.append(SchedulePoint(edge, 1.0 - u if flip else u))
     return Schedule(t, tuple(pts))
 
 

@@ -1,32 +1,26 @@
-"""Reference channel kernels: sub_orthic_schedule, the gap timeline
-(_visit_times, _gaps_from_times, gap_report, prefix_gap_report),
-lower_bound_profile with segment_distance_xy, and greedy_run with its
-limit cycle, as they were written on Points and per-call primitives before
-the sweep data on Unfolding, the edges on Triangle and the inline loops;
-and greedy_ratio_extremes as it was written on numpy grids.  Their
-intersections, folds and edge parameters come from reference_geom, and the
-walk's projections from line_dir and project_along, geom's former float
-helpers kept here verbatim, so a change to geom cannot move the
-references it is checked against.
-greedy_feet is the walk's projections alone, and folded_crossings the
-sweep's folded crossings, unchecked, for the tests that measure them.
+"""Reference channel kernels: the gap timeline (_visit_times,
+_gaps_from_times, gap_report, prefix_gap_report), lower_bound_profile with
+segment_distance_xy, and greedy_run with its limit cycle, as they were
+written on Points and per-call primitives before the edges on Triangle and
+the inline loops; and greedy_ratio_extremes as it was written on numpy
+grids.  Their intersections and edge parameters come from reference_geom,
+and the walk's projections from line_dir and project_along, geom's former
+float helpers kept here verbatim, so a change to geom cannot move the
+references it is checked against.  greedy_feet is the walk's projections
+alone, for the tests that measure them.
 
 The caller_frame_* functions are those bodies, run on the triangle they
 are given.  The public ones run the same bodies on geom.local_frame(t)'s
 triangle and map the result back as tripatrol does: edge parameters as
-they are, lengths times the frame's scale, each Schedule rebuilt on t.  A
-gap or travel time adds leg lengths measured on the local frame, times the
-scale.  tripatrol must return the same values, bit for bit, and raise the
-same exceptions with the same messages as the public ones on every input,
-but for v_k near a right angle, where tripatrol's one distance and this
-least of four may round a few ulps apart; for greedy_run on thin
-triangles, where this walk's escape test and this limit cycle's unclamped
-edge parameters refuse rounding that tripatrol clamps; and for a folded
-crossing more than 1e-8 diameters off its edge's line, which this
-sub_orthic_schedule refuses with reference_geom.PointOffEdge and
-tripatrol does not test (tests/test_orthic.py measures that distance).
-The caller_frame_* ones check the frame itself.  They are kept only for
-the tests to compare against.
+they are, lengths times the frame's scale.  A gap or travel time adds leg
+lengths measured on the local frame, times the scale.  tripatrol must
+return the same values, bit for bit, and raise the same exceptions with
+the same messages as the public ones on every input, but for v_k near a
+right angle, where tripatrol's one distance and this least of four may
+round a few ulps apart; and for greedy_run on thin triangles, where this
+walk's escape test and this limit cycle's unclamped edge parameters refuse
+rounding that tripatrol clamps.  The caller_frame_* ones check the frame
+itself.  They are kept only for the tests to compare against.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from tripatrol.geom import (
     require_acute,
 )
 from tripatrol.greedy import _CYCLES, GreedyTrace, recurrence_constants
-from tripatrol.orthic import _REFLECTED, OutsideChannel, reflection_chain
+from tripatrol.orthic import reflection_chain
 from tripatrol.schedule import GapReport, InfeasibleSchedule, Schedule, SchedulePoint
 
 
@@ -73,60 +67,6 @@ def project_along(p: XY, a: Point, d: XY) -> XY:
 
 class ProjectionEscapesEdge(RuntimeError):
     """A projection left its closed edge segment (impossible for acute input)."""
-
-
-# The channel line crosses BC, then each mirror: each crossing's relabeled edge and fold depth.
-_CROSSED_EDGES = (EdgeId.A,) + tuple(EdgeId(i) for i in _REFLECTED)
-_FOLD_DEPTHS = (0,) + tuple(range(len(_REFLECTED)))
-
-
-def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
-    local = local_frame(t)[0]
-    return Schedule(t, caller_frame_sub_orthic_schedule(local, lam).generator)
-
-
-def caller_frame_sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
-    """Cyclic 6-periodic schedule from the channel line at parameter lam.
-
-    lam = -1 is the boundary through A1, 0 the orthic line itself, +1 the
-    boundary through A; in between the offset interpolates linearly in
-    signed distance on each side.
-    """
-    folded, closing = folded_crossings(t, lam)
-    unf = reflection_chain(t)
-    # The line's exit through the final copy's base must fold back onto the start.
-    if closing.dist(folded[0][1]) > 1e-8 * t.diameter:
-        raise AssertionError("folded trajectory failed to close up")
-
-    pts = []
-    for edge, p in folded:
-        u = ref.edge_param(t, edge, p, rel_tol=1e-8)
-        if abs(u) <= unf.snap:
-            u = 0.0
-        elif abs(u - 1.0) <= unf.snap:
-            u = 1.0
-        pts.append(SchedulePoint(edge, u))
-    return Schedule(t, tuple(pts))
-
-
-def folded_crossings(t: Triangle, lam: float) -> tuple[list[tuple[EdgeId, Point]], Point]:
-    """(folded, closing): the crossings of the channel line at lam with BC
-    and each mirror of reflection_chain(t), each folded back onto the base
-    with the edge of t it lies on; and its crossing with B2C2, folded back."""
-    if not -1.0 <= lam <= 1.0:
-        raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
-    unf = reflection_chain(t)
-    off = lam * (unf.half_width_high if lam >= 0.0 else unf.half_width_low)
-    anchor = unf.k + unf.normal * off
-    line: Line = (anchor, anchor + unf.direction * t.diameter)
-
-    crossed = ((unf.base.b, unf.base.c),) + unf.mirrors
-    folded = [
-        (unf.edge_map[e], ref.fold(unf.mirrors, ref.line_intersection(line, cl), n))
-        for cl, e, n in zip(crossed, _CROSSED_EDGES, _FOLD_DEPTHS)
-    ]
-    closing = ref.fold(unf.mirrors, ref.line_intersection(line, (unf.b2, unf.c2)), len(unf.mirrors))
-    return folded, closing
 
 
 def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
@@ -231,14 +171,6 @@ def _local_positions(triangle: Triangle, points: Sequence[SchedulePoint]) -> tup
 
 
 def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport:
-    return _gap_report(s, t, horizon, *_local_positions(s.triangle, s.generator))
-
-
-def caller_frame_gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport:
-    return _gap_report(s, t, horizon, s.positions, 1.0)
-
-
-def _gap_report(s: Schedule, t: int, horizon: int | None, positions: Sequence[Point], scale: float) -> GapReport:
     """t-gap sequences and suprema of a schedule, examined over `horizon`
     sequence elements (default: enough to attain the periodic supremum)."""
     if t < 1:
@@ -249,6 +181,7 @@ def _gap_report(s: Schedule, t: int, horizon: int | None, positions: Sequence[Po
         horizon = attained
     if horizon < m + 1:
         raise ValueError(f"horizon {horizon} shorter than one period plus a revisit")
+    positions, scale = _local_positions(s.triangle, s.generator)
     times = _visit_times(positions, s.generator, horizon, s.triangle.tol(), scale)
     mode = "periodic" if horizon >= attained else "observed"
     return _gaps_from_times(times, t, horizon, mode)

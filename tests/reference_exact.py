@@ -21,6 +21,12 @@ the parallels to the orthic line through A1 and A meet BC.  v_k, the
 distance from R to RT's k-th image R_kT_k = RT + k w, is the square root
 of a rational squared distance.
 
+A channel line is rational at a rational lambda (every float is one): the
+parallel to w through k, moved by lambda times the offset of A (lambda >=
+0) or of A1 (lambda < 0).  Where it crosses BC and each mirror, the copy's
+edge there is the base edge's image, so the parameter read along that
+copy's edge is the stop's parameter on the base, with no folding.
+
 It is slow and kept only for the tests to compare against.
 """
 
@@ -30,7 +36,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import NamedTuple
 
-from tripatrol.geom import Point, Triangle
+from tripatrol.geom import EdgeId, Point, Triangle
 
 XY = tuple[Fraction, Fraction]
 
@@ -215,3 +221,17 @@ def straddles(offsets: tuple[Fraction, ...], bottom: Fraction, top: Fraction) ->
     strictly on one side of it."""
     return max(offsets) >= top and min(offsets) <= bottom
 
+
+def channel_stops(u: Unfolding, lam: Fraction) -> list[tuple[EdgeId, Fraction]]:
+    """(edge, parameter) of each stop of the channel line at lam, in the
+    unfolding's labels and its edges' orientation: where the line crosses
+    BC, then each mirror, read along that copy's edge."""
+    a, b, c = u.copies[0]
+    w = sub(u.k2, u.k)
+    s = lam * (u.offset(a) if lam >= 0 else -u.offset(u.a1)) / dot(u.normal, u.normal)
+    p = (u.k[0] + s * u.normal[0], u.k[1] + s * u.normal[1])
+    crossed = (
+        (EdgeId.A, b, c), (EdgeId.C, a, b), (EdgeId.B, a, u.c1),
+        (EdgeId.A, u.b1, u.c1), (EdgeId.C, u.a1, u.b1), (EdgeId.B, u.a1, u.c2),
+    )
+    return [(e, cross(sub(p, q), w) / cross(sub(r, q), w)) for e, q, r in crossed]

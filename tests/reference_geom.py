@@ -8,9 +8,9 @@ foot of project_onto_line and the parameter of edge_coordinates, clamped
 to [0, 1], and the mirror images of tripatrol.search._segments must equal
 reflect_point's.  They are slow and kept only for the tests to compare
 against.  edge_param, with its off-line test and its own PointOffEdge, is
-the library's former edge parameter; the reference channel and walk read
-it.  fold is the unfolding's former fold, which the sweep's fold steps
-replaced, and the bit gate and the reference channel kernels fold with it.
+the library's former edge parameter; the reference walk and its limit
+cycle read it.  fold is the unfolding's former fold, and the bit gate
+folds the unfolding's points with it.
 
 count_edge_hits is the unfolding's former channel check, a segment-line
 test per edge; the vertex-offset test of reference_exact.straddles must

@@ -161,8 +161,6 @@ class Unfolding:
     boundary_high: Line  # through A, parallel to the orthic line
     half_width_low: float
     half_width_high: float
-    normal: Point  # unit normal toward the A side (positive signed offset)
-    snap: float  # edge parameters this close to 0 or 1 snap to the vertex
 
     @property
     def all_triangles(self) -> tuple[Triangle, ...]:

@@ -2,15 +2,13 @@ import copy
 import math
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
-import reference_channel
 import reference_geom as ref
 from reference_geom import edge_param
 from tripatrol.geom import (
-    PARALLEL_SIN_TOL,
     EdgeId,
     NotAcute,
     Point,
@@ -30,7 +28,7 @@ from tripatrol.orthic import (
 )
 from tripatrol.schedule import gap_report, is_cyclic, is_k_periodic, pairwise_gap
 from conftest import FOOT_EPS, near_right_triangles, random_acute_triangle, thin_triangles
-from test_reference_exact import UNFOLDINGS
+from test_reference_exact import CHANNEL_N, UNFOLDINGS, channel_error
 
 RIGHT_ISO = Triangle(Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 0.0))
 ACUTE = ((0.0, 0.0), (1.0, 0.0), (0.4, 0.9))
@@ -257,81 +255,55 @@ def test_sub_orthic_lambda_zero_is_doubled_orthic(rng, equilateral):
         assert is_k_periodic(s, 3)
 
 
-def crossing_sines(t: Triangle) -> list[float]:
-    """The sine of the angle at which the channel direction meets each line
-    that sub_orthic_schedule crosses: BC, the five mirrors and B2C2."""
-    unf = reflection_chain(t)
-    d = unf.direction
-    lines = ((unf.base.b, unf.base.c), *unf.mirrors, (unf.b2, unf.c2))
-    return [abs(d.cross(q - p)) / p.dist(q) for p, q in lines]
+# Two thin near-right triangles whose float unfolding is far from exact:
+# its points lie up to 5.4e7 eps diam off on the first, and on the second
+# (angle B 2.6e-9 rad) its direction meets two mirrors at a sine of 5e-17.
+# The channel stops read neither the unfolding's points nor a crossing:
+# both give a schedule at every lambda, within CHANNEL_N eps diam of the
+# exact channel (measured 0.44 and 0.02).
+THIN_NEAR_RIGHT = (
+    Triangle(Point(0.6371651029824486, -0.7707273392979941), Point(0.0, 0.0),
+             Point(0.6371650848392733, -0.7707273542970703)),
+    Triangle(Point(-2.491462513711181, -1.9120268668496627), Point(-2.8818586721283, -1.2632582850378604),
+             Point(-2.4914625153875947, -1.9120268678584438)),
+)
 
 
-def test_sub_orthic_crossings_are_far_from_parallel_but_on_thin_triangles(rng):
-    # Exactly, the channel meets each line at the angle A, B or C, at least
-    # 0.08 rad here, so sub_orthic_schedule's parallel test cannot fire.
-    for _ in range(50):
-        assert min(crossing_sines(random_acute_triangle(rng))) >= 1e-10
-    # Angle B is 2.6e-9 rad here, but the float unfolding of this thin
-    # near-right triangle is inexact enough that its direction meets two
-    # mirrors at a sine of 5e-17: the test refuses, where the crossing
-    # would divide by zero.
-    thin = Triangle(
-        Point(-2.491462513711181, -1.9120268668496627),
-        Point(-2.8818586721283, -1.2632582850378604),
-        Point(-2.4914625153875947, -1.9120268678584438),
-    )
-    assert min(crossing_sines(thin)) < PARALLEL_SIN_TOL
-    with pytest.raises(ValueError, match="lines are parallel"):
-        sub_orthic_schedule(thin, 0.0)
+def test_sub_orthic_schedule_on_thin_near_right_triangles():
+    for t in THIN_NEAR_RIGHT:
+        for i in range(41):
+            lam = -1.0 + i / 20.0
+            assert len(sub_orthic_schedule(t, lam).generator) == 6
+            assert channel_error(t, lam) <= CHANNEL_N, (t, lam)
 
 
-def test_folded_crossings_lie_on_their_edge_lines(rng):
-    # sub_orthic_schedule folds each crossing back through the mirrors that
-    # built its copy, and takes its edge parameter with no on-line test:
-    # measured at most 7.7 eps * diameter on 2,000 generic sweeps and 3.2 on
-    # 2,595 thin ones.  The reference fold is the sweep's, bit for bit
-    # (tests/test_reference_channel.py).
-    eps = 2.0**-52
-    cases = [random_acute_triangle(rng) for _ in range(40)] + thin_triangles(random.Random(28), 200)
-    measured = 0
-    for t in cases:
-        local = local_frame(t)[0]
-        bound = FOOT_EPS * eps * local.diameter
-        for lam in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            try:
-                folded, _ = reference_channel.folded_crossings(local, lam)
-            except ValueError as exc:  # a thin near-right unfolding, as above
-                assert str(exc) == "lines are parallel"
-                continue
-            measured += 1
-            for edge, p in folded:
-                assert ref.edge_coordinates(local, edge, p)[1] <= bound, (t, lam, edge)
-    assert measured >= 0.95 * 5 * len(cases)
+def isosceles_triangles(rng: random.Random, count: int) -> list[Triangle]:
+    """count triangles with apex P and base vertices P + r (cos t, sin t)
+    and P + r (cos(t + phi), sin(t + phi)), phi from 0.1 to 1 rad, so the
+    two legs are the longest sides, each with its vertices in every order.
+    A draw is kept where the float legs are exactly equal (about 3 in 5)."""
+    out = []
+    while len(out) < 6 * count:
+        p = Point(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        r, theta, phi = rng.uniform(0.5, 1.0), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 1.0)
+        verts = [p] + [Point(p.x + r * math.cos(a), p.y + r * math.sin(a)) for a in (theta, theta + phi)]
+        if verts[0].dist(verts[1]) == verts[0].dist(verts[2]):
+            out += [Triangle(*[verts[i] for i in order]) for order in permutations(range(3))]
+    return out
 
 
-def test_folded_trajectory_closes_up(rng):
-    # B2C2 is BC's image under the unfolding's five reflections, so the
-    # channel line's crossing with B2C2, folded back, is its crossing with
-    # BC: sub_orthic_schedule neither computes nor checks it.  Measured at
-    # most 15.3 eps * diameter on 2,000 generic triangles, 5.4 on 2,564 thin,
-    # 7.6 on 1,000 near right and 11.9 on 1,000 moved by 1e12.
-    eps = 2.0**-52
-    generic = [random_acute_triangle(rng) for _ in range(40)]
-    moved = [Triangle(*[Point(v.x + 1e12, v.y + 1e12) for v in t.vertices]) for t in generic[:20]]
-    near_right = [t for _, t in near_right_triangles(random.Random(3), 40)]
-    cases = generic + thin_triangles(random.Random(28), 200) + near_right + moved
-    measured = 0
-    for t in cases:
-        local = local_frame(t)[0]
-        for lam in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            try:
-                folded, closing = reference_channel.folded_crossings(local, lam)
-            except ValueError as exc:  # a thin near-right unfolding, as above
-                assert str(exc) == "lines are parallel"
-                continue
-            measured += 1
-            assert closing.dist(folded[0][1]) <= 64 * eps * local.diameter, (t, lam)
-    assert measured >= 0.95 * 5 * len(cases)
+def test_isosceles_channel_boundaries_snap_to_the_vertices():
+    # With the two longest sides equal, the boundary through A (and the one
+    # through A1) also passes through B, exactly: at lambda = +-1 two stops
+    # are A and two are B.  The stops at B are sums that round a few ulps
+    # off 0 and 1 (1.0000000000000002 leaves [0, 1]); VERTEX_SNAP makes
+    # them the vertex.
+    for t in isosceles_triangles(random.Random(31), 40):
+        sides = sorted(t.side_lengths)
+        assert sides[1] == sides[2]
+        for lam in (-1.0, 1.0):
+            s = sub_orthic_schedule(t, lam)
+            assert sum(p.u in (0.0, 1.0) for p in s.generator) == 4, (t, lam)
 
 
 def test_sub_orthic_is_cyclic_6_periodic(rng):
@@ -418,8 +390,8 @@ def test_sub_orthic_boundary_pairwise_strictly_larger(equilateral):
 def test_sub_orthic_parameters_are_affine_on_each_half(rng):
     """The flat face of the channel family: the channel line moves by a
     fixed offset per unit of lambda on each side of the orthic line, and
-    intersecting, folding and taking edge parameters are affine maps, so
-    each u_i(lambda) is affine on [-1, 0] and on [0, 1]."""
+    meets each edge at a fixed angle, so each u_i(lambda) is affine on
+    [-1, 0] and on [0, 1] (one line: the two half widths are equal)."""
     for _ in range(40):
         t = random_acute_triangle(rng)
         mid = sub_orthic_schedule(t, 0.0).generator
@@ -513,7 +485,7 @@ def test_unfolding_is_built_on_the_local_frame_and_placed_back(rng):
     for name in ("a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2"):
         p = getattr(there, name)
         assert getattr(unf, name) == Point(origin.x + p.x * scale, origin.y + p.y * scale)
-    assert (unf.direction, unf.normal, unf.snap, unf.edge_map) == (there.direction, there.normal, there.snap, there.edge_map)
+    assert (unf.direction, unf.edge_map) == (there.direction, there.edge_map)
     assert (unf.half_width_low, unf.half_width_high) == (there.half_width_low * scale, there.half_width_high * scale)
     assert [tri.vertices for tri in unf.triangles][-1] == (unf.a1, unf.b2, unf.c2)
     for lam in (-1.0, -0.4, 0.0, 0.7, 1.0):

@@ -64,13 +64,11 @@ def test_greedy_run_from_a_vertex_matches_reference():
 
 @pytest.mark.parametrize("label, t", TRIANGLES, ids=[label for label, _ in TRIANGLES])
 def test_sub_orthic_schedule_and_gaps_match_reference(label, t):
+    # The schedules are the closed form's, checked against the exact channel
+    # in test_reference_exact.py; here their gaps are checked.
     rng = random.Random(label)
     lams = LAMBDAS + tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
     for lam in lams:
-        want = outcome(ref.sub_orthic_schedule, t, lam)
-        assert outcome(sub_orthic_schedule, t, lam) == want, lam
-        if isinstance(want, tuple):
-            continue
         s = sub_orthic_schedule(t, lam)
         m = len(s.generator)
         for order in (1, 2, 3):
@@ -139,8 +137,8 @@ def test_greedy_run_and_prefix_gaps_match_reference(label, t):
 
 # The frame's own effect.  On a triangle near the origin, each caller-frame
 # body agrees with the frame's to CALLER_FRAME_ULPS ulps of the coordinates'
-# size, eps * (diameter + max|coord|): edge parameters times the diameter,
-# gaps, v_k / k and the v_k bounds.  Measured at most 8.8 over 4 seeds x 40
+# size, eps * (diameter + max|coord|): greedy's edge parameters times the
+# diameter, v_k / k and the v_k bounds.  Measured at most 8.8 over 4 seeds x 40
 # triangles x 4 scales.  Not at 1e-160, where the caller frame's products of
 # two lengths fall into the subnormals.
 CALLER_FRAME_ULPS = 16
@@ -151,12 +149,6 @@ UNMOVED = [(label, t) for label, t in TRIANGLES if "+" not in label and not labe
 def test_caller_frame_kernels_agree_with_the_frame(label, t):
     size = 2.0**-52 * (t.diameter + max(max(abs(v.x), abs(v.y)) for v in t.vertices))
     bound = CALLER_FRAME_ULPS * size
-    for lam in LAMBDAS:
-        here, there = sub_orthic_schedule(t, lam), ref.caller_frame_sub_orthic_schedule(t, lam)
-        assert [p.edge for p in here.generator] == [p.edge for p in there.generator]
-        assert all(abs(p.u - q.u) * t.diameter <= bound for p, q in zip(here.generator, there.generator))
-        for order in (1, 2):
-            assert abs(gap_report(here, order).overall - ref.caller_frame_gap_report(there, order).overall) <= bound
     for (_, vk, b), (_, vk0, b0) in zip(lower_bound_profile(t, 60), ref.caller_frame_lower_bound_profile(t, 60)):
         assert abs(vk - vk0) <= bound and abs(b - b0) <= bound
     start_u = random.Random(label).uniform(0.05, 0.95)

@@ -6,11 +6,14 @@ coordinates, so on the exact reference the seven altitude feet are
 collinear, B2C2 is parallel to BC and the channel between the parallels
 through A and A1 meets two edges of every copy, each exactly, and the
 orthic perimeter equals its closed form to 1e-40 (in `decimal` at 50
-digits).  The channel's cross-section RT on BC runs against the orthic
-direction, w . (T - R) < 0, exactly: lower_bound_profile's v_k rests on it.
+digits).  A and A1 lie at one distance from the orthic line, exactly.  The
+channel's cross-section RT on BC runs against the orthic direction,
+w . (T - R) < 0, exactly: lower_bound_profile's v_k rests on it.
 orthic_triangle and reflection_chain compute on local_frame(t) in floats
 and check none of this; their points, and lower_bound_profile's rows, must
-lie within N eps diam of the exact ones on that same frame.
+lie within N eps diam of the exact ones on that same frame, and the stops
+of sub_orthic_schedule's closed form within CHANNEL_N eps diam of the exact
+channel's.
 
 Inputs: random acute triangles at angle margins 0.08, 0.01 and 0.001,
 each as drawn, moved by 1e6, 1e12 and 1e15 and scaled by 2^500 and
@@ -30,8 +33,8 @@ from fractions import Fraction
 
 import reference_exact as rx
 from tripatrol import cli
-from tripatrol.geom import EdgeId, Point, Triangle, is_acute, local_frame
-from tripatrol.orthic import lower_bound_profile, orthic_triangle, reflection_chain
+from tripatrol.geom import VERTEX_SNAP, EdgeId, Point, Triangle, edge_point, is_acute, local_frame
+from tripatrol.orthic import lower_bound_profile, orthic_triangle, reflection_chain, sub_orthic_schedule
 from conftest import near_right_triangles, random_acute_triangle
 from make_goldens import EQ
 
@@ -54,6 +57,13 @@ EPS = sys.float_info.epsilon
 # "margin 0.001 #7 +1e+15"); on NEAR_RIGHT 4.34, and 5.39 over 120 other
 # near-right triangles.
 N = 16
+# sub_orthic_schedule's stops lie within CHANNEL_N eps diam of the exact
+# channel's, along their edges, at each of CHANNEL_LAMBDAS.  Measured: 0.86
+# over TRIANGLES ("margin 0.01 #5 +1e+06" at lambda = 1), 0.65 over
+# NEAR_RIGHT.  At lambda = 0 they lie within 2 CHANNEL_N of orthic_triangle's
+# feet: 2.62 at most, as those feet reach 2.12 from the exact ones.
+CHANNEL_N = 2
+CHANNEL_LAMBDAS = (-1.0, -0.7, -0.3, 0.0, 0.5, 0.7, 1.0)
 
 
 def _golden(args: list[str]) -> Triangle:
@@ -158,6 +168,14 @@ def test_channel_meets_two_edges_of_every_copy():
         assert all(rx.straddles(offsets, bottom, top) for offsets in u.offsets), label
 
 
+def test_half_widths_are_equal():
+    """A and A1 lie at one distance from the orthic line: A1's copy meets
+    it along the image of KM, as the base does.  So one slope per edge
+    serves both halves of the channel family."""
+    for label, u in UNFOLDINGS + exact_unfoldings(NEAR_RIGHT):
+        assert u.offset(u.copies[0][0]) == -u.offset(u.a1), label
+
+
 def test_cross_section_runs_against_the_orthic_direction():
     """lower_bound_profile's premise: T != R and w . (T - R) < 0, so T
     projects past T_k onto R_kT_k and v_k is dist(R, R_kT_k) alone."""
@@ -218,6 +236,27 @@ def row_error(t: Triangle) -> float:
         return float(max(max(abs(Decimal(vk) - xvk), abs(Decimal(b) - xb)) for (_, vk, b), (_, xvk, xb) in rows) / unit)
 
 
+def channel_error(t: Triangle, lam: float) -> float:
+    """The largest distance, in eps diam, of a stop of sub_orthic_schedule
+    at lam on local_frame(t) from the exact channel's stop, each measured
+    along its edge; a stop snapped to a vertex may lie VERTEX_SNAP times
+    its edge's length further."""
+    local = local_frame(t)[0]
+    unf = reflection_chain(local)
+    stops = rx.channel_stops(in_float_labels(local), Fraction(lam))
+    worst = Fraction(0)
+    for p, (e, u) in zip(sub_orthic_schedule(local, lam).generator, stops, strict=True):
+        assert p.edge == unf.edge_map[e]
+        if local.edges[p.edge][0] != unf.base.edges[e][0]:
+            u = 1 - u
+        length = Fraction(local.side_lengths[p.edge])
+        err = abs(Fraction(p.u) - u) * length
+        if p.u in (0.0, 1.0):
+            err = max(Fraction(0), err - Fraction(VERTEX_SNAP) * length)
+        worst = max(worst, err)
+    return float(worst / Fraction(EPS * local.diameter))
+
+
 def test_float_constructions_lie_near_the_exact_points():
     errors = {label: float_errors(t) for label, t in TRIANGLES}
     assert {label: e for label, e in errors.items() if max(e) > N} == {}
@@ -229,6 +268,22 @@ def test_lower_bound_rows_lie_near_the_exact_ones():
     errors = {label: row_error(t) for label, t in TRIANGLES + NEAR_RIGHT}
     assert {label: e for label, e in errors.items() if e > N} == {}
     assert max(errors.values()) > N / 10
+
+
+def test_channel_stops_lie_near_the_exact_ones():
+    errors = {(label, lam): channel_error(t, lam) for label, t in TRIANGLES + NEAR_RIGHT for lam in CHANNEL_LAMBDAS}
+    assert {key: e for key, e in errors.items() if e > CHANNEL_N} == {}
+    assert max(errors.values()) > CHANNEL_N / 10
+
+
+def test_channel_at_lambda_zero_visits_the_orthic_feet():
+    for label, t in TRIANGLES + NEAR_RIGHT:
+        local = local_frame(t)[0]
+        od = orthic_triangle(local)
+        feet = (od.k_foot, od.l_foot, od.m_foot)
+        for p in sub_orthic_schedule(local, 0.0).generator:
+            gap = edge_point(local, p.edge, p.u).dist(feet[p.edge])
+            assert gap <= 2 * CHANNEL_N * EPS * local.diameter, (label, p.edge)
 
 
 def test_float_relabeling_is_the_exact_one():
