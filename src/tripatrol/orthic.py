@@ -2,40 +2,27 @@
 the 6-periodic schedules of the channel lines folded back in, and the
 unfolding lower-bound sequence v_k that certifies their optimality.
 
+The unfolding, the channel and v_k work on a relabeled copy of the input
+whose angles satisfy A >= B >= C; results are mapped back to the caller's
+vertex labels before they are returned.
+
 `Unfolding` is the one object for the unfolding: the reflected copies, the
 altitude-foot images on the orthic line and the channel between the
-parallels through A and A1.  It works on a relabeled copy of the input
-whose side lengths satisfy alpha >= beta >= gamma; results are mapped back
-to the caller's vertex labels before they are returned.
-
-One rule builds it: each of the five steps reflects one vertex of the
-current copy across the line through the other two (`_REFLECTED`), and
-the foot of that reflection is the copy's altitude foot on the orthic
-line.
+parallels through A and A1.  One rule builds it: each of the five steps
+reflects one vertex of the current copy across the line through the other
+two (`_REFLECTED`), and the foot of that reflection is the copy's altitude
+foot on the orthic line.  Only `reflection_chain` builds it, for what
+reports it: the channel's stops and v_k are closed forms of the relabeled
+base's dot products, computed once per triangle (`_channel`).
 
 Every construction here runs on geom.local_frame(t): the triangle moved
 near the origin and scaled by a power of two to a diameter in [1, 2).
 What it reports is mapped back: points are placed at origin + scale * p,
 lengths multiplied by the scale, and edge parameters and ratios kept.
 
-`reflection_chain(t)` builds the one unfolding of t: computed on t's
-local triangle, then assembled in t's coordinates, with t's own vertices
-as its base.  `_chain` keeps the last one built, one entry keyed on the
-caller's Triangle object: a sweep over lambda, the v_k bounds and the CLI
-on one triangle build it once.
-
-Its exact identities (collinear feet, B2C2 parallel to BC, a channel
-that meets two edges of every copy) are tested, not checked here.
-
-Beside the unfolding, the entry keeps the local data its two readers
-compute on, once per triangle.  For `sub_orthic_schedule`, the channel
-family in closed form: a channel line is parallel to the orthic sides, so
-each of its six stops, folded back onto the base, moves linearly in lambda
-from an orthic foot, with a slope d / side^2, d = (B - A) . (C - A), on
-the relabeled base.  For `lower_bound_profile`, the channel's
-cross-section RT on BC and v = k2 - k.  Every projection of the build,
-the five reflections and the feet k and k2, goes through geom's one
-segment kernel, `edge_frame` and `foot_on_edge`.
+The unfolding's exact identities (collinear feet, B2C2 parallel to BC, a
+channel that meets two edges of every copy) and the closed forms' exact
+values are tested, not checked here.
 """
 
 from __future__ import annotations
@@ -122,7 +109,7 @@ def orthic_schedule(t: Triangle) -> Schedule:
 
 
 class Unfolding(Record):
-    """Five successive reflections of a triangle with alpha >= beta >= gamma
+    """Five successive reflections of a triangle with angles A >= B >= C
     and the orthic channel they straighten out, in the coordinates of the
     triangle unfolded.
 
@@ -136,15 +123,14 @@ class Unfolding(Record):
     """
 
     __slots__ = __match_args__ = (
-        "source", "base", "edge_map", "triangles", "mirrors",
+        "base", "edge_map", "triangles", "mirrors",
         "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
         "direction", "boundary_low", "boundary_high", "half_width_low", "half_width_high",
     )
 
     def __init__(
         self,
-        source: Triangle,  # the triangle unfolded, original labels
-        base: Triangle,  # relabeled copy (alpha >= beta >= gamma)
+        base: Triangle,  # relabeled copy (A >= B >= C)
         edge_map: dict[EdgeId, EdgeId],  # relabeled EdgeId -> caller EdgeId
         triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle],
         mirrors: tuple[Line, Line, Line, Line, Line],
@@ -167,7 +153,7 @@ class Unfolding(Record):
         half_width_high: float,
     ):
         values = (
-            source, base, edge_map, triangles, mirrors, a1, b1, b2, c1, c2, k, m, l1, k1, m1, l2, k2,
+            base, edge_map, triangles, mirrors, a1, b1, b2, c1, c2, k, m, l1, k1, m1, l2, k2,
             direction, boundary_low, boundary_high, half_width_low, half_width_high,
         )
         for store, value in zip(_SET_UNFOLDING, values):
@@ -189,28 +175,24 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))
 
 
 def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
-    """Vertices reordered so opposite side lengths are non-increasing."""
-    sides = t.side_lengths
-    order = sorted(range(3), key=lambda i: (-sides[i], i))
+    """The vertices of acute t reordered so their angles are non-increasing,
+    ties by index.  By angle, not by side length: on a thin triangle near a
+    right angle the float sides can sort apart from the exact ones, and the
+    channel's closed forms hold only where A is the largest angle."""
+    require_acute(t)
+    angs = angles(t)
+    order = sorted(range(3), key=lambda i: (-angs[i], i))
     v = t.vertices
     relabeled = Triangle(v[order[0]], v[order[1]], v[order[2]])
     edge_map = {EdgeId(i): EdgeId(order[i]) for i in range(3)}
     return relabeled, edge_map
 
 
-def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
-    """(unfolding, stops, bound): the unfolding of t, built on
-    local_frame(t) and returned in t's coordinates, with the local data
-    its two readers compute on.
-
-    stops, for sub_orthic_schedule: for each of the six stops of a
-    channel line, (edge of t, u0, sign * slope, whether t's edge runs
-    against the relabeled one).  bound, for lower_bound_profile: (rx, ry,
-    tx, ty, vx, vy, |v|, |v . (T - R)|), the ends R and T of the channel's
-    cross-section, where the boundaries through A1 and A meet BC, and v =
-    k2 - k."""
+def _build(t: Triangle) -> Unfolding:
+    """The unfolding of t, built on local_frame(t) and returned in t's
+    coordinates.  Its projections, the five reflections and the feet k and
+    k2, go through geom's one segment kernel, edge_frame and foot_on_edge."""
     local, origin, scale = local_frame(t)
-    require_acute(local)
     base, edge_map = _relabel(local)
     a, b, c = base.vertices
 
@@ -236,42 +218,10 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
     off_high = direction.cross(a - k)
     off_low = direction.cross(a1 - k)
     step = direction * base.diameter  # a unit step would round away at large sides
-    low_line: Line = (a1, a1 + step)
-    high_line: Line = (a, a + step)
-
-    # The cross-section RT: R and T, where the boundaries through A1 and A
-    # meet BC.  They are parallel to KM, which meets BC at the angle A, the
-    # base's largest, in [pi/3, pi/2): the sine is at least sqrt(3)/2, and
-    # no parallel test is needed.
-    ex, ey = c.x - b.x, c.y - b.y
-    cross_section = []
-    for p, q in (low_line, high_line):
-        dx, dy = q.x - p.x, q.y - p.y
-        s = ((b.x - p.x) * ey - (b.y - p.y) * ex) / (dx * ey - dy * ex)
-        cross_section += (p.x + dx * s, p.y + dy * s)
-    rx, ry, tx, ty = cross_section
-
-    # The channel stops in crossing order, (BC, +) (AB, -) (AC, -) (BC, -)
-    # (AB, +) (AC, +): each edge's orthic foot u0 and its slope per unit of
-    # lambda, d / side^2 with d = (B - A) . (C - A); on AC and AB, u0 is
-    # the slope too.
-    abx, aby, acx, acy, bcx, bcy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y, c.x - b.x, c.y - b.y
-    d = abx * acx + aby * acy
-    bc2 = bcx * bcx + bcy * bcy
-    s_bc, s_ac, s_ab = d / bc2, d / (acx * acx + acy * acy), d / (abx * abx + aby * aby)
-    u_bc = -(abx * bcx + aby * bcy) / bc2
-    stops = []
-    for e, u0, slope in (
-        (EdgeId.A, u_bc, s_bc), (EdgeId.C, s_ab, -s_ab), (EdgeId.B, s_ac, -s_ac),
-        (EdgeId.A, u_bc, -s_bc), (EdgeId.C, s_ab, s_ab), (EdgeId.B, s_ac, s_ac),
-    ):
-        lo, hi = _OTHERS[e]
-        stops.append((edge_map[e], u0, slope, edge_map[EdgeId(lo)] > edge_map[EdgeId(hi)]))
-    bound = (rx, ry, tx, ty, w.x, w.y, w.norm(), abs(w.x * (tx - rx) + w.y * (ty - ry)))
 
     # In t's coordinates: the base is t's own vertices, every other point is
     # placed back; a triangle that is its own frame keeps its points as built.
-    points = [c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, low_line[1], high_line[1]]
+    points = [c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, a1 + step, a + step]
     if local is not t:
         v = t.vertices
         base = Triangle(*[v[e] for e in edge_map.values()])  # keyed A, B, C in order
@@ -284,8 +234,7 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
         mirrors.append((verts[lo], verts[hi]))
         verts[i] = p
         tris.append(Triangle(*verts))
-    unf = Unfolding(
-        source=t,
+    return Unfolding(
         base=base,
         edge_map=edge_map,
         triangles=tuple(tris),
@@ -308,27 +257,62 @@ def _build(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
         half_width_low=abs(off_low) * scale,
         half_width_high=abs(off_high) * scale,
     )
-    return unf, tuple(stops), bound
-
-
-# The last build, keyed on the identity of the caller's Triangle, not on
-# ==: Point(0.0, y) == Point(-0.0, y), and source/base must be the caller's
-# own vertices.  Holding the triangle keeps its id from being reused.
-_last: tuple[Unfolding, tuple, tuple] | None = None
-
-
-def _chain(t: Triangle) -> tuple[Unfolding, tuple, tuple]:
-    """_build(t), built once per triangle: the last build is kept."""
-    global _last
-    if _last is None or _last[0].source is not t:
-        _last = _build(t)
-    return _last
 
 
 def reflection_chain(t: Triangle) -> Unfolding:
-    """The unfolding of t: built once per triangle on local_frame(t), and
+    """The unfolding of t: built on local_frame(t) on every call, and
     returned in t's coordinates."""
-    return _chain(t)[0]
+    return _build(t)
+
+
+def _channel_numbers(t: Triangle) -> tuple[tuple, tuple[float, float, float, float]]:
+    """(stops, rows): the channel family and the v_k rows of t in closed
+    form, on the relabeled base of local_frame(t).
+
+    stops, for sub_orthic_schedule: for each of the six stops of a channel
+    line, (edge of t, u0, sign * slope, whether t's edge runs against the
+    relabeled one).  rows, for lower_bound_profile: (2P sin A, 2P cos A,
+    |RT|, 2 |RT| cos A), P the orthic perimeter."""
+    base, edge_map = _relabel(local_frame(t)[0])
+    a, b, c = base.vertices
+    abx, aby, acx, acy, bcx, bcy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y, c.x - b.x, c.y - b.y
+    d = abx * acx + aby * acy
+    ab2, ac2, bc2 = abx * abx + aby * aby, acx * acx + acy * acy, bcx * bcx + bcy * bcy
+
+    # The stops in crossing order, (BC, +) (AB, -) (AC, -) (BC, -) (AB, +)
+    # (AC, +), with sub_orthic_schedule's u0 and slopes d / side^2.
+    s_bc, s_ac, s_ab = d / bc2, d / ac2, d / ab2
+    u_bc = -(abx * bcx + aby * bcy) / bc2
+    stops = []
+    for e, u0, slope in (
+        (EdgeId.A, u_bc, s_bc), (EdgeId.C, s_ab, -s_ab), (EdgeId.B, s_ac, -s_ac),
+        (EdgeId.A, u_bc, -s_bc), (EdgeId.C, s_ab, s_ab), (EdgeId.B, s_ac, s_ac),
+    ):
+        lo, hi = _OTHERS[e]
+        stops.append((edge_map[e], u0, slope, edge_map[EdgeId(lo)] > edge_map[EdgeId(hi)]))
+
+    # P = 2 area / circumradius = 2 bc sin^2 A / a and |RT| = 2 d / a, with
+    # sin^2 A = 1 - d^2 / (bc)^2: cos A <= 1/2, so no digit cancels.
+    b2c2 = ab2 * ac2
+    bc, sin2 = math.sqrt(b2c2), 1.0 - d * d / b2c2
+    side_a = math.sqrt(bc2)
+    per2, rt, cos_a = 4.0 * bc * sin2 / side_a, 2.0 * d / side_a, d / bc
+    return tuple(stops), (per2 * math.sqrt(sin2), per2 * cos_a, rt, 2.0 * rt * cos_a)
+
+
+# The last triangle's numbers, keyed on the identity of the caller's
+# Triangle, which costs less than ==.  Holding the triangle keeps its id
+# from being reused.
+_last: tuple[Triangle, tuple, tuple] | None = None
+
+
+def _channel(t: Triangle) -> tuple[Triangle, tuple, tuple]:
+    """(t, stops, rows) of _channel_numbers(t), computed once per
+    triangle: the last one is kept."""
+    global _last
+    if _last is None or _last[0] is not t:
+        _last = (t, *_channel_numbers(t))
+    return _last
 
 
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
@@ -347,14 +331,14 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     d / |AB|^2 on AC and AB, d = (B - A) . (C - A).  The slopes are d /
     side^2 on every edge: the half width h_a cos A over side * sin(angle).
     So on AC and AB u0 = s, and the stops that reach vertex A at lam = +-1
-    are 0 exactly.  Each u is built once per triangle with the unfolding;
-    a stop within VERTEX_SNAP of 0 or 1 is that vertex, and the edge
+    are 0 exactly.  u0 and the slopes are computed once per triangle; a
+    stop within VERTEX_SNAP of 0 or 1 is that vertex, and the edge
     parameters are turned to t's own orientation of each edge.
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
     pts = []
-    for edge, u0, slope, flip in _chain(t)[1]:
+    for edge, u0, slope, flip in _channel(t)[1]:
         u = u0 + lam * slope
         if abs(u) <= VERTEX_SNAP:
             u = 0.0
@@ -367,37 +351,30 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
 def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
     """Rows (k, v_k / k, bound_k).  v_k is the length of the shortest
     trajectory from the channel cross-section RT on BC to its k-th unfolded
-    image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
-    diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
-    |v . (T - R)| / (P k) from the skew diagonal.  Both are measured in
-    local_frame(t) and scaled back.  R, T, v, |v| and |v . (T - R)| come
-    from the unfolding's build, once per triangle; each row is float
-    arithmetic on them.
+    image R_kT_k = RT + k*v, v = K2 - K (|v| = 2P, P the orthic perimeter):
+    the short diagonal of RTT_kR_k.  bound_k >= 2P - v_k/k is the
+    parallelogram bound |v . (T - R)| / (P k) from the skew diagonal.
 
-    v_k is dist(R, R_kT_k) alone.  RT and R_kT_k lie on distinct parallels
-    to BC, so v_k is the least distance from an endpoint of one to the
-    other, and by the parallelogram's central symmetry dist(T_k, RT) and
-    dist(R_k, RT) are those of R and T from R_kT_k.  v runs from K toward M
-    at the angle A to the ray KB (BKM is similar to BAC), and line KM
-    separates B from A, on whose side T lies.  So v . (T - R) = -|v| |T - R|
-    cos A < 0 (A, the relabeled base's largest angle, is acute): T projects
-    past T_k, and dist(T, R_kT_k) = k |v| = |R - R_k| >= dist(R, R_kT_k)."""
+    Both are closed forms of the relabeled base, A its largest angle, with
+    a = |BC| and d = (B - A) . (C - A) = bc cos A.  v runs from K toward M,
+    at the angle A to the ray KB (BKM is similar to BAC).  The boundaries
+    through A and A1 lie at h_a cos A on either side of line KM, so RT is
+    symmetric about K, |RT| = 2 h_a cot A = 2d / a, and T lies on A's side
+    of KM, which separates B from A: v runs against T - R.  So RT and
+    R_kT_k lie on parallels 2Pk sin A apart, and their projections on BC
+    are max(0, 2Pk cos A - |RT|) apart, as R_k lies 2Pk cos A past R and
+    T_k lies |RT| behind R_k:
+
+        v_k / k = hypot(2P sin A, max(0, 2P cos A - |RT| / k)),
+        bound_k = 2 |RT| cos A / k.
+
+    Their constants are computed on local_frame(t) once per triangle, with
+    the channel's stops; each row is scaled back."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     scale = local_frame(t)[2]
-    rx, ry, tx, ty, vx, vy, per2, c = _chain(t)[2]
-    rows = []
-    for k in range(1, k_max + 1):
-        rkx, rky = rx + vx * k, ry + vy * k
-        fx, fy = tx + vx * k - rkx, ty + vy * k - rky
-        ff = fx * fx + fy * fy
-        # R's projection onto R_kT_k, clamped to the segment; R_k where the
-        # segment rounds to a point, as on thin triangles near a right angle.
-        w = ((rx - rkx) * fx + (ry - rky) * fy) / ff if ff else 0.0
-        w = (w if w < 1.0 else 1.0) if w > 0.0 else 0.0
-        d_r = math.hypot(rx - (rkx + fx * w), ry - (rky + fy * w))
-        rows.append((k, d_r / k * scale, 2.0 * c / (per2 * k) * scale))
-    return rows
+    x, y, rt, bound = _channel(t)[2]
+    return [(k, math.hypot(x, max(0.0, y - rt / k)) * scale, bound / k * scale) for k in range(1, k_max + 1)]
 
 
 def verify_1gap_optimality(t: Triangle, k: int = 100) -> bool:

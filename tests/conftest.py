@@ -98,13 +98,17 @@ def equilateral() -> Triangle:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of unfolding builds: each relabels the triangle once."""
-    counts = {"builds": 0}
-    relabel = orthic._relabel
+    """Counts of unfolding builds and of computations of the channel's
+    numbers, the stops and the v_k rows."""
+    counts = {"unfoldings": 0, "channels": 0}
 
-    def counted(t):
-        counts["builds"] += 1
-        return relabel(t)
+    def counting(key, fn):
+        def counted(t):
+            counts[key] += 1
+            return fn(t)
 
-    monkeypatch.setattr(orthic, "_relabel", counted)
+        return counted
+
+    monkeypatch.setattr(orthic, "_build", counting("unfoldings", orthic._build))
+    monkeypatch.setattr(orthic, "_channel_numbers", counting("channels", orthic._channel_numbers))
     return counts

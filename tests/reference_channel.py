@@ -1,11 +1,11 @@
 """Reference channel kernels: the gap timeline (_visit_times,
-_gaps_from_times, gap_report, prefix_gap_report), lower_bound_profile with
-segment_distance_xy, and greedy_run with its limit cycle, as they were
-written on Points and per-call primitives before the edges on Triangle and
-the inline loops; and greedy_ratio_extremes as it was written on numpy
-grids.  Their intersections and edge parameters come from reference_geom,
-and the walk's projections from line_dir and project_along, geom's former
-float helpers kept here verbatim, so a change to geom cannot move the
+_gaps_from_times, gap_report, prefix_gap_report) and greedy_run with its
+limit cycle, as they were written on Points and per-call primitives
+before the edges on Triangle and the inline loops; and
+greedy_ratio_extremes as it was written on numpy grids.  Their
+intersections and edge parameters come from reference_geom, and the
+walk's projections from line_dir and project_along, geom's former float
+helpers kept here verbatim, so a change to geom cannot move the
 references it is checked against.  greedy_feet is the walk's projections
 alone, for the tests that measure them.
 
@@ -15,14 +15,12 @@ triangle and map the result back as tripatrol does: edge parameters as
 they are, lengths times the frame's scale.  A gap or travel time adds leg
 lengths measured on the local frame, times the scale.  tripatrol must
 return the same values, bit for bit, and raise the same exceptions with
-the same messages as the public ones on every input, but for v_k near a
-right angle, where tripatrol's one distance and this least of four may
-round a few ulps apart; and for greedy_run on thin triangles, where this
-walk's escape test and this limit cycle's unclamped edge parameters refuse
-rounding that tripatrol clamps.  The caller_frame_* ones check the frame
-itself.  They are kept only for the tests to compare against.
+the same messages as the public ones on every input, but for greedy_run
+on thin triangles, where this walk's escape test and this limit cycle's
+unclamped edge parameters refuse rounding that tripatrol clamps.  The
+caller_frame_* ones check the frame itself.  They are kept only for the
+tests to compare against.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -41,7 +39,6 @@ from tripatrol.geom import (
     require_acute,
 )
 from tripatrol.greedy import _CYCLES, GreedyTrace, recurrence_constants
-from tripatrol.orthic import reflection_chain
 from tripatrol.schedule import GapReport, InfeasibleSchedule, Schedule, SchedulePoint
 
 
@@ -67,47 +64,6 @@ def project_along(p: XY, a: Point, d: XY) -> XY:
 
 class ProjectionEscapesEdge(RuntimeError):
     """A projection left its closed edge segment (impossible for acute input)."""
-
-
-def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
-    local, _, scale = local_frame(t)
-    return [(k, vk * scale, bound * scale) for k, vk, bound in caller_frame_lower_bound_profile(local, k_max)]
-
-
-def caller_frame_lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float]]:
-    """Rows (k, v_k / k, bound_k).  v_k is the length of the shortest
-    trajectory from the channel cross-section RT on BC to its k-th unfolded
-    image RT + k*v, v = K2 - K (|v| = 2 * orthic perimeter): the short
-    diagonal of RTT_kR_k.  bound_k >= 2*P - v_k/k is the parallelogram bound
-    |v . (T - R)| / (P k) from the skew diagonal."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    unf = reflection_chain(t)
-    bc: Line = (unf.base.b, unf.base.c)
-    t_pt = ref.line_intersection(unf.boundary_high, bc)
-    r_pt = ref.line_intersection(unf.boundary_low, bc)
-    v = unf.k2 - unf.k
-    per2 = v.norm()  # 2 * orthic perimeter
-    c = abs(v.dot(t_pt - r_pt))
-    r0, t0 = r_pt.as_tuple(), t_pt.as_tuple()
-    rows = []
-    for k in range(1, k_max + 1):
-        r_k, t_k = (r0[0] + v.x * k, r0[1] + v.y * k), (t0[0] + v.x * k, t0[1] + v.y * k)
-        # RT and its translate never cross (v is not parallel to BC), so an endpoint is nearest.
-        vk = min(segment_distance_xy(r0, r_k, t_k), segment_distance_xy(t0, r_k, t_k),
-                 segment_distance_xy(r_k, r0, t0), segment_distance_xy(t_k, r0, t0))
-        rows.append((k, vk / k, 2.0 * c / (per2 * k)))
-    return rows
-
-
-def segment_distance_xy(p: XY, a: XY, b: XY) -> float:
-    """Distance from p to the closed segment ab."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    dd = dx * dx + dy * dy
-    if dd == 0.0:
-        return math.dist(p, a)
-    u = min(1.0, max(0.0, ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / dd))
-    return math.hypot(p[0] - (a[0] + dx * u), p[1] - (a[1] + dy * u))
 
 
 def _visit_times(

@@ -83,7 +83,8 @@ def side2(t: tuple[XY, XY, XY]) -> tuple[Fraction, Fraction, Fraction]:
 
 def relabel(t: Triangle) -> tuple[int, int, int]:
     """The vertex order with opposite side lengths non-increasing, ties by
-    index: the rule of orthic._relabel, on the exact lengths."""
+    index, on the exact lengths: so with the angles non-increasing, the
+    rule of orthic._relabel."""
     sides = side2(tuple(exact(v) for v in t.vertices))
     return tuple(sorted(range(3), key=lambda i: (-sides[i], i)))
 

@@ -126,7 +126,7 @@ class OrthicData:
 
 @dataclass(frozen=True)
 class Unfolding:
-    """Five successive reflections of a triangle with alpha >= beta >= gamma
+    """Five successive reflections of a triangle with angles A >= B >= C
     and the orthic channel they straighten out.
 
     C1 is C reflected about AB, B1 is B about A-C1, A1 is A about B1-C1,
@@ -138,8 +138,7 @@ class Unfolding:
     by the parallels through A and through A1.
     """
 
-    source: Triangle  # caller's triangle, original labels
-    base: Triangle  # relabeled copy (alpha >= beta >= gamma)
+    base: Triangle  # relabeled copy (A >= B >= C)
     # relabeled EdgeId -> caller EdgeId
     edge_map: dict[EdgeId, EdgeId]
     triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle]

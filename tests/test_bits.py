@@ -20,7 +20,7 @@ from tripatrol.orthic import (
 from tripatrol.schedule import gap_report
 from conftest import random_acute_triangle
 
-DIGEST = "e898ae59086f9f3afdfd7ab6166a799def2df3c8a82497cd3b99a2f30c5bbfc0"
+DIGEST = "2c0e7828155a988fcc2be9587dfa2458b8be3bb0b0c8f5a7047bd22202e2522d"
 
 BASE_SEED = 10
 BASE_COUNT = 11
@@ -31,7 +31,7 @@ LAMBDAS = tuple(round(-1.0 + i / 10.0, 10) for i in range(21))
 # The fields Unfolding had when the digest was taken; a field added later
 # leaves the digest alone.
 UNFOLDING_FIELDS = (
-    "source", "base", "edge_map", "triangles", "mirrors", "a1", "b1", "b2", "c1", "c2",
+    "base", "edge_map", "triangles", "mirrors", "a1", "b1", "b2", "c1", "c2",
     "k", "m", "l1", "k1", "m1", "l2", "k2", "direction", "boundary_low", "boundary_high",
     "half_width_low", "half_width_high",
 )

@@ -223,6 +223,15 @@ def test_orthic_succeeds_on_a_thin_triangle(capsys, monkeypatch, tmp_path):
     assert code == 0, out
 
 
+def test_channel_succeeds_on_a_thin_near_right_triangle(capsys, monkeypatch, tmp_path):
+    # Its float side lengths sort apart from the exact ones: labeled by
+    # them, the stop on AC at lambda = -1 was u = 1.72, and channel exited 2
+    # with "edge parameter 1.7214416026415904 outside [0, 1]".
+    vertices = "1.0340287538396467,1.7061208890160318 2.82327056875899,0.9411694534398043 1.0340287618798996,1.7061209078223973"
+    code, out = run_cli(["channel", "--vertices", *vertices.split(), "--lambda", "-1"], capsys, monkeypatch, tmp_path)
+    assert code == 0, out
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -703,7 +712,7 @@ def test_exit_code_2_on_non_numeric_schedule_value(path, value, capsys, monkeypa
 def test_rendering_builds_the_unfolding_once(args, builds, capsys, monkeypatch, tmp_path):
     code, out = run_cli(args, capsys, monkeypatch, tmp_path)
     assert code == 0, out
-    assert builds == {"builds": 1}
+    assert builds == {"unfoldings": 1, "channels": 1}
 
 
 @pytest.mark.parametrize("value", ["1e-7", "nan"])

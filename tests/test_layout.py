@@ -548,15 +548,16 @@ def global_users(source: str) -> list[str]:
     return found
 
 
-def test_only_reflection_chain_keeps_module_state():
-    """Per-triangle data lives on Triangle or Unfolding: the unfolding memo
-    is the package's one module-level state that a function rebinds."""
+def test_only_the_channel_memo_keeps_module_state():
+    """Per-triangle data lives on Triangle or Unfolding: the memo of the
+    channel's numbers is the package's one module-level state that a
+    function rebinds."""
     users = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in global_users(path.read_text(encoding="utf-8"))
     ]
-    assert users == ["orthic._chain"]
+    assert users == ["orthic._channel"]
 
 
 def test_global_check_catches_each_form():
@@ -567,17 +568,17 @@ def test_global_check_catches_each_form():
     assert global_users("x = []\ndef f():\n    x.append(1)\n    return x") == []
 
 
-def construction_sites(source: str, cls: str) -> list[str]:
-    """The functions, by qualified name, that call `cls` ("<module>" for a
-    call at module level): by its name, by a name it is imported as, or as
-    an attribute of a module."""
+def construction_sites(source: str, callee: str) -> list[str]:
+    """The functions, by qualified name, that call the class or function
+    `callee` ("<module>" for a call at module level): by its name, by a
+    name it is imported as, or as an attribute of a module."""
     tree = ast.parse(source)
-    names = {cls} | {
+    names = {callee} | {
         alias.asname
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-        if alias.name == cls and alias.asname
+        if alias.name == callee and alias.asname
     }
     found = []
 
@@ -585,7 +586,7 @@ def construction_sites(source: str, cls: str) -> list[str]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) and (
                 isinstance(child.func, ast.Name) and child.func.id in names
-                or isinstance(child.func, ast.Attribute) and child.func.attr == cls
+                or isinstance(child.func, ast.Attribute) and child.func.attr == callee
             ):
                 found.append(scope or "<module>")
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -624,6 +625,23 @@ def test_construction_site_check_catches_each_form():
         "isinstance(x, Unfolding)",
         "Unfolding",
     ) == []
+    # A function's calls count the same way; naming it or calling a longer name does not.
+    assert construction_sites(
+        "from . import orthic\ndef lower_bound_profile(t):\n    return orthic._build(t)", "_build"
+    ) == ["lower_bound_profile"]
+    assert construction_sites("def f():\n    return _build, _build_all(t), build(t)", "_build") == []
+
+
+def test_only_reflection_chain_builds_the_unfolding():
+    """The channel's stops and the v_k rows are closed forms of the base,
+    so their readers build no unfolding: _build is called from
+    reflection_chain alone, which only what reports the unfolding calls."""
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in construction_sites(path.read_text(encoding="utf-8"), "_build")
+    ]
+    assert sites == ["orthic.reflection_chain"]
 
 
 def _is_assertion_error(node: ast.AST) -> bool:

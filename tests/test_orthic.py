@@ -28,7 +28,7 @@ from tripatrol.orthic import (
 )
 from tripatrol.schedule import gap_report, is_cyclic, is_k_periodic, pairwise_gap
 from conftest import FOOT_EPS, near_right_triangles, random_acute_triangle, thin_triangles
-from test_reference_exact import CHANNEL_N, UNFOLDINGS, channel_error
+from test_reference_exact import CHANNEL_LAMBDAS, CHANNEL_N, UNFOLDINGS, channel_error
 
 RIGHT_ISO = Triangle(Point(0.5, 0.5), Point(0.0, 0.0), Point(1.0, 0.0))
 ACUTE = ((0.0, 0.0), (1.0, 0.0), (0.4, 0.9))
@@ -226,8 +226,8 @@ def test_channel_boundary_hits_bc_inside_with_bk_at_least_half_bt(rng):
 
 def test_channel_boundaries_meet_bc_at_the_largest_angle(rng):
     # The boundaries are parallel to KM, which meets BC at the base's
-    # largest angle A, in [pi/3, pi/2): the build intersects them with BC
-    # without a parallel test.
+    # largest angle A, in [pi/3, pi/2), as the closed forms of the stops
+    # and of v_k take it to.
     generic = [random_acute_triangle(rng) for _ in range(300)]
     near_right = [t for _, t in near_right_triangles(random.Random(3), 300)]
     for t in generic + thin_triangles(random.Random(2), 2000) + near_right:
@@ -275,6 +275,15 @@ def test_sub_orthic_schedule_on_thin_near_right_triangles():
             lam = -1.0 + i / 20.0
             assert len(sub_orthic_schedule(t, lam).generator) == 6
             assert channel_error(t, lam) <= CHANNEL_N, (t, lam)
+
+
+def test_sub_orthic_schedule_on_thin_draws():
+    # Labeled by float side lengths, 23 of these draws sorted their sides
+    # apart from the exact order, and the closed-form stops left [0, 1] in
+    # 85 of these 11,935 schedules (up to u = 1.72); labeled by angle, none.
+    for t in thin_triangles(random.Random(2), 2000):
+        for lam in CHANNEL_LAMBDAS:
+            assert len(sub_orthic_schedule(t, lam).generator) == 6
 
 
 def isosceles_triangles(rng: random.Random, count: int) -> list[Triangle]:
@@ -413,12 +422,15 @@ def test_sub_orthic_lambda_out_of_range(equilateral):
 
 
 def test_unfolding_built_once_per_triangle(builds):
+    # A sweep over lambda and the v_k rows compute the channel's numbers
+    # once and build no unfolding; only reflection_chain builds one.
     t = acute_triangle()
     for i in range(21):
         sub_orthic_schedule(t, -1.0 + i / 10.0)
     lower_bound_profile(t, 20)
+    assert builds == {"unfoldings": 0, "channels": 1}
     reflection_chain(t)
-    assert builds == {"builds": 1}
+    assert builds == {"unfoldings": 1, "channels": 1}
 
 
 def test_unfolding_copies_leave_the_memo_alone(builds):
@@ -428,8 +440,7 @@ def test_unfolding_copies_leave_the_memo_alone(builds):
     unf = reflection_chain(t)
     assert copy.copy(unf) == unf
     assert pickle.loads(pickle.dumps(unf)) == unf
-    assert reflection_chain(t) is unf
-    assert builds == {"builds": 1}
+    assert builds == {"unfoldings": 1, "channels": 0}
 
 
 def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
@@ -445,17 +456,16 @@ def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
     got = [results(t) for t in (t1, t2, t1)]
     fresh = [results(Triangle(*t.vertices)) for t in (t1, t2, t1)]
     assert got == fresh
-    assert all(r[0].source is t for r, t in zip(got, (t1, t2, t1)))
 
 
-def test_unfolding_equal_but_distinct_triangle_gets_its_own_chain():
+def test_unfolding_equal_but_distinct_triangle_gets_its_own_chain(builds):
     # The two triangles compare equal (0.0 == -0.0) but are different inputs.
     pos = acute_triangle()
     neg = Triangle(Point(-0.0, 0.0), *pos.vertices[1:])
     assert pos == neg
-    assert reflection_chain(pos).source is pos
+    assert sub_orthic_schedule(pos, 0.5) == sub_orthic_schedule(neg, 0.5)
+    assert builds == {"unfoldings": 0, "channels": 2}
     chain = reflection_chain(neg)
-    assert chain.source is neg
     assert any(math.copysign(1.0, v.x) < 0.0 for v in chain.base.vertices)
 
 
@@ -463,7 +473,7 @@ def test_unfolding_failed_build_raises_on_every_call():
     # On the local frame no acute triangle fails the build (moved by 1e7,
     # this one failed its B2C2 check); a right triangle fails its first
     # check, on every call.
-    assert reflection_chain(acute_triangle(dx=1e7)).source is not None
+    assert reflection_chain(acute_triangle(dx=1e7)).triangles
     for _ in range(2):
         with pytest.raises(NotAcute, match="not acutely below"):
             reflection_chain(RIGHT_ISO)
@@ -480,7 +490,6 @@ def test_unfolding_is_built_on_the_local_frame_and_placed_back(rng):
     t = acute_triangle(dx=1e6, scale=3.0)
     local, origin, scale = local_frame(t)
     unf, there = reflection_chain(t), reflection_chain(local)
-    assert there.source is local and unf.source is t
     assert all(a is b for a, b in zip(sorted(unf.base.vertices, key=id), sorted(t.vertices, key=id)))
     for name in ("a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2"):
         p = getattr(there, name)
