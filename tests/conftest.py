@@ -69,11 +69,13 @@ def thin_triangles(rng: random.Random, count: int) -> list[Triangle]:
     return out
 
 
-# On a constructed point of an edge's line, in units of eps * diameter of
-# the local frame: its distance from the line, and how far its raw edge
-# parameter lies outside [0, 1] times the edge's length.  Measured on the
-# greedy walk's feet at most 1.26 and 2.03 over 8,400 thin triangles, both
-# directions, two starts each.
+# How far a point that foot_on_edge puts on an edge may lie from where it
+# belongs, in units of eps * diameter of the local frame.  Measured: an
+# orthic foot's distance from its edge's line, and how far its raw edge
+# parameter lies outside [0, 1] times the edge's length, at most 1.02 and
+# 2.00 over the 1,705 thin draws of seed 2; a greedy stop's distance along
+# its edge from the exact walk's, 3.33 over the 256 thin draws of seed 27,
+# both directions; the limit cycle's closing gap, 3.8 (test_greedy.py).
 FOOT_EPS = 16
 
 

@@ -1,4 +1,5 @@
-"""Exact rational reference for the orthic triangle and the unfolding.
+"""Exact rational reference for the orthic triangle, the unfolding, the
+channel, greedy's walk and the gap timeline.
 
 Every construction before a length is rational in the vertex coordinates:
 a projection onto, or a reflection across, the line through two rational
@@ -27,16 +28,28 @@ parallel to w through k, moved by lambda times the offset of A (lambda >=
 edge there is the base edge's image, so the parameter read along that
 copy's edge is the stop's parameter on the base, with no folding.
 
+Greedy's walk is rational as well: each stop is the foot of the last one
+on the next edge's line, so its parameter is an affine function of the
+last one's, and so is the map from a start on BC to the next stop there,
+whose fixed point starts the limit cycle.  A t-gap is a sum of legs,
+each the square root of a rational squared distance between two points
+at float parameters; the legs and the visit times are taken in decimal
+at DIGITS.
+
 It is slow and kept only for the tests to compare against.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import cycle, islice
 from typing import NamedTuple
 
-from tripatrol.geom import EdgeId, Point, Triangle
+from tripatrol.geom import EdgeId, Point, Triangle, local_frame
+from tripatrol.schedule import SchedulePoint
 
 XY = tuple[Fraction, Fraction]
 
@@ -236,3 +249,74 @@ def channel_stops(u: Unfolding, lam: Fraction) -> list[tuple[EdgeId, Fraction]]:
         (EdgeId.A, u.b1, u.c1), (EdgeId.C, u.a1, u.b1), (EdgeId.B, u.a1, u.c2),
     )
     return [(e, cross(sub(p, q), w) / cross(sub(r, q), w)) for e, q, r in crossed]
+
+
+# Greedy's edges after BC, in the paper's orders: BC -> AB -> AC clockwise.
+CYCLES = {"cw": (EdgeId.C, EdgeId.B, EdgeId.A), "ccw": (EdgeId.B, EdgeId.C, EdgeId.A)}
+
+
+def walk(t: Triangle, start_u: Fraction, steps: int, direction: str) -> list[tuple[EdgeId, Fraction]]:
+    """(edge, parameter) of the first `steps` stops of greedy's walk from
+    start_u on BC of t.  Each stop is the exact foot of the last one on the
+    next edge's line, read as its parameter there: the foot of s + u (f - s)
+    on the line through s2 and f2 lies at ((s - s2) . d + u (f - s) . d) /
+    (d . d), d = f2 - s2.  Each parameter is clamped to [0, 1] as
+    tripatrol.greedy.greedy_run reports it; the walk goes on from the foot.
+    greedy_run walks local_frame(t)'s triangle, so on t itself its frame's
+    rounding counts too."""
+    edges = [tuple(exact(v) for v in edge) for edge in t.edges]
+    hops = {}  # edge -> (u on it, as an affine function of u on the edge before)
+    for last, e in zip((EdgeId.A,) + CYCLES[direction], CYCLES[direction]):
+        (s, f), (s2, f2) = edges[last], edges[e]
+        d = sub(f2, s2)
+        hops[e] = (dot(sub(s, s2), d) / dot(d, d), dot(sub(f, s), d) / dot(d, d))
+    u, stops = Fraction(start_u), []
+    for e in islice(cycle(CYCLES[direction]), steps):
+        u = hops[e][0] + hops[e][1] * u
+        stops.append((e, min(Fraction(1), max(Fraction(0), u))))
+    return stops
+
+
+def fixed_point(t: Triangle, direction: str) -> Fraction:
+    """The fixed point u* of f, the map from greedy's start on BC to its
+    next stop there.  f is affine in exact arithmetic, so
+    u* = f(0) / (1 - (f(1) - f(0))).  The limit cycle's other two stops are
+    walk(t, u*, 2, direction)."""
+    f0, f1 = (walk(t, u, 3, direction)[-1][1] for u in (0, 1))
+    return f0 / (1 - (f1 - f0))
+
+
+@functools.cache
+def legs(points: tuple[SchedulePoint, ...], triangle: Triangle) -> tuple[Decimal, ...]:
+    """The length of each leg of the closed walk through points, point i to
+    point i + 1, as tripatrol.schedule takes it: each position s + u (f - s)
+    from the float u on local_frame(triangle)'s triangle, exactly, and the
+    leg a square root in decimal at DIGITS, times the frame's scale."""
+    local, _, scale = local_frame(triangle)
+    positions = []
+    for p in points:
+        s, f = (exact(v) for v in local.edges[p.edge])
+        u = Fraction(p.u)
+        positions.append((s[0] + u * (f[0] - s[0]), s[1] + u * (f[1] - s[1])))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return tuple(sqrt(dot(d, d)) * Decimal(scale) for d in map(sub, positions[1:] + positions[:1], positions))
+
+
+def visit_times(
+    points: Sequence[SchedulePoint], triangle: Triangle, horizon: int
+) -> tuple[list[Decimal], list[Decimal], list[Decimal]]:
+    """Visit instants of edges A, B and C over `horizon` points of the walk
+    repeating `points`, on the legs above, as tripatrol.schedule.gap_report
+    takes them: a visit within triangle.tol() of the edge's last one is
+    not counted."""
+    times: tuple[list[Decimal], list[Decimal], list[Decimal]] = ([], [], [])
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        tol, now = Decimal(triangle.tol()), Decimal(0)
+        for p, leg in islice(cycle(zip(points, legs(tuple(points), triangle))), horizon):
+            for e in p.visited_edges:
+                if not times[e] or now - times[e][-1] > tol:
+                    times[e].append(now)
+            now += leg
+    return times

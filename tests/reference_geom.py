@@ -1,16 +1,15 @@
 """Reference primitives: the Point-based projection, reflection, edge
-parameter, angles and line intersection, and the fold loop of the unfolding,
-with a Point built at every step.
+coordinates and angles, and the fold loop of the unfolding, with a Point
+built at every step.
 
 tripatrol.geom must return exactly the same floats, and raise the same
 exceptions with the same messages, as these: geom.foot_on_edge gives the
 foot of project_onto_line and the parameter of edge_coordinates, clamped
 to [0, 1], and the mirror images of tripatrol.search._segments must equal
 reflect_point's.  They are slow and kept only for the tests to compare
-against.  edge_param, with its off-line test and its own PointOffEdge, is
-the library's former edge parameter; the reference walk and its limit
-cycle read it.  fold is the unfolding's former fold, and the bit gate
-folds the unfolding's points with it.
+against.  edge_coordinates also gives a point's distance from the edge's
+line, which the tests of the orthic feet bound.  fold is the unfolding's
+former fold, and the bit gate folds the unfolding's points with it.
 
 count_edge_hits is the unfolding's former channel check, a segment-line
 test per edge; the vertex-offset test of reference_exact.straddles must
@@ -19,13 +18,9 @@ agree with "at least two hits" wherever no vertex lies near the line.
 
 import math
 
-from tripatrol.geom import DEFAULT_REL_TOL, EdgeId, Point, Triangle, local_frame
+from tripatrol.geom import EdgeId, Point, Triangle, local_frame
 
 Line = tuple[Point, Point]
-
-
-class PointOffEdge(ValueError):
-    """A point handed to edge_param does not lie on the edge's line."""
 
 
 def edge_coordinates(t: Triangle, e: EdgeId, p: Point) -> tuple[float, float]:
@@ -35,13 +30,6 @@ def edge_coordinates(t: Triangle, e: EdgeId, p: Point) -> tuple[float, float]:
     d = f - s
     dd = d.dot(d)
     return (p - s).dot(d) / dd, abs(d.cross(p - s)) / math.sqrt(dd)
-
-
-def edge_param(t: Triangle, e: EdgeId, p: Point, rel_tol: float = DEFAULT_REL_TOL) -> float:
-    u, resid = edge_coordinates(t, e, p)
-    if resid > rel_tol * t.diameter:
-        raise PointOffEdge(f"point {p} is {resid:g} off the line of edge {e.name}")
-    return u
 
 
 def line_dir(line: Line) -> Point:
@@ -72,17 +60,6 @@ def _angle_at(v: Point, p: Point, q: Point) -> float:
 def angles(t: Triangle) -> tuple[float, float, float]:
     t = local_frame(t)[0]
     return (_angle_at(t.a, t.b, t.c), _angle_at(t.b, t.c, t.a), _angle_at(t.c, t.a, t.b))
-
-
-def line_intersection(l1: Line, l2: Line) -> Point:
-    p, q = l1
-    r, s = l2
-    d1, d2 = q - p, s - r
-    den = d1.cross(d2)
-    if abs(den) <= 1e-14 * d1.norm() * d2.norm():
-        raise ValueError("lines are parallel")
-    u = (r - p).cross(d2) / den
-    return p + d1 * u
 
 
 def fold(mirrors: tuple[Line, ...], p: Point, depth: int) -> Point:

@@ -161,10 +161,6 @@ class Unfolding:
     half_width_low: float
     half_width_high: float
 
-    @property
-    def all_triangles(self) -> tuple[Triangle, ...]:
-        return (self.base,) + self.triangles
-
 
 @dataclass(frozen=True)
 class GreedyTrace:

@@ -23,8 +23,6 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from reference_geom import edge_param
-from tripatrol.geom import EdgeId, Triangle
 from tripatrol.greedy import greedy_limit_gap, greedy_ratio, greedy_ratio_extremes, greedy_run
 from tripatrol.orthic import (
     lower_bound_profile,
@@ -38,6 +36,7 @@ from tripatrol.search import grid_search_3periodic, grid_search_6periodic_gap2
 from conftest import random_acute_triangle
 from make_goldens import invocations, run_case, EQ_SCHEDULE, RI_SCHEDULE
 from test_schedule import plant_window
+from test_search import orthic_feet_params
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -51,14 +50,6 @@ def suite(seed: int, n: int, margin: float = 0.08):
     return [random_acute_triangle(rng, margin) for _ in range(n)]
 
 
-def feet_params(t: Triangle, od) -> list[float]:
-    return [
-        edge_param(t, EdgeId.A, od.k_foot),
-        edge_param(t, EdgeId.B, od.l_foot),
-        edge_param(t, EdgeId.C, od.m_foot),
-    ]
-
-
 def test_criterion_01_orthic_optimality_by_grid():
     t0 = time.time()
     grid_n = 200
@@ -68,7 +59,7 @@ def test_criterion_01_orthic_optimality_by_grid():
         tol = 6.0 * t.diameter / grid_n
         assert res.certified_tolerance == pytest.approx(tol, rel=1e-12)
         assert abs(res.best_value - od.perimeter) <= tol
-        for got, want in zip(res.best_params, feet_params(t, od)):
+        for got, want in zip(res.best_params, orthic_feet_params(t)):
             assert abs(got - want) <= 2.0 / grid_n
     _pass(1, "grid minimum and argmin match the orthic triangle, 1000 triangles", t0)
 

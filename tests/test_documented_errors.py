@@ -9,7 +9,7 @@ import pytest
 
 from tripatrol.cli import main
 from tripatrol.geom import EdgeId, Point, Triangle
-from tripatrol.greedy import greedy_limit_gap, recurrence_constants
+from tripatrol.greedy import greedy_limit_gap, greedy_run, recurrence_constants
 from tripatrol.orthic import lower_bound_profile, orthic_perimeter, orthic_schedule
 from tripatrol.schedule import (
     SchedulePoint,
@@ -42,8 +42,27 @@ CASES = {
     "gap-report-t0": (
         gap_report, (orthic_schedule(EQUILATERAL), 0), "ValueError", "gap order t must be >= 1"
     ),
+    "gap-report-horizon-3": (
+        gap_report, (orthic_schedule(EQUILATERAL), 1, 3),
+        "ValueError", "horizon 3 shorter than one period plus a revisit",
+    ),
+    "gap-report-order-3-horizon-4": (
+        gap_report, (orthic_schedule(EQUILATERAL), 3, 4),
+        "ValueError", "horizon too short: edge A visited 2 time(s), need > 3",
+    ),
     "prefix-gap-report-t0": (
         prefix_gap_report, (POINTS, EQUILATERAL, 0), "ValueError", "gap order t must be >= 1"
+    ),
+    "prefix-gap-report-one-period": (
+        prefix_gap_report, (POINTS, EQUILATERAL, 1), "ValueError", "no t-gap observable within the prefix"
+    ),
+    "prefix-gap-report-two-edges": (
+        prefix_gap_report, (POINTS[:2], EQUILATERAL, 1), "InfeasibleSchedule", "edge B never visited"
+    ),
+    "greedy-start-outside": (greedy_run, (EQUILATERAL, 1.5), "ValueError", "start_u must lie in [0, 1]"),
+    "greedy-zero-cycles": (greedy_run, (EQUILATERAL, 0.5, 0), "ValueError", "num_cycles must be >= 1"),
+    "greedy-direction": (
+        greedy_run, (EQUILATERAL, 0.5, 10, "up"), "ValueError", "direction must be 'cw' or 'ccw'"
     ),
     "travel-time-backwards": (
         travel_time, (orthic_schedule(EQUILATERAL), 2, 1), "ValueError", "need i <= j"

@@ -444,6 +444,16 @@ def test_every_public_name_has_a_user():
     assert unused_public_names(modules, set(tripatrol.__all__) | _script_names()) == []
 
 
+def test_every_reference_has_a_reader():
+    """A reference kept for the tests outlives its last reader only by
+    mistake: each public function, class and method of tests/reference_*.py
+    is read by another reference or by a test module."""
+    tests = {path.stem: path.read_text(encoding="utf-8") for path in sorted((REPO / "tests").glob("*.py"))}
+    references = {name: source for name, source in tests.items() if name.startswith("reference_")}
+    readers = set().union(*(names_read(ast.parse(source)) for name, source in tests.items() if name not in references))
+    assert unused_public_names(references, readers) == []
+
+
 def test_unused_public_name_check_catches_each_form():
     modules = {
         "geom": "def used(): pass\ndef unused(): pass\nclass Lonely: pass\n"
@@ -456,6 +466,9 @@ def test_unused_public_name_check_catches_each_form():
     # A use inside the module counts, but not one inside the name's own body.
     assert unused_public_names({"m": "def f(): return g()\ndef g(): return g()"}, set()) == ["m.f"]
     assert unused_public_names({"m": "def f(): pass\nif __name__ == '__main__': f()"}, set()) == []
+    # As the references are checked: a name read only by a reader outside `modules` is used.
+    readers = names_read(ast.parse("import reference_x\nreference_x.walk()"))
+    assert unused_public_names({"reference_x": "def walk(): pass\ndef fossil(): pass"}, readers) == ["reference_x.fossil"]
 
 
 def test_unused_method_check_catches_each_form():

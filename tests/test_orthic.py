@@ -6,8 +6,8 @@ from itertools import combinations, permutations
 
 import pytest
 
+import reference_exact as rx
 import reference_geom as ref
-from reference_geom import edge_param
 from tripatrol.geom import (
     EdgeId,
     NotAcute,
@@ -109,7 +109,9 @@ def test_parametric_optimizer_and_feet_interior(rng):
         od = orthic_triangle(t)
         assert 0.0 <= od.x0 <= 1.0
         for foot, e in ((od.k_foot, EdgeId.A), (od.l_foot, EdgeId.B), (od.m_foot, EdgeId.C)):
-            assert 0.0 < edge_param(t, e, foot) < 1.0
+            u, resid = ref.edge_coordinates(t, e, foot)
+            # Measured at most 3.46 eps diam off the line over 3,000 such draws.
+            assert 0.0 < u < 1.0 and resid <= FOOT_EPS * 2.0**-52 * t.diameter
 
 
 def test_orthic_schedule_clamps_feet_rounded_off_thin_edges():
@@ -218,9 +220,10 @@ def test_channel_boundary_hits_bc_inside_with_bk_at_least_half_bt(rng):
         t = random_acute_triangle(rng)
         ch = reflection_chain(t)
         base = ch.base
-        t_pt = ref.line_intersection(ch.boundary_high, (base.b, base.c))
-        u_t = edge_param(base, EdgeId.A, t_pt)
-        u_k = edge_param(base, EdgeId.A, ch.k)
+        b, c = rx.exact(base.b), rx.exact(base.c)
+        p, q = (rx.exact(v) for v in ch.boundary_high)
+        d = rx.sub(c, b)
+        u_t, u_k = (rx.dot(rx.sub(x, b), d) / rx.dot(d, d) for x in (rx.meet(p, rx.sub(q, p), b, c), rx.exact(ch.k)))
         assert u_k >= u_t / 2 - 1e-12
 
 

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_search
-from reference_geom import edge_param
 
 from tripatrol.geom import EdgeId, Point, Triangle, edge_point, local_frame
 from tripatrol.orthic import (
     lower_bound_profile,
     orthic_perimeter,
     orthic_schedule,
-    orthic_triangle,
     sub_orthic_schedule,
     verify_1gap_optimality,
 )
@@ -59,12 +57,9 @@ def walk(values: list[float], k: int, bound: float = math.inf, slack: float = ma
 
 
 def orthic_feet_params(t: Triangle) -> list[float]:
-    od = orthic_triangle(t)
-    return [
-        edge_param(t, EdgeId.A, od.k_foot),
-        edge_param(t, EdgeId.B, od.l_foot),
-        edge_param(t, EdgeId.C, od.m_foot),
-    ]
+    """The altitude feet's parameters on edges A, B and C, as orthic_schedule reports them."""
+    u = {p.edge: p.u for p in orthic_schedule(t).generator}
+    return [u[e] for e in EdgeId]
 
 
 def evaluate_gap2_cycle(t: Triangle, params: list[float]) -> float:
