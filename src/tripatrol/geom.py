@@ -182,9 +182,10 @@ class Triangle(Record):
     # reads the diameter.  edges: the endpoints of each edge, indexed by
     # EdgeId, in the order fixed globally so that edge parameters are
     # comparable across operations: A: B->C, B: A->C, C: A->B.  frame:
-    # local_frame(self), set on its first call.
+    # local_frame(self), and angles: angles(self), each set on its first
+    # call.
     __match_args__ = ("a", "b", "c")
-    __slots__ = __match_args__ + ("side_lengths", "diameter", "edges", "frame")
+    __slots__ = __match_args__ + ("side_lengths", "diameter", "edges", "frame", "angles")
 
     def __init__(self, a: Point, b: Point, c: Point):
         _set_a(self, a)
@@ -220,7 +221,7 @@ class Triangle(Record):
         return DEFAULT_REL_TOL * self.diameter
 
 
-_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges, _set_frame = slot_setters(Triangle)
+_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges, _set_frame, _set_angles = slot_setters(Triangle)
 
 
 _ORIGIN = Point(0.0, 0.0)
@@ -268,10 +269,22 @@ def place(x: float, y: float, origin: Point, scale: float) -> Point:
 def angles(t: Triangle) -> tuple[float, float, float]:
     """Interior angles (A, B, C) in radians at vertices a, b, c, read on
     local_frame(t), where no product of two sides under- or overflows.
+    Computed on the first call and kept on t and on its frame's triangle.
 
     The angle at v between the sides u = p - v and w = q - v is
     atan2(|u x w|, u . w), on plain floats."""
-    t = local_frame(t)[0]
+    try:
+        return t.angles
+    except AttributeError:
+        pass
+    local = local_frame(t)[0]
+    angs = _angles(t) if local is t else angles(local)
+    _set_angles(t, angs)
+    return angs
+
+
+def _angles(t: Triangle) -> tuple[float, float, float]:
+    """angles(t) of a triangle that is its own frame."""
     ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
     ux, uy, wx, wy = bx - ax, by - ay, cx - ax, cy - ay
     a = math.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)

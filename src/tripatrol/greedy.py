@@ -36,10 +36,15 @@ from .schedule import Schedule, SchedulePoint
 class GreedyTrace(Record):
     """One greedy run from start_u on BC, and its analysis."""
 
-    __slots__ = __match_args__ = (
+    # walk: (the cycle's three edges, the edge parameter of each stop after
+    # the start), kept by greedy_run, which leaves visited unset: visited is
+    # built from walk on its first read (see __getattr__), as only the CLI's
+    # observed gaps read it.
+    __match_args__ = (
         "start_u", "direction", "iterates", "c", "x", "fixed_point", "limit_schedule",
         "limit_gap", "iterations_to_converge", "converged", "visited",
     )
+    __slots__ = __match_args__ + ("walk",)
 
     def __init__(
         self,
@@ -62,8 +67,19 @@ class GreedyTrace(Record):
         for store, value in zip(_SET_GREEDY_TRACE, values):
             store(self, value)
 
+    def __getattr__(self, name: str):
+        # Reached only for a slot not yet set: visited, on its first read.
+        if name != "visited":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cycle, us = self.walk
+        visited = [SchedulePoint(EdgeId.A, self.start_u)]
+        visited += [SchedulePoint(cycle[i % 3], u) for i, u in enumerate(us)]
+        _set_visited(self, visited)
+        return visited
+
 
 _SET_GREEDY_TRACE = slot_setters(GreedyTrace)
+_set_visited, _set_walk = _SET_GREEDY_TRACE[-2:]
 
 
 # Clockwise visiting order BC -> AB -> AC (edges A, C, B); ccw reverses.
@@ -100,18 +116,19 @@ def greedy_run(
     if cycle is None:
         raise ValueError("direction must be 'cw' or 'ccw'")
 
-    visited = [SchedulePoint(EdgeId.A, start_u)]
     p = edge_point(local, EdgeId.A, start_u)
     x, y = p.x, p.y
-    steps = [(e, edge_frame(*local.edges[e])) for e in cycle]
+    frames = [edge_frame(*local.edges[e]) for e in cycle]
+    f1, f2, f3 = frames
+    us = []
     iterates = [start_u]
     converged = False
     its = num_cycles
     for i in range(num_cycles):
-        for e, step in steps:
-            x, y, u = foot_on_edge(x, y, *step)
-            visited.append(SchedulePoint(e, u))
-        d = visited[-1].u
+        x, y, u1 = foot_on_edge(x, y, *f1)
+        x, y, u2 = foot_on_edge(x, y, *f2)
+        x, y, d = foot_on_edge(x, y, *f3)
+        us += (u1, u2, d)
         iterates.append(d)
         if abs(d - iterates[-2]) <= 1e-12:
             converged = True
@@ -120,33 +137,26 @@ def greedy_run(
 
     c, x = recurrence_constants(t, direction)
     fixed = c / (1.0 + x)
-    limit = _limit_schedule(t, local, fixed, steps)
-    return GreedyTrace(
-        start_u=start_u,
-        direction=direction,
-        iterates=iterates,
-        c=c,
-        x=x,
-        fixed_point=fixed,
-        limit_schedule=limit,
-        limit_gap=limit.period_length(),
-        iterations_to_converge=its,
-        converged=converged,
-        visited=visited,
-    )
+    limit = _limit_schedule(t, local, fixed, cycle, frames)
+    trace = GreedyTrace.__new__(GreedyTrace)
+    values = (start_u, direction, iterates, c, x, fixed, limit, limit.period_length(), its, converged)
+    for store, value in zip(_SET_GREEDY_TRACE, values):
+        store(trace, value)
+    _set_walk(trace, (cycle, us))
+    return trace
 
 
-def _limit_schedule(t: Triangle, local: Triangle, fixed_u: float, steps: list) -> Schedule:
+def _limit_schedule(t: Triangle, local: Triangle, fixed_u: float, cycle: tuple, frames: list) -> Schedule:
     """The limit cycle of t through fixed_u on BC: the start and the walk's
-    first two steps from it on local = local_frame(t)[0], each clamped to
-    its edge.  fixed_u is the recurrence's fixed point, so the third step
-    lands back on the start (tests/test_greedy.py measures it)."""
+    first two steps from it on local = local_frame(t)[0], along cycle's
+    edges with their edge_frames, each clamped to its edge.  fixed_u is the
+    recurrence's fixed point, so the third step lands back on the start
+    (tests/test_greedy.py measures it)."""
     d = edge_point(local, EdgeId.A, fixed_u)
-    (e1, step1), (e2, step2), _ = steps
-    x, y, u1 = foot_on_edge(d.x, d.y, *step1)
-    _, _, u2 = foot_on_edge(x, y, *step2)
+    x, y, u1 = foot_on_edge(d.x, d.y, *frames[0])
+    _, _, u2 = foot_on_edge(x, y, *frames[1])
     start = SchedulePoint(EdgeId.A, min(max(fixed_u, 0.0), 1.0))
-    return Schedule(t, (start, SchedulePoint(e1, u1), SchedulePoint(e2, u2)))
+    return Schedule(t, (start, SchedulePoint(cycle[0], u1), SchedulePoint(cycle[1], u2)))
 
 
 def greedy_limit_gap(t: Triangle) -> float:

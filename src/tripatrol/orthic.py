@@ -172,6 +172,8 @@ _SET_UNFOLDING = slot_setters(Unfolding)
 _REFLECTED = (2, 1, 0, 2, 1)
 # The other two vertices of each index, in order: the mirror of its reflection.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+# EdgeId by index, read where calling EdgeId(i) would cost more.
+_EDGES = tuple(EdgeId)
 
 
 def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
@@ -184,7 +186,7 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     order = sorted(range(3), key=lambda i: (-angs[i], i))
     v = t.vertices
     relabeled = Triangle(v[order[0]], v[order[1]], v[order[2]])
-    edge_map = {EdgeId(i): EdgeId(order[i]) for i in range(3)}
+    edge_map = {e: _EDGES[i] for e, i in zip(_EDGES, order)}
     return relabeled, edge_map
 
 
@@ -289,7 +291,7 @@ def _channel_numbers(t: Triangle) -> tuple[tuple, tuple[float, float, float, flo
         (EdgeId.A, u_bc, -s_bc), (EdgeId.C, s_ab, s_ab), (EdgeId.B, s_ac, s_ac),
     ):
         lo, hi = _OTHERS[e]
-        stops.append((edge_map[e], u0, slope, edge_map[EdgeId(lo)] > edge_map[EdgeId(hi)]))
+        stops.append((edge_map[e], u0, slope, edge_map[_EDGES[lo]] > edge_map[_EDGES[hi]]))
 
     # P = 2 area / circumradius = 2 bc sin^2 A / a and |RT| = 2 d / a, with
     # sin^2 A = 1 - d^2 / (bc)^2: cos A <= 1/2, so no digit cancels.
@@ -374,7 +376,11 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
         raise ValueError("k_max must be >= 1")
     scale = local_frame(t)[2]
     x, y, rt, bound = _channel(t)[2]
-    return [(k, math.hypot(x, max(0.0, y - rt / k)) * scale, bound / k * scale) for k in range(1, k_max + 1)]
+    rows = []
+    for k in range(1, k_max + 1):
+        dy = y - rt / k
+        rows.append((k, math.hypot(x, dy if dy > 0.0 else 0.0) * scale, bound / k * scale))
+    return rows
 
 
 def verify_1gap_optimality(t: Triangle, k: int = 100) -> bool:

@@ -13,7 +13,7 @@ import math
 from collections.abc import Sequence
 from itertools import cycle, islice
 
-from .geom import EdgeId, Point, Record, Triangle, edge_point, local_frame, slot_setters, vertex_edges
+from .geom import VERTEX_SNAP, EdgeId, Point, Record, Triangle, edge_point, local_frame, slot_setters, vertex_edges
 
 
 _EDGES = tuple(EdgeId)
@@ -41,7 +41,7 @@ class SchedulePoint(Record):
             raise ValueError(f"edge parameter {u} outside [0, 1]")
         _set_edge(self, edge)
         _set_u(self, u)
-        _set_visited_edges(self, vertex_edges(edge, u))
+        _set_visited_edges(self, (edge,) if VERTEX_SNAP < u < 1.0 - VERTEX_SNAP else vertex_edges(edge, u))
 
 
 _set_edge, _set_u, _set_visited_edges = slot_setters(SchedulePoint)
@@ -93,15 +93,12 @@ def _legs(triangle: Triangle, points: Sequence[SchedulePoint]) -> tuple[float, .
     point i + 1: measured on local_frame(triangle), then scaled back."""
     local, _, scale = local_frame(triangle)
     edges = local.edges
-    xs, ys = [], []
+    xy = []
     for p in points:
         s, f = edges[p.edge]
         u = p.u
-        xs.append(s.x + u * (f.x - s.x))
-        ys.append(s.y + u * (f.y - s.y))
-    xs.append(xs[0])
-    ys.append(ys[0])
-    return tuple([math.hypot(xs[i] - xs[i + 1], ys[i] - ys[i + 1]) * scale for i in range(len(points))])
+        xy.append((s.x + u * (f.x - s.x), s.y + u * (f.y - s.y)))
+    return tuple([math.dist(p, q) * scale for p, q in zip(xy, xy[1:] + xy[:1])])
 
 
 def is_cyclic(s: Schedule) -> bool:
@@ -163,56 +160,49 @@ class GapReport(Record):
 _set_t, _set_per_edge_gaps, _set_per_edge_sup, _set_overall, _set_horizon, _set_mode = slot_setters(GapReport)
 
 
-def _visit_times(
-    legs: Sequence[float], points: Sequence[SchedulePoint], horizon: int, tol: float
-) -> tuple[list[float], list[float], list[float]]:
-    """Visit instants of edges A, B and C over `horizon` points of the walk
-    repeating `points`, one per instant; legs[i] walks from point i on to
-    point i + 1."""
+def _gap_walk(
+    legs: Sequence[float],
+    points: Sequence[SchedulePoint],
+    horizon: int,
+    tol: float,
+    t: int,
+    mode: str,
+    allow_missing: bool = False,
+) -> GapReport:
+    """The t-gaps of edges A, B and C over `horizon` points of the walk
+    repeating `points`, in one pass; legs[i] walks from point i on to point
+    i + 1.  A visit within tol of the edge's last one is the same visit;
+    each other visit is kept, and once an edge has t earlier visits, its
+    t-gap back to the t-th last of them is appended with it."""
     times: tuple[list[float], list[float], list[float]] = ([], [], [])
+    gaps: tuple[list[float], list[float], list[float]] = ([], [], [])
     visits = [p.visited_edges for p in points]
     now = 0.0
     for edges, leg in islice(cycle(zip(visits, legs)), horizon):
         for e in edges:
             seen = times[e]
             if not seen or now - seen[-1] > tol:
+                if len(seen) >= t:
+                    gaps[e].append(now - seen[-t])
                 seen.append(now)
         now += leg
-    return times
-
-
-def _gaps_from_times(
-    times: tuple[list[float], list[float], list[float]],
-    t: int,
-    horizon: int,
-    mode: str,
-    allow_missing: bool = False,
-) -> GapReport:
     per_edge: dict[EdgeId, list[float]] = {}
     sups: dict[EdgeId, float] = {}
-    for e, ts in zip(_EDGES, times):
+    for e, ts, gs in zip(_EDGES, times, gaps):
         if not ts:
             raise InfeasibleSchedule(f"edge {e.name} never visited")
-        if len(ts) <= t:
+        if not gs:
             # Not enough visits to observe a single t-gap for this edge.
             if allow_missing:
                 continue
             raise ValueError(
                 f"horizon too short: edge {e.name} visited {len(ts)} time(s), need > {t}"
             )
-        gaps = [later - ts_i for ts_i, later in zip(ts, ts[t:])]
-        per_edge[e] = gaps
-        sups[e] = max(gaps)
+        per_edge[e] = gs
+        sups[e] = max(gs)
     if not sups:
         raise ValueError("no t-gap observable within the prefix")
-    return GapReport(
-        t=t,
-        per_edge_gaps=per_edge,
-        per_edge_sup=sups,
-        overall=max(sups.values()),
-        horizon=horizon,
-        mode=mode,
-    )
+    return GapReport(t, per_edge, sups, max(sups.values()), horizon, mode)
 
 
 def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport:
@@ -226,9 +216,8 @@ def gap_report(s: Schedule, t: int = 1, horizon: int | None = None) -> GapReport
         horizon = attained
     if horizon < m + 1:
         raise ValueError(f"horizon {horizon} shorter than one period plus a revisit")
-    times = _visit_times(s.legs, s.generator, horizon, s.triangle.tol())
     mode = "periodic" if horizon >= attained else "observed"
-    return _gaps_from_times(times, t, horizon, mode)
+    return _gap_walk(s.legs, s.generator, horizon, s.triangle.tol(), t, mode)
 
 
 def prefix_gap_report(
@@ -237,8 +226,8 @@ def prefix_gap_report(
     """Gap report over a finite non-repeating prefix of schedule points."""
     if t < 1:
         raise ValueError("gap order t must be >= 1")
-    times = _visit_times(_legs(triangle, points), points, len(points), triangle.tol())
-    return _gaps_from_times(times, t, len(points), "observed", allow_missing=True)
+    legs = _legs(triangle, points)
+    return _gap_walk(legs, points, len(points), triangle.tol(), t, "observed", allow_missing=True)
 
 
 def _edge_cyclic(edges: Sequence[EdgeId]) -> bool:
