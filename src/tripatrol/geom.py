@@ -233,11 +233,11 @@ def local_frame(t: Triangle) -> tuple[Triangle, Point, float]:
 
     scale = 2^e with t.diameter / 2^e in [1, 2), so local's diameter lies
     in [1, 2).  origin is the vertex with the smallest |x| + |y|, each
-    coordinate rounded to the nearest multiple of 2^(e+1): a triangle within
-    about one diameter of the origin gets origin (0, 0) and keeps its bits
-    up to the scaling.  The scaling is exact, and so is the translation once
-    the origin lies three multiples out (Sterbenz); between, it rounds at
-    the ulp of the coordinates themselves.
+    coordinate rounded to the nearest multiple g of 2^(e+1) and kept only
+    where it lies 3g or more from 0, else 0.  Every vertex then lies within
+    1.5g of a kept coordinate, so the translation is exact (Sterbenz), as is
+    the scaling: local is t itself up to where a coordinate underflows, and
+    a triangle within a few diameters of the origin is only scaled.
 
     Where origin is (0, 0) and scale is 1, local is t itself.  Otherwise
     local is a new Triangle whose own frame is the identity.  The point
@@ -249,7 +249,7 @@ def local_frame(t: Triangle) -> tuple[Triangle, Point, float]:
     e = math.frexp(t.diameter)[1] - 1
     g = math.ldexp(1.0, e + 1)
     near = min(t.vertices, key=lambda v: abs(v.x) + abs(v.y))
-    ox, oy = round(near.x / g) * g, round(near.y / g) * g
+    ox, oy = [o if abs(o) >= 3.0 * g else 0.0 for o in (round(near.x / g) * g, round(near.y / g) * g)]
     origin, scale = Point(ox, oy), math.ldexp(1.0, e)
     if e == 0 and ox == 0.0 and oy == 0.0:
         local = t

@@ -74,7 +74,7 @@ def thin_triangles(rng: random.Random, count: int) -> list[Triangle]:
 # orthic foot's distance from its edge's line, and how far its raw edge
 # parameter lies outside [0, 1] times the edge's length, at most 1.02 and
 # 2.00 over the 1,705 thin draws of seed 2; a greedy stop's distance along
-# its edge from the exact walk's, 3.33 over the 256 thin draws of seed 27,
+# its edge from the exact walk's, 4.40 over the 256 thin draws of seed 27,
 # both directions; the limit cycle's closing gap, 3.8 (test_greedy.py).
 FOOT_EPS = 16
 

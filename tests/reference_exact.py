@@ -261,9 +261,7 @@ def walk(t: Triangle, start_u: Fraction, steps: int, direction: str) -> list[tup
     next edge's line, read as its parameter there: the foot of s + u (f - s)
     on the line through s2 and f2 lies at ((s - s2) . d + u (f - s) . d) /
     (d . d), d = f2 - s2.  Each parameter is clamped to [0, 1] as
-    tripatrol.greedy.greedy_run reports it; the walk goes on from the foot.
-    greedy_run walks local_frame(t)'s triangle, so on t itself its frame's
-    rounding counts too."""
+    tripatrol.greedy.greedy_run reports it; the walk goes on from the foot."""
     edges = [tuple(exact(v) for v in edge) for edge in t.edges]
     hops = {}  # edge -> (u on it, as an affine function of u on the edge before)
     for last, e in zip((EdgeId.A,) + CYCLES[direction], CYCLES[direction]):

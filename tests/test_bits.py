@@ -20,7 +20,7 @@ from tripatrol.orthic import (
 from tripatrol.schedule import gap_report
 from conftest import random_acute_triangle
 
-DIGEST = "2c0e7828155a988fcc2be9587dfa2458b8be3bb0b0c8f5a7047bd22202e2522d"
+DIGEST = "d5fe51b20ede0d0f9a185f59981126654143c288b5c3445c975b9dbe0f889934"
 
 BASE_SEED = 10
 BASE_COUNT = 11

@@ -122,20 +122,27 @@ def demo_triangles() -> list[Triangle]:
 def test_local_frame(rng, offset, scale):
     # origin on the lattice of 2 * scale, scale a power of two, local
     # diameter in [1, 2), and each vertex of local the same-named vertex of
-    # t: exactly once the offset dwarfs the diameter, else to the rounding
-    # of t's coordinates.
+    # t, exactly: each coordinate of the origin is 0 or lies three lattice
+    # steps or more from 0, so every vertex is an exact difference from it.
     for _ in range(20):
         t = random_acute_triangle(rng)
         t = Triangle(*(Point((v.x + offset) * scale, (v.y + offset) * scale) for v in t.vertices))
         local, origin, s = local_frame(t)
         assert math.frexp(s)[0] == 0.5
         assert 1.0 <= local.diameter < 2.0
-        assert origin.x % (2.0 * s) == 0.0 and origin.y % (2.0 * s) == 0.0
-        back = [Point(origin.x + s * w.x, origin.y + s * w.y) for w in local.vertices]
-        if abs(offset) >= 1e6:
-            assert back == list(t.vertices)
-        for v, w in zip(t.vertices, back):
-            assert v.dist(w) <= 2.0**-52 * (v.norm() + 4.0 * t.diameter)
+        for o in origin.as_tuple():
+            assert o % (2.0 * s) == 0.0 and (o == 0.0 or abs(o) >= 6.0 * s)
+        assert [Point(origin.x + s * w.x, origin.y + s * w.y) for w in local.vertices] == list(t.vertices)
+
+
+def test_local_frame_translates_each_coordinate_on_its_own():
+    # The nearest vertex's y rounds to 1 on the lattice of 1, less than
+    # three steps out, while its x lies far out: x is translated and y is
+    # not, as 0.3 - 1 would round.
+    t = Triangle(Point(1e6 - 0.1, 0.9), Point(1e6 + 0.4, 0.9), Point(1e6 + 0.6, 0.3))
+    local, origin, s = local_frame(t)
+    assert origin == Point(1e6, 0.0) and s == 0.5
+    assert [Point(origin.x + s * w.x, origin.y + s * w.y) for w in local.vertices] == list(t.vertices)
 
 
 @pytest.mark.parametrize(

@@ -248,15 +248,12 @@ def test_greedy_runs_on_thin_triangles():
     thin = thin_triangles(random.Random(27), 300)
     assert len(thin) > 200
     for t in thin:
-        local = local_frame(t)[0]
         for direction in ("cw", "ccw"):
             run = greedy_run(t, 0.25, 200, direction)
             # The prototype's worst was 1.95e-8; 1.84e-8 over 8,400 of these.
             assert run.limit_gap == pytest.approx(greedy_limit_gap(t), rel=1e-7)
-            # On the frame's own triangle: the frame rounds a vertex by up to
-            # an ulp of its coordinates, and on a thin triangle that alone
-            # moves a stop up to 2.0e4 eps diam from the walk on t.
-            assert walk_error(local, run) <= FOOT_EPS, (t, direction)
+            # On t itself: its frame is an exact translate and scaling.
+            assert walk_error(t, run) <= FOOT_EPS, (t, direction)
 
 
 def test_limit_cycle_closes_onto_its_fixed_point(rng):

@@ -193,9 +193,9 @@ def test_grid_oracles_report_exact_grid_points(rng, grid_n):
 
 def test_grid_oracles_agree_with_the_caller_frame_brute_force(rng):
     # An independent check of the frame: the same brute force run on t
-    # itself, not on local_frame(t).  Moving a triangle that lies off the
-    # origin to the local frame rounds each coordinate at its own ulp, so
-    # best_value may move by a few ulps of the coordinates' size; the
+    # itself, not on local_frame(t).  The frame is an exact translate of t,
+    # but the brute force on t rounds its differences at the ulp of t's
+    # coordinates, so best_value may move by a few ulps of their size; the
     # parameters may differ where grid totals tie within that.  Measured
     # over 160 random and the 4 special triangles at scales 1, 0.3, 7,
     # 2^-300, 2^300 and 1e-100: at most 2.0 * 2^-52 * size; the bound is 8.
