@@ -10,7 +10,9 @@ similar to the triangle itself.
 The walk and its limit cycle run on geom.local_frame(t), the triangle
 moved near the origin and scaled by a power of two; their edge parameters
 need no mapping, and the limit cycle's gap is scaled back.  So the walk
-settles as fast far from the origin as near it.
+settles as fast far from the origin as near it.  The walk keeps its stops'
+edge parameters as floats; a trace's `visited` prefix of SchedulePoints
+is built from them on its first read.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ stored as a finite generator repeated periodically.  A unit-speed agent
 walks straight between consecutive points, so time equals distance and
 time 0 is at the first point.  A point at a vertex (u in {0,1}) visits
 both incident edges at the same instant.
+
+A gap report walks the schedule's legs over its horizon once: each visit
+it keeps is appended to its edge's visit times and, once the edge has t
+earlier visits, its t-gap to its edge's gaps in the same step.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from collections.abc import Sequence
 from itertools import cycle, islice
 
-from .geom import VERTEX_SNAP, EdgeId, Point, Record, Triangle, edge_point, local_frame, slot_setters, vertex_edges
+from .geom import EdgeId, Point, Record, Triangle, edge_point, local_frame, slot_setters, vertex_edges
 
 
 _EDGES = tuple(EdgeId)
@@ -41,7 +45,7 @@ class SchedulePoint(Record):
             raise ValueError(f"edge parameter {u} outside [0, 1]")
         _set_edge(self, edge)
         _set_u(self, u)
-        _set_visited_edges(self, (edge,) if VERTEX_SNAP < u < 1.0 - VERTEX_SNAP else vertex_edges(edge, u))
+        _set_visited_edges(self, vertex_edges(edge, u))
 
 
 _set_edge, _set_u, _set_visited_edges = slot_setters(SchedulePoint)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tripatrol import orthic
+from tripatrol import geom, orthic
 from tripatrol.geom import DegenerateTriangle, Point, Triangle, is_acute
 
 
@@ -100,9 +100,9 @@ def equilateral() -> Triangle:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Counts of unfolding builds and of computations of the channel's
-    numbers, the stops and the v_k rows."""
-    counts = {"unfoldings": 0, "channels": 0}
+    """Counts of unfolding builds, of computations of the channel's
+    numbers, the stops and the v_k rows, and of angle computations."""
+    counts = {"unfoldings": 0, "channels": 0, "angles": 0}
 
     def counting(key, fn):
         def counted(t):
@@ -113,4 +113,5 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(orthic, "_build", counting("unfoldings", orthic._build))
     monkeypatch.setattr(orthic, "_channel_numbers", counting("channels", orthic._channel_numbers))
+    monkeypatch.setattr(geom, "_angles", counting("angles", geom._angles))
     return counts

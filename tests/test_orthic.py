@@ -26,6 +26,7 @@ from tripatrol.orthic import (
     reflection_chain,
     sub_orthic_schedule,
 )
+from tripatrol.greedy import greedy_limit_gap, greedy_run
 from tripatrol.schedule import gap_report, is_cyclic, is_k_periodic, pairwise_gap
 from conftest import FOOT_EPS, near_right_triangles, random_acute_triangle, thin_triangles
 from test_reference_exact import CHANNEL_LAMBDAS, CHANNEL_N, UNFOLDINGS, channel_error
@@ -431,9 +432,29 @@ def test_unfolding_built_once_per_triangle(builds):
     for i in range(21):
         sub_orthic_schedule(t, -1.0 + i / 10.0)
     lower_bound_profile(t, 20)
-    assert builds == {"unfoldings": 0, "channels": 1}
+    assert builds == {"unfoldings": 0, "channels": 1, "angles": 1}
     reflection_chain(t)
-    assert builds == {"unfoldings": 1, "channels": 1}
+    assert builds == {"unfoldings": 1, "channels": 1, "angles": 1}
+
+
+@pytest.mark.parametrize("dx", [0.0, 1e6], ids=["own-frame", "moved"])
+def test_channel_calls_compute_angles_and_channel_numbers_once(builds, dx):
+    # Every call the benchmark's channel op makes on one triangle: the
+    # angles are computed once, on the frame, and kept on the frame and on
+    # t; the channel's numbers once, kept for the last triangle.
+    t = acute_triangle(dx=dx)
+    orthic_triangle(t)
+    reflection_chain(t)
+    for i in range(21):
+        s = sub_orthic_schedule(t, -1.0 + i / 10.0)
+        gap_report(s, 1)
+        gap_report(s, 2)
+    lower_bound_profile(t, 100)
+    for direction in ("cw", "ccw"):
+        greedy_run(t, 0.3, 600, direction)
+    greedy_limit_gap(t)
+    orthic_perimeter(t)
+    assert builds == {"unfoldings": 1, "channels": 1, "angles": 1}
 
 
 def test_unfolding_copies_leave_the_memo_alone(builds):
@@ -443,7 +464,7 @@ def test_unfolding_copies_leave_the_memo_alone(builds):
     unf = reflection_chain(t)
     assert copy.copy(unf) == unf
     assert pickle.loads(pickle.dumps(unf)) == unf
-    assert builds == {"unfoldings": 1, "channels": 0}
+    assert builds == {"unfoldings": 1, "channels": 0, "angles": 1}
 
 
 def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
@@ -467,7 +488,7 @@ def test_unfolding_equal_but_distinct_triangle_gets_its_own_chain(builds):
     neg = Triangle(Point(-0.0, 0.0), *pos.vertices[1:])
     assert pos == neg
     assert sub_orthic_schedule(pos, 0.5) == sub_orthic_schedule(neg, 0.5)
-    assert builds == {"unfoldings": 0, "channels": 2}
+    assert builds == {"unfoldings": 0, "channels": 2, "angles": 2}
     chain = reflection_chain(neg)
     assert any(math.copysign(1.0, v.x) < 0.0 for v in chain.base.vertices)
 

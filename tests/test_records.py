@@ -5,18 +5,22 @@ guard, the constructor's signature, validation and messages."""
 import copy
 import dataclasses
 import math
+import operator
 import pickle
 import random
 
 import pytest
 
 import reference_records as ref
-from tripatrol.geom import EdgeId, Point, Triangle
+from tripatrol.geom import EdgeId, Point, Triangle, angles
 from tripatrol.greedy import GreedyTrace, greedy_run
 from tripatrol.orthic import OrthicData, Unfolding, reflection_chain
 from tripatrol.schedule import GapReport, Schedule, SchedulePoint
 from tripatrol.search import SearchResult
 from conftest import random_acute_triangle
+
+
+GREEDY_CYCLES = 20
 
 
 def _point(rng):
@@ -54,8 +58,14 @@ def _unfolding_args(rng):
 
 
 def _greedy_trace_args(rng):
-    g = greedy_run(random_acute_triangle(rng), rng.random(), 20, rng.choice(["cw", "ccw"]))
+    g = greedy_run(random_acute_triangle(rng), rng.random(), GREEDY_CYCLES, rng.choice(["cw", "ccw"]))
     return tuple(getattr(g, name) for name in GreedyTrace.__match_args__)
+
+
+def _unread_greedy_trace(start_u, direction, iterates, c, x, fixed_point, limit_schedule, *_):
+    """The run _greedy_trace_args drew, made again by greedy_run, which
+    leaves its visited prefix unset until the first read."""
+    return greedy_run(limit_schedule.triangle, start_u, GREEDY_CYCLES, direction)
 
 
 def _search_result_args(rng):
@@ -73,6 +83,11 @@ RECORDS = {
     "SearchResult": (SearchResult, ref.SearchResult, _search_result_args),
 }
 
+# Records that a library call builds with a field set on its first read:
+# the RECORDS entry whose draws they take, and the call that builds one
+# from a draw's fields.
+UNREAD = {"GreedyTrace-visited-unread": ("GreedyTrace", _unread_greedy_trace)}
+
 
 def _raised(fn, *args, **kwargs) -> tuple[type, str]:
     with pytest.raises(Exception) as info:
@@ -88,22 +103,26 @@ def test_fields_are_the_compared_fields_of_the_dataclass(name):
     assert not hasattr(new_cls(*draw(random.Random(0))), "__dict__")
 
 
-@pytest.mark.parametrize("name", RECORDS)
+@pytest.mark.parametrize("name", [*RECORDS, *UNREAD])
 def test_record_matches_its_dataclass_twin(name):
-    new_cls, old_cls, draw = RECORDS[name]
+    # Each check reads a record fresh from build, which for an UNREAD entry
+    # has not yet built its first-read field.
+    key, build = UNREAD.get(name, (name, None))
+    new_cls, old_cls, draw = RECORDS[key]
+    build = build or new_cls
     rng = random.Random(name)
     for _ in range(8):
         args, other_args = draw(rng), draw(rng)
-        new, old = new_cls(*args), old_cls(*args)
-        assert new_cls(**dict(zip(new_cls.__match_args__, args))) == new
-        assert repr(new) == repr(old)
+        new, old = build(*args), old_cls(*args)
+        assert new_cls(**dict(zip(new_cls.__match_args__, args))) == build(*args)
+        assert repr(build(*args)) == repr(old)
 
         # == and != against the same class, against the twin's class and
         # against any other.
-        for a, b in ((new_cls(*args), old_cls(*args)), (new_cls(*other_args), old_cls(*other_args))):
-            assert (new == a) == (old == b) and (new != a) == (old != b)
-        assert new == new_cls(*args) and not new != new_cls(*args)
-        assert new != new_cls(*other_args)
+        for a, b in ((build(*args), old_cls(*args)), (build(*other_args), old_cls(*other_args))):
+            assert (build(*args) == a) == (old == b) and (build(*args) != a) == (old != b)
+        assert build(*args) == new_cls(*args) and not build(*args) != new_cls(*args)
+        assert build(*args) != new_cls(*other_args)
         for foreign in (old, Point(0.0, 0.0), tuple(args), None):
             assert new.__eq__(foreign) is NotImplemented
             assert new != foreign and not new == foreign
@@ -111,11 +130,11 @@ def test_record_matches_its_dataclass_twin(name):
         try:
             want = hash(old)
         except TypeError as exc:
-            assert _raised(hash, new) == (TypeError, str(exc))
+            assert _raised(hash, build(*args)) == (TypeError, str(exc))
         else:
-            assert hash(new) == want
+            assert hash(build(*args)) == want
 
-        for back in (pickle.loads(pickle.dumps(new)), copy.deepcopy(new), copy.copy(new)):
+        for back in (pickle.loads(pickle.dumps(build(*args))), copy.deepcopy(build(*args)), copy.copy(build(*args))):
             assert type(back) is new_cls and back == new and repr(back) == repr(new)
 
         for field in new_cls.__match_args__ + ("no_such_field",):
@@ -138,18 +157,27 @@ def test_derived_fields_stay_out_of_eq_hash_and_repr(name, derived):
     assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
 
 
-@pytest.mark.parametrize("name, field", [("Triangle", "edges"), ("SchedulePoint", "visited_edges")])
+# Slots set on the first call of the geom function of the same name.
+FIRST_CALL = {"angles": angles}
+
+
+@pytest.mark.parametrize(
+    "name, field", [("Triangle", "edges"), ("SchedulePoint", "visited_edges"), ("Triangle", "angles")]
+)
 def test_precomputed_slots_stay_out_of_eq_hash_and_repr(name, field):
     """Slots the dataclass twin did not store: derived from the fields at
-    construction, so copies and unpickled records recompute them."""
+    construction, or on the first call of FIRST_CALL's function, so copies
+    and unpickled records recompute them."""
     new_cls, _, draw = RECORDS[name]
+    read = FIRST_CALL.get(field, operator.attrgetter(field))
     args = draw(random.Random(2))
     record, twin = new_cls(*args), new_cls(*args)
+    read(record)
     object.__setattr__(twin, field, ())
     assert field not in repr(record) and repr(record) == repr(twin) and record == twin
     assert hash(record) == hash(twin)
     for back in (pickle.loads(pickle.dumps(twin)), copy.copy(twin)):
-        assert getattr(back, field) == getattr(record, field) != ()
+        assert read(back) == read(record) != ()
 
 
 def test_positional_and_keyword_construction():
