@@ -17,6 +17,7 @@ from tripatrol.geom import (
     edge_point,
     local_frame,
 )
+from tripatrol.greedy import greedy_limit_gap, greedy_run
 from tripatrol.orthic import (
     OutsideChannel,
     lower_bound_profile,
@@ -26,7 +27,6 @@ from tripatrol.orthic import (
     reflection_chain,
     sub_orthic_schedule,
 )
-from tripatrol.greedy import greedy_limit_gap, greedy_run
 from tripatrol.schedule import gap_report, is_cyclic, is_k_periodic, pairwise_gap
 from conftest import FOOT_EPS, near_right_triangles, random_acute_triangle, thin_triangles
 from test_reference_exact import CHANNEL_LAMBDAS, CHANNEL_N, UNFOLDINGS, channel_error
