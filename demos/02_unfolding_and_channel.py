@@ -16,8 +16,10 @@ t = Triangle(Point(0.0, 0.0), Point(2.2, 0.2), Point(0.9, 1.6))
 unf = reflection_chain(t)  # the Unfolding: reflected copies, orthic line, channel
 
 print("reflected vertices:")
-for name in ("c1", "b1", "a1", "c2", "b2"):
-    print(f"  {name.upper()} = {getattr(unf, name)}")
+copies = unf.copies  # the base A, B, C, then (A, B, C1), (A, B1, C1), ...
+for name, v in (("C1", copies[1].c), ("B1", copies[2].b), ("A1", copies[3].a),
+                ("C2", copies[4].c), ("B2", copies[5].b)):
+    print(f"  {name} = {v}")
 
 k, k2 = unf.k, unf.k2
 per = orthic_perimeter(t)
@@ -35,8 +37,8 @@ for i in range(len(names)):
             worst = max(worst, abs((q - p).cross(r - p)))
 print("  worst |det| over all triples:", worst)
 
-print("\nchannel half widths: toward A:", unf.half_width_high,
-      " toward A1:", unf.half_width_low)
+print("\nchannel half width (A and A1 lie this far from the orthic line):",
+      unf.half_width)
 
 sched = sub_orthic_schedule(t, 0.6)
 os.makedirs("out", exist_ok=True)

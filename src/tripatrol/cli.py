@@ -264,8 +264,9 @@ def cmd_channel(args) -> dict:
         "direction": unf.direction.as_tuple(),
         "boundary_high": [p.as_tuple() for p in unf.boundary_high],
         "boundary_low": [p.as_tuple() for p in unf.boundary_low],
-        "half_width_high": unf.half_width_high,
-        "half_width_low": unf.half_width_low,
+        # A and A1 lie at one distance from the orthic line: one width, both keys.
+        "half_width_high": unf.half_width,
+        "half_width_low": unf.half_width,
         "generator": _schedule_dict_out(sched),
         "gap1": g1,
         "gap2": g2,

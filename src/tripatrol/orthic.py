@@ -3,17 +3,19 @@ the 6-periodic schedules of the channel lines folded back in, and the
 unfolding lower-bound sequence v_k that certifies their optimality.
 
 The unfolding, the channel and v_k work on a relabeled copy of the input
-whose angles satisfy A >= B >= C; results are mapped back to the caller's
-vertex labels before they are returned.
+whose angles satisfy A >= B >= C.  The channel's stops are mapped back to
+the caller's edge labels; the unfolding keeps the relabeled ones, A its
+largest angle.
 
-`Unfolding` is the one object for the unfolding: the reflected copies, the
-altitude-foot images on the orthic line and the channel between the
-parallels through A and A1.  One rule builds it: each of the five steps
-reflects one vertex of the current copy across the line through the other
-two (`_REFLECTED`), and the foot of that reflection is the copy's altitude
-foot on the orthic line.  Only `reflection_chain` builds it, for what
-reports it: the channel's stops and v_k are closed forms of the relabeled
-base's dot products, computed once per triangle (`_channel`).
+`Unfolding` is the one object for the unfolding, and it holds only what
+reports read: the six copies, the altitude-foot images on the orthic line
+and the channel between the parallels through A and A1.  One rule builds
+it: each of the five steps reflects one vertex of the current copy across
+the copy of the base edge through the other two (`_REFLECTED`), carried by
+the isometry built so far, and the foot of that reflection is the copy's
+altitude foot on the orthic line.  Only `reflection_chain` builds it, for
+what reports it: the channel's stops and v_k are closed forms of the
+relabeled base's dot products, computed once per triangle (`_channel`).
 
 Every construction here runs on geom.local_frame(t): the triangle moved
 near the origin and scaled by a power of two to a diameter in [1, 2).
@@ -114,63 +116,45 @@ class Unfolding(Record):
     triangle unfolded.
 
     C1 is C reflected about AB, B1 is B about A-C1, A1 is A about B1-C1,
-    C2 is C1 about A1-B1, B2 is B1 about A1-C2.  The altitude feet of the
-    successive copies (k, m, l1, k1, m1, l2, k2) all lie on one line, the
-    orthic line, and the segment k -> k2 is two orbit periods long.  The
-    channel is the maximal strip of lines parallel to the orthic line that
-    still cross at least two edges of every reflected copy; it is bounded
-    by the parallels through A and through A1.
+    C2 is C1 about A1-B1, B2 is B1 about A1-C2.  copies holds the relabeled
+    base, made of the caller's own vertices, then each reflected copy:
+    (A, B, C1), (A, B1, C1), (A1, B1, C1), (A1, B1, C2), (A1, B2, C2).  The
+    altitude feet of the successive copies (k, m, l1, k1, m1, l2, k2) all
+    lie on one line, the orthic line, and the segment k -> k2 is two orbit
+    periods long.  The channel is the maximal strip of lines parallel to
+    the orthic line that still cross at least two edges of every copy; it
+    is bounded by the parallels through A and through A1, which lie
+    half_width from the orthic line on either side.
     """
 
     __slots__ = __match_args__ = (
-        "base", "edge_map", "triangles", "mirrors",
-        "a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2",
-        "direction", "boundary_low", "boundary_high", "half_width_low", "half_width_high",
+        "copies", "k", "m", "l1", "k1", "m1", "l2", "k2",
+        "direction", "boundary_low", "boundary_high", "half_width",
     )
 
     def __init__(
         self,
-        base: Triangle,  # relabeled copy (A >= B >= C)
-        edge_map: dict[EdgeId, EdgeId],  # relabeled EdgeId -> caller EdgeId
-        triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle],
-        mirrors: tuple[Line, Line, Line, Line, Line],
-        a1: Point,
-        b1: Point,
-        b2: Point,
-        c1: Point,
-        c2: Point,
-        k: Point,
-        m: Point,
-        l1: Point,
-        k1: Point,
-        m1: Point,
-        l2: Point,
-        k2: Point,
+        copies: tuple[Triangle, ...],  # the base, then the five reflected copies
+        k: Point, m: Point, l1: Point, k1: Point, m1: Point, l2: Point, k2: Point,
         direction: Point,  # unit vector along the orthic line
         boundary_low: Line,  # through A1, parallel to the orthic line
         boundary_high: Line,  # through A, parallel to the orthic line
-        half_width_low: float,
-        half_width_high: float,
+        half_width: float,  # distance of A, and of A1, from the orthic line
     ):
-        values = (
-            base, edge_map, triangles, mirrors, a1, b1, b2, c1, c2, k, m, l1, k1, m1, l2, k2,
-            direction, boundary_low, boundary_high, half_width_low, half_width_high,
-        )
+        values = (copies, k, m, l1, k1, m1, l2, k2, direction, boundary_low, boundary_high, half_width)
         for store, value in zip(_SET_UNFOLDING, values):
             store(self, value)
-
-    @property
-    def all_triangles(self) -> tuple[Triangle, ...]:
-        return (self.base,) + self.triangles
 
 
 _SET_UNFOLDING = slot_setters(Unfolding)
 
 
 # The unfolding's five steps: the index of the vertex reflected across the
-# line through the other two, C about AB, B about AC1, A about B1C1, and so on.
+# copy of the base edge through the other two, C about AB, B about AC1, A
+# about B1C1, and so on.
 _REFLECTED = (2, 1, 0, 2, 1)
-# The other two vertices of each index, in order: the mirror of its reflection.
+# The other two vertices of each index, in order: the base edge whose copy
+# is the mirror of its reflection.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 # EdgeId by index, read where calling EdgeId(i) would cost more.
 _EDGES = tuple(EdgeId)
@@ -178,9 +162,10 @@ _EDGES = tuple(EdgeId)
 
 def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
     """The vertices of acute t reordered so their angles are non-increasing,
-    ties by index.  By angle, not by side length: on a thin triangle near a
-    right angle the float sides can sort apart from the exact ones, and the
-    channel's closed forms hold only where A is the largest angle."""
+    ties by index, and the map from the relabeled EdgeId to t's.  By angle,
+    not by side length: on a thin triangle near a right angle the float
+    sides can sort apart from the exact ones, and the channel's closed
+    forms hold only where A is the largest angle."""
     require_acute(t)
     angs = angles(t)
     order = sorted(range(3), key=lambda i: (-angs[i], i))
@@ -193,22 +178,37 @@ def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
 def _build(t: Triangle) -> Unfolding:
     """The unfolding of t, built on local_frame(t) and returned in t's
     coordinates.  Its projections, the five reflections and the feet k and
-    k2, go through geom's one segment kernel, edge_frame and foot_on_edge."""
+    k2, go through geom's one segment kernel, edge_frame and foot_on_edge.
+
+    The mirrors are carried, not read off the copies.  After some steps the
+    copy is the base moved by an isometry with linear part L, so the next
+    mirror is the base edge _OTHERS[i] moved by it: unit direction L e, e
+    the base edge's from edge_frame, through the current copy of the edge's
+    first vertex.  The step then sets L to L Ref(e).  A direction read off
+    two computed vertices of a copy is off by eps diam / |edge|, which on a
+    thin triangle's short edge moved the last copies up to 3.3e8 eps diam
+    from their exact values (tests/test_reference_exact.py)."""
     local, origin, scale = local_frame(t)
     base, edge_map = _relabel(local)
-    a, b, c = base.vertices
+    a, b, c = verts = list(base.vertices)
+    frames = [edge_frame(verts[lo], verts[hi]) for lo, hi in _OTHERS]
 
-    # Each step reflects one vertex across the line through the other two;
-    # the mirror's foot is that step's altitude foot (m, l1, k1, m1, l2).
-    verts = [a, b, c]
+    # Each step reflects one vertex across its carried mirror; the mirror's
+    # foot is that step's altitude foot (m, l1, k1, m1, l2).  L is kept as
+    # its columns (lxx, lyx) and (lxy, lyy).
+    lxx, lxy, lyx, lyy = 1.0, 0.0, 0.0, 1.0
     reflected, feet = [], []
     for i in _REFLECTED:
-        p = verts[i]
-        lo, hi = _OTHERS[i]
-        fx, fy, _ = foot_on_edge(p.x, p.y, *edge_frame(verts[lo], verts[hi]))
+        p, q = verts[i], verts[_OTHERS[i][0]]
+        _, _, dx, dy, dd, ex, ey = frames[i]
+        ux, uy = lxx * ex + lxy * ey, lyx * ex + lyy * ey
+        fx, fy, _ = foot_on_edge(p.x, p.y, q.x, q.y, ux, uy, 1.0, ux, uy)  # the unit segment from q
         verts[i] = Point(2.0 * fx - p.x, 2.0 * fy - p.y)
         reflected.append(verts[i])
         feet.append(Point(fx, fy))
+        # Ref(e) = [[cx, sx], [sx, -cx]], from d: fewer roundings than from e.
+        cx, sx = (dx * dx - dy * dy) / dd, 2.0 * dx * dy / dd
+        lxx, lxy, lyx, lyy = lxx * cx + lxy * sx, lxx * sx - lxy * cx, lyx * cx + lyy * sx, lyx * sx - lyy * cx
     c1, b1, a1, c2, b2 = reflected
 
     k = Point(*foot_on_edge(a.x, a.y, *edge_frame(b, c))[:2])
@@ -217,8 +217,7 @@ def _build(t: Triangle) -> Unfolding:
 
     w = k2 - k
     direction = w * (1.0 / w.norm())
-    off_high = direction.cross(a - k)
-    off_low = direction.cross(a1 - k)
+    half_width = abs(direction.cross(a - k)) * scale
     step = direction * base.diameter  # a unit step would round away at large sides
 
     # In t's coordinates: the base is t's own vertices, every other point is
@@ -229,36 +228,12 @@ def _build(t: Triangle) -> Unfolding:
         base = Triangle(*[v[e] for e in edge_map.values()])  # keyed A, B, C in order
         points = [place(p.x, p.y, origin, scale) for p in points]
     c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, low_end, high_end = points
-    verts = [base.a, base.b, base.c]
-    tris, mirrors = [], []
+    verts, copies = list(base.vertices), [base]
     for i, p in zip(_REFLECTED, (c1, b1, a1, c2, b2)):
-        lo, hi = _OTHERS[i]
-        mirrors.append((verts[lo], verts[hi]))
         verts[i] = p
-        tris.append(Triangle(*verts))
-    return Unfolding(
-        base=base,
-        edge_map=edge_map,
-        triangles=tuple(tris),
-        mirrors=tuple(mirrors),
-        a1=a1,
-        b1=b1,
-        b2=b2,
-        c1=c1,
-        c2=c2,
-        k=k,
-        m=m,
-        l1=l1,
-        k1=k1,
-        m1=m1,
-        l2=l2,
-        k2=k2,
-        direction=direction,
-        boundary_low=(a1, low_end),
-        boundary_high=(base.a, high_end),
-        half_width_low=abs(off_low) * scale,
-        half_width_high=abs(off_high) * scale,
-    )
+        copies.append(Triangle(*verts))
+    boundaries = (a1, low_end), (base.a, high_end)
+    return Unfolding(tuple(copies), k, m, l1, k1, m1, l2, k2, direction, *boundaries, half_width)
 
 
 def reflection_chain(t: Triangle) -> Unfolding:
@@ -336,6 +311,21 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     are 0 exactly.  u0 and the slopes are computed once per triangle; a
     stop within VERTEX_SNAP of 0 or 1 is that vertex, and the edge
     parameters are turned to t's own orientation of each edge.
+
+    Its gaps in closed form, P the orthic perimeter, H the half width and
+    C the smallest angle:
+
+        gap2 = 2P,    gap1 = P + 2 |lam| H cot C.
+
+    Unfolded, a period is the line's segment from BC to B2C2, and w = K2 -
+    K carries BC's line onto B2C2's, so on every parallel to w it is |w| =
+    2P long.  The line lies s = lam H from the orthic line and crosses each
+    copy of an edge at that edge's angle theta, so each stop lies s
+    cot(theta) along it from the orthic line's stop; the two copies of an
+    edge in a period are met at theta and pi - theta, so the edge's two
+    1-gaps are P + 2s cot(theta) and P - 2s cot(theta).  The largest is on
+    AB, crossed at the smallest angle, and cot C > 0: the orthic line, lam
+    = 0, is the family's unique 1-gap minimiser (tests/test_orthic.py).
     """
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")

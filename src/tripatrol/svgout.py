@@ -21,7 +21,7 @@ def _pts(points: list[Point]) -> str:
 
 
 def channel_svg(unfolding: Unfolding, folded: list[Point]) -> str:
-    tris = unfolding.all_triangles
+    tris = unfolding.copies
     verts = [v for t in tris for v in t.vertices]
     d = unfolding.direction
     k = unfolding.k

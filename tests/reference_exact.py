@@ -53,8 +53,9 @@ from tripatrol.schedule import SchedulePoint
 
 XY = tuple[Fraction, Fraction]
 
-# The unfolding's points, by the names tripatrol.orthic.Unfolding gives them.
-POINTS = ("a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2")
+# The unfolding's feet, by the names tripatrol.orthic.Unfolding gives them;
+# its reflected vertices are the vertices of its copies.
+POINTS = ("k", "m", "l1", "k1", "m1", "l2", "k2")
 
 DIGITS = 50
 
@@ -192,6 +193,14 @@ def unfolding(a: Point, b: Point, c: Point) -> Unfolding:
         normal=normal,
         offsets=tuple(tuple(dot(normal, sub(v, k)) for v in copy) for copy in copies),
     )
+
+
+def half_width(u: Unfolding) -> Decimal:
+    """The distance of A, and of A1, from the orthic line: |offset(A)| / |w|."""
+    off = abs(u.offset(u.copies[0][0]))
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        return Decimal(off.numerator) / Decimal(off.denominator) / sqrt(dot(u.normal, u.normal))
 
 
 def meet(p: XY, d: XY, a: XY, b: XY) -> XY:

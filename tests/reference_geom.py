@@ -1,6 +1,5 @@
 """Reference primitives: the Point-based projection, reflection, edge
-coordinates and angles, and the fold loop of the unfolding, with a Point
-built at every step.
+coordinates and angles, with a Point built at every step.
 
 tripatrol.geom must return exactly the same floats, and raise the same
 exceptions with the same messages, as these: geom.foot_on_edge gives the
@@ -8,8 +7,7 @@ foot of project_onto_line and the parameter of edge_coordinates, clamped
 to [0, 1], and the mirror images of tripatrol.search._segments must equal
 reflect_point's.  They are slow and kept only for the tests to compare
 against.  edge_coordinates also gives a point's distance from the edge's
-line, which the tests of the orthic feet bound.  fold is the unfolding's
-former fold, and the bit gate folds the unfolding's points with it.
+line, which the tests of the orthic feet bound.
 
 count_edge_hits is the unfolding's former channel check, a segment-line
 test per edge; the vertex-offset test of reference_exact.straddles must
@@ -60,12 +58,6 @@ def _angle_at(v: Point, p: Point, q: Point) -> float:
 def angles(t: Triangle) -> tuple[float, float, float]:
     t = local_frame(t)[0]
     return (_angle_at(t.a, t.b, t.c), _angle_at(t.b, t.c, t.a), _angle_at(t.c, t.a, t.b))
-
-
-def fold(mirrors: tuple[Line, ...], p: Point, depth: int) -> Point:
-    for i in range(depth - 1, -1, -1):
-        p = reflect_point(p, mirrors[i])
-    return p
 
 
 def count_edge_hits(line: Line, tri: Triangle, tol: float) -> int:

@@ -1,5 +1,6 @@
 """Reference records: the eight frozen dataclasses that tripatrol's records
-replaced, as they were defined, field comments included.
+replaced, as they were defined, field comments included; Unfolding with
+only the fields it keeps.
 
 Each tripatrol record must behave as its twin here: the same repr, ==,
 hash (or TypeError), pickling, AttributeError on assignment and deletion,
@@ -130,24 +131,16 @@ class Unfolding:
     and the orthic channel they straighten out.
 
     C1 is C reflected about AB, B1 is B about A-C1, A1 is A about B1-C1,
-    C2 is C1 about A1-B1, B2 is B1 about A1-C2.  The altitude feet of the
-    successive copies (k, m, l1, k1, m1, l2, k2) all lie on one line, the
-    orthic line, and the segment k -> k2 is two orbit periods long.  The
-    channel is the maximal strip of lines parallel to the orthic line that
-    still cross at least two edges of every reflected copy; it is bounded
-    by the parallels through A and through A1.
+    C2 is C1 about A1-B1, B2 is B1 about A1-C2.  copies holds the relabeled
+    base, then each reflected copy.  The altitude feet of the successive
+    copies (k, m, l1, k1, m1, l2, k2) all lie on one line, the orthic line,
+    and the segment k -> k2 is two orbit periods long.  The channel is the
+    maximal strip of lines parallel to the orthic line that still cross at
+    least two edges of every copy; it is bounded by the parallels through A
+    and through A1, half_width from the orthic line.
     """
 
-    base: Triangle  # relabeled copy (A >= B >= C)
-    # relabeled EdgeId -> caller EdgeId
-    edge_map: dict[EdgeId, EdgeId]
-    triangles: tuple[Triangle, Triangle, Triangle, Triangle, Triangle]
-    mirrors: tuple[Line, Line, Line, Line, Line]
-    a1: Point
-    b1: Point
-    b2: Point
-    c1: Point
-    c2: Point
+    copies: tuple[Triangle, Triangle, Triangle, Triangle, Triangle, Triangle]
     k: Point
     m: Point
     l1: Point
@@ -158,8 +151,7 @@ class Unfolding:
     direction: Point  # unit vector along the orthic line
     boundary_low: Line  # through A1, parallel to the orthic line
     boundary_high: Line  # through A, parallel to the orthic line
-    half_width_low: float
-    half_width_high: float
+    half_width: float
 
 
 @dataclass(frozen=True)

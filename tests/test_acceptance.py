@@ -88,7 +88,8 @@ def test_criterion_03_collinearity_and_parallelism():
                 for k in range(j + 1, len(pts)):
                     det = abs((pts[j] - pts[i]).cross(pts[k] - pts[i]))
                     assert det <= 1e-9 * scale2
-        d0, d5 = ch.base.c - ch.base.b, ch.c2 - ch.b2
+        base, last = ch.copies[0], ch.copies[-1]
+        d0, d5 = base.c - base.b, last.c - last.b
         ang = math.asin(
             min(1.0, abs(d0.cross(d5)) / (d0.norm() * d5.norm()))
         )

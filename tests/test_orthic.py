@@ -146,8 +146,9 @@ def test_chain_parallelism_and_collinearity(rng):
     for _ in range(200):
         t = random_acute_triangle(rng)
         ch = reflection_chain(t)
-        d0 = ch.base.c - ch.base.b
-        d5 = ch.c2 - ch.b2
+        base, last = ch.copies[0], ch.copies[-1]
+        d0 = base.c - base.b
+        d5 = last.c - last.b
         sin_angle = abs(d0.cross(d5)) / (d0.norm() * d5.norm())
         assert sin_angle <= 1e-10
         pts = [ch.k, ch.m, ch.l1, ch.k1, ch.m1, ch.l2, ch.k2]
@@ -160,7 +161,7 @@ def test_chain_turning_totals_three_pi(rng):
     # The five reflections turn BC by 2B + 3C + 3A + B = 3(A+B+C) = 3*pi.
     for _ in range(50):
         t = random_acute_triangle(rng)
-        a_ang, b_ang, c_ang = angles(reflection_chain(t).base)
+        a_ang, b_ang, c_ang = angles(reflection_chain(t).copies[0])
         total = 2 * b_ang + 3 * c_ang + 3 * a_ang + b_ang
         assert total == pytest.approx(3 * math.pi, rel=1e-12)
 
@@ -172,9 +173,10 @@ def test_chain_requires_acute():
 
 def test_chain_strip_offset_equilateral(equilateral):
     ch = reflection_chain(equilateral)
-    d0 = ch.base.c - ch.base.b
+    base = ch.copies[0]
+    d0 = base.c - base.b
     n = Point(-d0.y, d0.x) * (1.0 / d0.norm())
-    offset = abs((ch.b2 - ch.base.b).dot(n))
+    offset = abs((ch.copies[5].b - base.b).dot(n))
     assert offset == pytest.approx(3 * math.sqrt(3) / 2, rel=1e-12)
     # which is exactly the component of K -> K2 across BC
     assert offset == pytest.approx(abs((ch.k2 - ch.k).dot(n)), rel=1e-12)
@@ -198,17 +200,18 @@ def test_orthic_line_length_and_midpoint(rng, equilateral):
 
 
 def test_channel_equilateral_symmetric(equilateral):
+    # A and A1 both lie the half width, h_a cos A = sqrt(3)/4, from the orthic line.
     chan = reflection_chain(equilateral)
-    assert chan.half_width_low == pytest.approx(chan.half_width_high, rel=1e-12)
-    assert chan.half_width_low > 0
+    assert chan.half_width == pytest.approx(math.sqrt(3) / 4, rel=1e-12)
+    for vertex in (chan.copies[0].a, chan.copies[3].a):
+        assert abs(chan.direction.cross(vertex - chan.k)) == pytest.approx(chan.half_width, rel=1e-12)
 
 
 def test_channel_orthic_line_strictly_inside(rng):
     for _ in range(100):
         t = random_acute_triangle(rng)
         chan = reflection_chain(t)
-        assert chan.half_width_low > 1e-9 * t.diameter
-        assert chan.half_width_high > 1e-9 * t.diameter
+        assert chan.half_width > 1e-9 * t.diameter
         # Boundaries are parallel to the orthic line by construction; check
         # the stored lines agree with the direction vector.
         for line in (chan.boundary_low, chan.boundary_high):
@@ -220,7 +223,7 @@ def test_channel_boundary_hits_bc_inside_with_bk_at_least_half_bt(rng):
     for _ in range(100):
         t = random_acute_triangle(rng)
         ch = reflection_chain(t)
-        base = ch.base
+        base = ch.copies[0]
         b, c = rx.exact(base.b), rx.exact(base.c)
         p, q = (rx.exact(v) for v in ch.boundary_high)
         d = rx.sub(c, b)
@@ -236,7 +239,7 @@ def test_channel_boundaries_meet_bc_at_the_largest_angle(rng):
     near_right = [t for _, t in near_right_triangles(random.Random(3), 300)]
     for t in generic + thin_triangles(random.Random(2), 2000) + near_right:
         unf = reflection_chain(t)
-        b, c = unf.base.b, unf.base.c
+        b, c = unf.copies[0].b, unf.copies[0].c
         assert abs(unf.direction.cross(c - b)) / b.dist(c) >= math.sin(math.pi / 3) - 1e-9
 
 
@@ -337,7 +340,7 @@ def test_sub_orthic_boundaries_touch_vertex(rng):
     for _ in range(30):
         t = random_acute_triangle(rng)
         ch = reflection_chain(t)
-        vertex = ch.base.a
+        vertex = ch.copies[0].a
         for lam in (-1.0, 1.0):
             s = sub_orthic_schedule(t, lam)
             pos = [edge_point(t, p.edge, p.u) for p in s.generator]
@@ -391,6 +394,33 @@ def test_sub_orthic_pairwise_gap_minimized_at_orthic(rng):
         base = pairwise_gap(sub_orthic_schedule(t, 0.0))
         for lam in (-1.0, -0.6, -0.2, 0.2, 0.6, 1.0):
             assert pairwise_gap(sub_orthic_schedule(t, lam)) >= base - 1e-10
+
+
+# sub_orthic_schedule's 1-gap and 2-gap lie within GAP_N eps diam of their
+# closed forms at each of GAP_LAMBDAS.  Measured over the 300 triangles here:
+# 7.10 (1-gap) and 12.9 (2-gap); over three other seeds' 300, at most 10.9
+# and 13.9.
+GAP_N = 16
+GAP_LAMBDAS = (-1.0, -0.3, 0.6, 1.0)
+
+
+def test_sub_orthic_gaps_match_their_closed_forms(rng):
+    """gap1 = P + 2 |lambda| H cot C and gap2 = 2P, P the orthic
+    perimeter, H the channel's half width and C the smallest angle
+    (sub_orthic_schedule's docstring derives both)."""
+    errors = {}
+    for i in range(300):
+        t = random_acute_triangle(rng)
+        per, width = orthic_perimeter(t), reflection_chain(t).half_width
+        cot_c = 1.0 / math.tan(min(angles(t)))
+        unit = 2.0**-52 * t.diameter
+        for lam in GAP_LAMBDAS:
+            s = sub_orthic_schedule(t, lam)
+            gap1 = per + 2.0 * abs(lam) * width * cot_c
+            errors[i, lam, 1] = abs(gap_report(s, 1).overall - gap1) / unit
+            errors[i, lam, 2] = abs(gap_report(s, 2).overall - 2.0 * per) / unit
+    assert {key: e for key, e in errors.items() if e > GAP_N} == {}
+    assert max(errors.values()) > GAP_N / 10
 
 
 def test_sub_orthic_boundary_pairwise_strictly_larger(equilateral):
@@ -490,14 +520,14 @@ def test_unfolding_equal_but_distinct_triangle_gets_its_own_chain(builds):
     assert sub_orthic_schedule(pos, 0.5) == sub_orthic_schedule(neg, 0.5)
     assert builds == {"unfoldings": 0, "channels": 2, "angles": 2}
     chain = reflection_chain(neg)
-    assert any(math.copysign(1.0, v.x) < 0.0 for v in chain.base.vertices)
+    assert any(math.copysign(1.0, v.x) < 0.0 for v in chain.copies[0].vertices)
 
 
 def test_unfolding_failed_build_raises_on_every_call():
     # On the local frame no acute triangle fails the build (moved by 1e7,
     # this one failed its B2C2 check); a right triangle fails its first
     # check, on every call.
-    assert reflection_chain(acute_triangle(dx=1e7)).triangles
+    assert reflection_chain(acute_triangle(dx=1e7)).copies
     for _ in range(2):
         with pytest.raises(NotAcute, match="not acutely below"):
             reflection_chain(RIGHT_ISO)
@@ -514,19 +544,24 @@ def test_unfolding_is_built_on_the_local_frame_and_placed_back(rng):
     t = acute_triangle(dx=1e6, scale=3.0)
     local, origin, scale = local_frame(t)
     unf, there = reflection_chain(t), reflection_chain(local)
-    assert all(a is b for a, b in zip(sorted(unf.base.vertices, key=id), sorted(t.vertices, key=id)))
-    for name in ("a1", "b1", "b2", "c1", "c2", "k", "m", "l1", "k1", "m1", "l2", "k2"):
-        p = getattr(there, name)
-        assert getattr(unf, name) == Point(origin.x + p.x * scale, origin.y + p.y * scale)
-    assert (unf.direction, unf.edge_map) == (there.direction, there.edge_map)
-    assert (unf.half_width_low, unf.half_width_high) == (there.half_width_low * scale, there.half_width_high * scale)
-    assert [tri.vertices for tri in unf.triangles][-1] == (unf.a1, unf.b2, unf.c2)
+    assert all(a is b for a, b in zip(sorted(unf.copies[0].vertices, key=id), sorted(t.vertices, key=id)))
+
+    def points(u):  # C1, B1, A1, C2, B2 and the seven feet
+        c = u.copies
+        return (c[1].c, c[2].b, c[3].a, c[4].c, c[5].b, u.k, u.m, u.l1, u.k1, u.m1, u.l2, u.k2)
+
+    for p, q in zip(points(unf), points(there), strict=True):
+        assert p == Point(origin.x + q.x * scale, origin.y + q.y * scale)
+    assert unf.direction == there.direction
+    assert unf.half_width == there.half_width * scale
+    # Each copy keeps the points it shares with the one before.
+    assert unf.copies[5].vertices == (unf.copies[3].a, unf.copies[5].b, unf.copies[4].c)
     for lam in (-1.0, -0.4, 0.0, 0.7, 1.0):
         assert sub_orthic_schedule(t, lam).generator == sub_orthic_schedule(local, lam).generator
     # A triangle that is its own frame is built as given: its signed zeros stay.
     flat = Triangle(Point(-0.0, -0.0), Point(1.0, -0.0), Point(0.45, 0.8))
     assert local_frame(flat)[0] is flat
-    assert all(math.copysign(1.0, z) < 0.0 for z in (flat.a.x, flat.a.y, reflection_chain(flat).base.c.y))
+    assert all(math.copysign(1.0, z) < 0.0 for z in (flat.a.x, flat.a.y, reflection_chain(flat).copies[0].c.y))
 
 
 @pytest.mark.parametrize("pushed", ["bottom", "top"])

@@ -10,8 +10,9 @@ digits).  A and A1 lie at one distance from the orthic line, exactly.  The
 channel's cross-section RT on BC runs against the orthic direction,
 w . (T - R) < 0, exactly: the closed form of lower_bound_profile's v_k
 rests on it.  orthic_triangle and reflection_chain compute on
-local_frame(t) in floats and check none of this; their points must lie
-within N eps diam of the exact ones on that same frame.
+local_frame(t) in floats and check none of this; their points, and the
+channel's half width, must lie within N eps diam of the exact ones on
+that same frame.
 lower_bound_profile's rows and sub_orthic_schedule's stops are closed
 forms of the relabeled base that read no unfolding; they must lie within
 N and CHANNEL_N eps diam of the rows and stops of the exact unfolding:
@@ -25,8 +26,9 @@ the coordinates round to multiples of 1/8), and the two acute golden
 triangles.  The v_k and channel tests add NEAR_RIGHT: triangles whose
 largest angle is pi/2 - slack, slack from 1e-5 to 2e-9, as drawn and
 moved by 1e6, and two thin ones near a right angle on which RT is ~1e-16
-diameters long.  The row test adds every 40th of conftest's 1,705 thin
-draws of seed 2, and the relabeling test all of them.
+diameters long.  The point test adds NEAR_RIGHT and every 10th of
+conftest's 1,705 thin draws of seed 2, the row test every 40th, and the
+relabeling test all of them.
 """
 
 import functools
@@ -38,7 +40,7 @@ from fractions import Fraction
 import reference_exact as rx
 from tripatrol import cli
 from tripatrol.geom import VERTEX_SNAP, EdgeId, Point, Triangle, edge_point, is_acute, local_frame
-from tripatrol.orthic import lower_bound_profile, orthic_triangle, reflection_chain, sub_orthic_schedule
+from tripatrol.orthic import _relabel, lower_bound_profile, orthic_triangle, reflection_chain, sub_orthic_schedule
 from conftest import near_right_triangles, random_acute_triangle, thin_triangles
 from make_goldens import EQ
 
@@ -51,12 +53,21 @@ NEAR_RIGHT_COUNT = 12
 K_MAX = 100
 
 EPS = sys.float_info.epsilon
-# Every float point lies within N eps diam of its exact value on the local
-# frame, and x0 within N eps.  Measured over TRIANGLES, the worst is
-# 9.49 eps diam: the unfolding's c2 on "margin 0.001 #4 +1e+06"; the feet
-# of orthic_triangle reach 2.12 eps diam and x0 1.98 eps.  The error grows
-# as the smallest angle shrinks: over 3,600 other triangles the worst was
-# 67.6 eps diam, at a smallest angle of 0.052 rad.  lower_bound_profile's
+# Every float point and the half width lie within N eps diam of their
+# exact values on the local frame, and x0 within N eps.  Measured, the worst
+# point is 12.1 eps diam over TRIANGLES (on "margin 0.08 #13"), 6.25 over
+# NEAR_RIGHT, 12.3 over every 10th thin draw and 14.8 over all 1,705, and
+# 9.83 over 120 other near-right triangles; the feet of orthic_triangle
+# reach 2.12 eps diam.  The half width reaches 2.27 over all of these, and
+# x0 1.98 eps over TRIANGLES.  The unfolding's mirrors are carried by its
+# isometries: with each mirror read off two computed vertices, the worst
+# point was 7.8e7 over NEAR_RIGHT and 3.3e8 over every 10th thin draw.
+# Each reflection adds the error of its mirror's anchor, so the error grows
+# along the chain: over 3,600 other triangles (1,200 per margin, seed 7)
+# the worst is 17.8 eps diam, at B2, the last reflected vertex, where
+# mirrors read off two vertices reached 65.7.
+# x0 = cos A sin C / sin B, from the angles, is checked on TRIANGLES only:
+# on a thin draw, B small, its error reaches 1e8 eps.  lower_bound_profile's
 # rows for k <= K_MAX, v_k / k and bound_k, reach 4.42 eps diam (on
 # "margin 0.08 #15 +1e+15"); on NEAR_RIGHT 3.29, on every 40th thin draw
 # 0.36, and 3.39 over 120 other near-right triangles.
@@ -209,25 +220,31 @@ def _error(p: Point, exact: rx.XY) -> Fraction:
     return rx.dot(d, d)
 
 
-def float_errors(t: Triangle) -> tuple[float, float]:
+def float_errors(t: Triangle) -> tuple[float, float, float]:
     """The largest distance, in eps diam, of a foot of orthic_triangle or a
     point of reflection_chain on local_frame(t) from its exact value (the
-    unfolding in the float's own labels), and x0's error in eps."""
+    unfolding in the float's own labels), the error of its half width in
+    eps diam, and x0's error in eps."""
     local = local_frame(t)[0]
     unit = Fraction(EPS * local.diameter) ** 2
     od, exact_od = orthic_triangle(local), rx.orthic(local)
     worst = max(_error(getattr(od, f), getattr(exact_od, f)) for f in ("k_foot", "l_foot", "m_foot"))
     unf = reflection_chain(local)
     exact_unf = in_float_labels(local)
-    worst = max(worst, *(_error(getattr(unf, name), getattr(exact_unf, name)) for name in rx.POINTS))
-    return float(worst / unit) ** 0.5, float(abs(Fraction(od.x0) - exact_od.x0) / Fraction(EPS))
+    pairs = [(getattr(unf, name), getattr(exact_unf, name)) for name in rx.POINTS]
+    for copy, exact_copy in zip(unf.copies, exact_unf.copies, strict=True):
+        pairs += zip(copy.vertices, exact_copy, strict=True)
+    worst = max(worst, *(_error(p, exact) for p, exact in pairs))
+    with localcontext() as ctx:
+        ctx.prec = rx.DIGITS
+        width = abs(Decimal(unf.half_width) - rx.half_width(exact_unf)) / Decimal(EPS * local.diameter)
+    return float(worst / unit) ** 0.5, float(width), float(abs(Fraction(od.x0) - exact_od.x0) / Fraction(EPS))
 
 
 def in_float_labels(local: Triangle) -> rx.Unfolding:
     """The exact unfolding of a local-frame triangle, labeled as
     reflection_chain labels it."""
-    v = local.vertices
-    return exact_unfolding(*(v[reflection_chain(local).edge_map[e]] for e in EdgeId))
+    return exact_unfolding(*_relabel(local)[0].vertices)
 
 
 def row_error(t: Triangle, k_max: int = K_MAX) -> float:
@@ -251,12 +268,12 @@ def channel_error(t: Triangle, lam: float) -> float:
     along its edge; a stop snapped to a vertex may lie VERTEX_SNAP times
     its edge's length further."""
     local = local_frame(t)[0]
-    unf = reflection_chain(local)
+    base, edge_map = _relabel(local)
     stops = rx.channel_stops(in_float_labels(local), Fraction(lam))
     worst = Fraction(0)
     for p, (e, u) in zip(sub_orthic_schedule(local, lam).generator, stops, strict=True):
-        assert p.edge == unf.edge_map[e]
-        if local.edges[p.edge][0] != unf.base.edges[e][0]:
+        assert p.edge == edge_map[e]
+        if local.edges[p.edge][0] != base.edges[e][0]:
             u = 1 - u
         length = Fraction(local.side_lengths[p.edge])
         err = abs(Fraction(p.u) - u) * length
@@ -268,6 +285,7 @@ def channel_error(t: Triangle, lam: float) -> float:
 
 def test_float_constructions_lie_near_the_exact_points():
     errors = {label: float_errors(t) for label, t in TRIANGLES}
+    errors |= {label: float_errors(t)[:2] for label, t in NEAR_RIGHT + THIN[::10]}
     assert {label: e for label, e in errors.items() if max(e) > N} == {}
     # N is measured, not padded: a tenth of it fails on some input.
     assert max(max(e) for e in errors.values()) > N / 10
@@ -304,7 +322,7 @@ def test_float_relabeling_is_the_exact_one():
     differ = []
     for label, t in TRIANGLES + NEAR_RIGHT + THIN:
         local = local_frame(t)[0]
-        edge_map = reflection_chain(local).edge_map
+        edge_map = _relabel(local)[1]
         if tuple(edge_map[e] for e in EdgeId) != rx.relabel(local):
             differ.append(label)
     assert differ == []

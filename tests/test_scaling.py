@@ -28,7 +28,7 @@ def outputs(t: Triangle) -> tuple[list[float], list]:
     """The lengths the constructions report for t, and their scale-free
     values: edge parameters, greedy iterates and row indices."""
     unf = reflection_chain(t)
-    lengths = [orthic_triangle(t).perimeter, unf.half_width_low, unf.half_width_high]
+    lengths = [orthic_triangle(t).perimeter, unf.half_width]
     free = []
     for lam in LAMBDAS:
         s = sub_orthic_schedule(t, lam)
