@@ -28,14 +28,17 @@ dwarf the rounding and act alike at any offset: best_value, the parameters
 and their tie-breaking are those of the full cube with math.hypot
 distances.
 
-The 6-periodic grid minimum is exact too: a chain DP over the three
-distinct distance matrices of its edge pattern, with no local refinement.
-The point grids of its segments are one (2, segments, N+1) array of x and y
-rows, built from one array of the segments' starts and differences, and
-the three distance matrices are one hypot.  Each chain DP step lays its
-sums out [prev, r, next] in C order and takes the min over the leading
-axis.  Before it computes anything, the 6-periodic search refuses a grid
-above MAX_GRID_FLOATS and the 3-periodic one a grid above MAX_GRID3_N.
+The 6-periodic grid minimum is exact too, with no local refinement.  Its
+edge pattern ACBACB has period 3, so a cycle is two half paths over the
+same three distance matrices, BC(x) -> AC -> AB -> BC(y) and back; the
+cycle's least value is min h[x, y] + h[y, x], h the shortest half path,
+each half's legs added in turn and then the two halves: the same real
+objective as the six legs added in turn.  fl(a + b) == fl(b + a), so ties
+go to the first pair in row order, x <= y.  The segments' point grids are
+one (2, segments, N+1) array and the three distance matrices one hypot;
+h is two min-plus products on batches of x rows.  Before it computes
+anything, the 6-periodic search refuses a grid above MAX_GRID_FLOATS and
+the 3-periodic one a grid above MAX_GRID3_N.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from math import hypot, inf
 from .geom import EdgeId, Record, Triangle, local_frame, slot_setters
 
 # Each min-plus temporary holds at most this many float64s (~1 MB): the
-# 6-periodic chain DP batches start indices to fit it.
+# 6-periodic search batches x rows to fit it.
 _CHUNK = 1 << 17
 
 # The 6-periodic search refuses a grid that would hold more than this many
@@ -276,47 +279,43 @@ GAP2_PATTERN = (EdgeId.A, EdgeId.C, EdgeId.B, EdgeId.A, EdgeId.C, EdgeId.B)
 
 
 def _min_cycle_6(dist) -> tuple[float, list[int]]:
-    """Min over u1..u6 of the closed chain sum, with backpointer recovery.
+    """Min over u1..u6 of the closed cycle's length, with its grid cells.
 
-    dist is a (3, n+1, n+1) slab: dist[s % 3] is the distance matrix
-    between stop s and stop s+1 (0-based, stop 6 wrapping to stop 0).  The
-    chain DP runs for a chunk of start indices i0 at once and keeps each
-    step's value matrix vs[s][r, j].  A step adds the next leg to the last
-    values in a [prev, r, next] block in C order and takes the min over its
-    leading axis, prev, a reduction over whole contiguous rows.  The
-    winner's backpointers are argmins of the same sums, so ties go to the
-    first i0, then the first index of each later stop, as a loop over i0
-    would give.
+    dist is a (3, n+1, n+1) slab: dist[s][i, j] is the distance from cell i
+    of stop s to cell j of stop s+1 (stop 3 is BC again).  v1 = min over j
+    of dist[0][x, j] + dist[1][j, k], then h = min over k of v1[x, k] +
+    dist[2][k, y]; each product lays its sums out [inner, x, next] in C
+    order and takes the min over the leading axis, whole contiguous rows,
+    for a batch of x rows whose sums fit _CHUNK floats.  The winner's inner
+    cells are the first argmins of the same sums, k before j, per half.
     """
     import numpy as np
+    d0, d1, d2 = dist
     n1 = dist.shape[1]
-    best = inf
-    best_idx: list[int] = [0] * 6
     step = max(1, _CHUNK // (n1 * n1))
+    v1, h = np.empty((2, n1, n1))
     for lo in range(0, n1, step):
-        # vs[s][r, j]: best chain from stop 0 = lo + r to stop s = j
-        vs = [dist[0, lo : lo + step]]
-        for s in range(1, 5):
-            vs.append(np.add(vs[-1].T[:, :, None], dist[s % 3][:, None, :], order="C").min(axis=0))
-        tot_last = vs[4] + dist[2, :, lo : lo + step].T
-        r, i5 = divmod(int(tot_last.argmin()), n1)
-        val = float(tot_last[r, i5])
-        if val < best:
-            best = val
-            best_idx = [lo + r, 0, 0, 0, 0, i5]
-            for s in range(4, 0, -1):
-                best_idx[s] = int((vs[s - 1][r] + dist[s % 3][:, best_idx[s + 1]]).argmin())
-    return best, best_idx
+        rows = slice(lo, lo + step)
+        np.add(d0[rows].T[:, :, None], d1[:, None, :], order="C").min(axis=0, out=v1[rows])
+        np.add(v1[rows].T[:, :, None], d2[:, None, :], order="C").min(axis=0, out=h[rows])
+    tot = h + h.T
+    x, y = divmod(int(tot.argmin()), n1)
+    best_idx = [x, 0, 0, y, 0, 0]
+    for s, (a, b) in ((1, (x, y)), (4, (y, x))):
+        k = int((v1[a] + d2[:, b]).argmin())
+        best_idx[s : s + 2] = int((d0[a] + d1[:, k]).argmin()), k
+    return float(tot[x, y]), best_idx
 
 
 def grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
     """Minimize the 2-gap over cyclic 6-periodic generators with edge pattern
     (A,C,B,A,C,B) on a (grid_n+1)^6 grid, one parameter per stop.
 
-    The grid minimum is exact (the chain DP of _min_cycle_6 over the three
+    The grid minimum is exact (_min_cycle_6's half paths over the three
     distinct distance matrices), with no local refinement: each of
-    best_params is a grid point, and certified_tolerance bounds how far
-    best_value lies above the true minimum."""
+    best_params is a grid point, best_params[0] <= best_params[3], and
+    certified_tolerance bounds how far best_value lies above the true
+    minimum."""
     _check_grid(grid_n, 6)
     import numpy as np
     local, _, scale = local_frame(t)

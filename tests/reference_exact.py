@@ -245,19 +245,35 @@ def straddles(offsets: tuple[Fraction, ...], bottom: Fraction, top: Fraction) ->
     return max(offsets) >= top and min(offsets) <= bottom
 
 
+def _crossed(u: Unfolding) -> tuple[tuple[EdgeId, XY, XY], ...]:
+    """The edges a channel line crosses in a period, after BC: each mirror,
+    as (base edge, start, end) of that copy's edge."""
+    a, b, c = u.copies[0]
+    return (
+        (EdgeId.A, b, c), (EdgeId.C, a, b), (EdgeId.B, a, u.c1),
+        (EdgeId.A, u.b1, u.c1), (EdgeId.C, u.a1, u.b1), (EdgeId.B, u.a1, u.c2),
+    )
+
+
+def _channel_point(u: Unfolding, lam: Fraction) -> XY:
+    """The point of the channel line at lam on the normal through k."""
+    s = lam * (u.offset(u.copies[0][0]) if lam >= 0 else -u.offset(u.a1)) / dot(u.normal, u.normal)
+    return (u.k[0] + s * u.normal[0], u.k[1] + s * u.normal[1])
+
+
 def channel_stops(u: Unfolding, lam: Fraction) -> list[tuple[EdgeId, Fraction]]:
     """(edge, parameter) of each stop of the channel line at lam, in the
     unfolding's labels and its edges' orientation: where the line crosses
     BC, then each mirror, read along that copy's edge."""
-    a, b, c = u.copies[0]
-    w = sub(u.k2, u.k)
-    s = lam * (u.offset(a) if lam >= 0 else -u.offset(u.a1)) / dot(u.normal, u.normal)
-    p = (u.k[0] + s * u.normal[0], u.k[1] + s * u.normal[1])
-    crossed = (
-        (EdgeId.A, b, c), (EdgeId.C, a, b), (EdgeId.B, a, u.c1),
-        (EdgeId.A, u.b1, u.c1), (EdgeId.C, u.a1, u.b1), (EdgeId.B, u.a1, u.c2),
-    )
-    return [(e, cross(sub(p, q), w) / cross(sub(r, q), w)) for e, q, r in crossed]
+    w, p = sub(u.k2, u.k), _channel_point(u, lam)
+    return [(e, cross(sub(p, q), w) / cross(sub(r, q), w)) for e, q, r in _crossed(u)]
+
+
+def channel_crossings(u: Unfolding, lam: Fraction) -> list[XY]:
+    """Where the channel line at lam crosses BC, each mirror and B2C2: a
+    period of its schedule, unfolded onto one parallel to w."""
+    w, p = sub(u.k2, u.k), _channel_point(u, lam)
+    return [meet(p, w, q, r) for _, q, r in _crossed(u)] + [meet(p, w, u.b2, u.c2)]
 
 
 # Greedy's edges after BC, in the paper's orders: BC -> AB -> AC clockwise.

@@ -1,7 +1,8 @@
 """Reference grid oracles: the full (n+1)^3 min-plus cube for the 3-periodic
-search and a plain loop over the start index for the 6-periodic chain DP.
-Each computes its distances as its search does: the 3-periodic cube with
-math.hypot, the 6-periodic loop with np.hypot.
+search, and for the 6-periodic one the plain definition of its half paths
+and a loop over every pair of BC cells.  Each computes its distances as its
+search does: the 3-periodic cube with math.hypot, the 6-periodic ones with
+np.hypot.
 
 grid_search_3periodic and grid_search_6periodic_gap2 run these bodies on
 geom.local_frame(t)'s triangle and map the result back as tripatrol.search
@@ -9,8 +10,10 @@ does: best_value times the frame's scale, certified_tolerance from t's own
 diameter.  tripatrol.search must return exactly the same SearchResult as
 these on every triangle, so its pruning and batching change no bit.  The
 caller_frame_* searches run the same bodies on t itself, an independent
-check of the frame.  They are slow and kept only for the tests to compare
-against.
+check of the frame.  chain_grid_search_6periodic_gap2 is the 6-periodic
+search as a six-leg left fold, one chain DP per start cell: another float
+evaluation of the same cycle lengths.  They are slow and kept only for the
+tests to compare against.
 """
 
 import math
@@ -119,7 +122,35 @@ def numpy_hypot_cube_3periodic(t: Triangle, grid_n: int, upper: float):
     return float(totals[p]), (i, j, k), total
 
 
-def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
+def _min_cycle_6(d: list[np.ndarray]) -> tuple[float, list[int]]:
+    """The least h[x, y] + h[y, x] and its cells [x, j, k, y, j2, k2].
+
+    d holds the distance matrices BC -> AC, AC -> AB and AB -> BC, and
+    h[x, y] is the shortest half path from BC cell x to BC cell y, its
+    legs added left to right, built one row of x at a time.  The pairs are
+    tried in row order, and a later one wins only when strictly shorter.
+    Each half's k is the first argmin of v1[x] + d[2][:, y], v1[x, k] its
+    best path from x to AB cell k, and its j the first argmin of d[0][x] +
+    d[1][:, k]."""
+    d0, d1, d2 = d
+    n1 = len(d0)
+    v1 = np.array([(d0[x][:, None] + d1).min(axis=0) for x in range(n1)])
+    h = np.array([(v1[x][:, None] + d2).min(axis=0) for x in range(n1)]).tolist()
+    best, bx, by = math.inf, 0, 0
+    for x in range(n1):
+        for y in range(n1):
+            if (val := h[x][y] + h[y][x]) < best:
+                best, bx, by = val, x, y
+    idx = [bx, 0, 0, by, 0, 0]
+    for s, a, b in ((1, bx, by), (4, by, bx)):
+        k = int(np.argmin(v1[a] + d2[:, b]))
+        idx[s], idx[s + 1] = int(np.argmin(d0[a] + d1[:, k])), k
+    return best, idx
+
+
+def _chain_min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
+    """The least six-leg cycle, its legs added left to right from stop 0:
+    for each start cell i0 a chain DP over the five later stops."""
     n1 = d_fwd[0].shape[0]
     best = math.inf
     best_idx: list[int] = [0] * 6
@@ -143,12 +174,21 @@ def _min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
 
 
 def caller_frame_grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
+    return _search_6(_min_cycle_6, t, grid_n, 3)
+
+
+def chain_grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
+    return _in_local_frame(lambda local, n: _search_6(_chain_min_cycle_6, local, n, 6), t, grid_n, 12.0)
+
+
+def _search_6(min_cycle, t: Triangle, grid_n: int, legs: int) -> SearchResult:
+    """min_cycle over the first `legs` distance matrices of GAP2_PATTERN's
+    cycle on t, each from one stop's grid points to the next one's."""
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     us = np.arange(grid_n + 1) / grid_n
     grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN]
-    d_fwd = [_dist_matrix(grids[i], grids[(i + 1) % 6]) for i in range(6)]
-    best_val, idx = _min_cycle_6(d_fwd)
+    best_val, idx = min_cycle([_dist_matrix(grids[i], grids[(i + 1) % 6]) for i in range(legs)])
     return SearchResult(
         best_value=best_val,
         best_params=[float(us[i]) for i in idx],

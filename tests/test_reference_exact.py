@@ -54,24 +54,31 @@ K_MAX = 100
 
 EPS = sys.float_info.epsilon
 # Every float point and the half width lie within N eps diam of their
-# exact values on the local frame, and x0 within N eps.  Measured, the worst
-# point is 12.1 eps diam over TRIANGLES (on "margin 0.08 #13"), 6.25 over
-# NEAR_RIGHT, 12.3 over every 10th thin draw and 14.8 over all 1,705, and
-# 9.83 over 120 other near-right triangles; the feet of orthic_triangle
-# reach 2.12 eps diam.  The half width reaches 2.27 over all of these, and
-# x0 1.98 eps over TRIANGLES.  The unfolding's mirrors are carried by its
-# isometries: with each mirror read off two computed vertices, the worst
-# point was 7.8e7 over NEAR_RIGHT and 3.3e8 over every 10th thin draw.
-# Each reflection adds the error of its mirror's anchor, so the error grows
-# along the chain: over 3,600 other triangles (1,200 per margin, seed 7)
-# the worst is 17.8 eps diam, at B2, the last reflected vertex, where
-# mirrors read off two vertices reached 65.7.
-# x0 = cos A sin C / sin B, from the angles, is checked on TRIANGLES only:
-# on a thin draw, B small, its error reaches 1e8 eps.  lower_bound_profile's
-# rows for k <= K_MAX, v_k / k and bound_k, reach 4.42 eps diam (on
-# "margin 0.08 #15 +1e+15"); on NEAR_RIGHT 3.29, on every 40th thin draw
-# 0.36, and 3.39 over 120 other near-right triangles.
+# exact values on the local frame.  Measured, the worst point is 12.1 eps
+# diam over TRIANGLES (on "margin 0.08 #13"), 6.25 over NEAR_RIGHT, 12.3
+# over every 10th thin draw and 14.8 over all 1,705, and 9.83 over 120
+# other near-right triangles; the feet of orthic_triangle reach 2.12 eps
+# diam.  The half width reaches 2.27 over all of these.  The unfolding's
+# mirrors are carried by its isometries: with each mirror read off two
+# computed vertices, the worst point was 7.8e7 over NEAR_RIGHT and 3.3e8
+# over every 10th thin draw.  Each reflection adds the error of its
+# mirror's anchor, so the error grows along the chain: over 3,600 other
+# triangles (1,200 per margin, seed 7) the worst is 17.8 eps diam, at B2,
+# the last reflected vertex, where mirrors read off two vertices reached
+# 65.7.  lower_bound_profile's rows for k <= K_MAX, v_k / k and bound_k,
+# reach 4.42 eps diam (on "margin 0.08 #15 +1e+15"); on NEAR_RIGHT 3.29,
+# on every 40th thin draw 0.36, and 3.39 over 120 other near-right
+# triangles.
 N = 16
+# x0 lies within X0_N eps diam / |AC| of its exact value.  x0 = |AL| / |AC|
+# places the foot L on AC, so an error of eps diam in L, as any of its
+# inputs carries, is one of eps diam / |AC| in x0: x0 is ill-conditioned by
+# diam / |AC|, and in plain eps it reaches 1.03e8 on a thin draw (B small,
+# |AC| short).  Measured in this unit, orthic_triangle's cos A sin C / sin B
+# reaches 0.80 over TRIANGLES, 0.49 over NEAR_RIGHT and 0.95 over all 1,705
+# thin draws; (B - A) . (C - A) / |AC|^2, the exact reference's formula in
+# floats, reaches 0.93, 0.22 and 0.43, no better overall.
+X0_N = 2
 # sub_orthic_schedule's stops lie within CHANNEL_N eps diam of the exact
 # channel's, along their edges, at each of CHANNEL_LAMBDAS.  Measured: 0.86
 # over TRIANGLES ("margin 0.01 #5 +1e+06" at lambda = 1), 0.65 over
@@ -200,6 +207,47 @@ def test_cross_section_runs_against_the_orthic_direction():
         assert t != r and rx.dot(rx.sub(u.k2, u.k), rx.sub(t, r)) < 0, label
 
 
+def _cot(v: rx.XY, p: rx.XY, q: rx.XY) -> Fraction:
+    """The cotangent of the angle at v of the triangle v, p, q."""
+    d, e = rx.sub(p, v), rx.sub(q, v)
+    return rx.dot(d, e) / abs(rx.cross(d, e))
+
+
+def test_channel_gaps_match_their_closed_forms():
+    """gap2 = 2P and gap1 = P + 2 |lambda| H cot C (sub_orthic_schedule's
+    docstring), exactly.  Unfolded, a period of the channel line at lambda
+    runs from BC to B2C2 along a parallel to w = K2 - K, and at lambda = 0
+    it is the orthic line, through the seven feet: twice round the orthic
+    triangle, so |w| = 2P.  Each leg times |w| is then the rational w . (q
+    - p), and so are P |w| = |w|^2 / 2, H |w| = |offset(A)| and each
+    cotangent.  Each stop lies lambda H cot(theta) along the line from the
+    orthic line's stop, theta the angle at which it crosses its edge (A on
+    BC, B on AC, C on AB), with the sign of `slopes`; a stop is affine in
+    lambda on [-1, 0] and on [0, 1], so -1, 0 and 1 cover the family."""
+    for label, u in UNFOLDINGS + exact_unfoldings(NEAR_RIGHT + THIN[::10]):
+        a, b, c = u.copies[0]
+        w = rx.sub(u.k2, u.k)
+        ww, width = rx.dot(w, w), abs(u.offset(a))
+        cot_a, cot_b, cot_c = _cot(a, b, c), _cot(b, c, a), _cot(c, a, b)
+        # Per stop, crossing BC, AB, AC, BC, AB, AC and B2C2, along w, in
+        # units of lambda H: an edge's two stops move opposite ways.
+        slopes = (-cot_a, cot_c, -cot_b, cot_a, -cot_c, cot_b, -cot_a)
+        orthic = rx.channel_crossings(u, Fraction(0))
+        assert orthic == [getattr(u, name) for name in rx.POINTS], label
+        for lam in (-1, 0, 1):
+            along = [rx.dot(rx.sub(p, p0), w) for p, p0 in zip(rx.channel_crossings(u, Fraction(lam)), orthic)]
+            assert along == [lam * width * s for s in slopes], (label, lam)
+            # Positions along w, one period and half the next: the legs
+            # never run back, the period is |w| = 2P (the 2-gap), and each
+            # edge's 1-gaps run from one of its stops to the next.
+            pos = [rx.dot(p, w) for p in rx.channel_crossings(u, Fraction(lam))]
+            assert pos[6] - pos[0] == ww, (label, lam)
+            pos = pos[:6] + [x + ww for x in pos[:3]]
+            assert all(p <= q for p, q in zip(pos, pos[1:])), (label, lam)
+            gap1 = max(pos[i + 3] - pos[i] for i in range(6))
+            assert gap1 == ww / 2 + 2 * abs(lam) * width * cot_c, (label, lam)
+
+
 def test_foot_l_is_the_convex_combination_at_x0():
     for label, t in TRIANGLES:
         local = local_frame(t)[0]
@@ -220,11 +268,11 @@ def _error(p: Point, exact: rx.XY) -> Fraction:
     return rx.dot(d, d)
 
 
-def float_errors(t: Triangle) -> tuple[float, float, float]:
+def float_errors(t: Triangle) -> tuple[float, float]:
     """The largest distance, in eps diam, of a foot of orthic_triangle or a
     point of reflection_chain on local_frame(t) from its exact value (the
-    unfolding in the float's own labels), the error of its half width in
-    eps diam, and x0's error in eps."""
+    unfolding in the float's own labels), and the error of its half width
+    in eps diam."""
     local = local_frame(t)[0]
     unit = Fraction(EPS * local.diameter) ** 2
     od, exact_od = orthic_triangle(local), rx.orthic(local)
@@ -238,7 +286,14 @@ def float_errors(t: Triangle) -> tuple[float, float, float]:
     with localcontext() as ctx:
         ctx.prec = rx.DIGITS
         width = abs(Decimal(unf.half_width) - rx.half_width(exact_unf)) / Decimal(EPS * local.diameter)
-    return float(worst / unit) ** 0.5, float(width), float(abs(Fraction(od.x0) - exact_od.x0) / Fraction(EPS))
+    return float(worst / unit) ** 0.5, float(width)
+
+
+def x0_error(t: Triangle) -> float:
+    """The error of orthic_triangle(local_frame(t)).x0, in eps diam / |AC|."""
+    local = local_frame(t)[0]
+    err = abs(Fraction(orthic_triangle(local).x0) - rx.orthic(local).x0)
+    return float(err) * local.side_lengths[EdgeId.B] / (EPS * local.diameter)
 
 
 def in_float_labels(local: Triangle) -> rx.Unfolding:
@@ -284,11 +339,16 @@ def channel_error(t: Triangle, lam: float) -> float:
 
 
 def test_float_constructions_lie_near_the_exact_points():
-    errors = {label: float_errors(t) for label, t in TRIANGLES}
-    errors |= {label: float_errors(t)[:2] for label, t in NEAR_RIGHT + THIN[::10]}
+    errors = {label: float_errors(t) for label, t in TRIANGLES + NEAR_RIGHT + THIN[::10]}
     assert {label: e for label, e in errors.items() if max(e) > N} == {}
     # N is measured, not padded: a tenth of it fails on some input.
     assert max(max(e) for e in errors.values()) > N / 10
+
+
+def test_x0_lies_near_the_exact_one():
+    errors = {label: x0_error(t) for label, t in TRIANGLES + NEAR_RIGHT + THIN}
+    assert {label: e for label, e in errors.items() if e > X0_N} == {}
+    assert max(errors.values()) > X0_N / 10
 
 
 def test_lower_bound_rows_lie_near_the_exact_ones():

@@ -168,10 +168,10 @@ def test_grid_oracles_match_reference(rng, offset):
 
 @pytest.mark.parametrize("per_block", [1, 2, 5])
 def test_grid_oracles_match_reference_in_small_blocks(rng, monkeypatch, per_block):
-    # A small _CHUNK gives grid6's chain DP ragged batches of per_block start
-    # indices (13 = 5 + 5 + 3 at n = 12).  The batches must change no bit: a
-    # later batch's winner replaces an earlier one only when strictly
-    # smaller.
+    # A small _CHUNK gives grid6's min-plus products ragged batches of
+    # per_block x rows (13 = 5 + 5 + 3 at n = 12).  The batches must change
+    # no bit: each row of the half-path matrix is the same min over the
+    # same sums, whichever batch computes it.
     triangles = [random_acute_triangle(rng) for _ in range(6)] + list(SPECIAL_TRIANGLES)
     for t in triangles:
         for n in (7, 12, 50):
@@ -280,9 +280,50 @@ def tie_prone_triangles(draw):
 @given(t=tie_prone_triangles(), grid_n=st.integers(2, 40))
 def test_grid_oracles_match_reference_on_tie_prone_triangles(t, grid_n):
     # The pair blocks and the recomputed backpointers break ties as the full
-    # cube and the loop over start indices do: first in row order.
+    # cube and the loop over pairs of BC cells do: first in row order.
     assert grid_search_3periodic(t, grid_n) == reference_search.grid_search_3periodic(t, grid_n)
     assert grid_search_6periodic_gap2(t, grid_n) == reference_search.grid_search_6periodic_gap2(t, grid_n)
+
+
+# grid6 adds each half path's legs in turn and then the two halves; the
+# chain reference adds all six legs in turn from the first stop.  Both are
+# float evaluations of the same cycle lengths, so their grid minima lie a
+# few roundings of a cycle length apart.  Measured over the triangles of
+# the two tests below: 2.48 eps diam (random and special) and 2.0
+# (tie-prone); 3.29 over 512 others (random_acute_triangle(Random(7))) at
+# n = 4, 8, 12 and 20.
+GRID6_CHAIN_N = 8
+
+
+def chain_error(t: Triangle, grid_n: int) -> float:
+    """|grid6's best value - the six-leg fold's|, in eps diam."""
+    got = grid_search_6periodic_gap2(t, grid_n).best_value
+    want = reference_search.chain_grid_search_6periodic_gap2(t, grid_n).best_value
+    return abs(got - want) / (2.0**-52 * t.diameter)
+
+
+def test_grid6_is_near_the_six_leg_fold(rng):
+    triangles = [random_acute_triangle(rng) for _ in range(40)] + list(SPECIAL_TRIANGLES)
+    errors = {(i, n): chain_error(t, n) for i, t in enumerate(triangles) for n in (4, 8, 12, 20)}
+    assert {key: e for key, e in errors.items() if e > GRID6_CHAIN_N} == {}
+    assert max(errors.values()) > GRID6_CHAIN_N / 10
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(t=tie_prone_triangles(), grid_n=st.integers(2, 40))
+def test_grid6_is_near_the_six_leg_fold_on_tie_prone_triangles(t, grid_n):
+    assert chain_error(t, grid_n) <= GRID6_CHAIN_N
+
+
+def test_grid6_cycle_starts_at_its_smaller_bc_cell(rng):
+    # A cycle's two halves add to the same float either way round, so its
+    # rotation by three stops ties with it, and the first in row order is
+    # the one whose first BC cell is the smaller.
+    triangles = [random_acute_triangle(rng) for _ in range(20)] + list(SPECIAL_TRIANGLES)
+    for t in triangles:
+        for n in (2, 3, 7, 12, 50):
+            params = grid_search_6periodic_gap2(t, n).best_params
+            assert params[0] <= params[3]
 
 
 @st.composite
@@ -463,11 +504,23 @@ def test_grid3_memory_within_reference(equilateral, offset):
 
 @pytest.mark.parametrize("grid_n", [12, 200])
 def test_grid6_memory_within_one_chunk_of_reference(equilateral, grid_n):
-    # Batching start indices may add one temporary of at most 2**17
-    # float64s, the chunk size of the reference cube search.
+    # Batching x rows may add one temporary of at most 2**17 float64s, the
+    # chunk size of the reference cube search.
     new = peak_bytes(grid_search_6periodic_gap2, equilateral, grid_n)
     old = peak_bytes(reference_search.grid_search_6periodic_gap2, equilateral, grid_n)
     assert new <= old + 8 * (1 << 17)
+
+
+@pytest.mark.parametrize("grid_n", [200, 300])  # 3 and 1 x rows per batch
+def test_grid6_batches_fit_one_chunk(equilateral, grid_n):
+    # grid6 holds its slab, v1 and h, 5 (n+1)^2 float64s, and one batch's
+    # sums of at most _CHUNK float64s; numpy's reductions add a buffer of
+    # ~140 KiB.  Measured 2.73 and 4.50 MB, against bounds of 2.93 and 4.93
+    # MB; one x row more per batch peaks at 3.05 and 5.23 MB.  The slab's
+    # hypot, 6 (n+1)^2 float64s, is within the bound up to n = 361.
+    n1 = grid_n + 1
+    bound = 8 * (5 * n1 * n1 + search._CHUNK) + (1 << 18)
+    assert peak_bytes(grid_search_6periodic_gap2, equilateral, grid_n) <= bound
 
 
 def test_grid_n_validation(equilateral):
