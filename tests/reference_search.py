@@ -135,11 +135,11 @@ def _min_cycle_6(d: list[np.ndarray]) -> tuple[float, list[int]]:
     d0, d1, d2 = d
     n1 = len(d0)
     v1 = np.array([(d0[x][:, None] + d1).min(axis=0) for x in range(n1)])
-    h = np.array([(v1[x][:, None] + d2).min(axis=0) for x in range(n1)]).tolist()
+    h = np.array([(v1[x][:, None] + d2).min(axis=0) for x in range(n1)])
     best, bx, by = math.inf, 0, 0
     for x in range(n1):
         for y in range(n1):
-            if (val := h[x][y] + h[y][x]) < best:
+            if (val := float(h[x, y] + h[y, x])) < best:
                 best, bx, by = val, x, y
     idx = [bx, 0, 0, by, 0, 0]
     for s, a, b in ((1, bx, by), (4, by, bx)):
@@ -148,20 +148,21 @@ def _min_cycle_6(d: list[np.ndarray]) -> tuple[float, list[int]]:
     return best, idx
 
 
-def _chain_min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
+def _chain_min_cycle_6(d: list[np.ndarray]) -> tuple[float, list[int]]:
     """The least six-leg cycle, its legs added left to right from stop 0:
-    for each start cell i0 a chain DP over the five later stops."""
-    n1 = d_fwd[0].shape[0]
+    for each start cell i0 a chain DP over the five later stops, leg s
+    from d[s % 3]."""
+    n1 = len(d[0])
     best = math.inf
     best_idx: list[int] = [0] * 6
     for i0 in range(n1):
-        v = d_fwd[0][i0, :].copy()
+        v = d[0][i0, :].copy()
         bps = []
         for step in range(1, 5):
-            tot = v[:, None] + d_fwd[step]
+            tot = v[:, None] + d[step % 3]
             bps.append(np.argmin(tot, axis=0))
             v = np.min(tot, axis=0)
-        tot_last = v + d_fwd[5][:, i0]
+        tot_last = v + d[2][:, i0]
         i5 = int(np.argmin(tot_last))
         val = float(tot_last[i5])
         if val < best:
@@ -174,21 +175,21 @@ def _chain_min_cycle_6(d_fwd: list[np.ndarray]) -> tuple[float, list[int]]:
 
 
 def caller_frame_grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
-    return _search_6(_min_cycle_6, t, grid_n, 3)
+    return _search_6(_min_cycle_6, t, grid_n)
 
 
 def chain_grid_search_6periodic_gap2(t: Triangle, grid_n: int) -> SearchResult:
-    return _in_local_frame(lambda local, n: _search_6(_chain_min_cycle_6, local, n, 6), t, grid_n, 12.0)
+    return _in_local_frame(lambda local, n: _search_6(_chain_min_cycle_6, local, n), t, grid_n, 12.0)
 
 
-def _search_6(min_cycle, t: Triangle, grid_n: int, legs: int) -> SearchResult:
-    """min_cycle over the first `legs` distance matrices of GAP2_PATTERN's
+def _search_6(min_cycle, t: Triangle, grid_n: int) -> SearchResult:
+    """min_cycle over the three distinct distance matrices of GAP2_PATTERN's
     cycle on t, each from one stop's grid points to the next one's."""
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     us = np.arange(grid_n + 1) / grid_n
-    grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN]
-    best_val, idx = min_cycle([_dist_matrix(grids[i], grids[(i + 1) % 6]) for i in range(legs)])
+    grids = [_edge_grid(t, e, us) for e in GAP2_PATTERN[:4]]
+    best_val, idx = min_cycle([_dist_matrix(grids[i], grids[i + 1]) for i in range(3)])
     return SearchResult(
         best_value=best_val,
         best_params=[float(us[i]) for i in idx],

@@ -232,15 +232,16 @@ def test_channel_gaps_match_their_closed_forms():
         # Per stop, crossing BC, AB, AC, BC, AB, AC and B2C2, along w, in
         # units of lambda H: an edge's two stops move opposite ways.
         slopes = (-cot_a, cot_c, -cot_b, cot_a, -cot_c, cot_b, -cot_a)
-        orthic = rx.channel_crossings(u, Fraction(0))
+        lines = {lam: rx.channel_crossings(u, Fraction(lam)) for lam in (-1, 0, 1)}
+        orthic = lines[0]
         assert orthic == [getattr(u, name) for name in rx.POINTS], label
-        for lam in (-1, 0, 1):
-            along = [rx.dot(rx.sub(p, p0), w) for p, p0 in zip(rx.channel_crossings(u, Fraction(lam)), orthic)]
+        for lam, crossings in lines.items():
+            along = [rx.dot(rx.sub(p, p0), w) for p, p0 in zip(crossings, orthic)]
             assert along == [lam * width * s for s in slopes], (label, lam)
             # Positions along w, one period and half the next: the legs
             # never run back, the period is |w| = 2P (the 2-gap), and each
             # edge's 1-gaps run from one of its stops to the next.
-            pos = [rx.dot(p, w) for p in rx.channel_crossings(u, Fraction(lam))]
+            pos = [rx.dot(p, w) for p in crossings]
             assert pos[6] - pos[0] == ww, (label, lam)
             pos = pos[:6] + [x + ww for x in pos[:3]]
             assert all(p <= q for p, q in zip(pos, pos[1:])), (label, lam)
