@@ -29,6 +29,11 @@ size alone, wherever it lies; `angles` and `Triangle`'s collinearity test
 read the same scaled coordinates, where no product of two sides under- or
 overflows.
 
+A value of one triangle that is computed when first asked for is kept on
+that triangle: `t.derived(fn)` is fn(t), kept in `t.memo`.  The frame and
+the angles here, and orthic's relabeling, altitude feet and channel
+numbers, are read through it, and no module keeps state of its own.
+
 `Record` is the base of the package's immutable value types (Point,
 Triangle, the schedules, reports and the unfolding): repr, ==, hash,
 pickling and the assignment guard of a frozen dataclass, read from the
@@ -181,17 +186,18 @@ class Triangle(Record):
     # diameter, the longest of them; computed once, as every tolerance
     # reads the diameter.  edges: the endpoints of each edge, indexed by
     # EdgeId, in the order fixed globally so that edge parameters are
-    # comparable across operations: A: B->C, B: A->C, C: A->B.  frame:
-    # local_frame(self), and angles: angles(self), each set on its first
-    # call.
+    # comparable across operations: A: B->C, B: A->C, C: A->B.  memo:
+    # derived(fn) for each fn called so far, the one home of every value
+    # computed from the triangle and kept for later calls.
     __match_args__ = ("a", "b", "c")
-    __slots__ = __match_args__ + ("side_lengths", "diameter", "edges", "frame", "angles")
+    __slots__ = __match_args__ + ("side_lengths", "diameter", "edges", "memo")
 
     def __init__(self, a: Point, b: Point, c: Point):
         _set_a(self, a)
         _set_b(self, b)
         _set_c(self, c)
         _set_edges(self, ((b, c), (a, c), (a, b)))
+        _set_memo(self, {})
         sides = (b.dist(c), a.dist(c), a.dist(b))
         d = max(sides)
         _set_side_lengths(self, sides)
@@ -220,8 +226,17 @@ class Triangle(Record):
         """Absolute length tolerance for this triangle's scale: DEFAULT_REL_TOL * diameter."""
         return DEFAULT_REL_TOL * self.diameter
 
+    def derived(self, fn):
+        """fn(self), computed on the first call with this fn and kept in
+        memo; a call that raises keeps nothing.  fn is a module-level
+        function, named (tests/test_layout.py), so memo stays bounded."""
+        memo = self.memo
+        if fn not in memo:
+            memo[fn] = fn(self)
+        return memo[fn]
 
-_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges, _set_frame, _set_angles = slot_setters(Triangle)
+
+_set_a, _set_b, _set_c, _set_side_lengths, _set_diameter, _set_edges, _set_memo = slot_setters(Triangle)
 
 
 _ORIGIN = Point(0.0, 0.0)
@@ -242,23 +257,21 @@ def local_frame(t: Triangle) -> tuple[Triangle, Point, float]:
     Where origin is (0, 0) and scale is 1, local is t itself.  Otherwise
     local is a new Triangle whose own frame is the identity.  The point
     (x, y) of local is the point place(x, y, origin, scale) of t."""
-    try:
-        return t.frame
-    except AttributeError:
-        pass
+    return t.derived(_frame)
+
+
+def _frame(t: Triangle) -> tuple[Triangle, Point, float]:
+    """local_frame(t), computed."""
     e = math.frexp(t.diameter)[1] - 1
     g = math.ldexp(1.0, e + 1)
     near = min(t.vertices, key=lambda v: abs(v.x) + abs(v.y))
     ox, oy = [o if abs(o) >= 3.0 * g else 0.0 for o in (round(near.x / g) * g, round(near.y / g) * g)]
     origin, scale = Point(ox, oy), math.ldexp(1.0, e)
     if e == 0 and ox == 0.0 and oy == 0.0:
-        local = t
-    else:
-        local = Triangle(*[Point(math.ldexp(v.x - ox, -e), math.ldexp(v.y - oy, -e)) for v in t.vertices])
-        _set_frame(local, (local, _ORIGIN, 1.0))
-    frame = (local, origin, scale)
-    _set_frame(t, frame)
-    return frame
+        return (t, origin, scale)
+    local = Triangle(*[Point(math.ldexp(v.x - ox, -e), math.ldexp(v.y - oy, -e)) for v in t.vertices])
+    local.memo[_frame] = (local, _ORIGIN, 1.0)
+    return (local, origin, scale)
 
 
 def place(x: float, y: float, origin: Point, scale: float) -> Point:
@@ -269,18 +282,18 @@ def place(x: float, y: float, origin: Point, scale: float) -> Point:
 def angles(t: Triangle) -> tuple[float, float, float]:
     """Interior angles (A, B, C) in radians at vertices a, b, c, read on
     local_frame(t), where no product of two sides under- or overflows.
-    Computed on the first call and kept on t and on its frame's triangle.
+    Computed on the first call, on the frame's triangle, and kept there
+    and on t.
 
     The angle at v between the sides u = p - v and w = q - v is
     atan2(|u x w|, u . w), on plain floats."""
-    try:
-        return t.angles
-    except AttributeError:
-        pass
+    return t.derived(_frame_angles)
+
+
+def _frame_angles(t: Triangle) -> tuple[float, float, float]:
+    """angles(t), computed on local_frame(t)'s triangle."""
     local = local_frame(t)[0]
-    angs = _angles(t) if local is t else angles(local)
-    _set_angles(t, angs)
-    return angs
+    return _angles(t) if local is t else angles(local)
 
 
 def _angles(t: Triangle) -> tuple[float, float, float]:

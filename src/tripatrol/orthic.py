@@ -15,7 +15,8 @@ the copy of the base edge through the other two (`_REFLECTED`), carried by
 the isometry built so far, and the foot of that reflection is the copy's
 altitude foot on the orthic line.  Only `reflection_chain` builds it, for
 what reports it: the channel's stops and v_k are closed forms of the
-relabeled base's dot products, computed once per triangle (`_channel`).
+relabeled base's dot products.  They, the relabeled base and the altitude
+feet are each computed once per triangle and kept on it (`Triangle.derived`).
 
 Every construction here runs on geom.local_frame(t): the triangle moved
 near the origin and scaled by a power of two to a diameter in [1, 2).
@@ -82,18 +83,18 @@ def orthic_perimeter(t: Triangle) -> float:
     return 2.0 * t.perimeter / inv
 
 
-def _feet(t: Triangle) -> list[tuple[float, float, float]]:
+def _feet(t: Triangle) -> tuple[tuple[float, float, float], ...]:
     """The altitude feet K, L, M of acute t on edges A, B and C, each as
     (x, y, u): the foot and its edge parameter, clamped to [0, 1]."""
     require_acute(t)
-    return [foot_on_edge(v.x, v.y, *edge_frame(*t.edges[e])) for v, e in zip(t.vertices, EdgeId)]
+    return tuple([foot_on_edge(v.x, v.y, *edge_frame(*t.edges[e])) for v, e in zip(t.vertices, EdgeId)])
 
 
 def orthic_triangle(t: Triangle) -> OrthicData:
     """Altitude feet K, L, M and the orthic perimeter of an acute triangle,
     computed on local_frame(t) and placed back."""
     local, origin, scale = local_frame(t)
-    k, l, m = [Point(x, y) for x, y, _ in _feet(local)]
+    k, l, m = [Point(x, y) for x, y, _ in local.derived(_feet)]
     a_ang, b_ang, c_ang = angles(local)
     x0 = math.cos(a_ang) * math.sin(c_ang) / math.sin(b_ang)
     per = (k.dist(l) + l.dist(m) + m.dist(k)) * scale
@@ -104,7 +105,7 @@ def orthic_triangle(t: Triangle) -> OrthicData:
 
 def orthic_schedule(t: Triangle) -> Schedule:
     """The 3-periodic cyclic schedule along the orthic triangle K -> M -> L."""
-    (_, _, uk), (_, _, ul), (_, _, um) = _feet(local_frame(t)[0])
+    (_, _, uk), (_, _, ul), (_, _, um) = local_frame(t)[0].derived(_feet)
     return Schedule(
         t, (SchedulePoint(EdgeId.A, uk), SchedulePoint(EdgeId.C, um), SchedulePoint(EdgeId.B, ul))
     )
@@ -160,19 +161,18 @@ _OTHERS = ((1, 2), (0, 2), (0, 1))
 _EDGES = tuple(EdgeId)
 
 
-def _relabel(t: Triangle) -> tuple[Triangle, dict[EdgeId, EdgeId]]:
+def _relabel(t: Triangle) -> tuple[Triangle, tuple[EdgeId, EdgeId, EdgeId]]:
     """The vertices of acute t reordered so their angles are non-increasing,
-    ties by index, and the map from the relabeled EdgeId to t's.  By angle,
-    not by side length: on a thin triangle near a right angle the float
-    sides can sort apart from the exact ones, and the channel's closed
-    forms hold only where A is the largest angle."""
+    ties by index, and the map from the relabeled EdgeId to t's, as a
+    tuple.  By angle, not by side length: on a thin triangle near a right
+    angle the float sides can sort apart from the exact ones, and the
+    channel's closed forms hold only where A is the largest angle."""
     require_acute(t)
     angs = angles(t)
     order = sorted(range(3), key=lambda i: (-angs[i], i))
     v = t.vertices
     relabeled = Triangle(v[order[0]], v[order[1]], v[order[2]])
-    edge_map = {e: _EDGES[i] for e, i in zip(_EDGES, order)}
-    return relabeled, edge_map
+    return relabeled, tuple([_EDGES[i] for i in order])
 
 
 def _build(t: Triangle) -> Unfolding:
@@ -189,7 +189,7 @@ def _build(t: Triangle) -> Unfolding:
     thin triangle's short edge moved the last copies up to 3.3e8 eps diam
     from their exact values (tests/test_reference_exact.py)."""
     local, origin, scale = local_frame(t)
-    base, edge_map = _relabel(local)
+    base, edge_map = local.derived(_relabel)
     a, b, c = verts = list(base.vertices)
     frames = [edge_frame(verts[lo], verts[hi]) for lo, hi in _OTHERS]
 
@@ -225,7 +225,7 @@ def _build(t: Triangle) -> Unfolding:
     points = [c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, a1 + step, a + step]
     if local is not t:
         v = t.vertices
-        base = Triangle(*[v[e] for e in edge_map.values()])  # keyed A, B, C in order
+        base = Triangle(*[v[e] for e in edge_map])
         points = [place(p.x, p.y, origin, scale) for p in points]
     c1, b1, a1, c2, b2, k, m, l1, k1, m1, l2, k2, low_end, high_end = points
     verts, copies = list(base.vertices), [base]
@@ -250,7 +250,7 @@ def _channel_numbers(t: Triangle) -> tuple[tuple, tuple[float, float, float, flo
     line, (edge of t, u0, sign * slope, whether t's edge runs against the
     relabeled one).  rows, for lower_bound_profile: (2P sin A, 2P cos A,
     |RT|, 2 |RT| cos A), P the orthic perimeter."""
-    base, edge_map = _relabel(local_frame(t)[0])
+    base, edge_map = local_frame(t)[0].derived(_relabel)
     a, b, c = base.vertices
     abx, aby, acx, acy, bcx, bcy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y, c.x - b.x, c.y - b.y
     d = abx * acx + aby * acy
@@ -277,21 +277,6 @@ def _channel_numbers(t: Triangle) -> tuple[tuple, tuple[float, float, float, flo
     return tuple(stops), (per2 * math.sqrt(sin2), per2 * cos_a, rt, 2.0 * rt * cos_a)
 
 
-# The last triangle's numbers, keyed on the identity of the caller's
-# Triangle, which costs less than ==.  Holding the triangle keeps its id
-# from being reused.
-_last: tuple[Triangle, tuple, tuple] | None = None
-
-
-def _channel(t: Triangle) -> tuple[Triangle, tuple, tuple]:
-    """(t, stops, rows) of _channel_numbers(t), computed once per
-    triangle: the last one is kept."""
-    global _last
-    if _last is None or _last[0] is not t:
-        _last = (t, *_channel_numbers(t))
-    return _last
-
-
 def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     """Cyclic 6-periodic schedule from the channel line at parameter lam.
 
@@ -308,7 +293,7 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     d / |AB|^2 on AC and AB, d = (B - A) . (C - A).  The slopes are d /
     side^2 on every edge: the half width h_a cos A over side * sin(angle).
     So on AC and AB u0 = s, and the stops that reach vertex A at lam = +-1
-    are 0 exactly.  u0 and the slopes are computed once per triangle; a
+    are 0 exactly.  u0 and the slopes are computed once and kept on t; a
     stop within VERTEX_SNAP of 0 or 1 is that vertex, and the edge
     parameters are turned to t's own orientation of each edge.
 
@@ -330,7 +315,7 @@ def sub_orthic_schedule(t: Triangle, lam: float) -> Schedule:
     if not -1.0 <= lam <= 1.0:
         raise OutsideChannel(f"lambda {lam} outside [-1, 1]")
     pts = []
-    for edge, u0, slope, flip in _channel(t)[1]:
+    for edge, u0, slope, flip in t.derived(_channel_numbers)[0]:
         u = u0 + lam * slope
         if abs(u) <= VERTEX_SNAP:
             u = 0.0
@@ -365,7 +350,7 @@ def lower_bound_profile(t: Triangle, k_max: int) -> list[tuple[int, float, float
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     scale = local_frame(t)[2]
-    x, y, rt, bound = _channel(t)[2]
+    x, y, rt, bound = t.derived(_channel_numbers)[1]
     rows = []
     for k in range(1, k_max + 1):
         dy = y - rt / k

@@ -101,8 +101,9 @@ def equilateral() -> Triangle:
 @pytest.fixture
 def builds(monkeypatch):
     """Counts of unfolding builds, of computations of the channel's
-    numbers, the stops and the v_k rows, and of angle computations."""
-    counts = {"unfoldings": 0, "channels": 0, "angles": 0}
+    numbers (the stops and the v_k rows), of the relabeled base, of the
+    altitude feet and of the angles."""
+    counts = {"unfoldings": 0, "channels": 0, "relabels": 0, "feet": 0, "angles": 0}
 
     def counting(key, fn):
         def counted(t):
@@ -113,5 +114,7 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(orthic, "_build", counting("unfoldings", orthic._build))
     monkeypatch.setattr(orthic, "_channel_numbers", counting("channels", orthic._channel_numbers))
+    monkeypatch.setattr(orthic, "_relabel", counting("relabels", orthic._relabel))
+    monkeypatch.setattr(orthic, "_feet", counting("feet", orthic._feet))
     monkeypatch.setattr(geom, "_angles", counting("angles", geom._angles))
     return counts

@@ -712,7 +712,7 @@ def test_exit_code_2_on_non_numeric_schedule_value(path, value, capsys, monkeypa
 def test_rendering_builds_the_unfolding_once(args, builds, capsys, monkeypatch, tmp_path):
     code, out = run_cli(args, capsys, monkeypatch, tmp_path)
     assert code == 0, out
-    assert builds == {"unfoldings": 1, "channels": 1, "angles": 1}
+    assert builds == {"unfoldings": 1, "channels": 1, "relabels": 1, "feet": 0, "angles": 1}
 
 
 @pytest.mark.parametrize("value", ["1e-7", "nan"])

@@ -164,7 +164,7 @@ def test_local_frame_is_kept_on_the_triangle_out_of_eq_hash_and_repr():
     frame = local_frame(t)
     assert frame == (Triangle(Point(0.0, 0.0), Point(0.75, 0.0), Point(0.0, 1.0)), Point(1e9, 1e9), 4.0)
     assert local_frame(t) is frame
-    assert t == Triangle(*t.vertices) and hash(t) == hash(t.vertices) and "frame" not in repr(t)
+    assert t == Triangle(*t.vertices) and hash(t) == hash(t.vertices) and "memo" not in repr(t)
     for copied in (pickle.loads(pickle.dumps(t)), copy.copy(t)):
         assert local_frame(copied) == frame and local_frame(copied) is not frame
 
@@ -178,6 +178,30 @@ def test_local_frame_of_a_frame_is_itself():
     local = local_frame(moved)[0]
     assert local is not moved and local_frame(local) == (local, Point(0.0, 0.0), 1.0)
     assert local_frame(local)[0] is local
+
+
+def test_derived_keeps_one_value_per_function_and_triangle_and_none_on_a_raise():
+    # A value is computed on the first call with its function and kept on
+    # that triangle alone, keyed by the function, not by its name; a call
+    # that raises keeps nothing, so the next call runs the function again.
+    calls = []
+
+    def first_raises(t):
+        calls.append(t)
+        if len(calls) == 1:
+            raise ValueError("first call")
+        return len(calls)
+
+    one, two = (lambda t: 1), (lambda t: 2)
+    t = Triangle(Point(0.0, 0.0), Point(1.0, 0.0), Point(0.45, 0.8))
+    twin = Triangle(*t.vertices)
+    with pytest.raises(ValueError, match="first call"):
+        t.derived(first_raises)
+    assert t.memo == {}
+    assert t.derived(first_raises) == 2 and t.derived(first_raises) == 2
+    assert twin.derived(first_raises) == 3 and t.derived(first_raises) == 2
+    assert (t.derived(one), t.derived(two)) == (1, 2)
+    assert t.memo == {first_raises: 2, one: 1, two: 2} and twin.memo == {first_raises: 3}
 
 
 @pytest.mark.parametrize("side", [1e-160, 1e-200, 1e-300, 2.0**-1000])

@@ -561,16 +561,15 @@ def global_users(source: str) -> list[str]:
     return found
 
 
-def test_only_the_channel_memo_keeps_module_state():
-    """Per-triangle data lives on Triangle or Unfolding: the memo of the
-    channel's numbers is the package's one module-level state that a
-    function rebinds."""
+def test_no_module_keeps_state():
+    """Per-triangle data lives on the Triangle (Triangle.derived) or the
+    Unfolding: no function rebinds a module-level name."""
     users = [
         f"{path.stem}.{name}"
         for path in sorted(PACKAGE.glob("*.py"))
         for name in global_users(path.read_text(encoding="utf-8"))
     ]
-    assert users == ["orthic._channel"]
+    assert users == []
 
 
 def test_global_check_catches_each_form():
@@ -579,6 +578,89 @@ def test_global_check_catches_each_form():
     assert global_users("if True:\n    global z") == ["<module>"]
     # Reading, or mutating in place, a module-level name is allowed.
     assert global_users("x = []\ndef f():\n    x.append(1)\n    return x") == []
+
+
+def _bound_names(fn: ast.AST) -> set[str]:
+    """The names a function or lambda binds: its parameters, and the names
+    its body assigns or defines, nested scopes included."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a}
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node is not fn:
+            names.add(node.name)
+    return names
+
+
+def derived_arguments(source: str) -> list[str]:
+    """The `.derived(...)` calls that do not pass, as their one argument,
+    the name of a function the module defines at its top level and never
+    rebinds.  A lambda, a partial, a bound method or a nested def is a new
+    object on each call, and the memo would keep one entry per object."""
+    tree = ast.parse(source)
+    rebound = {
+        node.id for stmt in tree.body if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    }
+    defined = {stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)} - rebound
+    found = []
+
+    def visit(node: ast.AST, local: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "derived":
+                arg = child.args[0] if len(child.args) == 1 and not child.keywords else None
+                if not (isinstance(arg, ast.Name) and arg.id in defined and arg.id not in local):
+                    found.append(f"line {child.lineno}: {ast.unparse(child)}")
+            scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, local | _bound_names(child) if scoped else local)
+
+    visit(tree, set())
+    return found
+
+
+def test_derived_takes_a_module_level_function_by_name():
+    """Triangle.derived keys its memo by function, so a triangle's memo
+    holds at most one entry per module-level function of the package."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    offenders = {name: found for name, source in sources.items() if (found := derived_arguments(source))}
+    assert offenders == {}
+    assert {name for name, source in sources.items() if ".derived(" in source} == {"geom", "orthic"}
+
+
+def test_derived_argument_check_catches_each_form():
+    g = "def g(t):\n    pass\n"  # a module-level function, lines 1-2
+    assert derived_arguments("def f(t):\n    return t.derived(lambda t: t.a)") == [
+        "line 2: t.derived(lambda t: t.a)"
+    ]
+    assert derived_arguments(g + "from functools import partial\nt.derived(partial(g, k=1))") == [
+        "line 4: t.derived(partial(g, k=1))"
+    ]
+    assert derived_arguments("class C:\n    def m(self, t):\n        return t.derived(self.m)") == [
+        "line 3: t.derived(self.m)"
+    ]
+    assert derived_arguments("def f(t):\n    def g(t):\n        pass\n    return t.derived(g)") == [
+        "line 4: t.derived(g)"
+    ]
+    # A nested def, a parameter or a local that shadows a module-level function.
+    assert derived_arguments(g + "def f(t):\n    def g(t):\n        pass\n    return t.derived(g)") == [
+        "line 6: t.derived(g)"
+    ]
+    assert derived_arguments(g + "def f(t, g):\n    return t.derived(g)") == ["line 4: t.derived(g)"]
+    assert derived_arguments(g + "def f(t):\n    g = h\n    return t.derived(g)") == ["line 5: t.derived(g)"]
+    # A module-level name that is not a def, or a def rebound at module level.
+    assert derived_arguments("g = print\nt.derived(g)") == ["line 2: t.derived(g)"]
+    assert derived_arguments(g + "g = cache(g)\nt.derived(g)") == ["line 4: t.derived(g)"]
+    # A keyword, a second argument, no argument, a call's result.
+    assert derived_arguments(g + "t.derived(fn=g)\nt.derived(g, 1)\nt.derived()\nt.derived(g())") == [
+        "line 3: t.derived(fn=g)", "line 4: t.derived(g, 1)", "line 5: t.derived()", "line 6: t.derived(g())"
+    ]
+    # A module-level def, named, from any scope and on any receiver.
+    assert derived_arguments(
+        g + "def f(t):\n    return t.derived(g), local_frame(t)[0].derived(g)\n"
+        "class C:\n    def m(self):\n        return self.derived(g)"
+    ) == []
 
 
 def construction_sites(source: str, callee: str) -> list[str]:

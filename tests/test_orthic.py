@@ -462,16 +462,17 @@ def test_unfolding_built_once_per_triangle(builds):
     for i in range(21):
         sub_orthic_schedule(t, -1.0 + i / 10.0)
     lower_bound_profile(t, 20)
-    assert builds == {"unfoldings": 0, "channels": 1, "angles": 1}
+    assert builds == {"unfoldings": 0, "channels": 1, "relabels": 1, "feet": 0, "angles": 1}
     reflection_chain(t)
-    assert builds == {"unfoldings": 1, "channels": 1, "angles": 1}
+    assert builds == {"unfoldings": 1, "channels": 1, "relabels": 1, "feet": 0, "angles": 1}
 
 
 @pytest.mark.parametrize("dx", [0.0, 1e6], ids=["own-frame", "moved"])
 def test_channel_calls_compute_angles_and_channel_numbers_once(builds, dx):
     # Every call the benchmark's channel op makes on one triangle: the
     # angles are computed once, on the frame, and kept on the frame and on
-    # t; the channel's numbers once, kept for the last triangle.
+    # t; the channel's numbers once, kept on t; the relabeled base and the
+    # altitude feet once each, kept on the frame.
     t = acute_triangle(dx=dx)
     orthic_triangle(t)
     reflection_chain(t)
@@ -484,7 +485,7 @@ def test_channel_calls_compute_angles_and_channel_numbers_once(builds, dx):
         greedy_run(t, 0.3, 600, direction)
     greedy_limit_gap(t)
     orthic_perimeter(t)
-    assert builds == {"unfoldings": 1, "channels": 1, "angles": 1}
+    assert builds == {"unfoldings": 1, "channels": 1, "relabels": 1, "feet": 1, "angles": 1}
 
 
 def test_unfolding_copies_leave_the_memo_alone(builds):
@@ -494,7 +495,7 @@ def test_unfolding_copies_leave_the_memo_alone(builds):
     unf = reflection_chain(t)
     assert copy.copy(unf) == unf
     assert pickle.loads(pickle.dumps(unf)) == unf
-    assert builds == {"unfoldings": 1, "channels": 0, "angles": 1}
+    assert builds == {"unfoldings": 1, "channels": 0, "relabels": 1, "feet": 0, "angles": 1}
 
 
 def test_unfolding_interleaved_triangles_match_fresh_builds(rng):
@@ -518,9 +519,38 @@ def test_unfolding_equal_but_distinct_triangle_gets_its_own_chain(builds):
     neg = Triangle(Point(-0.0, 0.0), *pos.vertices[1:])
     assert pos == neg
     assert sub_orthic_schedule(pos, 0.5) == sub_orthic_schedule(neg, 0.5)
-    assert builds == {"unfoldings": 0, "channels": 2, "angles": 2}
+    assert builds == {"unfoldings": 0, "channels": 2, "relabels": 2, "feet": 0, "angles": 2}
     chain = reflection_chain(neg)
     assert any(math.copysign(1.0, v.x) < 0.0 for v in chain.copies[0].vertices)
+
+
+def test_interleaved_triangles_compute_their_channel_numbers_once_each(builds, rng):
+    # Each triangle keeps its own numbers, so t1, t2, t1, t2 through the
+    # schedules and the v_k rows compute them twice, where a memo of the
+    # last triangle alone computes them four times.
+    t1, t2 = random_acute_triangle(rng), random_acute_triangle(rng)
+    for t in (t1, t2, t1, t2):
+        sub_orthic_schedule(t, 0.5)
+        lower_bound_profile(t, 10)
+    assert builds == {"unfoldings": 0, "channels": 2, "relabels": 2, "feet": 0, "angles": 2}
+
+
+@pytest.mark.parametrize("dx", [0.0, 1e6], ids=["own-frame", "moved"])
+def test_channel_report_relabels_once(builds, dx):
+    # The channel command's two constructions share one relabeled base.
+    t = acute_triangle(dx=dx)
+    reflection_chain(t)
+    sub_orthic_schedule(t, 0.3)
+    assert builds == {"unfoldings": 1, "channels": 1, "relabels": 1, "feet": 0, "angles": 1}
+
+
+@pytest.mark.parametrize("dx", [0.0, 1e6], ids=["own-frame", "moved"])
+def test_orthic_report_computes_the_feet_once(builds, dx):
+    # The orthic command's feet and schedule share one computation of the feet.
+    t = acute_triangle(dx=dx)
+    orthic_triangle(t)
+    orthic_schedule(t)
+    assert builds == {"unfoldings": 0, "channels": 0, "relabels": 0, "feet": 1, "angles": 1}
 
 
 def test_unfolding_failed_build_raises_on_every_call():

@@ -12,9 +12,9 @@ import random
 import pytest
 
 import reference_records as ref
-from tripatrol.geom import EdgeId, Point, Triangle, angles
+from tripatrol.geom import EdgeId, Point, Triangle, angles, local_frame
 from tripatrol.greedy import GreedyTrace, greedy_run
-from tripatrol.orthic import OrthicData, Unfolding, reflection_chain
+from tripatrol.orthic import OrthicData, Unfolding, lower_bound_profile, reflection_chain
 from tripatrol.schedule import GapReport, Schedule, SchedulePoint
 from tripatrol.search import SearchResult
 from conftest import random_acute_triangle
@@ -157,27 +157,40 @@ def test_derived_fields_stay_out_of_eq_hash_and_repr(name, derived):
     assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
 
 
-# Slots set on the first call of the geom function of the same name.
-FIRST_CALL = {"angles": angles}
+def _filled_memo(t: Triangle) -> dict:
+    """t.memo once it holds t's frame, its angles and its channel numbers."""
+    local_frame(t)
+    angles(t)
+    lower_bound_profile(t, 3)
+    assert len(t.memo) == 3
+    return t.memo
+
+
+# Slots filled by the first call of a library function: the slot and the call.
+FIRST_CALL = {"memo": _filled_memo}
 
 
 @pytest.mark.parametrize(
-    "name, field", [("Triangle", "edges"), ("SchedulePoint", "visited_edges"), ("Triangle", "angles")]
+    "name, field", [("Triangle", "edges"), ("SchedulePoint", "visited_edges"), ("Triangle", "memo")]
 )
 def test_precomputed_slots_stay_out_of_eq_hash_and_repr(name, field):
     """Slots the dataclass twin did not store: derived from the fields at
-    construction, or on the first call of FIRST_CALL's function, so copies
-    and unpickled records recompute them."""
+    construction, or filled by FIRST_CALL's function, so copies and
+    unpickled records start as a fresh record does (a memo empty) and
+    recompute them."""
     new_cls, _, draw = RECORDS[name]
     read = FIRST_CALL.get(field, operator.attrgetter(field))
     args = draw(random.Random(2))
     record, twin = new_cls(*args), new_cls(*args)
+    fresh = getattr(twin, field)
     read(record)
     object.__setattr__(twin, field, ())
     assert field not in repr(record) and repr(record) == repr(twin) and record == twin
     assert hash(record) == hash(twin)
-    for back in (pickle.loads(pickle.dumps(twin)), copy.copy(twin)):
-        assert read(back) == read(record) != ()
+    for r in (record, twin):
+        for back in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert getattr(back, field) == fresh and back == record
+            assert read(back) == read(record) != ()
 
 
 def test_positional_and_keyword_construction():
