@@ -16,8 +16,8 @@ module writes no small literal in place (tests/test_layout.py keeps it so).
 
 Segments have one kernel: `edge_frame(s, f)` reads a segment once, and
 `foot_on_edge` drops a perpendicular onto its line.  The altitude feet,
-the unfolding's reflections and greedy's walk project through it; grid3's
-`search._segments` repeats its float operations inline.
+the unfolding's reflections, grid3's mirror images and greedy's walk
+project through it.
 
 Every construction and both grid searches run on `local_frame(t)`, a copy
 moved near the origin and scaled by a power of two to a diameter in

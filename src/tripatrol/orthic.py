@@ -157,8 +157,6 @@ _REFLECTED = (2, 1, 0, 2, 1)
 # The other two vertices of each index, in order: the base edge whose copy
 # is the mirror of its reflection.
 _OTHERS = ((1, 2), (0, 2), (0, 1))
-# EdgeId by index, read where calling EdgeId(i) would cost more.
-_EDGES = tuple(EdgeId)
 
 
 def _relabel(t: Triangle) -> tuple[Triangle, tuple[EdgeId, EdgeId, EdgeId]]:
@@ -172,7 +170,7 @@ def _relabel(t: Triangle) -> tuple[Triangle, tuple[EdgeId, EdgeId, EdgeId]]:
     order = sorted(range(3), key=lambda i: (-angs[i], i))
     v = t.vertices
     relabeled = Triangle(v[order[0]], v[order[1]], v[order[2]])
-    return relabeled, tuple([_EDGES[i] for i in order])
+    return relabeled, tuple([EdgeId(i) for i in order])
 
 
 def _build(t: Triangle) -> Unfolding:
@@ -266,7 +264,7 @@ def _channel_numbers(t: Triangle) -> tuple[tuple, tuple[float, float, float, flo
         (EdgeId.A, u_bc, -s_bc), (EdgeId.C, s_ab, s_ab), (EdgeId.B, s_ac, s_ac),
     ):
         lo, hi = _OTHERS[e]
-        stops.append((edge_map[e], u0, slope, edge_map[_EDGES[lo]] > edge_map[_EDGES[hi]]))
+        stops.append((edge_map[e], u0, slope, edge_map[lo] > edge_map[hi]))
 
     # P = 2 area / circumradius = 2 bc sin^2 A / a and |RT| = 2 d / a, with
     # sin^2 A = 1 - d^2 / (bc)^2: cos A <= 1/2, so no digit cancels.

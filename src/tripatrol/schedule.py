@@ -55,11 +55,9 @@ class Schedule(Record):
     """The periodic schedule that repeats `generator` on `triangle`."""
 
     # legs: legs[i] walks from point i on to point i + 1, computed once, as
-    # every gap and travel time reads them.  positions: where each generator
-    # point sits in the plane, computed on the first read (see __getattr__),
-    # as only periodicity tests and renderings read them.
+    # every gap and travel time reads them.
     __match_args__ = ("triangle", "generator")
-    __slots__ = __match_args__ + ("positions", "legs")
+    __slots__ = __match_args__ + ("legs",)
 
     def __init__(self, triangle: Triangle, generator: Sequence[SchedulePoint]):
         gen = tuple(generator)
@@ -73,23 +71,22 @@ class Schedule(Record):
             raise InfeasibleSchedule(f"edge(s) {missing} never visited")
         _set_legs(self, _legs(triangle, gen))
 
-    def __getattr__(self, name: str):
-        # Reached only for a slot not yet set: positions, on its first read.
-        if name != "positions":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        positions = tuple(edge_point(self.triangle, p.edge, p.u) for p in self.generator)
-        _set_positions(self, positions)
-        return positions
+    @property
+    def positions(self) -> tuple[Point, ...]:
+        """Where each generator point sits in the plane, computed on each
+        read: only periodicity tests and renderings read them."""
+        return tuple([edge_point(self.triangle, p.edge, p.u) for p in self.generator])
 
     def position(self, i: int) -> Point:
-        return self.positions[i % len(self.positions)]
+        p = self.generator[i % len(self.generator)]
+        return edge_point(self.triangle, p.edge, p.u)
 
     def period_length(self) -> float:
         """Distance traveled over one full generator period."""
         return travel_time(self, 0, len(self.generator))
 
 
-_set_triangle, _set_generator, _set_positions, _set_legs = slot_setters(Schedule)
+_set_triangle, _set_generator, _set_legs = slot_setters(Schedule)
 
 
 def _legs(triangle: Triangle, points: Sequence[SchedulePoint]) -> tuple[float, ...]:

@@ -30,7 +30,7 @@ distances.
 
 The 6-periodic grid minimum is exact too, with no local refinement.  Its
 edge pattern ACBACB has period 3, so a cycle is two half paths over the
-same three distance matrices, BC(x) -> AC -> AB -> BC(y) and back; the
+same three distance matrices, BC(x) -> AB -> AC -> BC(y) and back; the
 cycle's least value is min h[x, y] + h[y, x], h the shortest half path,
 each half's legs added in turn and then the two halves: the same real
 objective as the six legs added in turn.  fl(a + b) == fl(b + a), so ties
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from math import hypot, inf
 
-from .geom import EdgeId, Record, Triangle, local_frame, slot_setters
+from .geom import EdgeId, Record, Triangle, edge_frame, foot_on_edge, local_frame, slot_setters
 
 # Each min-plus temporary holds at most this many float64s (~1 MB): the
 # 6-periodic search batches x rows to fit it.
@@ -109,25 +109,18 @@ def _segments(t: Triangle) -> list[tuple[float, float, float, float]]:
 
     Each reflection is affine and fixes the end of BC on its mirror, so it
     maps BC onto the segment from R_AC(B) to C, and from B to R_AB(C).  Each
-    image is 2 * foot - p, with geom.edge_frame's unit vector and
-    geom.foot_on_edge's foot in the same float operations, written inline:
-    the kernel's calls would cost about 2% of an `oracle` benchmark op.  No
-    side here has length 0, which edge_frame refuses: on the local frame
-    every side exceeds 1e-9 diameters (Triangle's collinearity test)."""
+    image is 2 * foot - p, the foot from geom's segment kernel.  No side
+    here has length 0, which edge_frame refuses: on the local frame every
+    side exceeds 1e-9 diameters (Triangle's collinearity test)."""
     ax, ay, bx, by, cx, cy = t.a.x, t.a.y, t.b.x, t.b.y, t.c.x, t.c.y
-    acx, acy, abx, aby = cx - ax, cy - ay, bx - ax, by - ay
-    s = 1.0 / hypot(acx, acy)
-    ux, uy = acx * s, acy * s
-    k = abx * ux + aby * uy
-    rx, ry = 2.0 * (ax + ux * k) - bx, 2.0 * (ay + uy * k) - by
-    s = 1.0 / hypot(abx, aby)
-    ux, uy = abx * s, aby * s
-    k = acx * ux + acy * uy
-    qx, qy = 2.0 * (ax + ux * k) - cx, 2.0 * (ay + uy * k) - cy
+    fx, fy, _ = foot_on_edge(bx, by, *edge_frame(t.a, t.c))
+    rx, ry = 2.0 * fx - bx, 2.0 * fy - by
+    fx, fy, _ = foot_on_edge(cx, cy, *edge_frame(t.a, t.b))
+    qx, qy = 2.0 * fx - cx, 2.0 * fy - cy
     return [
         (bx, by, cx - bx, cy - by),
-        (ax, ay, acx, acy),
-        (ax, ay, abx, aby),
+        (ax, ay, cx - ax, cy - ay),
+        (ax, ay, bx - ax, by - ay),
         (rx, ry, cx - rx, cy - ry),
         (bx, by, qx - bx, qy - by),
     ]

@@ -125,12 +125,12 @@ def numpy_hypot_cube_3periodic(t: Triangle, grid_n: int, upper: float):
 def _min_cycle_6(d: list[np.ndarray]) -> tuple[float, list[int]]:
     """The least h[x, y] + h[y, x] and its cells [x, j, k, y, j2, k2].
 
-    d holds the distance matrices BC -> AC, AC -> AB and AB -> BC, and
+    d holds the distance matrices BC -> AB, AB -> AC and AC -> BC, and
     h[x, y] is the shortest half path from BC cell x to BC cell y, its
     legs added left to right, built one row of x at a time.  The pairs are
     tried in row order, and a later one wins only when strictly shorter.
     Each half's k is the first argmin of v1[x] + d[2][:, y], v1[x, k] its
-    best path from x to AB cell k, and its j the first argmin of d[0][x] +
+    best path from x to AC cell k, and its j the first argmin of d[0][x] +
     d[1][:, k]."""
     d0, d1, d2 = d
     n1 = len(d0)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -499,6 +500,9 @@ def test_tiny_orthic_reference_keeps_its_digits(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["results"]["orthic_reference"] == pytest.approx(1.5e-160, rel=1e-14)
 
 
+_FUZZ_FILES = itertools.count()
+
+
 @st.composite
 def fuzz_argv(draw, tmp: pathlib.Path) -> list[str]:
     """A subcommand on a random acute triangle that is moved by 10^3 to
@@ -512,17 +516,21 @@ def fuzz_argv(draw, tmp: pathlib.Path) -> list[str]:
     points = [[v.x * scale + move, v.y * scale + move] for v in t.vertices]
     vertices = [f"{x!r},{y!r}" for x, y in points]
     command = draw(st.sampled_from(["orthic", "greedy", "channel", "unfold", "search", "render", "gap"]))
+    # A fresh file per example: rewriting one file can cost far more than
+    # writing a new one, and a counter draws nothing, so the examples stay.
+    name = f"fuzz{next(_FUZZ_FILES)}"
     extra = {
         "greedy": ["--direction", draw(st.sampled_from(["cw", "ccw"]))],
         "channel": ["--lambda", repr(draw(st.floats(-1.0, 1.0)))],
         "unfold": ["-k", "5"],
         "search": ["--grid", "8", "--period", draw(st.sampled_from(["3", "6"]))],
-        "render": ["--out", str(tmp / "out.svg")],
+        "render": ["--out", str(tmp / f"{name}.svg")],
     }.get(command, [])
     if command == "gap":
         doc = {"triangle": points, "generator": [{"edge": e, "u": 0.5} for e in "ACB"]}
-        (tmp / "fuzz.json").write_text(json.dumps(doc))
-        return ["gap", "--schedule", str(tmp / "fuzz.json"), "--t", "2"]
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return ["gap", "--schedule", str(path), "--t", "2"]
     return [command, "--vertices", *vertices, *extra]
 
 
@@ -605,11 +613,12 @@ def test_gap_on_mutated_schedules_reports_json_errors(fuzz_dir):
     """`gap --schedule` on a damaged schedule file gives a report (0), a
     domain error (2) or an infeasible schedule (3), never an internal error
     (1), and every error is a JSON object on stdout."""
-    path = fuzz_dir / "mutated.json"
+    numbers = itertools.count()
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(doc=mutated_schedule(), t=st.sampled_from([-1, 0, 1, 2, 100]))
     def run(doc, t):
+        path = fuzz_dir / f"mutated{next(numbers)}.json"  # a fresh file per example, as in fuzz_argv
         path.write_text(json.dumps(doc))
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

@@ -152,7 +152,8 @@ def test_derived_fields_stay_out_of_eq_hash_and_repr(name, derived):
     record, twin = new_cls(*args), new_cls(*args)
     for field in derived:
         assert getattr(record, field) == getattr(old_cls(*args), field)
-        object.__setattr__(twin, field, ())
+        if field in new_cls.__slots__:  # Schedule.positions is computed on each read
+            object.__setattr__(twin, field, ())
         assert field not in repr(record)
     assert record == twin and hash(record) == hash(twin) and repr(record) == repr(twin)
 
