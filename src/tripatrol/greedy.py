@@ -10,9 +10,9 @@ similar to the triangle itself.
 The walk and its limit cycle run on geom.local_frame(t), the triangle
 moved near the origin and scaled by a power of two; their edge parameters
 need no mapping, and the limit cycle's gap is scaled back.  So the walk
-settles as fast far from the origin as near it.  The walk keeps its stops'
-edge parameters as floats; a trace's `visited` prefix of SchedulePoints
-is built from them on its first read.
+settles as fast far from the origin as near it.  The limit cycle is one
+round of the same walk from the fixed point.  A trace keeps no stops: its
+`visited` prefix of SchedulePoints walks again on each read.
 """
 
 from __future__ import annotations
@@ -38,15 +38,10 @@ from .schedule import Schedule, SchedulePoint
 class GreedyTrace(Record):
     """One greedy run from start_u on BC, and its analysis."""
 
-    # walk: (the cycle's three edges, the edge parameter of each stop after
-    # the start), kept by greedy_run, which leaves visited unset: visited is
-    # built from walk on its first read (see __getattr__), as only the CLI's
-    # observed gaps read it.
-    __match_args__ = (
+    __slots__ = __match_args__ = (
         "start_u", "direction", "iterates", "c", "x", "fixed_point", "limit_schedule",
-        "limit_gap", "iterations_to_converge", "converged", "visited",
+        "limit_gap", "iterations_to_converge", "converged",
     )
-    __slots__ = __match_args__ + ("walk",)
 
     def __init__(
         self,
@@ -60,28 +55,26 @@ class GreedyTrace(Record):
         limit_gap: float,
         iterations_to_converge: int,
         converged: bool,
-        visited: list[SchedulePoint],  # full simulated prefix, starting point included
     ):
         values = (
             start_u, direction, iterates, c, x, fixed_point, limit_schedule,
-            limit_gap, iterations_to_converge, converged, visited,
+            limit_gap, iterations_to_converge, converged,
         )
         for store, value in zip(_SET_GREEDY_TRACE, values):
             store(self, value)
 
-    def __getattr__(self, name: str):
-        # Reached only for a slot not yet set: visited, on its first read.
-        if name != "visited":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cycle, us = self.walk
-        visited = [SchedulePoint(EdgeId.A, self.start_u)]
-        visited += [SchedulePoint(cycle[i % 3], u) for i, u in enumerate(us)]
-        _set_visited(self, visited)
-        return visited
+    @property
+    def visited(self) -> list[SchedulePoint]:
+        """The walk's full prefix, starting point included: walked again on
+        each read, as only the CLI's observed gaps read it."""
+        local = local_frame(self.limit_schedule.triangle)[0]
+        cycle = _CYCLES[self.direction]
+        frames = [edge_frame(*local.edges[e]) for e in cycle]
+        us, _ = _walk(local, self.start_u, frames, self.iterations_to_converge)
+        return [SchedulePoint(EdgeId.A, self.start_u)] + [SchedulePoint(cycle[i % 3], u) for i, u in enumerate(us)]
 
 
 _SET_GREEDY_TRACE = slot_setters(GreedyTrace)
-_set_visited, _set_walk = _SET_GREEDY_TRACE[-2:]
 
 
 # Clockwise visiting order BC -> AB -> AC (edges A, C, B); ccw reverses.
@@ -118,47 +111,40 @@ def greedy_run(
     if cycle is None:
         raise ValueError("direction must be 'cw' or 'ccw'")
 
+    frames = [edge_frame(*local.edges[e]) for e in cycle]
+    us, converged = _walk(local, start_u, frames, num_cycles)
+    c, x = recurrence_constants(t, direction)
+    fixed = c / (1.0 + x)
+    # The limit cycle: the fixed point and the first two stops of one round
+    # from it, whose third stop lands back on the start
+    # (tests/test_greedy.py measures it).
+    u1, u2, _ = _walk(local, fixed, frames, 1)[0]
+    start = SchedulePoint(EdgeId.A, min(max(fixed, 0.0), 1.0))
+    limit = Schedule(t, (start, SchedulePoint(cycle[0], u1), SchedulePoint(cycle[1], u2)))
+    return GreedyTrace(
+        start_u, direction, [start_u] + us[2::3], c, x, fixed, limit, limit.period_length(), len(us) // 3, converged
+    )
+
+
+def _walk(local: Triangle, start_u: float, frames: list, num_cycles: int) -> tuple[list[float], bool]:
+    """The edge parameter of each stop of the walk from start_u on BC of
+    local, through the edges whose edge_frames are frames, for num_cycles
+    rounds or until a round's BC stop settles to 1e-12 of |BC| from the
+    last; and whether it settled."""
     p = edge_point(local, EdgeId.A, start_u)
     x, y = p.x, p.y
-    frames = [edge_frame(*local.edges[e]) for e in cycle]
     f1, f2, f3 = frames
     us = []
-    iterates = [start_u]
-    converged = False
-    its = num_cycles
-    for i in range(num_cycles):
+    last = start_u
+    for _ in range(num_cycles):
         x, y, u1 = foot_on_edge(x, y, *f1)
         x, y, u2 = foot_on_edge(x, y, *f2)
         x, y, d = foot_on_edge(x, y, *f3)
         us += (u1, u2, d)
-        iterates.append(d)
-        if abs(d - iterates[-2]) <= 1e-12:
-            converged = True
-            its = i + 1
-            break
-
-    c, x = recurrence_constants(t, direction)
-    fixed = c / (1.0 + x)
-    limit = _limit_schedule(t, local, fixed, cycle, frames)
-    trace = GreedyTrace.__new__(GreedyTrace)
-    values = (start_u, direction, iterates, c, x, fixed, limit, limit.period_length(), its, converged)
-    for store, value in zip(_SET_GREEDY_TRACE, values):
-        store(trace, value)
-    _set_walk(trace, (cycle, us))
-    return trace
-
-
-def _limit_schedule(t: Triangle, local: Triangle, fixed_u: float, cycle: tuple, frames: list) -> Schedule:
-    """The limit cycle of t through fixed_u on BC: the start and the walk's
-    first two steps from it on local = local_frame(t)[0], along cycle's
-    edges with their edge_frames, each clamped to its edge.  fixed_u is the
-    recurrence's fixed point, so the third step lands back on the start
-    (tests/test_greedy.py measures it)."""
-    d = edge_point(local, EdgeId.A, fixed_u)
-    x, y, u1 = foot_on_edge(d.x, d.y, *frames[0])
-    _, _, u2 = foot_on_edge(x, y, *frames[1])
-    start = SchedulePoint(EdgeId.A, min(max(fixed_u, 0.0), 1.0))
-    return Schedule(t, (start, SchedulePoint(cycle[0], u1), SchedulePoint(cycle[1], u2)))
+        if abs(d - last) <= 1e-12:
+            return us, True
+        last = d
+    return us, False
 
 
 def greedy_limit_gap(t: Triangle) -> float:

@@ -91,7 +91,11 @@ _set_triangle, _set_generator, _set_legs = slot_setters(Schedule)
 
 def _legs(triangle: Triangle, points: Sequence[SchedulePoint]) -> tuple[float, ...]:
     """The length of each leg of the closed walk through points, point i to
-    point i + 1: measured on local_frame(triangle), then scaled back."""
+    point i + 1: measured on local_frame(triangle), then scaled back.
+
+    Each point is edge_point's arithmetic written inline on tuples, with
+    the same bits: every schedule the channel workload builds measures its
+    legs here, in about half the time of edge_point and Point.dist."""
     local, _, scale = local_frame(triangle)
     edges = local.edges
     xy = []

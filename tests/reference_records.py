@@ -1,6 +1,6 @@
 """Reference records: the eight frozen dataclasses that tripatrol's records
-replaced, as they were defined, field comments included; Unfolding with
-only the fields it keeps.
+replaced, as they were defined, field comments included; Unfolding and
+GreedyTrace with only the fields they keep.
 
 Each tripatrol record must behave as its twin here: the same repr, ==,
 hash (or TypeError), pickling, AttributeError on assignment and deletion,
@@ -166,7 +166,6 @@ class GreedyTrace:
     limit_gap: float
     iterations_to_converge: int
     converged: bool
-    visited: list[SchedulePoint]  # full simulated prefix, starting point included
 
 
 @dataclass(frozen=True)

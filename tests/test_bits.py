@@ -32,6 +32,11 @@ LAMBDAS = tuple(round(-1.0 + i / 10.0, 10) for i in range(21))
 UNFOLDING_FIELDS = (
     "copies", "k", "m", "l1", "k1", "m1", "l2", "k2", "direction", "boundary_low", "boundary_high", "half_width",
 )
+# The fields GreedyTrace had when the digest was taken: visited was one.
+GREEDY_FIELDS = (
+    "start_u", "direction", "iterates", "c", "x", "fixed_point", "limit_schedule",
+    "limit_gap", "iterations_to_converge", "converged", "visited",
+)
 
 
 def triangles() -> list[tuple[Triangle, float]]:
@@ -51,13 +56,13 @@ def triangles() -> list[tuple[Triangle, float]]:
 def records(t: Triangle, start_u: float) -> list[str]:
     out = []
 
-    def record(fn, *args):
+    def record(fn, *args, show=repr):
         try:
             value = fn(*args)
         except Exception as exc:  # every exception is part of the record
             out.append(f"{type(exc).__name__}: {exc}")
             return None
-        out.append(repr(value))
+        out.append(show(value))
         return value
 
     record(orthic_triangle, t)
@@ -71,8 +76,13 @@ def records(t: Triangle, start_u: float) -> list[str]:
     record(lower_bound_profile, t, 100)
     record(verify_1gap_optimality, t, 50)
     for direction in ("cw", "ccw"):
-        record(greedy_run, t, start_u, 200, direction)
+        record(greedy_run, t, start_u, 200, direction, show=greedy_repr)
     return out
+
+
+def greedy_repr(g) -> str:
+    """g's repr as it was when GREEDY_FIELDS were its fields."""
+    return "GreedyTrace(" + ", ".join(f"{name}={getattr(g, name)!r}" for name in GREEDY_FIELDS) + ")"
 
 
 def digest() -> str:

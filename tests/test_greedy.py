@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -43,6 +44,20 @@ def test_start_at_fixed_point_is_stationary(equilateral):
     tr = greedy_run(equilateral, 2.0 / 3.0, 50, "cw")
     assert all(abs(d - 2.0 / 3.0) < 1e-12 for d in tr.iterates)
     assert tr.iterations_to_converge == 1
+
+
+def test_visited_walks_the_iterates_again(rng):
+    # visited is walked again on each read, from the trace's fields alone:
+    # its BC stops are the iterates, for a settled run and a cut-off one,
+    # and a copy made through the constructor reads the same stops.
+    for cycles in (3, 200):
+        for _ in range(20):
+            run = greedy_run(random_acute_triangle(rng), rng.random(), cycles, rng.choice(["cw", "ccw"]))
+            visited = run.visited
+            assert len(visited) == 3 * run.iterations_to_converge + 1
+            assert [p.u for p in visited[::3]] == run.iterates
+            assert {p.edge for p in visited[::3]} == {EdgeId.A}
+            assert pickle.loads(pickle.dumps(run)).visited == visited
 
 
 def test_cw_ccw_same_limit_gap(rng):
@@ -257,10 +272,11 @@ def test_greedy_runs_on_thin_triangles():
 
 
 def test_limit_cycle_closes_onto_its_fixed_point(rng):
-    # _limit_schedule takes the two steps it reports from the fixed point
-    # c/(1+x); the third, back onto BC, lands on the start.  Measured at most
-    # 2.6 eps * diameter on 2,000 generic triangles, 3.8 on 2,564 thin, 3.4
-    # on 1,000 near right and 2.5 on 1,000 moved by 1e12, both directions.
+    # The limit cycle reports the first two stops of one round of the walk
+    # from the fixed point c/(1+x); the third, back onto BC, lands on the
+    # start.  Measured at most 2.6 eps * diameter on 2,000 generic triangles,
+    # 3.8 on 2,564 thin, 3.4 on 1,000 near right and 2.5 on 1,000 moved by
+    # 1e12, both directions.
     eps = 2.0**-52
     generic = [random_acute_triangle(rng) for _ in range(40)]
     moved = [Triangle(*[Point(v.x + 1e12, v.y + 1e12) for v in t.vertices]) for t in generic[:20]]

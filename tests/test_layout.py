@@ -739,6 +739,51 @@ def test_only_reflection_chain_builds_the_unfolding():
     assert sites == ["orthic.reflection_chain"]
 
 
+def constructor_bypasses(source: str) -> list[str]:
+    """Each `__getattr__` a module defines, by def or by assignment, at
+    module level or in a class, and each call of a `__new__` as an
+    attribute, such as `X.__new__(X)`, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__getattr__":
+            found.append((node.lineno, "def __getattr__"))
+        elif isinstance(node, ast.Name) and node.id == "__getattr__" and isinstance(node.ctx, ast.Store):
+            found.append((node.lineno, "__getattr__ ="))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__":
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_records_are_built_by_their_constructors():
+    """Every record is built by its constructor and holds its fields from
+    then on: no module fills an attribute on its first read or makes an
+    instance past its __init__."""
+    offenders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := constructor_bypasses(path.read_text(encoding="utf-8")))
+    }
+    assert offenders == {}
+
+
+def test_constructor_bypass_check_catches_each_form():
+    assert constructor_bypasses("class C:\n    def __getattr__(self, name):\n        pass") == [
+        "line 2: def __getattr__"
+    ]
+    assert constructor_bypasses(
+        "def __getattr__(name):\n    pass\nclass C:\n    __getattr__ = object.__getattribute__"
+    ) == ["line 1: def __getattr__", "line 4: __getattr__ ="]
+    assert constructor_bypasses(
+        "def f():\n    t = Trace.__new__(Trace)\n    return object.__new__(C), super().__new__(C)"
+    ) == ["line 2: Trace.__new__(Trace)", "line 3: object.__new__(C)", "line 3: super().__new__(C)"]
+    # Reading an attribute, defining __getattribute__ or __new__ without
+    # calling one, and calling the class are allowed.
+    assert constructor_bypasses(
+        "class C:\n    def __getattribute__(self, name):\n        return getattr(self, name)\n"
+        "    def __new__(cls):\n        pass\nx = C()\ny = C.__new__"
+    ) == []
+
+
 def _is_assertion_error(node: ast.AST) -> bool:
     if isinstance(node, ast.Call):
         node = node.func

@@ -62,12 +62,6 @@ def _greedy_trace_args(rng):
     return tuple(getattr(g, name) for name in GreedyTrace.__match_args__)
 
 
-def _unread_greedy_trace(start_u, direction, iterates, c, x, fixed_point, limit_schedule, *_):
-    """The run _greedy_trace_args drew, made again by greedy_run, which
-    leaves its visited prefix unset until the first read."""
-    return greedy_run(limit_schedule.triangle, start_u, GREEDY_CYCLES, direction)
-
-
 def _search_result_args(rng):
     return (rng.random(), [rng.random() for _ in range(3)], rng.randrange(2, 300), rng.choice(["gap1", "gap2"]), rng.random())
 
@@ -82,11 +76,6 @@ RECORDS = {
     "GreedyTrace": (GreedyTrace, ref.GreedyTrace, _greedy_trace_args),
     "SearchResult": (SearchResult, ref.SearchResult, _search_result_args),
 }
-
-# Records that a library call builds with a field set on its first read:
-# the RECORDS entry whose draws they take, and the call that builds one
-# from a draw's fields.
-UNREAD = {"GreedyTrace-visited-unread": ("GreedyTrace", _unread_greedy_trace)}
 
 
 def _raised(fn, *args, **kwargs) -> tuple[type, str]:
@@ -103,26 +92,22 @@ def test_fields_are_the_compared_fields_of_the_dataclass(name):
     assert not hasattr(new_cls(*draw(random.Random(0))), "__dict__")
 
 
-@pytest.mark.parametrize("name", [*RECORDS, *UNREAD])
+@pytest.mark.parametrize("name", RECORDS)
 def test_record_matches_its_dataclass_twin(name):
-    # Each check reads a record fresh from build, which for an UNREAD entry
-    # has not yet built its first-read field.
-    key, build = UNREAD.get(name, (name, None))
-    new_cls, old_cls, draw = RECORDS[key]
-    build = build or new_cls
+    new_cls, old_cls, draw = RECORDS[name]
     rng = random.Random(name)
     for _ in range(8):
         args, other_args = draw(rng), draw(rng)
-        new, old = build(*args), old_cls(*args)
-        assert new_cls(**dict(zip(new_cls.__match_args__, args))) == build(*args)
-        assert repr(build(*args)) == repr(old)
+        new, old = new_cls(*args), old_cls(*args)
+        assert new_cls(**dict(zip(new_cls.__match_args__, args))) == new
+        assert repr(new) == repr(old)
 
         # == and != against the same class, against the twin's class and
         # against any other.
-        for a, b in ((build(*args), old_cls(*args)), (build(*other_args), old_cls(*other_args))):
-            assert (build(*args) == a) == (old == b) and (build(*args) != a) == (old != b)
-        assert build(*args) == new_cls(*args) and not build(*args) != new_cls(*args)
-        assert build(*args) != new_cls(*other_args)
+        for a, b in ((new_cls(*args), old_cls(*args)), (new_cls(*other_args), old_cls(*other_args))):
+            assert (new == a) == (old == b) and (new != a) == (old != b)
+        assert new == new_cls(*args) and not new != new_cls(*args)
+        assert new != new_cls(*other_args)
         for foreign in (old, Point(0.0, 0.0), tuple(args), None):
             assert new.__eq__(foreign) is NotImplemented
             assert new != foreign and not new == foreign
@@ -130,11 +115,11 @@ def test_record_matches_its_dataclass_twin(name):
         try:
             want = hash(old)
         except TypeError as exc:
-            assert _raised(hash, build(*args)) == (TypeError, str(exc))
+            assert _raised(hash, new) == (TypeError, str(exc))
         else:
-            assert hash(build(*args)) == want
+            assert hash(new) == want
 
-        for back in (pickle.loads(pickle.dumps(build(*args))), copy.deepcopy(build(*args)), copy.copy(build(*args))):
+        for back in (pickle.loads(pickle.dumps(new)), copy.deepcopy(new), copy.copy(new)):
             assert type(back) is new_cls and back == new and repr(back) == repr(new)
 
         for field in new_cls.__match_args__ + ("no_such_field",):
